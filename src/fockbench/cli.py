@@ -130,7 +130,7 @@ def _emit(report: SolveReport, outdir) -> int:
 def _cmd_fiber_verify(args) -> int:
     n = args.n
     rep = SolveReport(command="fiber-verify", config_echo={"n": n, "seed": args.seed})
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     checks = {}
     triple = fiber.complete_sl2_triple(n)
@@ -173,7 +173,7 @@ def _cmd_fiber_verify(args) -> int:
                     bad += tr != 0
         checks["trace_orthogonality_violations"] = bad
     rep.residual_norms = checks
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     tol = 1e-12
     for key, val in checks.items():
         if val > tol:
@@ -189,7 +189,7 @@ def _cmd_point_verify(args) -> int:
     n = args.n
     rng = np.random.default_rng(args.seed)
     rep = SolveReport(command="point-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = {"reconstruction": 0.0, "dims": 0, "gram_vs_contraction": 0, "q_involution": 0.0}
     for _ in range(args.samples):
         mu = 0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
@@ -215,7 +215,7 @@ def _cmd_point_verify(args) -> int:
             q2 = fp.q_involution(fp.q_involution(om2, pt, star), pt, star)
             worst["q_involution"] = max(worst["q_involution"], (q2 - om2).norm())
     rep.residual_norms = worst
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     if worst["reconstruction"] > 1e-10:
         rep.fail("four-way reconstruction above 1e-10")
     if worst["dims"] or worst["gram_vs_contraction"]:
@@ -237,22 +237,27 @@ def _require(cfg, key):
 
 def _cmd_fuchsian(cfg) -> int:
     rep = SolveReport(command="fuchsian", config_echo=cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = int(_require(cfg, "n"))
     spec = _require(cfg, "chart")
     grids = cfg.get("grids")
     out = _outdir(cfg)
     residuals = {}
     if grids:
-        for nx in grids:
+        try:
+            sizes = sorted({int(nx) for nx in grids})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grids must be a list of grid sizes: {exc}") from exc
+        if len(sizes) < 2:
+            raise ConfigError(f"grids needs at least two distinct sizes for a refinement ratio, got {grids!r}")
+        for nx in sizes:
             local = dict(spec)
-            local["nx"] = local["ny"] = int(nx)
+            local["nx"] = local["ny"] = nx
             ch = _build_chart(local)
             fd = sv.fuchsian_reference(n, ch)
             residuals[str(nx)] = fd.A.report["fuchsian_curvature_sup"]
-        keys = sorted(int(k) for k in residuals)
         rep.residual_norms = dict(residuals)
-        rep.residual_norms["ratio"] = residuals[str(keys[0])] / residuals[str(keys[1])]
+        rep.residual_norms["ratio"] = residuals[str(sizes[0])] / residuals[str(sizes[1])]
     else:
         ch = _build_chart(spec)
         fd = sv.fuchsian_reference(n, ch)
@@ -262,7 +267,7 @@ def _cmd_fuchsian(cfg) -> int:
         chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A.A)
         chm.save_matrix_field_csv(os.path.join(out, "h.csv"), ch, fd.h.data)
         chm.save_scalar_csv(os.path.join(out, "g.csv"), fd.g)
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     return _emit(rep, out)
 
 
@@ -281,7 +286,7 @@ def _identity_h(ch, n):
 
 def _cmd_fillin(cfg) -> int:
     rep = SolveReport(command="fillin", config_echo=cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     n, ch, mu, _ = _fields_from_config(cfg)
     hermitian = cfg.get("hermitian", "identity")
@@ -298,13 +303,13 @@ def _cmd_fillin(cfg) -> int:
     rep.residual_norms = {k: v for k, v in conn.report.items() if isinstance(v, float)}
     for msg in conn.report.get("warnings", []):
         rep.warn(msg)
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     return _emit(rep, out)
 
 
 def _cmd_solve(cfg) -> int:
     rep = SolveReport(command="solve", config_echo=cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     n, ch, mu, _ = _fields_from_config(cfg)
     ncfg = _newton_config(cfg.get("solver"))
@@ -322,7 +327,7 @@ def _cmd_solve(cfg) -> int:
         "eta_sup": srep["eta_sup"],
     }
     rep.iteration_traces = {"per_step": srep["per_step"]}
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     rep.timings["newton_wall_time_s"] = srep["wall_time_s"]
     if srep["final_residual"] > ncfg.newton_tol:
         rep.fail(f"final residual {srep['final_residual']:.3e} above newton_tol")
@@ -331,7 +336,7 @@ def _cmd_solve(cfg) -> int:
 
 def _cmd_muholo(cfg) -> int:
     rep = SolveReport(command="muholo", config_echo=cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     n, ch, mu, t = _fields_from_config(cfg)
     phi = hf.fock_form(ch, mu)
@@ -353,7 +358,7 @@ def _cmd_muholo(cfg) -> int:
     for k in range(2, n + 1):
         chm.save_scalar_csv(os.path.join(out, f"tensor_residual_{k}.csv"), chm.ScalarField(ch, tensor[k]))
         chm.save_scalar_csv(os.path.join(out, f"gauge_residual_{k}.csv"), chm.ScalarField(ch, gauge[k]))
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     floor = 100.0 * ch.hx**2
     if diff_sup > floor:
         rep.warn(f"gauge/tensor residual difference {diff_sup:.3e} above {floor:.1e}")
@@ -362,7 +367,7 @@ def _cmd_muholo(cfg) -> int:
 
 def _cmd_flow(cfg) -> int:
     rep = SolveReport(command="flow", config_echo=cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     n, ch, mu, t = _fields_from_config(cfg)
     ham_spec = _require(cfg, "hamiltonian")
@@ -400,7 +405,7 @@ def _cmd_flow(cfg) -> int:
     traj.append(after)
     rep.residual_norms = {"before": before, "after": after}
     rep.iteration_traces = {"eps": eps, "steps": steps}
-    rep.timings["wall_time_s"] = time.time() - t0
+    rep.timings["wall_time_s"] = time.perf_counter() - t0
     return _emit(rep, out)
 
 

@@ -3,13 +3,16 @@
 The admissible gauge directions at a point are the sigma-invariant,
 h-hermitian traceless matrices; the solver carries a per-point orthonormal
 real basis of that space and works in its coordinates.  The linearized
-operator is applied in strong form,
+operator in strong form is
 
     L eta = d_A Q(d_A eta) + [[Phi, eta] ^ Phi*] - [Phi ^ [Phi*, eta]],
 
 with the Galerkin pairing B(eta1, eta2) = -sum Re tr(eta1 * (L eta2)) dx dy,
 which is symmetric positive definite on Dirichlet-supported fields (exact
 summation by parts plus pointwise bracket identities), so plain CG applies.
+CG runs on the Galerkin matrix, assembled once per linearization from the
+same stencil, connection, Q, basis and zeroth-order pieces; the strong form
+stays the field-level reference.
 
 Newton continuation drives the projected curvature moments to the value they
 take at the discrete Fuchsian reference (the O(h^2) discretization floor is
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from . import fiber
@@ -266,8 +271,50 @@ class AdmissibleSpace:
         return float(np.sum(c1 * c2) * self.weight)
 
 
+def _trace_pairs(x, y):
+    """tr(x_a y_b) over stacks of matrices, broadcasting the leading axes."""
+    return np.einsum("...aij,...bji->...ab", x, y)
+
+
+def _ad_traces(a, x, y):
+    """tr(x_i [a, y_j]) = tr(a [y_j, x_i]) per grid point, for constant stacks x, y."""
+    comm = y[None, :] @ x[:, None] - x[:, None] @ y[None, :]
+    return np.einsum("ijuv,pvu->pij", comm, a)
+
+
+@lru_cache(maxsize=8)
+def _grid_stencil(chart: Chart):
+    """One central-difference step on the flattened grid (point i * ny + j).
+
+    Built from the 1-D difference matrices, with wrap-around entries on
+    periodic charts and the outside neighbours dropped on disk charts (the
+    "periodic" and "zerofill" policies).  Returns (indptr, indices, rows, own,
+    dzbar): a CSR pattern holding every point and its neighbours, the row of
+    each entry, whether the entry is the point itself, and the d_zbar weight
+    (d_x + i d_y)/2 of the entry, zero on the point itself; d_z is its
+    conjugate.
+    """
+
+    def diff(npts, h):
+        offsets = [1, -1] + ([1 - npts, npts - 1] if chart.periodic else [])
+        return sparse.diags_array([1.0, -1.0, 1.0, -1.0][: len(offsets)], offsets=offsets, shape=(npts, npts)) / (2 * h)
+
+    dx = sparse.kron(diff(chart.nx, chart.hx), sparse.eye_array(chart.ny))
+    dy = sparse.kron(sparse.eye_array(chart.nx), diff(chart.ny, chart.hy))
+    npt = chart.nx * chart.ny
+    pattern = (dx + 1j * dy + sparse.eye_array(npt)).tocsr()
+    rows = np.repeat(np.arange(npt), np.diff(pattern.indptr))
+    own = pattern.indices == rows
+    out = (pattern.indptr, pattern.indices, rows, own, np.where(own, 0.0, 0.5 * pattern.data))
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
 class LinearizedContext:
-    """Frozen coefficients (Phi, Phi*, A, h) plus the pointwise Q projector."""
+    """Frozen coefficients (Phi, Phi*, A, h) plus the pointwise Q projector;
+    the strong form ``apply`` and, through ``apply_coords``, its Galerkin
+    matrix."""
 
     def __init__(self, phi: LieForm, a_conn, h: HermitianField, space: AdmissibleSpace | None = None):
         self.phi = phi
@@ -360,8 +407,72 @@ class LinearizedContext:
         return LieForm(self.chart, 2, d0=out.d0 + self.zeroth(eta))
 
     def apply_coords(self, coords) -> np.ndarray:
-        eta = self.space.to_field(coords)
-        return self.space.moments(self.apply(eta).d0)
+        return (self.matrix @ coords.ravel()).reshape(coords.shape)
+
+    @cached_property
+    def zeroth_block(self) -> np.ndarray:
+        """Pointwise Galerkin block -Re tr(e_a zeroth(e_b)), shape (nx, ny, d, d)."""
+        e = self.space.basis
+        block = np.empty(e.shape[:3] + (self.space.dim,))
+        for b in range(self.space.dim):
+            zb = self.zeroth(LieForm(self.chart, 0, d0=e[..., b, :, :]))
+            block[..., b] = -np.einsum("xyaij,xyji->xya", e, zb).real
+        return block
+
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        """Galerkin matrix of ``apply`` in admissible coordinates, built on
+        first use: row (p, a) is the moment against e_a(p), empty off the
+        active points; column (q, b) is the coordinate of e_b(q); flat indices
+        follow ``coords.ravel()``.
+
+        In s_plus coordinates, with F(p)[b, a] = tr(s_b^+ e_a(p)), cov_d0
+        takes c to w = [w1; w2] = [D_z + B_1; D_zbar + B_2] F c, where
+        B_k = tr(s^+ [A_k, s]) is ad(A_k); Q maps w to u per point; and
+        -Re tr(e_a cov_d1(u)) = -Re F^T (T (D_z u2 - D_zbar u1) + B'_1 u2 - B'_2 u1)
+        with T = tr(s s) and B'_k = tr(s [A_k, s]).  So L = -Re(Y U) plus the
+        zeroth-order block, where U = Q X F and Y are block-sparse on one
+        stencil step and their sparse product composes the two steps.
+        """
+        ch, n, m, d = self.chart, self.n, self._m, self.space.dim
+        npt = ch.nx * ch.ny
+        s = self._s_plus
+        sdag = _dag(s)
+        indptr, cols, rows, own, dzb = _grid_stencil(ch)
+        dzb = dzb[:, None, None]
+        dz = np.conj(dzb)
+        a1 = self.a_form.d1.reshape(npt, n, n)
+        a2 = self.a_form.d2.reshape(npt, n, n)
+        f = _trace_pairs(sdag, self.space.basis).reshape(npt, m, d)
+        # Y is stored on the active rows, U on the rows Y reaches
+        y_rows = self.space.active.ravel()
+        u_rows = np.zeros(npt, dtype=bool)
+        u_rows[cols[y_rows[rows]]] = True
+        count = np.diff(indptr)
+
+        def blocks(keep):
+            # the own block of each kept row is selected once, in row order
+            sel = keep[rows]
+            return sel, cols[sel], np.concatenate([[0], np.cumsum(count * keep)])
+
+        # U(p, q) = Q(p) X(p, q) F(q)
+        sel, u_cols, u_indptr = blocks(u_rows)
+        x = np.concatenate([dz[sel] * f[u_cols], dzb[sel] * f[u_cols]], axis=1)
+        b = np.concatenate([_ad_traces(a1[u_rows], sdag, s), _ad_traces(a2[u_rows], sdag, s)], axis=1)
+        x[own[sel]] += b @ f[u_rows]
+        u = sparse.bsr_array((self._qmat[rows[sel]] @ x, u_cols, u_indptr), shape=(npt * 2 * m, npt * d))
+        # Y(p, q) = F(p)^T Y'(p, q)
+        sel, y_cols, y_indptr = blocks(y_rows)
+        ft = np.swapaxes(f[y_rows], -1, -2)
+        h = np.repeat(ft @ _trace_pairs(s, s), count[y_rows], axis=0)
+        y = np.concatenate([-dzb[sel] * h, dz[sel] * h], axis=2)
+        y[own[sel]] += ft @ np.concatenate([-_ad_traces(a2[y_rows], s, s), _ad_traces(a1[y_rows], s, s)], axis=2)
+        y = sparse.bsr_array((y, y_cols, y_indptr), shape=(npt * d, npt * 2 * m))
+        zeroth = self.zeroth_block.reshape(npt, d, d) * y_rows[:, None, None]
+        diag = sparse.bsr_array((zeroth, np.arange(npt), np.arange(npt + 1)), shape=(npt * d, npt * d))
+        mat = (diag - (y @ u).real).tocsr()
+        mat.eliminate_zeros()
+        return mat
 
     def gram_blocks(self):
         """Pointwise Killing Gram tr(e_a e_b) of the admissible basis."""
@@ -428,19 +539,9 @@ class NewtonConfig:
 def _jacobi_blocks(ctx: LinearizedContext):
     """Pointwise preconditioner: zeroth-order Galerkin block plus a stencil
     scale on the Killing Gram."""
-    e = ctx.space.basis  # (nx, ny, d, n, n)
-    p1, p2 = ctx.phi.d1, ctx.phi.d2
-    q1, q2 = ctx.psi.d1, ctx.psi.d2
-    br = lambda x, y: x @ y - y @ x
-    d = ctx.space.dim
-    blocks = np.zeros((ctx.chart.nx, ctx.chart.ny, d, d))
-    for b in range(d):
-        eb = e[..., b, :, :]
-        zb = br(br(p1, eb), q2) - br(br(p2, eb), q1) - (br(p1, br(q2, eb)) - br(p2, br(q1, eb)))
-        blocks[..., b] = -np.einsum("xyaij,xyji->xya", e, zb).real
+    z = ctx.zeroth_block
     lap = 1.0 / ctx.chart.hx**2 + 1.0 / ctx.chart.hy**2
-    gram = ctx.gram_blocks()
-    blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2)) + lap * gram
+    blocks = 0.5 * (z + np.swapaxes(z, -1, -2)) + lap * ctx.gram_blocks()
     return np.linalg.inv(blocks)
 
 
@@ -528,7 +629,7 @@ def _check_mu_target(base: FuchsianData, mu: BeltramiField):
 def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: NewtonConfig):
     """Continuation along (s mu_3, ..., s^{n-2} mu_n) with Newton on the
     conjugating gauge field eta; returns (eta, report dict)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _check_mu_target(base, mu_target)
     ch, n, h = base.chart, base.n, base.h
     space = AdmissibleSpace(ch, n, h)
@@ -612,7 +713,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
         "curvature_floor": floor,
         "eta_sup": float(np.sqrt(np.sum(np.abs(eta.d0) ** 2, axis=(-2, -1))).max()),
         "projection_defect": recon_defect,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     if cfg.fd_check:
         report["fd_checks"] = fd_checks

@@ -66,6 +66,18 @@ def test_fuchsian_refinement_report(tmp_path, capsys):
     assert 3.0 < rep["residual_norms"]["ratio"] < 5.3
 
 
+@pytest.mark.parametrize("grids", [[12], [12, 12]])
+def test_fuchsian_needs_two_distinct_grids(tmp_path, capsys, grids):
+    cfg = {
+        "n": 2,
+        "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
+        "grids": grids,
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["fuchsian", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert "grids" in capsys.readouterr().err
+
+
 def test_fuchsian_writes_fields(tmp_path, capsys):
     out = str(tmp_path / "o")
     cfg = {

@@ -158,6 +158,46 @@ def test_linearized_operator_self_adjoint():
     assert abs(b12 - b21) < 1e-11 * abs(b12)
 
 
+def _linearization(kind, n):
+    """A LinearizedContext on a 16^2 Fuchsian disk with a mu_3 bump (zero-fill
+    stencils) or on a 12^2 periodic chart with random smooth mu (wrap-around)."""
+    rng = np.random.default_rng(10 + n)
+    if kind == "disk":
+        ch = chm.disk_chart(16, 16, 0.5)
+        fd = sv.fuchsian_reference(n, ch, c0=n - 1.0)
+        d2 = np.zeros_like(fd.Phi.d1)
+        if n >= 3:
+            f2 = np.linalg.matrix_power(fiber.principal_nilpotent(n), 2)
+            d2 = chm.bump_field(ch, radius=0.3, amplitude=0.02).data[..., None, None] * f2
+        phi = chm.LieForm(ch, 1, d1=fd.Phi.d1, d2=d2)
+        return sv.LinearizedContext(phi, cn.fill_in(phi, h=fd.h, boundary="rect"), fd.h)
+    ch = chm.periodic_chart(12, 12)
+    h = _identity_h(ch, n)
+    mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
+    phi = hf.fock_form(ch, mu)
+    return sv.LinearizedContext(phi, cn.fill_in(phi, h=h), h)
+
+
+@pytest.mark.parametrize("kind", ["disk", "periodic"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_assembled_matrix_matches_strong_form(kind, n):
+    ctx = _linearization(kind, n)
+    space = ctx.space
+    rng = np.random.default_rng(n)
+    coords = rng.standard_normal((ctx.chart.nx, ctx.chart.ny, space.dim))
+    free = space.moments(ctx.apply(space.to_field(coords)).d0)
+    got = ctx.apply_coords(coords)
+    assert np.abs(got - free).max() <= 1e-12 * np.abs(free).max()
+    mat = ctx.matrix
+    active = np.repeat(space.active.ravel(), space.dim)
+    sub = mat[active][:, active].toarray()
+    assert np.abs(sub - sub.T).max() <= 1e-12 * np.abs(sub).max()
+    inactive = mat[~active]
+    assert inactive.nnz == 0 and np.abs(inactive.toarray()).max(initial=0.0) == 0.0
+    if kind == "disk":
+        assert (~active).any()
+
+
 def test_linearized_operator_admissibility_guard():
     ch = chm.periodic_chart(12, 12)
     n = 2
@@ -281,6 +321,29 @@ def test_newton_continuation_small():
     mu0 = chm.BeltramiField(ch, 3, {})
     eta0, rep0 = sv.newton_continuation(fd3, mu0, cfg)
     assert rep0["per_step"] == [] and np.abs(eta0.d0).max() == 0.0
+
+
+def test_newton_iteration_counts_do_not_rise(monkeypatch):
+    # counts measured with the matrix-free operator: Newton [7, 7], 433 CG
+    # iterations in total; a faster operator may lower them, never raise them
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    bump = chm.bump_field(ch, center=(0.02, -0.01), radius=0.3, amplitude=0.01)
+    mu = chm.BeltramiField(ch, 3, {3: bump.data})
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    apply_coords = sv.LinearizedContext.apply_coords
+    calls = []
+
+    def counted(ctx, coords):
+        calls.append(1)
+        return apply_coords(ctx, coords)
+
+    monkeypatch.setattr(sv.LinearizedContext, "apply_coords", counted)
+    _, rep = sv.newton_continuation(fd, mu, cfg)
+    assert rep["final_residual"] <= 1e-10
+    assert len(rep["per_step"]) == 2
+    assert all(step["newton_iters"] <= 7 for step in rep["per_step"])
+    assert len(calls) <= 433
 
 
 def test_newton_continuation_fd_check_recorded():
