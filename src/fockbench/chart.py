@@ -235,6 +235,19 @@ def _d_axis_masked(arr, axis, h, mask):
     return out
 
 
+def _d_axis_rect(arr, axis, h):
+    """The masked stencil with every grid point valid, on slices: central
+    differences inside, one-sided second order on the first and last line
+    (same operands in the same order, so bitwise the masked result)."""
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty(arr.shape, dtype=complex)
+    o = np.moveaxis(out, axis, 0)
+    o[1:-1] = (a[2:] - a[:-2]) / (2 * h)
+    o[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
+    o[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
+    return out
+
+
 def _inside_shift(shape, axis, k):
     """Mask of points whose k-shifted neighbour stays inside the array."""
     n = shape[axis]
@@ -266,7 +279,7 @@ def _d_dispatch(chart, arr, axis, h, boundary):
         return _d_axis_masked(arr, axis, h, chart.mask())
     if boundary == "rect":
         # data valid on the whole rectangle (analytic fields on disk charts)
-        return _d_axis_masked(arr, axis, h, np.ones((chart.nx, chart.ny), dtype=bool))
+        return _d_axis_rect(arr, axis, h)
     raise ValueError(f"unknown boundary policy {boundary!r}")
 
 
@@ -455,8 +468,9 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
         if header[:7] != ["i", "j", "row", "col", "comp", "re", "im"]:
             raise ValueError(f"bad field header in {path}: {header}")
         for row in r:
-            comp = row[4]
-            g = grids.setdefault(comp, np.zeros((chart.nx, chart.ny, n, n), dtype=complex))
+            g = grids.get(row[4])
+            if g is None:
+                g = grids[row[4]] = np.zeros((chart.nx, chart.ny, n, n), dtype=complex)
             g[int(row[0]), int(row[1]), int(row[2]), int(row[3])] = float(row[5]) + 1j * float(row[6])
     if degree == 1:
         return LieForm(chart, 1, d1=grids.get("dz"), d2=grids.get("dzb"))

@@ -36,6 +36,21 @@ class ConfigError(ValueError):
     pass
 
 
+# Keys of the config schema, top level (None) and per checked section.
+_CONFIG_KEYS = {
+    None: {
+        "n", "chart", "beltrami", "covector", "hamiltonian", "solver",
+        "grids", "hermitian", "seed", "output_dir", "c0",
+    },
+    "chart": {"kind", "nx", "ny", "radius", "lx", "ly"},
+    "solver": {
+        "continuation_steps", "newton_tol", "max_newton", "cg_tol", "max_cg",
+        "fd_check", "preconditioner",
+    },
+    "hamiltonian": {"ell", "eps", "steps", "w"},
+}
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -44,6 +59,12 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    for section, known in _CONFIG_KEYS.items():
+        spec = cfg if section is None else cfg.get(section)
+        unknown = sorted(set(spec) - known) if isinstance(spec, dict) else []
+        if unknown:
+            where = "the config" if section is None else f"{section!r}"
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(sorted(known))}")
     return cfg
 
 

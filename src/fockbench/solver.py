@@ -146,6 +146,15 @@ class FuchsianData:
         return hermitian_adjoint_field(self.Phi, self.h)
 
 
+_GOLDEN = (3.0 - np.sqrt(5.0)) / 2  # where a bounded golden-section search first probes
+_AFFINE_RTOL = 1e-9  # allowed gap between the affine c0 model and the full evaluation
+
+
+def _frobenius_sup(t):
+    """Largest Frobenius norm over a stack of matrices."""
+    return float(np.sqrt(np.sum(np.abs(t) ** 2, axis=(-2, -1))).max())
+
+
 def _ladder_constants(n):
     """kappa_{i+1}/kappa_i = i(n-i)/(n-1); trivial (all ones) for n = 2, 3."""
     kap = [1.0]
@@ -173,12 +182,11 @@ def _fuchsian_fields(n, chart, c0):
     return ScalarField(chart, g.astype(complex)), phi, hf
 
 
-def _fuchsian_residual(n, chart, c0, boundary="rect"):
+def _fuchsian_curvature(n, chart, c0):
     gs, phi, hf = _fuchsian_fields(n, chart, c0)
-    conn = fill_in(phi, h=hf, boundary=boundary)
+    conn = fill_in(phi, h=hf, boundary="rect")
     psi = hermitian_adjoint_field(phi, hf)
-    curv = curvature_total(conn, phi, psi, boundary=boundary)
-    return float(sup_norm(curv, mask=chart.interior())), gs, phi, hf, conn
+    return curvature_total(conn, phi, psi, boundary="rect"), gs, phi, hf, conn
 
 
 def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> FuchsianData:
@@ -190,21 +198,45 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
     carries the integer ladder constants of the standard triple, which are
     all ones for n = 2, 3.  A periodic chart has no such solution, so it is
     rejected.
+
+    The total curvature is affine in c0: the connection h^-1 dh does not see
+    the constant diagonal rescaling of h, and [Phi ^ Phi*] is linear in c0.
+    So the search runs on the affine model through two curvature fields,
+    taken at c0 = n - 1 and at the search's first golden-section point, and
+    the full evaluation at the chosen c0 must reproduce the model's minimum.
+    The gap is measured against the size of the [Phi ^ Phi*] term, whose
+    cancellation against F(A) leaves the O(h^2) residual: rounding in that
+    cancellation grows like 1/h, so relative to the residual itself a correct
+    model drifts toward 1e-9 by 128^2.
     """
     if chart.periodic:
         raise DomainMismatchError(
             "no periodic reference solution exists (curvature obstruction); use a disk chart"
         )
+    interior = chart.interior()
+    predicted = None
     if c0 is None:
         lo, hi = 0.4 * (n - 1), 2.5 * (n - 1)
+        c1, c2 = n - 1.0, lo + _GOLDEN * (hi - lo)
+        t1 = _fuchsian_curvature(n, chart, c1)[0].d0[interior]
+        slope = (_fuchsian_curvature(n, chart, c2)[0].d0[interior] - t1) / (c2 - c1)
         res = minimize_scalar(
-            lambda c: _fuchsian_residual(n, chart, c)[0],
+            lambda c: _frobenius_sup(t1 + (c - c1) * slope),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-10},
         )
-        c0 = float(res.x)
-    resid, gs, phi, hf, conn = _fuchsian_residual(n, chart, c0)
+        c0, predicted = float(res.x), float(res.fun)
+        scale = c0 * _frobenius_sup(slope)
+    curv, gs, phi, hf, conn = _fuchsian_curvature(n, chart, c0)
+    resid = sup_norm(curv, mask=interior)
+    if predicted is not None and abs(resid - predicted) > _AFFINE_RTOL * scale:
+        raise NonConvergenceError(
+            f"affine curvature model predicts residual {predicted!r} at c0 = {c0!r}, the full "
+            f"evaluation gives {resid!r} (gap {abs(resid - predicted) / scale:.2e} of the "
+            f"[Phi ^ Phi*] term, above {_AFFINE_RTOL:.0e})",
+            history=[predicted, resid],
+        )
     conn.report["fuchsian_curvature_sup"] = resid
     return FuchsianData(chart=chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0)
 

@@ -30,7 +30,7 @@ def _report(name, elapsed, budget, detail):
 
 
 def test_criterion_1_fiber_identity_suite():
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-12
     for n in range(2, 7):
         t = fiber.complete_sl2_triple(n)
@@ -55,11 +55,11 @@ def test_criterion_1_fiber_identity_suite():
         for _ in range(10):
             x = fiber.random_traceless(n, rng)
             assert np.abs(inv.sigma(inv.rho(x)) - inv.rho(inv.sigma(x))).max() <= tol
-    _report("C1 fiber identities (n=2..6, tol 1e-12)", time.time() - t0, 5.0, "triple/trace/involution checks exact")
+    _report("C1 fiber identities (n=2..6, tol 1e-12)", time.perf_counter() - t0, 5.0, "triple/trace/involution checks exact")
 
 
 def test_criterion_2_decomposition_suite():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     eps = fp.EPS_POS
     for n in range(2, 6):
@@ -88,11 +88,11 @@ def test_criterion_2_decomposition_suite():
             resid = (parts[0] + parts[1] + parts[2] + parts[3] - om).norm() / om.norm()
             worst_recon = max(worst_recon, resid)
         assert worst_recon < 1e-10
-    _report("C2 decomposition suite (100 positive points, n=2..5)", time.time() - t0, 30.0, f"worst reconstruction {worst_recon:.1e}")
+    _report("C2 decomposition suite (100 positive points, n=2..5)", time.perf_counter() - t0, 30.0, f"worst reconstruction {worst_recon:.1e}")
 
 
 def test_criterion_3_filling_in_chern():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for n in (2, 3):
         ch = chm.disk_chart(64, 64, 0.5)
@@ -107,11 +107,11 @@ def test_criterion_3_filling_in_chern():
         )
         assert diff2 < 1e-8
         worst = max(worst, diff, diff2)
-    _report("C3 filling-in reproduces Chern (n=2,3, 64^2)", time.time() - t0, 60.0, f"sup deviation {worst:.1e}")
+    _report("C3 filling-in reproduces Chern (n=2,3, 64^2)", time.perf_counter() - t0, 60.0, f"sup deviation {worst:.1e}")
 
 
 def test_criterion_4_fuchsian_curvature_convergence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ratios = {}
     for n in (2, 3, 4):
         res = {}
@@ -121,11 +121,11 @@ def test_criterion_4_fuchsian_curvature_convergence():
         ratios[n] = res[64] / res[128]
         assert 3.0 < ratios[n] < 5.3
     detail = ", ".join(f"n={n}: {r:.2f}" for n, r in ratios.items())
-    _report("C4 Fuchsian curvature second-order convergence", time.time() - t0, 120.0, detail)
+    _report("C4 Fuchsian curvature second-order convergence", time.perf_counter() - t0, 120.0, detail)
 
 
 def test_criterion_5_linearized_operator():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     n = 3
     ch = chm.periodic_chart(32, 32)
@@ -164,14 +164,14 @@ def test_criterion_5_linearized_operator():
     assert rep["rayleigh_min"] > 0
     _report(
         "C5 linearized operator",
-        time.time() - t0,
+        time.perf_counter() - t0,
         60.0,
         f"energy rel {energy_rel:.1e}, FD rel {fd_rel:.1e}, Rayleigh min {rep['rayleigh_min']:.2e}",
     )
 
 
 def test_criterion_6_newton_continuation():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ch = chm.disk_chart(64, 64, 0.5)
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, center=(0.0, 0.0), radius=0.3, amplitude=0.01)
@@ -195,7 +195,7 @@ def test_criterion_6_newton_continuation():
     assert 0.4 < ratio < 0.6
     _report(
         "C6 Newton continuation (n=3, 64^2, amp 0.01)",
-        time.time() - t0,
+        time.perf_counter() - t0,
         300.0,
         f"final residual {rep['final_residual']:.1e}, iters {[s['newton_iters'] for s in rep['per_step']]}, "
         f"eta half-ratio {ratio:.3f}",
@@ -203,7 +203,7 @@ def test_criterion_6_newton_continuation():
 
 
 def test_criterion_7_mu_holo_equivalence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_lo, worst_hi = 10.0, 0.0
     for n in (2, 3):
         for seed in (0, 1, 2):
@@ -227,14 +227,14 @@ def test_criterion_7_mu_holo_equivalence():
             assert 3.0 < ratio < 5.3
     _report(
         "C7 mu-holomorphicity equivalence (n=2,3 x 3 configs)",
-        time.time() - t0,
+        time.perf_counter() - t0,
         120.0,
         f"refinement ratios in [{worst_lo:.2f}, {worst_hi:.2f}]",
     )
 
 
 def test_criterion_8_variation_formulas():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     n = 3
     ch = chm.periodic_chart(64, 64)
@@ -281,14 +281,14 @@ def test_criterion_8_variation_formulas():
         assert err < bound
     _report(
         "C8 variation formulas (eps=1e-4, 64^2)",
-        time.time() - t0,
+        time.perf_counter() - t0,
         60.0,
         f"mu err {worst_mu:.1e}, covector err {worst_t:.1e}, bound {bound:.1e}",
     )
 
 
 def test_criterion_9_x_equation():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(9)
     worst = 0.0
     for n in (2, 3, 4, 5):
@@ -305,4 +305,4 @@ def test_criterion_9_x_equation():
         rel = float(np.abs(dq - lhs).max() / np.abs(dq).max())
         worst = max(worst, rel)
         assert rel < 1e-10
-    _report("C9 X-equation (n=2..5)", time.time() - t0, 5.0, f"worst relative defect {worst:.1e}")
+    _report("C9 X-equation (n=2..5)", time.perf_counter() - t0, 5.0, f"worst relative defect {worst:.1e}")

@@ -47,6 +47,21 @@ def test_partial_symbol_periodic():
     assert np.allclose(chm.partial_zbar(f).data, sym * f.data)
 
 
+@pytest.mark.parametrize("shape", [(12, 12), (9, 14), (12, 12, 3, 3), (9, 14, 3, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rect_stencil_is_masked_stencil_with_full_mask(shape, dtype):
+    rng = np.random.default_rng(3)
+    arr = rng.standard_normal(shape)
+    if dtype is complex:
+        arr = arr + 1j * rng.standard_normal(shape)
+    full = np.ones(shape[:2], dtype=bool)
+    for axis, h in ((0, 1 / 11), (1, 0.07)):
+        got = chm._d_axis_rect(arr, axis, h)
+        want = chm._d_axis_masked(arr, axis, h, full)
+        assert got.dtype == want.dtype == complex
+        assert np.array_equal(got.view(float), want.view(float))
+
+
 def test_exterior_d_squares_to_zero():
     rng = np.random.default_rng(0)
     c = chm.periodic_chart(24, 24)

@@ -33,6 +33,24 @@ def test_malformed_config(tmp_path):
     assert run(["solve", "--config", str(arr)]) == 4
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "continuation_step"), ("solver", "continuation_step"), ("chart", "radus"), ("hamiltonian", "epsilon")],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, section, key):
+    cfg = {
+        "n": 2,
+        "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
+        "solver": {"continuation_steps": 1},
+        "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    (cfg if section is None else cfg[section])[key] = 1
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert repr(key) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run(["solve", "--config", str(tmp_path / "nope.json")]) == 5
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
+from scipy.optimize import minimize_scalar
 
 from fockbench import chart as chm
 from fockbench import connection as cn
@@ -74,6 +75,40 @@ def test_fuchsian_reference_properties():
         assert fd.A.unitary
     with pytest.raises(DomainMismatchError):
         sv.fuchsian_reference(2, chm.periodic_chart(16, 16))
+
+
+def _fuchsian_sup(n, ch, c):
+    return cn.sup_norm(sv._fuchsian_curvature(n, ch, c)[0], mask=ch.interior())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fuchsian_c0_matches_full_search(n):
+    ch = chm.disk_chart(16, 16, 0.5)
+    full = minimize_scalar(
+        lambda c: _fuchsian_sup(n, ch, c),
+        bounds=(0.4 * (n - 1), 2.5 * (n - 1)),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    fd = sv.fuchsian_reference(n, ch)
+    assert abs(fd.c0 - full.x) <= 1e-9
+    assert fd.A.report["fuchsian_curvature_sup"] == _fuchsian_sup(n, ch, fd.c0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fuchsian_curvature_affine_in_c0(n):
+    ch = chm.disk_chart(16, 16, 0.5)
+    c1, c2, c3 = n - 1.0, 1.2 * (n - 1), 0.7 * (n - 1)
+    t1, t2, t3 = (sv._fuchsian_curvature(n, ch, c)[0].d0 for c in (c1, c2, c3))
+    predicted = t1 + (c3 - c1) * (t2 - t1) / (c2 - c1)
+    assert np.abs(t3 - predicted).max() <= 1e-10 * np.abs(t3).max()
+
+
+def test_fuchsian_c0_model_checked_against_full_evaluation(monkeypatch):
+    fields = sv._fuchsian_fields
+    monkeypatch.setattr(sv, "_fuchsian_fields", lambda n, ch, c0: fields(n, ch, c0 * c0))
+    with pytest.raises(NonConvergenceError, match=r"\[Phi \^ Phi\*\] term"):
+        sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
 
 
 def test_fuchsian_chern_diagonal_profile():
