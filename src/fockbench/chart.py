@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError
+from .fiber import commutator
 
 __all__ = [
     "Chart",
@@ -162,7 +163,9 @@ class LieForm:
 
 @dataclass
 class BeltramiField:
-    """Grid scalars mu_k for k = 2..n parametrizing the higher structure."""
+    """Grid scalars indexed k = 2..n: the Beltrami coefficients mu_k that
+    parametrize the higher structure, or the covector components t_k
+    (``CovectorField`` is the same class).  A missing k reads as zero."""
 
     chart: Chart
     n: int
@@ -173,17 +176,7 @@ class BeltramiField:
         return self.comps.get(k, z)
 
 
-@dataclass
-class CovectorField:
-    """Grid scalars t_k for k = 2..n."""
-
-    chart: Chart
-    n: int
-    comps: dict
-
-    def comp(self, k):
-        z = np.zeros((self.chart.nx, self.chart.ny), dtype=complex)
-        return self.comps.get(k, z)
+CovectorField = BeltramiField
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +297,6 @@ def partial_zbar(f: ScalarField, boundary: str = "auto") -> ScalarField:
 # exterior calculus on Lie-valued forms
 
 
-def _bracket(x, y):
-    return x @ y - y @ x
-
-
 def exterior_d(alpha: LieForm, boundary: str = "auto") -> LieForm:
     """Discrete d; degree 0 -> 1, degree 1 -> 2."""
     ch = alpha.chart
@@ -327,18 +316,14 @@ def wedge_bracket(alpha: LieForm, beta: LieForm) -> LieForm:
     if da + db > 2:
         raise DomainMismatchError(f"degree overflow: {da} + {db} > 2")
     ch = alpha.chart
-    if da == 0 and db == 0:
-        return LieForm(ch, 0, d0=_bracket(alpha.d0, beta.d0))
-    if da == 0 and db == 1:
-        return LieForm(ch, 1, d1=_bracket(alpha.d0, beta.d1), d2=_bracket(alpha.d0, beta.d2))
-    if da == 1 and db == 0:
-        return LieForm(ch, 1, d1=_bracket(alpha.d1, beta.d0), d2=_bracket(alpha.d2, beta.d0))
-    if da == 0 and db == 2:
-        return LieForm(ch, 2, d0=_bracket(alpha.d0, beta.d0))
-    if da == 2 and db == 0:
-        return LieForm(ch, 2, d0=_bracket(alpha.d0, beta.d0))
+    if da != 1 and db != 1:
+        return LieForm(ch, da + db, d0=commutator(alpha.d0, beta.d0))
+    if da == 0:
+        return LieForm(ch, 1, d1=commutator(alpha.d0, beta.d1), d2=commutator(alpha.d0, beta.d2))
+    if db == 0:
+        return LieForm(ch, 1, d1=commutator(alpha.d1, beta.d0), d2=commutator(alpha.d2, beta.d0))
     # 1-form against 1-form
-    return LieForm(ch, 2, d0=_bracket(alpha.d1, beta.d2) - _bracket(alpha.d2, beta.d1))
+    return LieForm(ch, 2, d0=commutator(alpha.d1, beta.d2) - commutator(alpha.d2, beta.d1))
 
 
 def covariant_d(a_form: LieForm, omega: LieForm, boundary: str = "auto") -> LieForm:

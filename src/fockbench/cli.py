@@ -24,6 +24,7 @@ from . import fiber
 from . import fockpoint as fp
 from . import hcsflow as hf
 from . import solver as sv
+from .errors import DegenerateStructureError
 from .report import SolveReport
 
 EXIT_OK, EXIT_WARN, EXIT_FAIL = 0, 1, 2
@@ -103,14 +104,14 @@ def _build_scalar(chart, spec) -> np.ndarray:
     raise ConfigError(f"unknown field spec type {kind!r}")
 
 
-def _build_component_family(chart, n, spec, cls):
+def _build_component_family(chart, n, spec):
     comps = {}
     for key, sub in (spec or {}).items():
         k = int(key)
         if not 2 <= k <= n:
             raise ConfigError(f"component index {k} outside 2..{n}")
         comps[k] = _build_scalar(chart, sub)
-    return cls(chart, n, comps)
+    return chm.BeltramiField(chart, n, comps)
 
 
 def _newton_config(spec) -> sv.NewtonConfig:
@@ -216,9 +217,9 @@ def _cmd_point_verify(args) -> int:
         mu = 0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         try:
             pt = fp.fock_point(n, mu)
-        except Exception:
+        except DegenerateStructureError:
             continue
-        star = fp.FormFiber(pt.phi2.conj().T, pt.phi1.conj().T)
+        star = fp.FormFiber(fiber.dagger(pt.phi2), fiber.dagger(pt.phi1))
         om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
         parts = fp.four_way_decompose(om, pt, star)
         resid = (parts[0] + parts[1] + parts[2] + parts[3] - om).norm() / max(om.norm(), 1e-300)
@@ -295,14 +296,9 @@ def _cmd_fuchsian(cfg) -> int:
 def _fields_from_config(cfg):
     n = int(_require(cfg, "n"))
     ch = _build_chart(_require(cfg, "chart"))
-    mu = _build_component_family(ch, n, cfg.get("beltrami"), chm.BeltramiField)
-    t = _build_component_family(ch, n, cfg.get("covector"), chm.CovectorField)
+    mu = _build_component_family(ch, n, cfg.get("beltrami"))
+    t = _build_component_family(ch, n, cfg.get("covector"))
     return n, ch, mu, t
-
-
-def _identity_h(ch, n):
-    eye = np.broadcast_to(np.eye(n), (ch.nx, ch.ny, n, n)).copy()
-    return cn.hermitian_structure(ch, eye, normalize=False)
 
 
 def _cmd_fillin(cfg) -> int:
@@ -317,7 +313,7 @@ def _cmd_fillin(cfg) -> int:
         boundary = "rect"
     else:
         phi = hf.fock_form(ch, mu)
-        h = _identity_h(ch, n)
+        h = cn.identity_hermitian(ch, n)
         boundary = "auto"
     conn = cn.fill_in(phi, h=h, boundary=boundary)
     chm.save_lieform_csv(os.path.join(out, "A.csv"), conn.A)
@@ -361,7 +357,7 @@ def _cmd_muholo(cfg) -> int:
     out = _outdir(cfg)
     n, ch, mu, t = _fields_from_config(cfg)
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     conn = cn.inject_covector(phi, h, t)
     tensor = hf.mu_holo_residual(mu, t)
     gauge = hf.gauge_muholo_residual(phi, conn)
@@ -396,7 +392,7 @@ def _cmd_flow(cfg) -> int:
     steps = int(ham_spec.get("steps", 1))
     ham = hf.HamiltonianTerm(int(_require(ham_spec, "ell")), chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"))))
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     conn = cn.inject_covector(phi, h, t)
     a_form = conn.A
     mask = ch.mask()
@@ -439,6 +435,7 @@ def run(argv) -> int:
         sys.stderr.write(f"usage: fockbench <{'|'.join(_SUBCOMMANDS)}> ...\n")
         return EXIT_USAGE
     cmd, rest = argv[0], argv[1:]
+    cfg = None
     if cmd not in _SUBCOMMANDS:
         sys.stderr.write(f"unknown subcommand {cmd!r}; expected one of {', '.join(_SUBCOMMANDS)}\n")
         return EXIT_USAGE
@@ -484,6 +481,24 @@ def run(argv) -> int:
         return EXIT_IO
     except Exception as exc:  # solver-level failures surface as status "fail"
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        if cfg is None:
+            return EXIT_FAIL
+        return _emit_failure(cmd, cfg, exc)
+
+
+def _emit_failure(cmd, cfg, exc) -> int:
+    """The fail report of a handler that raised: the exception and whatever
+    trace it carries (a residual history, a continuation parameter, a grid
+    point)."""
+    rep = SolveReport(command=cmd, config_echo=cfg)
+    rep.fail(f"{type(exc).__name__}: {exc}")
+    rep.iteration_traces = {
+        key: getattr(exc, key) for key in ("history", "where", "point") if getattr(exc, key, None) is not None
+    }
+    try:
+        return _emit(rep, _outdir(cfg))
+    except (OSError, TypeError, ValueError) as err:  # the output directory is unusable
+        sys.stderr.write(f"no report written: {err}\n")
         return EXIT_FAIL
 
 

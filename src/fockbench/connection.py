@@ -31,6 +31,7 @@ __all__ = [
     "HermitianField",
     "ConnectionField",
     "hermitian_structure",
+    "identity_hermitian",
     "hermitian_adjoint_field",
     "fill_in",
     "curvature_total",
@@ -70,7 +71,7 @@ class HermitianField:
 
     def check(self, tol: float = 1e-10):
         h = self.data
-        herm = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max()
+        herm = np.abs(h - fiber.dagger(h)).max()
         w = np.linalg.eigvalsh(h)
         det = np.linalg.det(h)
         return {
@@ -94,10 +95,10 @@ def hermitian_structure(chart: Chart, data: np.ndarray, normalize: bool = True) 
     return hf
 
 
-def _adj(x, h, hinv):
-    """Pointwise h-adjoint x -> h^-1 x^+ h."""
-    xd = np.conj(np.swapaxes(x, -1, -2))
-    return hinv @ xd @ h
+def identity_hermitian(chart: Chart, n: int) -> HermitianField:
+    """The identity hermitian structure on every grid point."""
+    eye = np.broadcast_to(np.eye(n), (chart.nx, chart.ny, n, n)).copy()
+    return hermitian_structure(chart, eye, normalize=False)
 
 
 def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
@@ -105,7 +106,7 @@ def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
     if phi.degree != 1:
         raise DomainMismatchError("hermitian adjoint expects a degree-1 field")
     hh, hinv = h.data, h.inv()
-    return LieForm(phi.chart, 1, d1=_adj(phi.d2, hh, hinv), d2=_adj(phi.d1, hh, hinv))
+    return LieForm(phi.chart, 1, d1=fiber.h_adjoint(phi.d2, hh, hinv), d2=fiber.h_adjoint(phi.d1, hh, hinv))
 
 
 @dataclass
@@ -118,24 +119,6 @@ class ConnectionField:
     @property
     def chart(self):
         return self.A.chart
-
-    def a_minus_sigma(self) -> LieForm:
-        inv = fiber.involutions(self.A.n)
-        return LieForm(
-            self.A.chart,
-            1,
-            d1=0.5 * (self.A.d1 - inv.sigma(self.A.d1)),
-            d2=0.5 * (self.A.d2 - inv.sigma(self.A.d2)),
-        )
-
-    def a_sigma(self) -> LieForm:
-        inv = fiber.involutions(self.A.n)
-        return LieForm(
-            self.A.chart,
-            1,
-            d1=0.5 * (self.A.d1 + inv.sigma(self.A.d1)),
-            d2=0.5 * (self.A.d2 + inv.sigma(self.A.d2)),
-        )
 
 
 def sigma_defect(a_form: LieForm) -> float:
@@ -151,9 +134,8 @@ def unitarity_defect(a_form: LieForm, h: HermitianField, boundary: str = "auto")
     ch = a_form.chart
     dh_z = dz_array(ch, hh, boundary)
     dh_zb = dzbar_array(ch, hh, boundary)
-    dag = lambda x: np.conj(np.swapaxes(x, -1, -2))
-    r1 = dh_z - hh @ a_form.d1 - dag(a_form.d2) @ hh
-    r2 = dh_zb - hh @ a_form.d2 - dag(a_form.d1) @ hh
+    r1 = dh_z - hh @ a_form.d1 - fiber.dagger(a_form.d2) @ hh
+    r2 = dh_zb - hh @ a_form.d2 - fiber.dagger(a_form.d1) @ hh
     m = ch.mask()
     return float(max(np.abs(r1[m]).max(), np.abs(r2[m]).max()))
 
@@ -173,15 +155,11 @@ def _compat_residual(phi: LieForm, a1, a2, boundary):
 
 
 def _sigma_cols(phi: LieForm, basis):
-    """Columns [s, phi2] and -[s, phi1] for each basis element; shapes (N,...)"""
-    nx, ny = phi.chart.nx, phi.chart.ny
-    p1 = phi.d1.reshape(nx * ny, *phi.d1.shape[-2:])
-    p2 = phi.d2.reshape(nx * ny, *phi.d2.shape[-2:])
-    cols1, cols2 = [], []
-    for s in basis:
-        cols1.append((s @ p2 - p2 @ s).reshape(nx * ny, -1))
-        cols2.append((-(s @ p1 - p1 @ s)).reshape(nx * ny, -1))
-    return cols1, cols2
+    """Columns [s, phi2] for each basis element s, then -[s, phi1]; shape (N, n^2, 2m)."""
+    npt = phi.chart.nx * phi.chart.ny
+    p1 = phi.d1.reshape(npt, *phi.d1.shape[-2:])
+    p2 = phi.d2.reshape(npt, *phi.d2.shape[-2:])
+    return np.concatenate([-fiber.ad_columns(p2, basis), fiber.ad_columns(p1, basis)], axis=-1)
 
 
 def _solve_batched(mats, rhs, method, context):
@@ -253,12 +231,8 @@ def _fill_in_sigma(phi, psi, boundary, method):
     npt = ch.nx * ch.ny
     basis = fiber.sigma_plus_basis(n)
     m = len(basis)
-    c1p, c2p = _sigma_cols(phi, basis)
-    c1q, c2q = _sigma_cols(psi, basis)
     # rows: phi-equation then psi-equation; cols: alpha (A1) then beta (A2)
-    top = np.stack(c1p + c2p, axis=-1)
-    bot = np.stack(c1q + c2q, axis=-1)
-    mats = np.concatenate([top, bot], axis=-2)
+    mats = np.concatenate([_sigma_cols(phi, basis), _sigma_cols(psi, basis)], axis=-2)
     y = -np.concatenate(
         [
             exterior_d(phi, boundary).d0.reshape(npt, -1),
@@ -292,33 +266,39 @@ def _unitary_cols(phi, h, basis):
     hinv = h.inv().reshape(npt, n, n)
     cols = []
     for s in basis:
-        sstar = hinv @ np.conj(s.T)[None] @ hh  # h-adjoint of the direction
-        br1 = s[None] @ p2 - p2 @ s[None]
-        br2 = sstar @ p1 - p1 @ sstar
+        sstar = fiber.h_adjoint(s, hh, hinv)  # h-adjoint of the direction
+        br1 = fiber.commutator(s, p2)
+        br2 = fiber.commutator(sstar, p1)
         cols.append((br1 + br2).reshape(npt, -1))  # real part direction
         cols.append((1j * (br1 - br2)).reshape(npt, -1))  # imaginary direction
     return cols
 
 
-def _fill_in_unitary(phi, h, boundary, method):
-    n = phi.n
-    ch = phi.chart
-    npt = ch.nx * ch.ny
-    basis = fiber.sigma_plus_basis(n)
+def _unitary_system(phi, h, basis, boundary):
+    """Base point, realified columns and right-hand side of the phi-compat
+    least squares over the unitary family through the base point."""
+    npt = phi.chart.nx * phi.chart.ny
     a0_1, a0_2 = _unitary_base(phi, h, boundary)
     r0 = _compat_residual(phi, a0_1, a0_2, boundary).reshape(npt, -1)
-    cols = _unitary_cols(phi, h, basis)
-    mats = _realify_rows(np.stack(cols, axis=-1))
+    mats = _realify_rows(np.stack(_unitary_cols(phi, h, basis), axis=-1))  # (npt, 2n^2, 2d)
     y = _realify_rows((-r0)[..., None])[..., 0]
+    return a0_1, a0_2, mats, y
+
+
+def _unitary_member(phi, h, basis, coef, a0_1, a0_2):
+    """The family member (A0_1 + V, A0_2 - V*) for V = sum (coef_re + i coef_im) basis."""
+    ch, n = phi.chart, phi.n
+    npt = ch.nx * ch.ny
+    v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], np.stack(basis))
+    v2 = -fiber.h_adjoint(v1, h.data.reshape(npt, n, n), h.inv().reshape(npt, n, n))
+    return a0_1 + v1.reshape(ch.nx, ch.ny, n, n), a0_2 + v2.reshape(ch.nx, ch.ny, n, n)
+
+
+def _fill_in_unitary(phi, h, boundary, method):
+    basis = fiber.sigma_plus_basis(phi.n)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, boundary)
     coef = _solve_batched(mats, y, method, "fill_in(unitary)")
-    m = len(basis)
-    bstack = np.stack(basis)
-    v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], bstack)
-    hh = h.data.reshape(npt, n, n)
-    hinv = h.inv().reshape(npt, n, n)
-    v2 = -hinv @ np.conj(np.swapaxes(v1, -1, -2)) @ hh
-    a1 = a0_1 + v1.reshape(ch.nx, ch.ny, n, n)
-    a2 = a0_2 + v2.reshape(ch.nx, ch.ny, n, n)
+    a1, a2 = _unitary_member(phi, h, basis, coef, a0_1, a0_2)
     return a1, a2, {"mode": "unitary"}
 
 
@@ -327,28 +307,18 @@ def curvature_total(a_conn, phi: LieForm, psi: LieForm, boundary: str = "auto") 
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     ch = a_form.chart
     da = exterior_d(a_form, boundary).d0
-    comm = a_form.d1 @ a_form.d2 - a_form.d2 @ a_form.d1
+    comm = fiber.commutator(a_form.d1, a_form.d2)
     ff = wedge_bracket(phi, psi).d0
     return LieForm(ch, 2, d0=da + comm + ff)
-
-
-def _phi1_powers(phi: LieForm):
-    """[phi1^1, ..., phi1^{n-1}] as stacked grids."""
-    n = phi.n
-    out = [phi.d1]
-    for _ in range(n - 2):
-        out.append(out[-1] @ phi.d1)
-    return out
 
 
 def covector_extract(a_conn, phi: LieForm) -> CovectorField:
     """t_k = tr(phi1^{k-1} Aminus_dz) for k = 2..n."""
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     n = phi.n
-    inv = fiber.involutions(n)
-    aminus1 = 0.5 * (a_form.d1 - inv.sigma(a_form.d1))
+    aminus1 = fiber.sigma_split(a_form.d1)[1]
     comps = {}
-    for k, pw in zip(range(2, n + 1), _phi1_powers(phi)):
+    for k, pw in zip(range(2, n + 1), fiber.powers(phi.d1, n - 1)):
         comps[k] = np.einsum("xyij,xyji->xy", pw, aminus1)
     return CovectorField(phi.chart, n, comps)
 
@@ -370,23 +340,18 @@ def inject_covector(
     n = phi.n
     ch = phi.chart
     npt = ch.nx * ch.ny
-    inv = fiber.involutions(n)
     basis = fiber.sl_basis(n)
-    a0_1, a0_2 = _unitary_base(phi, h, boundary)
-    r0 = _compat_residual(phi, a0_1, a0_2, boundary).reshape(npt, -1)
-    cols = _unitary_cols(phi, h, basis)
-    mats = _realify_rows(np.stack(cols, axis=-1))  # (npt, 2n^2, 2d)
-    y = _realify_rows((-r0)[..., None])[..., 0]
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, boundary)
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
-    powers = [p.reshape(npt, n, n) for p in _phi1_powers(phi)]
-    a0m = (0.5 * (a0_1 - inv.sigma(a0_1))).reshape(npt, n, n)
+    powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
+    a0m = fiber.sigma_split(a0_1)[1].reshape(npt, n, n)
     crows, cvals = [], []
     for k, pw in zip(range(2, n + 1), powers):
         base = np.einsum("pij,pji->p", pw, a0m)
         tk = t.comp(k).reshape(npt)
         row_cols = []
         for s in basis:
-            sm = 0.5 * (s - inv.sigma(s))
+            sm = fiber.sigma_split(s)[1]
             cu = np.einsum("pij,ji->p", pw, sm)
             row_cols.append(cu)
             row_cols.append(1j * cu)
@@ -410,14 +375,7 @@ def inject_covector(
         sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise TransversalityError(f"inject_covector: singular KKT system ({exc})") from exc
-    coef = sol[:, :d2]
-    bstack = np.stack(basis)
-    v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], bstack)
-    hh = h.data.reshape(npt, n, n)
-    hinv = h.inv().reshape(npt, n, n)
-    v2 = -hinv @ np.conj(np.swapaxes(v1, -1, -2)) @ hh
-    a1 = a0_1 + v1.reshape(ch.nx, ch.ny, n, n)
-    a2 = a0_2 + v2.reshape(ch.nx, ch.ny, n, n)
+    a1, a2 = _unitary_member(phi, h, basis, sol[:, :d2], a0_1, a0_2)
     a_form = LieForm(ch, 1, d1=a1, d2=a2)
     mask = ch.mask()
     rep = {

@@ -22,10 +22,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import DomainMismatchError, InvalidDimensionError
 
 __all__ = [
     "commutator",
+    "dagger",
+    "h_adjoint",
+    "sigma_split",
+    "powers",
+    "ad_columns",
+    "sqrtm_pd",
     "principal_nilpotent",
     "Sl2Triple",
     "complete_sl2_triple",
@@ -44,9 +50,57 @@ __all__ = [
 ]
 
 
+# Batched kernels: every one broadcasts over leading axes, so it applies equally
+# to a single matrix, a stack of basis elements or a whole grid of them.
+
+
 def commutator(x, y):
     """[x, y] = xy - yx, broadcasting over leading axes."""
     return x @ y - y @ x
+
+
+def dagger(x):
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def h_adjoint(x, h, hinv):
+    """The h-adjoint x -> h^-1 x^+ h."""
+    return hinv @ dagger(x) @ h
+
+
+def sigma_split(x):
+    """(x^sigma, x^-sigma): the sigma-even and sigma-odd parts of x, with
+    x^-sigma = (x - sigma x) / 2 and x^sigma = x - x^-sigma."""
+    minus = 0.5 * (x - _sigma(x))
+    return x - minus, minus
+
+
+def powers(x, k):
+    """[x, x^2, ..., x^k] by repeated right multiplication."""
+    out = []
+    for _ in range(k):
+        out.append(out[-1] @ x if out else x)
+    return out
+
+
+def ad_columns(p, basis):
+    """The matrix of ad_p against ``basis``: column k is vec [p, basis[k]].
+
+    p is (..., n, n) and basis (K, n, n); the result is a C-ordered (..., n^2, K),
+    the layout a stack of columns has (BLAS rounds other layouts differently).
+    """
+    c = commutator(p[..., None, :, :], np.asarray(basis))
+    return np.ascontiguousarray(np.swapaxes(c.reshape(c.shape[:-2] + (-1,)), -1, -2))
+
+
+def sqrtm_pd(h):
+    """(h^1/2, h^-1/2) of positive definite hermitian h, from one eigh."""
+    w, v = np.linalg.eigh(h)
+    if w.min() <= 0:
+        raise DomainMismatchError("hermitian structure must be positive definite")
+    r = np.sqrt(w)[..., None, :]
+    return (v * r) @ dagger(v), (v / r) @ dagger(v)
 
 
 def _check_n(n):
@@ -240,6 +294,12 @@ def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: b
     return ok
 
 
+def _sigma(x):
+    """sigma(x) = -J x^T J."""
+    xt = np.swapaxes(np.asarray(x, dtype=complex), -1, -2)
+    return -xt[..., ::-1, ::-1]
+
+
 class Involutions:
     """The fixed involution gauge: J antidiagonal, sigma linear, rho antilinear.
 
@@ -252,12 +312,10 @@ class Involutions:
         self.n = n
         self.J = np.fliplr(np.eye(n)).astype(complex)
 
-    def sigma(self, x):
-        xt = np.swapaxes(np.asarray(x, dtype=complex), -1, -2)
-        return -xt[..., ::-1, ::-1]
+    sigma = staticmethod(_sigma)
 
     def rho(self, x):
-        return -np.conj(np.swapaxes(np.asarray(x, dtype=complex), -1, -2))
+        return -dagger(np.asarray(x, dtype=complex))
 
     def tau(self, x):
         return self.sigma(self.rho(x))
@@ -310,8 +368,8 @@ def _sigma_eigenbases(n):
         d = pal[i] / pal[i].sum() - pal[i + 1] / pal[i + 1].sum()
         v = np.diag(d).astype(complex)
         for prev in minus:
-            v = v - np.trace(prev.conj().T @ v) * prev
-        nrm = np.sqrt(np.trace(v.conj().T @ v).real)
+            v = v - np.trace(dagger(prev) @ v) * prev
+        nrm = np.sqrt(np.trace(dagger(v) @ v).real)
         if nrm > 1e-12:
             minus.append(v / nrm)
     m_dim = n * (n - 1) // 2

@@ -25,6 +25,8 @@ __all__ = [
     "fock_point",
     "pseudo_norm",
     "gram_matrix",
+    "positivity_margins",
+    "positivity_margin",
     "is_positive",
     "contraction_norm",
     "four_way_decompose",
@@ -88,7 +90,7 @@ def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
             f"|mu_2| = {abs(mu[0]):.3e} is within {nilpotency_tol:g} of the degenerate locus"
         )
     f = fiber.principal_nilpotent(n)
-    powers = [np.linalg.matrix_power(f, k) for k in range(1, n)]
+    powers = fiber.powers(f, n - 1)
     phi2 = sum(mu[k] * powers[k] for k in range(n - 1))
     if not isinstance(phi2, np.ndarray):
         phi2 = np.zeros((n, n), dtype=complex)
@@ -108,45 +110,52 @@ def pseudo_norm(omega: FormFiber) -> float:
     return float((np.sum(np.abs(a) ** 2) - np.sum(np.abs(b) ** 2)).real)
 
 
-def _sqrtm_pd(h):
-    w, v = np.linalg.eigh(h)
-    if w.min() <= 0:
-        raise DomainMismatchError("hermitian structure must be positive definite")
-    s = (v * np.sqrt(w)) @ v.conj().T
-    si = (v / np.sqrt(w)) @ v.conj().T
-    return s, si
-
-
 def _tilde_pair(phi1, phi2, h):
     """Conjugate into the frame where the hermitian structure is the identity."""
     if h is None:
         return phi1, phi2
-    s, si = _sqrtm_pd(h)
+    s, si = fiber.sqrtm_pd(h)
     return s @ phi1 @ si, s @ phi2 @ si
 
 
-def _im_ad_frame(phi1, phi2):
-    """Orthonormal frame of Im(ad) viewed in C^{2 n^2}: rows stack (vec a, vec b)."""
-    n = phi1.shape[0]
-    cols = []
-    for x in fiber.sl_basis(n):
-        a = fiber.commutator(phi1, x)
-        b = fiber.commutator(phi2, x)
-        cols.append(np.concatenate([a.reshape(-1), b.reshape(-1)]))
-    m = np.stack(cols, axis=1)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > 1e-12 * smax))
-    return u[:, :rank]
+def _pair_columns(phi1, phi2):
+    """ad of the pair (phi1, phi2) against ``sl_basis``: column k stacks
+    (vec [phi1, x_k], vec [phi2, x_k])."""
+    basis = fiber.sl_basis(phi1.shape[-1])
+    return np.concatenate([fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)], axis=-2)
+
+
+def _grams(phi1, phi2, h=None):
+    """Gram matrices of the pseudo pairing on orthonormal frames of Im(ad_Phi)
+    for stacks of pairs (N, n, n) and metrics h (N, n, n) or None, plus
+    whether each frame has the rank n^2 - n of a Fock pair (its singular
+    values keep a 1e-8 relative gap)."""
+    n = phi1.shape[-1]
+    u, s, _ = np.linalg.svd(_pair_columns(*_tilde_pair(phi1, phi2, h)), full_matrices=False)
+    rank = n * n - n
+    ub = u[..., :rank]
+    signs = np.concatenate([np.ones(n * n), -np.ones(n * n)])
+    return fiber.dagger(ub) @ (signs[:, None] * ub), s[:, rank - 1] > 1e-8 * s[:, 0]
+
+
+def positivity_margins(phi1, phi2, h=None):
+    """Smallest Gram eigenvalue per pair (in [-1, 1]; positive means positive),
+    and -1.0 where the frame of Im(ad_Phi) is rank deficient."""
+    gram, full_rank = _grams(phi1, phi2, h)
+    return np.where(full_rank, np.linalg.eigvalsh(gram)[:, 0], -1.0)
+
+
+def _batch_of_one(phi: FockPoint, h):
+    return phi.phi1[None], phi.phi2[None], None if h is None else np.asarray(h)[None]
 
 
 def gram_matrix(phi: FockPoint, h=None) -> np.ndarray:
-    """Gram matrix of the pseudo pairing on an orthonormal frame of Im(ad_Phi)."""
-    p1, p2 = _tilde_pair(phi.phi1, phi.phi2, h)
-    u = _im_ad_frame(p1, p2)
-    n2 = phi.n * phi.n
-    signs = np.concatenate([np.ones(n2), -np.ones(n2)])
-    return u.conj().T @ (signs[:, None] * u)
+    """Gram matrix of the pseudo pairing on an orthonormal frame of Im(ad_Phi);
+    raises DegenerateStructureError when Im(ad_Phi) is rank deficient."""
+    gram, full_rank = _grams(*_batch_of_one(phi, h))
+    if not full_rank[0]:
+        raise DegenerateStructureError("Im(ad_Phi) does not have the rank n^2 - n of a Fock pair")
+    return gram[0]
 
 
 def is_positive(phi: FockPoint, h=None, eps_pos: float = EPS_POS) -> bool:
@@ -155,12 +164,12 @@ def is_positive(phi: FockPoint, h=None, eps_pos: float = EPS_POS) -> bool:
     With an orthonormal frame the Gram eigenvalues live in [-1, 1], so the
     eps_pos margin is scale free.
     """
-    g = gram_matrix(phi, h)
-    return bool(np.linalg.eigvalsh(g).min() > eps_pos)
+    return positivity_margin(phi, h) > eps_pos
 
 
 def positivity_margin(phi: FockPoint, h=None) -> float:
-    return float(np.linalg.eigvalsh(gram_matrix(phi, h)).min())
+    """Smallest Gram eigenvalue; -1.0 when Im(ad_Phi) is rank deficient."""
+    return float(positivity_margins(*_batch_of_one(phi, h))[0])
 
 
 def contraction_norm(phi: FockPoint, h=None) -> float:
@@ -171,36 +180,15 @@ def contraction_norm(phi: FockPoint, h=None) -> float:
     computed here.
     """
     p1, p2 = _tilde_pair(phi.phi1, phi.phi2, h)
-    n = phi.n
-    c1, c2 = [], []
-    for x in fiber.sl_basis(n):
-        c1.append(fiber.commutator(p1, x).reshape(-1))
-        c2.append(fiber.commutator(p2, x).reshape(-1))
-    c1 = np.stack(c1, axis=1)
-    c2 = np.stack(c2, axis=1)
+    basis = fiber.sl_basis(phi.n)
+    c1, c2 = fiber.ad_columns(p1, basis), fiber.ad_columns(p2, basis)
     return float(np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2))
 
 
 def _four_way_blocks(phi: FockPoint, phi_star: FormFiber):
     n = phi.n
     n2 = n * n
-    blocks = []
-    b1 = []
-    for x in fiber.sl_basis(n):
-        b1.append(
-            np.concatenate(
-                [fiber.commutator(phi.phi1, x).reshape(-1), fiber.commutator(phi.phi2, x).reshape(-1)]
-            )
-        )
-    blocks.append(np.stack(b1, axis=1))
-    b2 = []
-    for x in fiber.sl_basis(n):
-        b2.append(
-            np.concatenate(
-                [fiber.commutator(phi_star.a, x).reshape(-1), fiber.commutator(phi_star.b, x).reshape(-1)]
-            )
-        )
-    blocks.append(np.stack(b2, axis=1))
+    blocks = [_pair_columns(phi.phi1, phi.phi2), _pair_columns(phi_star.a, phi_star.b)]
     zero = np.zeros(n2, dtype=complex)
     b3 = []
     for k in range(1, n):
@@ -267,18 +255,9 @@ def cohomology_dims_raw(phi1: np.ndarray, phi2: np.ndarray, tol: float = 1e-10):
     n = phi1.shape[0]
     dim = n * n - 1
     basis = fiber.sl_basis(n)
-    cols0 = []
-    for x in basis:
-        cols0.append(
-            np.concatenate([fiber.commutator(phi1, x).reshape(-1), fiber.commutator(phi2, x).reshape(-1)])
-        )
-    m0 = np.stack(cols0, axis=1)
-    cols1 = []
-    for x in basis:  # a-slot: -[phi2, a]
-        cols1.append(-fiber.commutator(phi2, x).reshape(-1))
-    for x in basis:  # b-slot: [phi1, b]
-        cols1.append(fiber.commutator(phi1, x).reshape(-1))
-    m1 = np.stack(cols1, axis=1)
+    m0 = _pair_columns(phi1, phi2)
+    # a-slot: -[phi2, a]; b-slot: [phi1, b]
+    m1 = np.concatenate([-fiber.ad_columns(phi2, basis), fiber.ad_columns(phi1, basis)], axis=1)
 
     def _rank(m):
         s = np.linalg.svd(m, compute_uv=False)

@@ -66,9 +66,7 @@ def fock_form(chart: Chart, mu: BeltramiField) -> LieForm:
     f = fiber.principal_nilpotent(n)
     shape = (chart.nx, chart.ny, n, n)
     d2 = np.zeros(shape, dtype=complex)
-    pw = np.eye(n, dtype=complex)
-    for k in range(2, n + 1):
-        pw = pw @ f
+    for k, pw in zip(range(2, n + 1), fiber.powers(f, n - 1)):
         d2 = d2 + mu.comp(k)[..., None, None] * pw
     return LieForm(chart, 1, d1=np.broadcast_to(f, shape).copy(), d2=d2)
 
@@ -81,12 +79,7 @@ def beltrami_extract(phi: LieForm) -> BeltramiField:
     n = phi.n
     ch = phi.chart
     npt = ch.nx * ch.ny
-    p1 = phi.d1.reshape(npt, n, n)
-    pw = p1.copy()
-    cols = [pw.reshape(npt, -1)]
-    for _ in range(n - 2):
-        pw = pw @ p1
-        cols.append(pw.reshape(npt, -1))
+    cols = [pw.reshape(npt, -1) for pw in fiber.powers(phi.d1.reshape(npt, n, n), n - 1)]
     mat = np.stack(cols, axis=-1)  # (npt, n^2, n-1)
     rhs = phi.d2.reshape(npt, -1)
     sol = (np.linalg.pinv(mat, rcond=1e-12) @ rhs[..., None])[..., 0]
@@ -126,20 +119,12 @@ def gauge_muholo_residual(phi: LieForm, a_conn, boundary: str = "auto"):
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     n = phi.n
     ch = phi.chart
-    inv = fiber.involutions(n)
-    am1 = 0.5 * (a_form.d1 - inv.sigma(a_form.d1))
-    am2 = 0.5 * (a_form.d2 - inv.sigma(a_form.d2))
-    as1 = a_form.d1 - am1
-    as2 = a_form.d2 - am2
+    as1, am1 = fiber.sigma_split(a_form.d1)
+    as2, am2 = fiber.sigma_split(a_form.d2)
     coeff = dz_array(ch, am2, boundary) - dzbar_array(ch, am1, boundary)
     coeff = coeff + as1 @ am2 - am2 @ as1 - (as2 @ am1 - am1 @ as2)
-    out = {}
-    pw = phi.d1.copy()
-    for k in range(2, n + 1):
-        out[k] = np.einsum("xyij,xyji->xy", pw, coeff)
-        if k < n:
-            pw = pw @ phi.d1
-    return out
+    pws = fiber.powers(phi.d1, n - 1)
+    return {k: np.einsum("xyij,xyji->xy", pw, coeff) for k, pw in zip(range(2, n + 1), pws)}
 
 
 def solve_X(mu: BeltramiField, boundary: str = "auto") -> LieForm:
@@ -150,10 +135,8 @@ def solve_X(mu: BeltramiField, boundary: str = "auto") -> LieForm:
     triple = fiber.complete_sl2_triple(n)
     f, e = triple.F, triple.E
     data = np.zeros((ch.nx, ch.ny, n, n), dtype=complex)
-    pw = np.eye(n, dtype=complex)
-    for l in range(2, n + 1):
-        pw = pw @ f
-        bracket = pw @ e - e @ pw
+    for l, pw in zip(range(2, n + 1), fiber.powers(f, n - 1)):
+        bracket = fiber.commutator(pw, e)
         data = data + (dz_array(ch, mu.comp(l), boundary) / (2 * l - 2))[..., None, None] * bracket
     return LieForm(ch, 0, d0=data)
 
@@ -188,7 +171,7 @@ def gauge_variation_phi(phi: LieForm, a_conn, ham: HamiltonianTerm, boundary: st
     n = phi.n
     ham.check(n)
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
-    xi = LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * _power(phi.d1, ham.ell - 1))
+    xi = LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
     return covariant_d(a_form, xi, boundary)
 
 
@@ -209,14 +192,6 @@ def covector_variation(t: CovectorField, ham: HamiltonianTerm, boundary: str = "
     return CovectorField(ch, n, comps)
 
 
-def _power(grid, k):
-    n = grid.shape[-1]
-    out = np.broadcast_to(np.eye(n, dtype=complex), grid.shape).copy()
-    for _ in range(k):
-        out = out @ grid
-    return out
-
-
 def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: float = 1e-8) -> LieForm:
     """Middle-term correction for the flow generator of H = w p^{ell-1}:
     the symmetrized sum with one phi1-factor replaced by the dz part of
@@ -232,11 +207,11 @@ def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: flo
             f"A^-sigma is not Phi-commuting: wedge defect {dnorm:.3e}; eta correction is approximate",
             stacklevel=2,
         )
-    b = aminus.d1
-    ell = ham.ell
+    eye = np.broadcast_to(np.eye(n, dtype=complex), phi.d1.shape)
+    pw = [eye] + fiber.powers(phi.d1, ham.ell - 2)  # phi1^0 .. phi1^{ell-2}
     data = np.zeros_like(phi.d1)
-    for j in range(ell - 1):
-        data = data + _power(phi.d1, j) @ b @ _power(phi.d1, ell - 2 - j)
+    for j in range(ham.ell - 1):
+        data = data + pw[j] @ aminus.d1 @ pw[ham.ell - 2 - j]
     return LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * data)
 
 
@@ -277,20 +252,18 @@ def flow_step(
     n = phi.n
     ham.check(n)
     ch = phi.chart
-    inv = fiber.involutions(n)
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
-    am1 = 0.5 * (a_form.d1 - inv.sigma(a_form.d1))
-    am2 = 0.5 * (a_form.d2 - inv.sigma(a_form.d2))
+    as1, am1 = fiber.sigma_split(a_form.d1)
+    as2, am2 = fiber.sigma_split(a_form.d2)
     aminus = LieForm(ch, 1, d1=am1, d2=am2)
-    asig = LieForm(ch, 1, d1=a_form.d1 - am1, d2=a_form.d2 - am2)
-    xi = LieForm(ch, 0, d0=ham.w.data[..., None, None] * _power(phi.d1, ham.ell - 1))
+    asig = LieForm(ch, 1, d1=as1, d2=as2)
+    xi = LieForm(ch, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
     eta = eta_correction(phi, aminus, ham)
     psi = hermitian_adjoint_field(phi, h)
-    hinv = h.inv()
-    xi_star = LieForm(ch, 0, d0=hinv @ np.conj(np.swapaxes(xi.d0, -1, -2)) @ h.data)
+    xi_star = LieForm(ch, 0, d0=fiber.h_adjoint(xi.d0, h.data, h.inv()))
     dphi = covariant_d(asig, xi, boundary)
     da = covariant_d(a_form, eta, boundary)
-    br = lambda x, y: x @ y - y @ x
+    br = fiber.commutator
     da = LieForm(
         ch,
         1,

@@ -43,6 +43,8 @@ from .connection import (
     sup_norm,
 )
 from .errors import DomainMismatchError, NonConvergenceError, PositivityError
+from .fockpoint import positivity_margins
+from .hcsflow import fock_form
 
 __all__ = [
     "FuchsianData",
@@ -62,10 +64,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # small batched linear algebra
-
-
-def _dag(x):
-    return np.conj(np.swapaxes(x, -1, -2))
 
 
 def expm_batch(x: np.ndarray) -> np.ndarray:
@@ -94,38 +92,11 @@ def conjugate_field(phi: LieForm, eta: LieForm) -> LieForm:
     return LieForm(phi.chart, phi.degree, d0=gi @ phi.d0 @ g)
 
 
-def _sqrtm_pd_batch(h):
-    w, v = np.linalg.eigh(h)
-    s = (v * np.sqrt(w)[..., None, :]) @ _dag(v)
-    si = (v / np.sqrt(w)[..., None, :]) @ _dag(v)
-    return s, si
-
-
 def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
     """Smallest normalized Gram eigenvalue of the pseudo pairing on Im(ad_Phi)
     over all grid points (in [-1, 1]; positive means the field is positive)."""
-    n = phi.n
-    ch = phi.chart
-    m = ch.mask()
-    w, wi = _sqrtm_pd_batch(h.data[m])
-    p1 = w @ phi.d1[m] @ wi
-    p2 = w @ phi.d2[m] @ wi
-    cols = []
-    for x in fiber.sl_basis(n):
-        a = p1 @ x - x @ p1
-        b = p2 @ x - x @ p2
-        cols.append(np.concatenate([a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)], axis=-1))
-    mat = np.stack(cols, axis=-1)  # (N, 2n^2, n^2-1)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = n * n - n
-    gap_ok = s[:, rank - 1] > 1e-8 * s[:, 0]
-    if not gap_ok.all():
-        return -1.0
-    ub = u[:, :, :rank]
-    n2 = n * n
-    signs = np.concatenate([np.ones(n2), -np.ones(n2)])
-    gram = _dag(ub) @ (signs[None, :, None] * ub)
-    return float(np.linalg.eigvalsh(gram)[:, 0].min())
+    m = phi.chart.mask()
+    return float(positivity_margins(phi.d1[m], phi.d2[m], h.data[m]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +230,9 @@ class AdmissibleSpace:
         hh = h.data.reshape(npt, n, n)
         hinv = np.linalg.inv(hh)
         # real-linear condition h^-1 X^+ h - X = 0 on X = sum (u_a + i v_a) s_a
-        cols = []
-        for a in range(m):
-            sa = s_plus[a]
-            ua = hinv @ _dag(sa)[None] @ hh - sa[None]
-            va = -1j * (hinv @ _dag(sa)[None] @ hh + sa[None])
-            cols.append(ua.reshape(npt, -1))
-            cols.append(va.reshape(npt, -1))
-        cond = np.stack(cols, axis=-1)  # (npt, n^2, 2m) complex
+        s_star = fiber.h_adjoint(s_plus, hh[:, None], hinv[:, None])  # (npt, m, n, n)
+        cond = np.stack([s_star - s_plus, -1j * (s_star + s_plus)], axis=2)  # columns u_0, v_0, u_1, ...
+        cond = np.swapaxes(cond.reshape(npt, 2 * m, n * n), -1, -2)  # (npt, n^2, 2m) complex
         cond = np.concatenate([cond.real, cond.imag], axis=-2)
         _, s, vh = np.linalg.svd(cond)
         rank = 2 * m - self.dim
@@ -288,7 +254,7 @@ class AdmissibleSpace:
 
     def to_coords(self, x) -> np.ndarray:
         data = x.d0 if isinstance(x, LieForm) else x
-        c = np.einsum("xyaij,xyji->xya", np.conj(np.swapaxes(self.basis, -1, -2)), data)
+        c = np.einsum("xyaij,xyji->xya", fiber.dagger(self.basis), data)
         return c.real * self._mask3()
 
     def moments(self, coeff) -> np.ndarray:
@@ -310,7 +276,7 @@ def _trace_pairs(x, y):
 
 def _ad_traces(a, x, y):
     """tr(x_i [a, y_j]) = tr(a [y_j, x_i]) per grid point, for constant stacks x, y."""
-    comm = y[None, :] @ x[:, None] - x[:, None] @ y[None, :]
+    comm = fiber.commutator(y[None, :], x[:, None])
     return np.einsum("ijuv,pvu->pij", comm, a)
 
 
@@ -373,20 +339,14 @@ class LinearizedContext:
 
         def coords(y):
             # coordinates of a sigma-even matrix grid against the ONB s_plus
-            return np.einsum("aij,pji->pa", np.conj(np.swapaxes(s_plus, -1, -2)), y)
+            return np.einsum("aij,pji->pa", fiber.dagger(s_plus), y)
 
-        cols = []
-        for x in s_minus:
-            a = p1 @ x - x @ p1
-            b = p2 @ x - x @ p2
-            cols.append(np.concatenate([coords(a), coords(b)], axis=-1))
-        b_minus = np.stack(cols, axis=-1)  # (npt, 2m, q)
-        cols = []
-        for x in s_minus:
-            a = q1 @ x - x @ q1
-            b = q2 @ x - x @ q2
-            cols.append(np.concatenate([coords(a), coords(b)], axis=-1))
-        b_plus = np.stack(cols, axis=-1)
+        def bracket_block(x1, x2):
+            # coordinates of ([x1, y], [x2, y]), one column per y in s_minus
+            cols = [np.concatenate([coords(fiber.commutator(x, y)) for x in (x1, x2)], axis=-1) for y in s_minus]
+            return np.stack(cols, axis=-1)  # (npt, 2m, q)
+
+        b_minus, b_plus = bracket_block(p1, p2), bracket_block(q1, q2)
         both = np.concatenate([b_minus, b_plus], axis=-1)
         pinv = np.linalg.pinv(both, rcond=1e-11)
         qdim = b_minus.shape[-1]
@@ -399,7 +359,7 @@ class LinearizedContext:
     def q_apply(self, omega: LieForm) -> LieForm:
         n, ch, m = self.n, self.chart, self._m
         npt = ch.nx * ch.ny
-        sdag = np.conj(np.swapaxes(self._s_plus, -1, -2))
+        sdag = fiber.dagger(self._s_plus)
         ca = np.einsum("aij,pji->pa", sdag, omega.d1.reshape(npt, n, n))
         cb = np.einsum("aij,pji->pa", sdag, omega.d2.reshape(npt, n, n))
         c = np.concatenate([ca, cb], axis=-1)
@@ -427,10 +387,9 @@ class LinearizedContext:
         p1, p2 = self.phi.d1, self.phi.d2
         q1, q2 = self.psi.d1, self.psi.d2
         e = eta.d0
-        br = lambda x, y: x @ y - y @ x
+        br = fiber.commutator
         out = br(br(p1, e), q2) - br(br(p2, e), q1)
-        out = out - (br(p1, br(q2, e)) - br(p2, br(q1, e)))
-        return out
+        return out - (br(p1, br(q2, e)) - br(p2, br(q1, e)))
 
     def apply(self, eta: LieForm) -> LieForm:
         omega = self.cov_d0(eta)
@@ -469,7 +428,7 @@ class LinearizedContext:
         ch, n, m, d = self.chart, self.n, self._m, self.space.dim
         npt = ch.nx * ch.ny
         s = self._s_plus
-        sdag = _dag(s)
+        sdag = fiber.dagger(s)
         indptr, cols, rows, own, dzb = _grid_stencil(ch)
         dzb = dzb[:, None, None]
         dz = np.conj(dzb)
@@ -520,7 +479,7 @@ def linearized_operator(eta: LieForm, phi: LieForm, a_conn, h: HermitianField, t
     scale = max(1.0, float(np.abs(e).max()))
     sig = np.abs(inv.sigma(e) - e).max()
     hh = h.data
-    herm = np.abs(np.linalg.inv(hh) @ _dag(e) @ hh - e).max()
+    herm = np.abs(fiber.h_adjoint(e, hh, np.linalg.inv(hh)) - e).max()
     if max(sig, herm) > tol * scale:
         raise DomainMismatchError(
             f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
@@ -541,11 +500,10 @@ def energy_identity_sides(eta: LieForm, phi: LieForm, a_conn, h: HermitianField)
     pi_minus_1 = 0.5 * (omega.d1 - ctx.q_apply(omega).d1)
     pi_minus_2 = 0.5 * (omega.d2 - ctx.q_apply(omega).d2)
     hh, hinv = h.data, np.linalg.inv(h.data)
-    trh = lambda x: np.einsum("xyij,xyji->xy", hinv @ _dag(x) @ hh, x).real
+    trh = lambda x: np.einsum("xyij,xyji->xy", fiber.h_adjoint(x, hh, hinv), x).real
     pse_pi = (trh(pi_minus_1) - trh(pi_minus_2))[mask].sum() * w
-    br = lambda x, y: x @ y - y @ x
-    c1 = br(phi.d1, eta.d0)
-    c2 = br(phi.d2, eta.d0)
+    c1 = fiber.commutator(phi.d1, eta.d0)
+    c2 = fiber.commutator(phi.d2, eta.d0)
     pse_br = (trh(c1) - trh(c2))[mask].sum() * w
     rhs = 2.0 * float(pse_pi) + 2.0 * float(pse_br)
     return lhs, rhs
@@ -631,18 +589,6 @@ def solve_linear(phi: LieForm, a_conn, h: HermitianField, rhs: LieForm, cfg: New
 # Newton continuation
 
 
-def _scaled_phi(base: FuchsianData, mu: BeltramiField, s: float) -> LieForm:
-    n = base.n
-    f = fiber.principal_nilpotent(n)
-    powers = [np.linalg.matrix_power(f, k - 1) for k in range(2, n + 1)]
-    d2 = np.zeros_like(base.Phi.d2)
-    for k, pw in zip(range(2, n + 1), powers):
-        if k == 2:
-            continue
-        d2 = d2 + (s ** (k - 2)) * mu.comp(k)[..., None, None] * pw
-    return LieForm(base.chart, 1, d1=base.Phi.d1.copy(), d2=d2)
-
-
 def _check_mu_target(base: FuchsianData, mu: BeltramiField):
     if mu.n != base.n:
         raise DomainMismatchError("Beltrami data rank differs from the reference")
@@ -695,7 +641,8 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     curv_sup = floor
     for istep in range(steps):
         s = (istep + 1) / cfg.continuation_steps
-        phi_s = _scaled_phi(base, mu_target, s)
+        mu_s = BeltramiField(ch, n, {k: s ** (k - 2) * mu_target.comp(k) for k in range(3, n + 1)})
+        phi_s = fock_form(ch, mu_s)
         gm, phi_c, conn, curv = gmap(phi_s, eta_coords)
         margin = positivity_margin_field(phi_c, h)
         if margin <= 1e-8:

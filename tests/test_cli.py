@@ -192,3 +192,20 @@ def test_csv_outputs_bitwise_deterministic(tmp_path, capsys):
         a = open(os.path.join(cfgs[0], fname), "rb").read()
         b = open(os.path.join(cfgs[1], fname), "rb").read()
         assert a == b
+
+
+def test_failed_solve_writes_fail_report(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "beltrami": {"3": {"type": "bump", "center": [0.0, 0.0], "radius": 0.25, "amplitude": 0.01}},
+        "solver": {"continuation_steps": 1, "max_newton": 1, "preconditioner": "jacobi"},
+        "output_dir": out,
+    }
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+    rep = _read_report(out)
+    assert rep["command"] == "solve" and rep["status"] == "fail"
+    assert rep["messages"] == ["NonConvergenceError: Newton did not converge at s=1.000"]
+    history = rep["iteration_traces"]["history"]
+    assert len(history) == 2 and all(isinstance(r, float) for r in history)

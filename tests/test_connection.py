@@ -9,11 +9,6 @@ from fockbench import solver as sv
 from fockbench.errors import DomainMismatchError
 
 
-def _identity_h(ch, n):
-    eye = np.broadcast_to(np.eye(n), (ch.nx, ch.ny, n, n)).copy()
-    return cn.hermitian_structure(ch, eye, normalize=False)
-
-
 def _const_fock(ch, n, mu):
     f = fiber.principal_nilpotent(n)
     shape = (ch.nx, ch.ny, n, n)
@@ -38,7 +33,7 @@ def test_hermitian_adjoint_identity_metric():
     ch = chm.periodic_chart(8, 8)
     n = 4
     phi = _const_fock(ch, n, [0.0, 0.0, 0.0])
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
     f = fiber.principal_nilpotent(n)
     assert np.abs(psi.d2 - f.conj().T).max() == 0
@@ -89,7 +84,7 @@ def test_fill_in_determinism_two_methods():
     n = 3
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in (2, 3)})
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
     a1 = cn.fill_in(phi, psi, method="normal")
     a2 = cn.fill_in(phi, psi, method="svd")
@@ -107,7 +102,7 @@ def test_fill_in_gauge_covariance_constant_gauge():
     n = 3
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.08).data for k in (2, 3)})
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
     conn = cn.fill_in(phi, psi)
     s = 0.3 * fiber.sigma_plus_basis(n)[0] + 0.2 * fiber.sigma_plus_basis(n)[2]
@@ -142,7 +137,7 @@ def test_curvature_total_basics():
     curv = cn.curvature_total(zero1, zero1, zero1)
     assert np.abs(curv.d0).max() == 0
     phi = _const_fock(ch, n, [0.0])
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
     curv = cn.curvature_total(zero1, phi, psi)
     f = fiber.principal_nilpotent(n)
@@ -197,7 +192,7 @@ def test_inject_roundtrip_and_base_point():
     ch = chm.periodic_chart(24, 24)
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.06).data for k in (2, 3)})
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     t = chm.CovectorField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.2).data for k in (2, 3)})
     conn = cn.inject_covector(phi, h, t)
     assert conn.unitary
@@ -218,10 +213,12 @@ def test_inject_constant_phi_centralizer_membership():
     ch = chm.periodic_chart(24, 24)
     n = 3
     phi = _const_fock(ch, n, [0.1, 0.05])
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     t = chm.CovectorField(ch, n, {3: chm.bump_field(ch, center=(0.7, 0.4), radius=0.2, amplitude=0.3).data})
     conn = cn.inject_covector(phi, h, t)
-    am = conn.a_minus_sigma()
+    _, am1 = fiber.sigma_split(conn.A.d1)
+    _, am2 = fiber.sigma_split(conn.A.d2)
+    am = chm.LieForm(ch, 1, d1=am1, d2=am2)
     psi = cn.hermitian_adjoint_field(phi, h)
     d1 = np.abs(chm.wedge_bracket(am, phi).d0).max()
     d2 = np.abs(chm.wedge_bracket(am, psi).d0).max()
@@ -234,7 +231,7 @@ def test_sup_norm_and_defect_helpers():
     ch = chm.periodic_chart(8, 8)
     n = 2
     phi = _const_fock(ch, n, [0.0])
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     conn = cn.fill_in(phi, h=h)
     assert cn.sigma_defect(conn.A) < 1e-12
     assert cn.unitarity_defect(conn.A, h) < 1e-12

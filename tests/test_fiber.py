@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockbench import fiber
-from fockbench.errors import InvalidDimensionError
+from fockbench.errors import DomainMismatchError, InvalidDimensionError
 
 
 def test_principal_nilpotent_shape_and_rank():
@@ -175,3 +177,76 @@ def test_sigma_eigenbases():
             assert np.abs(inv.sigma(b) - b).max() < 1e-14
         for b in minus:
             assert np.abs(inv.sigma(b) + b).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: properties over n = 2..6, random matrices drawn from a seed
+
+_kernel_cases = given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+_quick = settings(max_examples=30, deadline=None)
+
+
+def _random_stack(rng, n, lead=(3,)):
+    return rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+
+
+def _random_pd(rng, n, lead=(3,)):
+    a = _random_stack(rng, n, lead)
+    return a @ fiber.dagger(a) / n + np.eye(n)
+
+
+@_quick
+@_kernel_cases
+def test_sigma_split_parts_are_even_and_odd(n, seed):
+    x = _random_stack(np.random.default_rng(seed), n)
+    even, odd = fiber.sigma_split(x)
+    sigma = fiber.involutions(n).sigma
+    scale = np.abs(x).max()
+    assert np.array_equal(sigma(odd), -odd)
+    assert np.abs(sigma(even) - even).max() <= 1e-15 * scale
+    assert np.abs(even + odd - x).max() <= 1e-15 * scale
+
+
+@_quick
+@_kernel_cases
+def test_h_adjoint_is_an_involution(n, seed):
+    rng = np.random.default_rng(seed)
+    x, h = _random_stack(rng, n), _random_pd(rng, n)
+    hinv = np.linalg.inv(h)
+    back = fiber.h_adjoint(fiber.h_adjoint(x, h, hinv), h, hinv)
+    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@_quick
+@_kernel_cases
+def test_powers_match_matrix_power(n, seed):
+    f = fiber.principal_nilpotent(n)
+    assert fiber.powers(f, 0) == []
+    for base in (f, f.T):
+        assert all(np.array_equal(p, np.linalg.matrix_power(base, k)) for k, p in enumerate(fiber.powers(base, n), 1))
+    x = _random_stack(np.random.default_rng(seed), n, lead=())
+    for k, p in enumerate(fiber.powers(x, n), 1):
+        ref = np.linalg.matrix_power(x, k)
+        assert np.abs(p - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@_quick
+@_kernel_cases
+def test_ad_columns_are_the_commutators(n, seed):
+    p = _random_stack(np.random.default_rng(seed), n, lead=(2, 3))
+    basis = fiber.sl_basis(n)
+    cols = fiber.ad_columns(p, basis)
+    assert cols.shape == (2, 3, n * n, n * n - 1) and cols.flags.c_contiguous
+    for k, x in enumerate(basis):
+        assert cols[..., k].tobytes() == fiber.commutator(p, x).reshape(2, 3, -1).tobytes()
+
+
+@_quick
+@_kernel_cases
+def test_positive_square_root_squares_back(n, seed):
+    h = _random_pd(np.random.default_rng(seed), n)
+    s, si = fiber.sqrtm_pd(h)
+    assert np.abs(s @ s - h).max() <= 1e-12 * np.abs(h).max()
+    assert np.abs(s @ si - np.eye(n)).max() <= 1e-12
+    with pytest.raises(DomainMismatchError):
+        fiber.sqrtm_pd(-h)

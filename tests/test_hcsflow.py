@@ -9,11 +9,6 @@ from fockbench import solver as sv
 from fockbench.errors import DomainMismatchError
 
 
-def _identity_h(ch, n):
-    eye = np.broadcast_to(np.eye(n), (ch.nx, ch.ny, n, n)).copy()
-    return cn.hermitian_structure(ch, eye, normalize=False)
-
-
 def _random_mu(ch, n, rng, amplitude):
     return chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=amplitude).data for k in range(2, n + 1)})
 
@@ -264,7 +259,7 @@ def test_gauge_tensor_equivalence_refines():
             mu = _random_mu(ch, n, rng, 0.08)
             t = _random_t(ch, n, rng, 0.3)
             phi = hf.fock_form(ch, mu)
-            h = _identity_h(ch, n)
+            h = cn.identity_hermitian(ch, n)
             conn = cn.inject_covector(phi, h, t)
             rg = hf.gauge_muholo_residual(phi, conn)
             rt = hf.mu_holo_residual(mu, t)
@@ -274,7 +269,7 @@ def test_gauge_tensor_equivalence_refines():
     ch = chm.periodic_chart(16, 16)
     mu0 = chm.BeltramiField(ch, 2, {})
     phi = hf.fock_form(ch, mu0)
-    h = _identity_h(ch, 2)
+    h = cn.identity_hermitian(ch, 2)
     conn = cn.fill_in(phi, h=h)
     rg = hf.gauge_muholo_residual(phi, conn)
     assert np.abs(rg[2]).max() < 1e-12
@@ -286,7 +281,7 @@ def test_gauge_variation_phi_matches_mu_variation():
     ch = chm.periodic_chart(48, 48)
     mu = _random_mu(ch, n, rng, 0.05)
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
     conn = cn.fill_in(phi, psi)
     eps = 1e-4
@@ -313,7 +308,7 @@ def test_covector_variation_matches_euler_flow():
     ch = chm.periodic_chart(48, 48)
     mu = _random_mu(ch, n, rng, 0.05)
     phi = hf.fock_form(ch, mu)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     t = _random_t(ch, n, rng, 0.1)
     conn = cn.inject_covector(phi, h, t)
     eps = 1e-4
@@ -351,7 +346,7 @@ def test_flow_preserves_mu_holomorphicity_to_first_order():
     mu0 = chm.BeltramiField(ch, n, {})
     t0 = chm.CovectorField(ch, n, {2: 0.3 + 0.2 * z + 0.4 * z * z})
     phi = hf.fock_form(ch, mu0)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     conn = cn.inject_covector(phi, h, t0, boundary="rect")
     ham = hf.HamiltonianTerm(2, chm.bump_field(ch, radius=0.3, amplitude=0.2))
     m = ch.interior()

@@ -9,12 +9,7 @@ from fockbench import fiber
 from fockbench import fockpoint as fp
 from fockbench import hcsflow as hf
 from fockbench import solver as sv
-from fockbench.errors import DomainMismatchError, NonConvergenceError
-
-
-def _identity_h(ch, n):
-    eye = np.broadcast_to(np.eye(n), (ch.nx, ch.ny, n, n)).copy()
-    return cn.hermitian_structure(ch, eye, normalize=False)
+from fockbench.errors import DegenerateStructureError, DomainMismatchError, NonConvergenceError
 
 
 def _const_positive(ch, n, mu):
@@ -137,7 +132,7 @@ def test_admissible_space_roundtrip_and_structure():
     rng = np.random.default_rng(2)
     ch = chm.periodic_chart(16, 16)
     for n in (2, 3):
-        h = _identity_h(ch, n)
+        h = cn.identity_hermitian(ch, n)
         space = sv.AdmissibleSpace(ch, n, h)
         assert space.dim == n * (n - 1) // 2
         inv = fiber.involutions(n)
@@ -161,7 +156,7 @@ def test_energy_identity_exact_on_periodic():
     rng = np.random.default_rng(3)
     n = 3
     ch = chm.periodic_chart(24, 24)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.25, 0.1])
     conn = cn.fill_in(phi, h=h)
     space = sv.AdmissibleSpace(ch, n, h)
@@ -181,7 +176,7 @@ def test_linearized_operator_self_adjoint():
     rng = np.random.default_rng(4)
     n = 2
     ch = chm.periodic_chart(20, 20)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.3])
     conn = cn.fill_in(phi, h=h)
     ctx = sv.LinearizedContext(phi, conn, h)
@@ -207,7 +202,7 @@ def _linearization(kind, n):
         phi = chm.LieForm(ch, 1, d1=fd.Phi.d1, d2=d2)
         return sv.LinearizedContext(phi, cn.fill_in(phi, h=fd.h, boundary="rect"), fd.h)
     ch = chm.periodic_chart(12, 12)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
     phi = hf.fock_form(ch, mu)
     return sv.LinearizedContext(phi, cn.fill_in(phi, h=h), h)
@@ -236,7 +231,7 @@ def test_assembled_matrix_matches_strong_form(kind, n):
 def test_linearized_operator_admissibility_guard():
     ch = chm.periodic_chart(12, 12)
     n = 2
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.0])
     conn = cn.fill_in(phi, h=h)
     bad = chm.LieForm(ch, 0, d0=np.broadcast_to(fiber.principal_nilpotent(n), phi.d1.shape).copy())
@@ -248,7 +243,7 @@ def test_linearized_matches_fd_of_discrete_map():
     rng = np.random.default_rng(5)
     n = 2
     ch = chm.periodic_chart(20, 20)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.2])
     conn = cn.fill_in(phi, h=h)
     space = sv.AdmissibleSpace(ch, n, h)
@@ -277,7 +272,7 @@ def test_symbol_positivity_pointwise():
         mu = 0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         try:
             pt = fp.fock_point(n, mu)
-        except Exception:
+        except DegenerateStructureError:
             continue
         if not fp.is_positive(pt):
             continue
@@ -301,7 +296,7 @@ def test_solve_linear_manufactured_and_trivial():
     rng = np.random.default_rng(7)
     n = 3
     ch = chm.periodic_chart(20, 20)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.2, 0.05])
     conn = cn.fill_in(phi, h=h)
     ctx = sv.LinearizedContext(phi, conn, h)
@@ -320,7 +315,7 @@ def test_solve_linear_jacobi_preconditioner():
     rng = np.random.default_rng(8)
     n = 2
     ch = chm.periodic_chart(20, 20)
-    h = _identity_h(ch, n)
+    h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.1])
     conn = cn.fill_in(phi, h=h)
     ctx = sv.LinearizedContext(phi, conn, h)
@@ -402,3 +397,21 @@ def test_newton_continuation_rejects_bad_targets():
     with pytest.raises(DomainMismatchError):
         mu = chm.BeltramiField(ch, 3, {3: 0.1 * np.ones((32, 32), dtype=complex)})
         sv.newton_continuation(fd, mu, cfg)
+
+
+def test_positivity_margin_field_is_the_pointwise_margin():
+    # on constant fields every grid point is the same Fock point, so the field
+    # margin is that point's margin exactly
+    rng = np.random.default_rng(12)
+    ch = chm.periodic_chart(8, 8)
+    for n in (2, 3, 4):
+        f = fiber.principal_nilpotent(n)
+        for _ in range(15):
+            try:
+                pt = fp.fock_point(n, 0.4 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
+            except DegenerateStructureError:
+                continue
+            a = fiber.random_traceless(n, rng, scale=0.3)
+            h = cn.hermitian_structure(ch, np.broadcast_to(a @ a.conj().T + np.eye(n), (ch.nx, ch.ny, n, n)))
+            phi = chm.LieForm(ch, 1, d1=np.broadcast_to(f, h.data.shape).copy(), d2=np.broadcast_to(pt.phi2, h.data.shape).copy())
+            assert sv.positivity_margin_field(phi, h) == fp.positivity_margin(pt, h.data[0, 0])
