@@ -435,10 +435,10 @@ def run(argv) -> int:
         sys.stderr.write(f"usage: fockbench <{'|'.join(_SUBCOMMANDS)}> ...\n")
         return EXIT_USAGE
     cmd, rest = argv[0], argv[1:]
-    cfg = None
     if cmd not in _SUBCOMMANDS:
         sys.stderr.write(f"unknown subcommand {cmd!r}; expected one of {', '.join(_SUBCOMMANDS)}\n")
         return EXIT_USAGE
+    cfg = None  # set once the config has loaded; a later failure is reported into its output_dir
     try:
         if cmd in ("fiber-verify", "point-verify"):
             p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
