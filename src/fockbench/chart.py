@@ -1,11 +1,14 @@
 """Discretized local charts and finite-difference exterior calculus.
 
 Grid layout: arrays are indexed ``data[i, j]`` with i the x-index and j the
-y-index; z = x + iy.  Complex derivatives are the second-order central
-stencils combined as d = (d_x - i d_y)/2 and dbar = (d_x + i d_y)/2.  On
-periodic charts the stencils wrap; on disk charts points outside the mask are
-treated as missing and one-sided second-order stencils take over along the
-boundary band.
+y-index; z = x + iy.  Complex derivatives combine d_x and d_y as
+d = (d_x - i d_y)/2 and dbar = (d_x + i d_y)/2; each d_x or d_y is one sparse
+product with ``difference_matrix``, the second-order stencil under one of four
+boundary policies.  ``periodic`` wraps; ``zerofill`` drops the neighbours off
+the grid (exactly skew-adjoint; the solver's choice on disks); ``masked``
+treats points outside the disk mask as missing, with one-sided stencils along
+the boundary band, first order where only one neighbour exists and an empty row
+where none does; ``rect`` is ``masked`` with the whole rectangle valid.
 
 Form conventions (fixed once, used by every module):
 
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainMismatchError
 from .fiber import commutator
@@ -33,6 +38,7 @@ __all__ = [
     "LieForm",
     "BeltramiField",
     "CovectorField",
+    "difference_matrix",
     "partial_z",
     "partial_zbar",
     "exterior_d",
@@ -183,77 +189,55 @@ CovectorField = BeltramiField
 # stencils
 
 
-def _d_axis_periodic(arr, axis, h):
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h)
+@lru_cache(maxsize=16)
+def difference_matrix(chart: Chart, boundary: str, axis: int) -> sparse.csr_array:
+    """2h d/d(axis) on the flattened grid (point i * ny + j) under a boundary
+    policy of the module docstring, as a CSR array built once per (chart,
+    policy, axis).  Each row keeps its entries in the order of the formula it
+    stands for, with the indices left unsorted: a CSR product sums a row in
+    storage order, so it rounds like the written-out stencil."""
+    shape = (chart.nx, chart.ny)
+    point = np.arange(chart.nx * chart.ny, dtype=np.int32).reshape(shape)
+    pos = np.indices(shape)[axis]
+    valid = chart.mask() if boundary == "masked" else np.ones(shape, dtype=bool)
 
+    def has(k):  # the point and its k-th neighbour along the axis are valid
+        inside = True if boundary == "periodic" else (pos + k >= 0) & (pos + k < shape[axis])
+        return valid & np.roll(valid, -k, axis=axis) & inside
 
-def _d_axis_zerofill(arr, axis, h):
-    """Central stencil with zero extension; exactly skew-adjoint under the sum."""
-    fwd = np.roll(arr, -1, axis=axis)
-    bwd = np.roll(arr, 1, axis=axis)
-    sl_last = [slice(None)] * arr.ndim
-    sl_first = [slice(None)] * arr.ndim
-    sl_last[axis] = -1
-    sl_first[axis] = 0
-    fwd[tuple(sl_last)] = 0.0
-    bwd[tuple(sl_first)] = 0.0
-    return (fwd - bwd) / (2 * h)
-
-
-def _d_axis_masked(arr, axis, h, mask):
-    """Central where both neighbours are valid, one-sided second order at the
-    band, first order where only one neighbour exists, zero when isolated."""
-    out = np.zeros_like(arr, dtype=complex)
-    valid = mask
-    sh = lambda a, k: np.roll(a, -k, axis=axis)
-    val = lambda k: sh(valid, k) & _inside_shift(valid.shape, axis, k)
-    f1, f2 = sh(arr, 1), sh(arr, 2)
-    b1, b2 = sh(arr, -1), sh(arr, -2)
-    has_f1, has_f2 = val(1), val(2)
-    has_b1, has_b2 = val(-1), val(-2)
-    central = valid & has_f1 & has_b1
-    fwd = valid & ~central & has_f1 & has_f2
-    bwd = valid & ~central & ~fwd & has_b1 & has_b2
-    fwd1 = valid & ~central & ~fwd & ~bwd & has_f1
-    bwd1 = valid & ~central & ~fwd & ~bwd & ~fwd1 & has_b1
-    if arr.ndim > 2:
-        expand = (...,) + (None,) * (arr.ndim - 2)
-        central, fwd, bwd = central[expand], fwd[expand], bwd[expand]
-        fwd1, bwd1 = fwd1[expand], bwd1[expand]
-    out = np.where(central, (f1 - b1) / (2 * h), out)
-    out = np.where(fwd, (-3 * arr + 4 * f1 - f2) / (2 * h), out)
-    out = np.where(bwd, (3 * arr - 4 * b1 + b2) / (2 * h), out)
-    out = np.where(fwd1, (f1 - arr) / h, out)
-    out = np.where(bwd1, (arr - b1) / h, out)
-    return out
-
-
-def _d_axis_rect(arr, axis, h):
-    """The masked stencil with every grid point valid, on slices: central
-    differences inside, one-sided second order on the first and last line
-    (same operands in the same order, so bitwise the masked result)."""
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty(arr.shape, dtype=complex)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (a[2:] - a[:-2]) / (2 * h)
-    o[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
-    o[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
-    return out
-
-
-def _inside_shift(shape, axis, k):
-    """Mask of points whose k-shifted neighbour stays inside the array."""
-    n = shape[axis]
-    idx = np.arange(n)
-    ok = (idx + k >= 0) & (idx + k < n)
-    expand = [None, None]
-    expand[axis] = slice(None)
-    out = np.broadcast_to(ok[tuple(expand)], shape)
-    return out
+    central = ((1, 1.0), (-1, -1.0))  # (neighbour offset, weight): f(+1) - f(-1)
+    if boundary in ("periodic", "zerofill"):
+        cases = [(valid, central)]  # zerofill drops the neighbours off the grid
+    elif boundary in ("masked", "rect"):
+        c = has(1) & has(-1)  # otherwise at most one side has neighbours
+        cases = [
+            (c, central),
+            (~c & has(1) & has(2), ((0, -3.0), (1, 4.0), (2, -1.0))),  # one-sided second order
+            (~c & has(-1) & has(-2), ((0, 3.0), (-1, -4.0), (-2, 1.0))),
+            (~c & has(1) & ~has(2), ((1, 2.0), (0, -2.0))),  # first order
+            (~c & has(-1) & ~has(-2), ((0, 2.0), (-1, -2.0))),
+        ]
+    else:
+        raise ValueError(f"unknown boundary policy {boundary!r}")
+    rows, cols, vals = [], [], []
+    for sel, terms in cases:
+        for k, w in terms:
+            on = sel & has(k)
+            rows.append(point[on])
+            cols.append(np.roll(point, -k, axis=axis)[on])
+            vals.append(np.full(rows[-1].size, w))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # row by row, formula order within a row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=point.size))]).astype(np.int32)
+    mat = sparse.csr_array((np.concatenate(vals)[order], np.concatenate(cols)[order], indptr), shape=(point.size,) * 2)
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return mat
 
 
 def dx_array(chart: Chart, arr, boundary: str = "auto"):
-    """d/dx of a grid array; boundary in {auto, periodic, zerofill, masked}."""
+    """d/dx of a grid array; boundary in {auto, periodic, zerofill, masked,
+    rect} (``difference_matrix``); auto is periodic or masked by chart kind."""
     return _d_dispatch(chart, arr, 0, chart.hx, boundary)
 
 
@@ -264,16 +248,11 @@ def dy_array(chart: Chart, arr, boundary: str = "auto"):
 def _d_dispatch(chart, arr, axis, h, boundary):
     if boundary == "auto":
         boundary = "periodic" if chart.periodic else "masked"
-    if boundary == "periodic":
-        return _d_axis_periodic(arr, axis, h)
-    if boundary == "zerofill":
-        return _d_axis_zerofill(arr, axis, h)
-    if boundary == "masked":
-        return _d_axis_masked(arr, axis, h, chart.mask())
-    if boundary == "rect":
-        # data valid on the whole rectangle (analytic fields on disk charts)
-        return _d_axis_rect(arr, axis, h)
-    raise ValueError(f"unknown boundary policy {boundary!r}")
+    a = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    flat = a.view(float).reshape(chart.nx * chart.ny, -1)  # real and imaginary parts as columns
+    out = (difference_matrix(chart, boundary, axis) @ flat).reshape(a.view(float).shape).view(a.dtype)
+    out /= 2 * h  # in the input's dtype: numpy divides complex by a real scalar via its reciprocal
+    return out
 
 
 def dz_array(chart, arr, boundary="auto"):

@@ -257,10 +257,19 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _typed(spec, key, kind, default=None):
+    """``kind(spec[key])``, required without a default; a bad type is a config error."""
+    value = _require(spec, key) if default is None else spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _cmd_fuchsian(cfg) -> int:
     rep = SolveReport(command="fuchsian", config_echo=cfg)
     t0 = time.perf_counter()
-    n = int(_require(cfg, "n"))
+    n = _typed(cfg, "n", int)
     spec = _require(cfg, "chart")
     grids = cfg.get("grids")
     out = _outdir(cfg)
@@ -294,7 +303,7 @@ def _cmd_fuchsian(cfg) -> int:
 
 
 def _fields_from_config(cfg):
-    n = int(_require(cfg, "n"))
+    n = _typed(cfg, "n", int)
     ch = _build_chart(_require(cfg, "chart"))
     mu = _build_component_family(ch, n, cfg.get("beltrami"))
     t = _build_component_family(ch, n, cfg.get("covector"))
@@ -388,9 +397,9 @@ def _cmd_flow(cfg) -> int:
     out = _outdir(cfg)
     n, ch, mu, t = _fields_from_config(cfg)
     ham_spec = _require(cfg, "hamiltonian")
-    eps = float(ham_spec.get("eps", 1e-3))
-    steps = int(ham_spec.get("steps", 1))
-    ham = hf.HamiltonianTerm(int(_require(ham_spec, "ell")), chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"))))
+    eps = _typed(ham_spec, "eps", float, 1e-3)
+    steps = _typed(ham_spec, "steps", int, 1)
+    ham = hf.HamiltonianTerm(_typed(ham_spec, "ell", int), chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"))))
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
     conn = cn.inject_covector(phi, h, t)
@@ -489,11 +498,11 @@ def run(argv) -> int:
 def _emit_failure(cmd, cfg, exc) -> int:
     """The fail report of a handler that raised: the exception and whatever
     trace it carries (a residual history, a continuation parameter, a grid
-    point)."""
+    point, the records of the continuation steps that finished)."""
     rep = SolveReport(command=cmd, config_echo=cfg)
     rep.fail(f"{type(exc).__name__}: {exc}")
     rep.iteration_traces = {
-        key: getattr(exc, key) for key in ("history", "where", "point") if getattr(exc, key, None) is not None
+        key: getattr(exc, key) for key in ("history", "where", "point", "per_step") if getattr(exc, key, None) is not None
     }
     try:
         return _emit(rep, _outdir(cfg))

@@ -67,7 +67,11 @@ class HermitianField:
         return self.data.shape[-1]
 
     def inv(self):
-        return np.linalg.inv(self.data)
+        """h^-1, computed once and shared read-only (``data`` is never rebound)."""
+        if "_inv" not in self.__dict__:
+            self._inv = np.linalg.inv(self.data)
+            self._inv.flags.writeable = False
+        return self._inv
 
     def check(self, tol: float = 1e-10):
         h = self.data

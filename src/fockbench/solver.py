@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from . import fiber
-from .chart import BeltramiField, Chart, LieForm, ScalarField, dz_array, dzbar_array
+from .chart import BeltramiField, Chart, LieForm, ScalarField, difference_matrix, dz_array, dzbar_array
 from .connection import (
     ConnectionField,
     HermitianField,
@@ -228,7 +228,7 @@ class AdmissibleSpace:
         s_plus = np.stack(fiber.sigma_plus_basis(n))  # (m, n, n)
         m = s_plus.shape[0]
         hh = h.data.reshape(npt, n, n)
-        hinv = np.linalg.inv(hh)
+        hinv = h.inv().reshape(npt, n, n)
         # real-linear condition h^-1 X^+ h - X = 0 on X = sum (u_a + i v_a) s_a
         s_star = fiber.h_adjoint(s_plus, hh[:, None], hinv[:, None])  # (npt, m, n, n)
         cond = np.stack([s_star - s_plus, -1j * (s_star + s_plus)], axis=2)  # columns u_0, v_0, u_1, ...
@@ -281,26 +281,20 @@ def _ad_traces(a, x, y):
 
 
 @lru_cache(maxsize=8)
-def _grid_stencil(chart: Chart):
-    """One central-difference step on the flattened grid (point i * ny + j).
+def _grid_stencil(chart: Chart, policy: str):
+    """One central-difference step on the flattened grid (point i * ny + j),
+    from ``difference_matrix`` under ``policy`` ("periodic" or "zerofill").
 
-    Built from the 1-D difference matrices, with wrap-around entries on
-    periodic charts and the outside neighbours dropped on disk charts (the
-    "periodic" and "zerofill" policies).  Returns (indptr, indices, rows, own,
-    dzbar): a CSR pattern holding every point and its neighbours, the row of
-    each entry, whether the entry is the point itself, and the d_zbar weight
-    (d_x + i d_y)/2 of the entry, zero on the point itself; d_z is its
-    conjugate.
+    Returns (indptr, indices, rows, own, dzbar): a CSR pattern holding every
+    point and its neighbours, the row of each entry, whether the entry is the
+    point itself, and the d_zbar weight (d_x + i d_y)/2 of the entry, zero on
+    the point itself; d_z is its conjugate.
     """
-
-    def diff(npts, h):
-        offsets = [1, -1] + ([1 - npts, npts - 1] if chart.periodic else [])
-        return sparse.diags_array([1.0, -1.0, 1.0, -1.0][: len(offsets)], offsets=offsets, shape=(npts, npts)) / (2 * h)
-
-    dx = sparse.kron(diff(chart.nx, chart.hx), sparse.eye_array(chart.ny))
-    dy = sparse.kron(sparse.eye_array(chart.nx), diff(chart.ny, chart.hy))
+    dx = difference_matrix(chart, policy, 0) / (2 * chart.hx)
+    dy = difference_matrix(chart, policy, 1) / (2 * chart.hy)
     npt = chart.nx * chart.ny
     pattern = (dx + 1j * dy + sparse.eye_array(npt)).tocsr()
+    pattern.sort_indices()  # the assembly sums each row in column order
     rows = np.repeat(np.arange(npt), np.diff(pattern.indptr))
     own = pattern.indices == rows
     out = (pattern.indptr, pattern.indices, rows, own, np.where(own, 0.0, 0.5 * pattern.data))
@@ -429,7 +423,7 @@ class LinearizedContext:
         npt = ch.nx * ch.ny
         s = self._s_plus
         sdag = fiber.dagger(s)
-        indptr, cols, rows, own, dzb = _grid_stencil(ch)
+        indptr, cols, rows, own, dzb = _grid_stencil(ch, self.boundary)
         dzb = dzb[:, None, None]
         dz = np.conj(dzb)
         a1 = self.a_form.d1.reshape(npt, n, n)
@@ -478,8 +472,7 @@ def linearized_operator(eta: LieForm, phi: LieForm, a_conn, h: HermitianField, t
     e = eta.d0
     scale = max(1.0, float(np.abs(e).max()))
     sig = np.abs(inv.sigma(e) - e).max()
-    hh = h.data
-    herm = np.abs(fiber.h_adjoint(e, hh, np.linalg.inv(hh)) - e).max()
+    herm = np.abs(fiber.h_adjoint(e, h.data, h.inv()) - e).max()
     if max(sig, herm) > tol * scale:
         raise DomainMismatchError(
             f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
@@ -499,7 +492,7 @@ def energy_identity_sides(eta: LieForm, phi: LieForm, a_conn, h: HermitianField)
     omega = ctx.cov_d0(eta)
     pi_minus_1 = 0.5 * (omega.d1 - ctx.q_apply(omega).d1)
     pi_minus_2 = 0.5 * (omega.d2 - ctx.q_apply(omega).d2)
-    hh, hinv = h.data, np.linalg.inv(h.data)
+    hh, hinv = h.data, h.inv()
     trh = lambda x: np.einsum("xyij,xyji->xy", fiber.h_adjoint(x, hh, hinv), x).real
     pse_pi = (trh(pi_minus_1) - trh(pi_minus_2))[mask].sum() * w
     c1 = fiber.commutator(phi.d1, eta.d0)
@@ -606,7 +599,9 @@ def _check_mu_target(base: FuchsianData, mu: BeltramiField):
 
 def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: NewtonConfig):
     """Continuation along (s mu_3, ..., s^{n-2} mu_n) with Newton on the
-    conjugating gauge field eta; returns (eta, report dict)."""
+    conjugating gauge field eta; returns (eta, report dict).  A raised
+    NonConvergenceError or PositivityError carries the finished steps' records
+    as ``per_step``."""
     t0 = time.perf_counter()
     _check_mu_target(base, mu_target)
     ch, n, h = base.chart, base.n, base.h
@@ -639,50 +634,54 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     steps = 0 if trivial else cfg.continuation_steps
     final_residual = 0.0
     curv_sup = floor
-    for istep in range(steps):
-        s = (istep + 1) / cfg.continuation_steps
-        mu_s = BeltramiField(ch, n, {k: s ** (k - 2) * mu_target.comp(k) for k in range(3, n + 1)})
-        phi_s = fock_form(ch, mu_s)
-        gm, phi_c, conn, curv = gmap(phi_s, eta_coords)
-        margin = positivity_margin_field(phi_c, h)
-        if margin <= 1e-8:
-            raise PositivityError(f"positivity lost at continuation parameter s={s:.3f}", where=s)
-        residuals = [gnorm(gm)]
-        it = 0
-        while residuals[-1] > cfg.newton_tol:
-            if it >= cfg.max_newton:
-                raise NonConvergenceError(
-                    f"Newton did not converge at s={s:.3f}", history=residuals
-                )
-            ctx = LinearizedContext(phi_c, conn, h, space=space)
-            pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
-            delta_c, cg_rep = _cg(ctx, -gm, cfg, precond=pre)
-            if cfg.fd_check and it == 0:
-                # one-shot directional comparison of L against the discrete map
-                de = 1e-6 / max(np.abs(delta_c).max(), 1e-12)
-                gp, *_ = gmap(phi_s, eta_coords + de * delta_c)
-                gn, *_ = gmap(phi_s, eta_coords - de * delta_c)
-                fd_dir = (gp - gn) / (2 * de)
-                l_dir = ctx.apply_coords(delta_c)
-                rel = float(np.abs(fd_dir - l_dir).max() / max(np.abs(l_dir).max(), 1e-300))
-                fd_checks.append({"s": s, "rel_mismatch": rel})
-            step_len = 1.0
-            for _ in range(8):
-                trial = eta_coords + step_len * delta_c
-                gm_t, phi_t, conn_t, curv_t = gmap(phi_s, trial)
-                if gnorm(gm_t) < (1.0 - 0.25 * step_len) * residuals[-1] or gnorm(gm_t) <= cfg.newton_tol:
-                    break
-                step_len *= 0.5
-            else:
-                raise NonConvergenceError(
-                    f"Newton line search failed at s={s:.3f}", history=residuals
-                )
-            eta_coords, gm, phi_c, conn, curv = trial, gm_t, phi_t, conn_t, curv_t
-            residuals.append(gnorm(gm))
-            it += 1
-        curv_sup = sup_norm(curv, mask=ch.interior())
-        per_step.append({"s": s, "newton_iters": it, "residuals": residuals})
-        final_residual = residuals[-1]
+    try:
+        for istep in range(steps):
+            s = (istep + 1) / cfg.continuation_steps
+            mu_s = BeltramiField(ch, n, {k: s ** (k - 2) * mu_target.comp(k) for k in range(3, n + 1)})
+            phi_s = fock_form(ch, mu_s)
+            gm, phi_c, conn, curv = gmap(phi_s, eta_coords)
+            margin = positivity_margin_field(phi_c, h)
+            if margin <= 1e-8:
+                raise PositivityError(f"positivity lost at continuation parameter s={s:.3f}", where=s)
+            residuals = [gnorm(gm)]
+            it = 0
+            while residuals[-1] > cfg.newton_tol:
+                if it >= cfg.max_newton:
+                    raise NonConvergenceError(
+                        f"Newton did not converge at s={s:.3f}", history=residuals
+                    )
+                ctx = LinearizedContext(phi_c, conn, h, space=space)
+                pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
+                delta_c, cg_rep = _cg(ctx, -gm, cfg, precond=pre)
+                if cfg.fd_check and it == 0:
+                    # one-shot directional comparison of L against the discrete map
+                    de = 1e-6 / max(np.abs(delta_c).max(), 1e-12)
+                    gp, *_ = gmap(phi_s, eta_coords + de * delta_c)
+                    gn, *_ = gmap(phi_s, eta_coords - de * delta_c)
+                    fd_dir = (gp - gn) / (2 * de)
+                    l_dir = ctx.apply_coords(delta_c)
+                    rel = float(np.abs(fd_dir - l_dir).max() / max(np.abs(l_dir).max(), 1e-300))
+                    fd_checks.append({"s": s, "rel_mismatch": rel})
+                step_len = 1.0
+                for _ in range(8):
+                    trial = eta_coords + step_len * delta_c
+                    gm_t, phi_t, conn_t, curv_t = gmap(phi_s, trial)
+                    if gnorm(gm_t) < (1.0 - 0.25 * step_len) * residuals[-1] or gnorm(gm_t) <= cfg.newton_tol:
+                        break
+                    step_len *= 0.5
+                else:
+                    raise NonConvergenceError(
+                        f"Newton line search failed at s={s:.3f}", history=residuals
+                    )
+                eta_coords, gm, phi_c, conn, curv = trial, gm_t, phi_t, conn_t, curv_t
+                residuals.append(gnorm(gm))
+                it += 1
+            curv_sup = sup_norm(curv, mask=ch.interior())
+            per_step.append({"s": s, "newton_iters": it, "residuals": residuals})
+            final_residual = residuals[-1]
+    except (NonConvergenceError, PositivityError) as exc:
+        exc.per_step = per_step  # the records of the steps that finished
+        raise
     eta = space.to_field(eta_coords)
     recon_defect = float(np.abs(space.to_coords(eta) - eta_coords).max())
     report = {

@@ -47,19 +47,99 @@ def test_partial_symbol_periodic():
     assert np.allclose(chm.partial_zbar(f).data, sym * f.data)
 
 
-@pytest.mark.parametrize("shape", [(12, 12), (9, 14), (12, 12, 3, 3), (9, 14, 3, 3)])
+# The stencils written out as array formulas ("rect" is "masked" with every
+# point valid): the reference every product with ``difference_matrix`` must
+# reproduce bit for bit.
+
+
+def _ref_periodic(arr, axis, h):
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h)
+
+
+def _ref_zerofill(arr, axis, h):
+    fwd = np.roll(arr, -1, axis=axis)
+    bwd = np.roll(arr, 1, axis=axis)
+    sl_last = [slice(None)] * arr.ndim
+    sl_first = [slice(None)] * arr.ndim
+    sl_last[axis] = -1
+    sl_first[axis] = 0
+    fwd[tuple(sl_last)] = 0.0
+    bwd[tuple(sl_first)] = 0.0
+    return (fwd - bwd) / (2 * h)
+
+
+def _inside_shift(shape, axis, k):
+    n = shape[axis]
+    idx = np.arange(n)
+    ok = (idx + k >= 0) & (idx + k < n)
+    expand = [None, None]
+    expand[axis] = slice(None)
+    return np.broadcast_to(ok[tuple(expand)], shape)
+
+
+def _ref_masked(arr, axis, h, mask):
+    out = np.zeros_like(arr, dtype=complex)
+    valid = mask
+    sh = lambda a, k: np.roll(a, -k, axis=axis)
+    val = lambda k: sh(valid, k) & _inside_shift(valid.shape, axis, k)
+    f1, f2 = sh(arr, 1), sh(arr, 2)
+    b1, b2 = sh(arr, -1), sh(arr, -2)
+    has_f1, has_f2 = val(1), val(2)
+    has_b1, has_b2 = val(-1), val(-2)
+    central = valid & has_f1 & has_b1
+    fwd = valid & ~central & has_f1 & has_f2
+    bwd = valid & ~central & ~fwd & has_b1 & has_b2
+    fwd1 = valid & ~central & ~fwd & ~bwd & has_f1
+    bwd1 = valid & ~central & ~fwd & ~bwd & ~fwd1 & has_b1
+    if arr.ndim > 2:
+        expand = (...,) + (None,) * (arr.ndim - 2)
+        central, fwd, bwd = central[expand], fwd[expand], bwd[expand]
+        fwd1, bwd1 = fwd1[expand], bwd1[expand]
+    out = np.where(central, (f1 - b1) / (2 * h), out)
+    out = np.where(fwd, (-3 * arr + 4 * f1 - f2) / (2 * h), out)
+    out = np.where(bwd, (3 * arr - 4 * b1 + b2) / (2 * h), out)
+    out = np.where(fwd1, (f1 - arr) / h, out)
+    out = np.where(bwd1, (arr - b1) / h, out)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (9, 14), (12, 12, 3, 3), (9, 14, 3, 3), (8, 22)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_rect_stencil_is_masked_stencil_with_full_mask(shape, dtype):
+    """Every policy on disk and periodic charts, along both axes, against the
+    written-out formulas; ``rect`` against ``masked`` with every point valid.
+    The 8 x 22 disk has first-order rows (a single neighbour along x)."""
     rng = np.random.default_rng(3)
     arr = rng.standard_normal(shape)
     if dtype is complex:
         arr = arr + 1j * rng.standard_normal(shape)
-    full = np.ones(shape[:2], dtype=bool)
-    for axis, h in ((0, 1 / 11), (1, 0.07)):
-        got = chm._d_axis_rect(arr, axis, h)
-        want = chm._d_axis_masked(arr, axis, h, full)
-        assert got.dtype == want.dtype == complex
-        assert np.array_equal(got.view(float), want.view(float))
+    nx, ny = shape[:2]
+    full = np.ones((nx, ny), dtype=bool)
+    reference = {
+        "periodic": lambda ch, axis, h: _ref_periodic(arr, axis, h),
+        "zerofill": lambda ch, axis, h: _ref_zerofill(arr, axis, h),
+        "masked": lambda ch, axis, h: _ref_masked(arr, axis, h, ch.mask()),
+        "rect": lambda ch, axis, h: _ref_masked(arr, axis, h, full),
+    }
+    for ch in (chm.periodic_chart(nx, ny, 1.0, 0.9), chm.disk_chart(nx, ny, 0.5)):
+        for boundary, ref in reference.items():
+            for derivative, axis, h in ((chm.dx_array, 0, ch.hx), (chm.dy_array, 1, ch.hy)):
+                got = derivative(ch, arr, boundary)
+                want = ref(ch, axis, h)
+                assert got.dtype == arr.dtype
+                assert np.array_equal(got.astype(want.dtype).view(float), want.view(float)), (ch.kind, boundary, axis)
+
+
+@pytest.mark.parametrize("chart", [chm.disk_chart(128, 128), chm.periodic_chart(128, 128)], ids=["disk", "periodic"])
+def test_difference_matrix_is_skew_adjoint(chart):
+    boundary = "periodic" if chart.periodic else "zerofill"
+    rng = np.random.default_rng(6)
+    f, g = rng.standard_normal((2, chart.nx * chart.ny))
+    for axis in (0, 1):
+        d = chm.difference_matrix(chart, boundary, axis)
+        assert (d + d.T).count_nonzero() == 0
+        lhs, rhs = f @ (d @ g), -(d @ f) @ g
+        assert abs(lhs - rhs) < 1e-12 * np.abs(f).sum() * np.abs(g).max()
 
 
 def test_exterior_d_squares_to_zero():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fockbench import solver as sv
 from fockbench.cli import run
 
 
@@ -209,3 +210,46 @@ def test_failed_solve_writes_fail_report(tmp_path, capsys):
     assert rep["messages"] == ["NonConvergenceError: Newton did not converge at s=1.000"]
     history = rep["iteration_traces"]["history"]
     assert len(history) == 2 and all(isinstance(r, float) for r in history)
+    assert rep["iteration_traces"]["per_step"] == []
+
+
+def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
+    margins = iter([1.0, 0.0])  # positivity holds at s = 0.5 and is lost at s = 1
+    monkeypatch.setattr(sv, "positivity_margin_field", lambda phi, h: next(margins))
+    out = str(tmp_path / "o")
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "beltrami": {"3": {"type": "bump", "center": [0.0, 0.0], "radius": 0.25, "amplitude": 0.01}},
+        "solver": {"continuation_steps": 2, "preconditioner": "jacobi"},
+        "output_dir": out,
+    }
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+    rep = _read_report(out)
+    assert rep["messages"] == ["PositivityError: positivity lost at continuation parameter s=1.000"]
+    assert rep["iteration_traces"]["where"] == 1.0
+    (step,) = rep["iteration_traces"]["per_step"]
+    assert step["s"] == 0.5 and step["newton_iters"] >= 1
+    assert len(step["residuals"]) == step["newton_iters"] + 1 and step["residuals"][-1] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "cmd, section, key, value",
+    [
+        ("fuchsian", None, "n", "x"),
+        ("flow", None, "n", "x"),
+        ("flow", "hamiltonian", "ell", "two"),
+        ("flow", "hamiltonian", "eps", "small"),
+        ("flow", "hamiltonian", "steps", [1]),
+    ],
+)
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):
+    cfg = {
+        "n": 2,
+        "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
+        "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    (cfg if section is None else cfg[section])[key] = value
+    assert run([cmd, "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert f"{key!r} must be" in capsys.readouterr().err

@@ -130,6 +130,16 @@ def test_fill_in_unitary_reproduces_chern_and_uniqueness():
         assert fd.A.report["unitarity_defect"] < 1e-10
 
 
+def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
+    _, phi, h = sv._fuchsian_fields(3, chm.disk_chart(16, 16, 0.5), 2.0)
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    cn.fill_in(phi, h=h, boundary="rect")
+    assert calls == [h.data.shape]
+    cn.fill_in(phi, h=h, boundary="rect")
+    assert len(calls) == 1
+
+
 def test_curvature_total_basics():
     ch = chm.periodic_chart(12, 12)
     n = 2
