@@ -62,6 +62,8 @@ def _load_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     for section, known in _CONFIG_KEYS.items():
         spec = cfg if section is None else cfg.get(section)
+        if section in cfg and not isinstance(spec, dict):
+            raise ConfigError(f"{section!r} must be an object, got {spec!r}")
         unknown = sorted(set(spec) - known) if isinstance(spec, dict) else []
         if unknown:
             where = "the config" if section is None else f"{section!r}"
@@ -81,36 +83,57 @@ def _build_chart(spec) -> chm.Chart:
     raise ConfigError(f"unknown chart kind {kind!r}")
 
 
-def _complexval(v):
+def _complex(v):
+    """A complex number from a number or a [re, im] pair."""
     if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
+        re, im = v
+        return complex(re, im)
     return complex(v)
 
 
-def _build_scalar(chart, spec) -> np.ndarray:
+def _point(v):
+    x, y = v
+    return (float(x), float(y))
+
+
+def _build_scalar(chart, spec, name) -> np.ndarray:
+    """The grid values of a field spec; ``name`` labels the spec in errors."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a field spec object, got {spec!r}")
     kind = spec.get("type")
     if kind == "constant":
-        return np.full((chart.nx, chart.ny), _complexval(spec.get("value", 0.0)))
-    if kind == "bump":
-        f = chm.bump_field(
+        data = np.full((chart.nx, chart.ny), _typed(spec, "value", _complex, 0.0))
+    elif kind == "bump":
+        data = chm.bump_field(
             chart,
-            center=tuple(spec.get("center", (0.0, 0.0))),
-            radius=float(spec.get("radius", 0.25)),
-            amplitude=_complexval(spec.get("amplitude", 1.0)),
-        )
-        return f.data
-    if kind == "file":
-        return chm.load_scalar_csv(spec["path"], chart).data
-    raise ConfigError(f"unknown field spec type {kind!r}")
+            center=_typed(spec, "center", _point, (0.0, 0.0)),
+            radius=_typed(spec, "radius", float, 0.25),
+            amplitude=_typed(spec, "amplitude", _complex, 1.0),
+        ).data
+    elif kind == "file":
+        data = chm.load_scalar_csv(_require(spec, "path"), chart).data
+    else:
+        raise ConfigError(f"unknown field spec type {kind!r}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"{name} is not finite at grid point ({i}, {j}): {data[i, j]!r}")
+    return data
 
 
-def _build_component_family(chart, n, spec):
+def _build_component_family(chart, n, spec, section):
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section!r} must be an object, got {spec!r}")
     comps = {}
-    for key, sub in (spec or {}).items():
-        k = int(key)
+    for key, sub in spec.items():
+        try:
+            k = int(key)
+        except ValueError as exc:
+            raise ConfigError(f"{key!r} must be a component index in {section!r}") from exc
         if not 2 <= k <= n:
             raise ConfigError(f"component index {k} outside 2..{n}")
-        comps[k] = _build_scalar(chart, sub)
+        comps[k] = _build_scalar(chart, sub, f"{section}[{key!r}]")
     return chm.BeltramiField(chart, n, comps)
 
 
@@ -263,7 +286,7 @@ def _typed(spec, key, kind, default=None):
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from exc
+        raise ConfigError(f"{key!r} must be {kind.__name__.lstrip('_')}, got {value!r}") from exc
 
 
 def _cmd_fuchsian(cfg) -> int:
@@ -305,8 +328,8 @@ def _cmd_fuchsian(cfg) -> int:
 def _fields_from_config(cfg):
     n = _typed(cfg, "n", int)
     ch = _build_chart(_require(cfg, "chart"))
-    mu = _build_component_family(ch, n, cfg.get("beltrami"))
-    t = _build_component_family(ch, n, cfg.get("covector"))
+    mu = _build_component_family(ch, n, cfg.get("beltrami"), "beltrami")
+    t = _build_component_family(ch, n, cfg.get("covector"), "covector")
     return n, ch, mu, t
 
 
@@ -355,7 +378,7 @@ def _cmd_solve(cfg) -> int:
     rep.iteration_traces = {"per_step": srep["per_step"]}
     rep.timings["wall_time_s"] = time.perf_counter() - t0
     rep.timings["newton_wall_time_s"] = srep["wall_time_s"]
-    if srep["final_residual"] > ncfg.newton_tol:
+    if not (srep["final_residual"] <= ncfg.newton_tol):
         rep.fail(f"final residual {srep['final_residual']:.3e} above newton_tol")
     return _emit(rep, out)
 
@@ -399,7 +422,8 @@ def _cmd_flow(cfg) -> int:
     ham_spec = _require(cfg, "hamiltonian")
     eps = _typed(ham_spec, "eps", float, 1e-3)
     steps = _typed(ham_spec, "steps", int, 1)
-    ham = hf.HamiltonianTerm(_typed(ham_spec, "ell", int), chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"))))
+    ell = _typed(ham_spec, "ell", int)
+    ham = hf.HamiltonianTerm(ell, chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"), "hamiltonian['w']")))
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
     conn = cn.inject_covector(phi, h, t)

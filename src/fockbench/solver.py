@@ -517,6 +517,8 @@ class NewtonConfig:
             raise ValueError("iteration counts must be positive")
         if not (0 < self.newton_tol < 1 and 0 < self.cg_tol < 1):
             raise ValueError("tolerances must sit in (0, 1)")
+        if self.preconditioner not in ("none", "jacobi"):
+            raise ValueError(f"'preconditioner' must be 'none' or 'jacobi', got {self.preconditioner!r}")
 
 
 def _jacobi_blocks(ctx: LinearizedContext):
@@ -585,6 +587,10 @@ def solve_linear(phi: LieForm, a_conn, h: HermitianField, rhs: LieForm, cfg: New
 def _check_mu_target(base: FuchsianData, mu: BeltramiField):
     if mu.n != base.n:
         raise DomainMismatchError("Beltrami data rank differs from the reference")
+    for k in range(2, base.n + 1):
+        bad = np.argwhere(~np.isfinite(mu.comp(k)))
+        if bad.size:
+            raise DomainMismatchError(f"mu_{k} is not finite at grid point {tuple(int(i) for i in bad[0])}")
     if np.abs(mu.comp(2)).max() > 0:
         raise DomainMismatchError(
             "mu_2 deformations change the induced conformal structure; only mu_3..mu_n are continued"
@@ -599,7 +605,9 @@ def _check_mu_target(base: FuchsianData, mu: BeltramiField):
 
 def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: NewtonConfig):
     """Continuation along (s mu_3, ..., s^{n-2} mu_n) with Newton on the
-    conjugating gauge field eta; returns (eta, report dict).  A raised
+    conjugating gauge field eta; returns (eta, report dict).  Each step starts
+    from the secant predictor 2 eta_k - eta_{k-1} and runs chord Newton: the
+    linearization built at its first iteration serves every later one.  A raised
     NonConvergenceError or PositivityError carries the finished steps' records
     as ``per_step``."""
     t0 = time.perf_counter()
@@ -627,7 +635,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     def gnorm(gm):
         return float(np.abs(gm).max())
 
-    eta_coords = zeros.copy()
+    eta_coords = eta_prev = zeros
     per_step = []
     fd_checks = []
     trivial = all(np.abs(mu_target.comp(k)).max(initial=0.0) == 0.0 for k in range(2, n + 1))
@@ -639,19 +647,22 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
             s = (istep + 1) / cfg.continuation_steps
             mu_s = BeltramiField(ch, n, {k: s ** (k - 2) * mu_target.comp(k) for k in range(3, n + 1)})
             phi_s = fock_form(ch, mu_s)
+            # secant predictor: eta is close to linear in s
+            eta_coords, eta_prev = 2.0 * eta_coords - eta_prev, eta_coords
             gm, phi_c, conn, curv = gmap(phi_s, eta_coords)
             margin = positivity_margin_field(phi_c, h)
             if margin <= 1e-8:
                 raise PositivityError(f"positivity lost at continuation parameter s={s:.3f}", where=s)
             residuals = [gnorm(gm)]
             it = 0
-            while residuals[-1] > cfg.newton_tol:
+            while not (residuals[-1] <= cfg.newton_tol):
                 if it >= cfg.max_newton:
                     raise NonConvergenceError(
                         f"Newton did not converge at s={s:.3f}", history=residuals
                     )
-                ctx = LinearizedContext(phi_c, conn, h, space=space)
-                pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
+                if it == 0:  # chord: the step's first linearization serves all its iterations
+                    ctx = LinearizedContext(phi_c, conn, h, space=space)
+                    pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
                 delta_c, cg_rep = _cg(ctx, -gm, cfg, precond=pre)
                 if cfg.fd_check and it == 0:
                     # one-shot directional comparison of L against the discrete map

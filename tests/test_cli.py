@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fockbench import chart as chm
 from fockbench import solver as sv
 from fockbench.cli import run
 
@@ -241,15 +244,79 @@ def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
         ("flow", "hamiltonian", "ell", "two"),
         ("flow", "hamiltonian", "eps", "small"),
         ("flow", "hamiltonian", "steps", [1]),
+        ("solve", "solver", "preconditioner", "Jacobi"),
+        ("flow", "beltrami", "x", {"type": "constant"}),
+        ("flow", "hamiltonian/w", "radius", "wide"),
+        ("flow", None, "hamiltonian", 3),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):
     cfg = {
         "n": 2,
         "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
-        "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}},
+        "beltrami": {},
+        "solver": {},
+        "hamiltonian": {"ell": 2, "w": {"type": "bump", "amplitude": 0.0}},
         "output_dir": str(tmp_path / "o"),
     }
-    (cfg if section is None else cfg[section])[key] = value
+    spec = cfg
+    for part in section.split("/") if section else []:  # a path into nested specs
+        spec = spec[part]
+    spec[key] = value
     assert run([cmd, "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
     assert f"{key!r} must be" in capsys.readouterr().err
+
+
+def test_non_finite_field_data_is_config_error(tmp_path, capsys):
+    ch = chm.disk_chart(16, 16, 0.5)
+    data = np.zeros((16, 16), dtype=complex)
+    data[3, 5] = np.nan
+    chm.save_scalar_csv(str(tmp_path / "mu3.csv"), chm.ScalarField(ch, data))
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "beltrami": {"3": {"type": "file", "path": str(tmp_path / "mu3.csv")}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert "beltrami['3'] is not finite at grid point (3, 5)" in capsys.readouterr().err
+
+
+def test_nan_final_residual_is_a_failure(tmp_path, capsys, monkeypatch):
+    newton_continuation = sv.newton_continuation
+
+    def nan_residual(*args):
+        eta, srep = newton_continuation(*args)
+        return eta, dict(srep, final_residual=float("nan"))
+
+    monkeypatch.setattr(sv, "newton_continuation", nan_residual)
+    out = str(tmp_path / "o")
+    cfg = {"n": 2, "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5}, "output_dir": out}
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+    assert _read_report(out)["status"] == "fail"
+
+
+def test_solve_csv_independent_of_blas_threads(tmp_path):
+    # the thread count is set for the child processes only
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg = {
+            "n": 3,
+            "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+            "beltrami": {"3": {"type": "bump", "center": [0.02, -0.01], "radius": 0.3, "amplitude": 0.01}},
+            "solver": {"continuation_steps": 2, "preconditioner": "jacobi"},
+            "output_dir": str(out),
+        }
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sv.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from fockbench.cli import main; main()", "solve", "--config",
+             _write_config(tmp_path, f"c{threads}.json", cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("eta.csv", "phi.csv", "A.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -332,6 +332,8 @@ def test_newton_config_validation():
         sv.NewtonConfig(continuation_steps=0)
     with pytest.raises(ValueError):
         sv.NewtonConfig(newton_tol=2.0)
+    with pytest.raises(ValueError, match="'preconditioner'"):
+        sv.NewtonConfig(preconditioner="Jacobi")
 
 
 def test_newton_continuation_small():
@@ -376,6 +378,51 @@ def test_newton_iteration_counts_do_not_rise(monkeypatch):
     assert len(calls) <= 433
 
 
+def test_chord_newton_builds_one_linearization_per_step(monkeypatch):
+    # the case above: L and its preconditioner are built at each continuation
+    # step's first Newton iteration only, and the secant predictor starts
+    # step 2 near its solution
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    bump = chm.bump_field(ch, center=(0.02, -0.01), radius=0.3, amplitude=0.01)
+    mu = chm.BeltramiField(ch, 3, {3: bump.data})
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    init = sv.LinearizedContext.__init__
+    built = []
+
+    def counted(ctx, *args, **kwargs):
+        built.append(1)
+        init(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(sv.LinearizedContext, "__init__", counted)
+    _, rep = sv.newton_continuation(fd, mu, cfg)
+    first, second = rep["per_step"]
+    assert rep["final_residual"] <= 1e-10
+    assert len(built) == 2
+    assert second["newton_iters"] < first["newton_iters"]
+    assert second["residuals"][0] < 0.01 * first["residuals"][0]
+
+
+def test_nan_residual_is_not_convergence(monkeypatch):
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
+    curvature_total = sv.curvature_total
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        # the baseline curvature stays finite; every later one has a NaN
+        curv = curvature_total(*args, **kwargs)
+        if calls:
+            curv.d0[8, 8] = np.nan
+        calls.append(1)
+        return curv
+
+    monkeypatch.setattr(sv, "curvature_total", poisoned)
+    with pytest.raises(NonConvergenceError):
+        sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=1, max_cg=5))
+
+
 def test_newton_continuation_fd_check_recorded():
     ch = chm.disk_chart(32, 32, 0.5)
     fd = sv.fuchsian_reference(3, ch)
@@ -397,6 +444,10 @@ def test_newton_continuation_rejects_bad_targets():
     with pytest.raises(DomainMismatchError):
         mu = chm.BeltramiField(ch, 3, {3: 0.1 * np.ones((32, 32), dtype=complex)})
         sv.newton_continuation(fd, mu, cfg)
+    nan_outside = np.zeros((32, 32), dtype=complex)
+    nan_outside[0, 0] = np.nan
+    with pytest.raises(DomainMismatchError, match=r"mu_3 is not finite at grid point \(0, 0\)"):
+        sv.newton_continuation(fd, chm.BeltramiField(ch, 3, {3: nan_outside}), cfg)
 
 
 def test_positivity_margin_field_is_the_pointwise_margin():
