@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 _BAND_WIDTH = 2  # cells pinned by Dirichlet data on disk charts
+_MATRIX_HEADER = "i,j,row,col,comp,re,im\r\n"
 
 
 @dataclass(frozen=True)
@@ -102,32 +104,44 @@ class Chart:
 
     def mask(self):
         """Boolean grid of points strictly inside the disk (rim excluded, so
-        every mask point has at least one in-mask neighbour per axis)."""
-        if self.periodic:
-            return np.ones((self.nx, self.ny), dtype=bool)
-        x, y = self.xy()
-        return x * x + y * y < self.radius**2 * (1 - 1e-12)
+        every mask point has at least one in-mask neighbour per axis).  Like
+        ``boundary_band`` and ``interior``, built once per chart and shared
+        read-only."""
+        return self._masks[0]
 
     def boundary_band(self):
         """In-mask points within _BAND_WIDTH cells of the mask complement."""
-        m = self.mask()
-        if self.periodic:
-            return np.zeros_like(m)
-        inner = m.copy()
-        for _ in range(_BAND_WIDTH):
-            shrunk = inner.copy()
-            shrunk[1:, :] &= inner[:-1, :]
-            shrunk[:-1, :] &= inner[1:, :]
-            shrunk[:, 1:] &= inner[:, :-1]
-            shrunk[:, :-1] &= inner[:, 1:]
-            shrunk[[0, -1], :] = False
-            shrunk[:, [0, -1]] = False
-            inner = shrunk
-        return m & ~inner
+        return self._masks[1]
 
     def interior(self):
         """Mask minus the Dirichlet boundary band."""
-        return self.mask() & ~self.boundary_band()
+        return self._masks[2]
+
+    @cached_property
+    def _masks(self):
+        """(mask, boundary band, interior); cached_property writes the instance
+        dict directly, which a frozen dataclass allows."""
+        if self.periodic:
+            m = np.ones((self.nx, self.ny), dtype=bool)
+            band = np.zeros_like(m)
+        else:
+            x, y = self.xy()
+            m = x * x + y * y < self.radius**2 * (1 - 1e-12)
+            inner = m.copy()
+            for _ in range(_BAND_WIDTH):
+                shrunk = inner.copy()
+                shrunk[1:, :] &= inner[:-1, :]
+                shrunk[:-1, :] &= inner[1:, :]
+                shrunk[:, 1:] &= inner[:, :-1]
+                shrunk[:, :-1] &= inner[:, 1:]
+                shrunk[[0, -1], :] = False
+                shrunk[:, [0, -1]] = False
+                inner = shrunk
+            band = m & ~inner
+        out = (m, band, m & ~band)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 def periodic_chart(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> Chart:
@@ -373,55 +387,62 @@ def random_smooth_scalar(chart: Chart, rng, amplitude: float = 1.0, modes: int =
 # ---------------------------------------------------------------------------
 # CSV I/O: ScalarField rows are i,j,re,im; LieForm rows are
 # i,j,row,col,comp,re,im with comp in {0} for degree 0/2 and {dz,dzb} for
-# degree 1.  Floats are printed with 17 significant digits.
+# degree 1.  Floats are printed "%.17g" (17 significant digits) and every line
+# ends in "\r\n", as the csv module writes them; the readers build each value as
+# complex(re, im), so a written grid reads back bitwise, signed zeros and
+# infinities included.
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _write_rows(fh, grid, row_fmt):
+    """One row per entry of ``grid`` in C order: its indices, then its real and
+    imaginary parts, formatted by ``row_fmt``.  Each slab of one first index is
+    formatted in one pass, so the text held in memory stays one slab long."""
+    rest = np.indices(grid.shape[1:]).reshape(grid.ndim - 1, -1).tolist()
+    for i, slab in enumerate(grid):
+        rows = zip(repeat(i), *rest, slab.real.ravel().tolist(), slab.imag.ravel().tolist())
+        fh.write("".join(map(row_fmt.__mod__, rows)))
 
 
 def save_scalar_csv(path, f: ScalarField):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "re", "im"])
-        for i in range(f.chart.nx):
-            for j in range(f.chart.ny):
-                v = f.data[i, j]
-                w.writerow([i, j, _fmt(v.real), _fmt(v.imag)])
+        fh.write("i,j,re,im\r\n")
+        _write_rows(fh, f.data, "%d,%d,%.17g,%.17g\r\n")
 
 
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
+    """Read a scalar field; a bad header, a malformed row or an index outside
+    the grid (negative ones included) is a ValueError naming path and line."""
     data = np.zeros((chart.nx, chart.ny), dtype=complex)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:4] != ["i", "j", "re", "im"]:
-            raise ValueError(f"bad scalar field header in {path}: {header}")
+            raise ValueError(f"{path}, line 1: bad scalar field header {header}")
         for row in r:
-            i, j = int(row[0]), int(row[1])
-            data[i, j] = float(row[2]) + 1j * float(row[3])
+            try:
+                i, j, v = int(row[0]), int(row[1]), complex(float(row[2]), float(row[3]))
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}, line {r.line_num}: malformed row {row} ({exc})") from exc
+            if not (0 <= i < chart.nx and 0 <= j < chart.ny):
+                raise ValueError(
+                    f"{path}, line {r.line_num}: index ({i}, {j}) outside the {chart.nx} x {chart.ny} grid"
+                )
+            data[i, j] = v
     return ScalarField(chart, data)
 
 
-def _write_matrix_rows(w, grid, comp):
-    nx, ny, n, _ = grid.shape
-    for i in range(nx):
-        for j in range(ny):
-            for r_ in range(n):
-                for c_ in range(n):
-                    v = grid[i, j, r_, c_]
-                    w.writerow([i, j, r_, c_, comp, _fmt(v.real), _fmt(v.imag)])
+def _write_matrix_rows(fh, grid, comp):
+    _write_rows(fh, grid, f"%d,%d,%d,%d,{comp},%.17g,%.17g\r\n")
 
 
 def save_lieform_csv(path, form: LieForm):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "row", "col", "comp", "re", "im"])
+        fh.write(_MATRIX_HEADER)
         if form.degree == 1:
-            _write_matrix_rows(w, form.d1, "dz")
-            _write_matrix_rows(w, form.d2, "dzb")
+            _write_matrix_rows(fh, form.d1, "dz")
+            _write_matrix_rows(fh, form.d2, "dzb")
         else:
-            _write_matrix_rows(w, form.d0, "0")
+            _write_matrix_rows(fh, form.d0, "0")
 
 
 def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
@@ -435,7 +456,7 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
             g = grids.get(row[4])
             if g is None:
                 g = grids[row[4]] = np.zeros((chart.nx, chart.ny, n, n), dtype=complex)
-            g[int(row[0]), int(row[1]), int(row[2]), int(row[3])] = float(row[5]) + 1j * float(row[6])
+            g[int(row[0]), int(row[1]), int(row[2]), int(row[3])] = complex(float(row[5]), float(row[6]))
     if degree == 1:
         return LieForm(chart, 1, d1=grids.get("dz"), d2=grids.get("dzb"))
     return LieForm(chart, degree, d0=grids.get("0"))
@@ -444,9 +465,8 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
 def save_matrix_field_csv(path, chart: Chart, grid):
     """Per-point matrix field (e.g. a hermitian structure) in the degree-0 layout."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "row", "col", "comp", "re", "im"])
-        _write_matrix_rows(w, grid, "0")
+        fh.write(_MATRIX_HEADER)
+        _write_matrix_rows(fh, grid, "0")
 
 
 def load_matrix_field_csv(path, chart: Chart, n: int):

@@ -111,7 +111,10 @@ def _build_scalar(chart, spec, name) -> np.ndarray:
             amplitude=_typed(spec, "amplitude", _complex, 1.0),
         ).data
     elif kind == "file":
-        data = chm.load_scalar_csv(_require(spec, "path"), chart).data
+        try:
+            data = chm.load_scalar_csv(_require(spec, "path"), chart).data
+        except ValueError as exc:  # a malformed file; a missing one stays an I/O error
+            raise ConfigError(f"{name}: {exc}") from exc
     else:
         raise ConfigError(f"unknown field spec type {kind!r}")
     bad = np.argwhere(~np.isfinite(data))
@@ -364,11 +367,9 @@ def _cmd_solve(cfg) -> int:
     ncfg = _newton_config(cfg.get("solver"))
     fd = sv.fuchsian_reference(n, ch, c0=cfg.get("c0"))
     eta, srep = sv.newton_continuation(fd, mu, ncfg)
-    phi_final = sv.conjugate_field(hf.fock_form(ch, mu), eta)
-    conn = cn.fill_in(phi_final, h=fd.h, boundary="rect")
     chm.save_lieform_csv(os.path.join(out, "eta.csv"), eta)
-    chm.save_lieform_csv(os.path.join(out, "phi.csv"), phi_final)
-    chm.save_lieform_csv(os.path.join(out, "A.csv"), conn.A)
+    chm.save_lieform_csv(os.path.join(out, "phi.csv"), srep["phi"])
+    chm.save_lieform_csv(os.path.join(out, "A.csv"), srep["connection"].A)
     rep.residual_norms = {
         "final_residual": srep["final_residual"],
         "curvature_sup": srep["curvature_sup"],

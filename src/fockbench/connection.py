@@ -19,7 +19,7 @@ discretization floor; each solver reports its residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,21 @@ class HermitianField:
     def n(self):
         return self.data.shape[-1]
 
+    def derived(self, key, build):
+        """``build()``, an array or a tuple of arrays that depends on h alone,
+        computed once per field and ``key`` and shared read-only (``data`` is
+        never rebound)."""
+        cache = self.__dict__.setdefault("_derived", {})
+        if key not in cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            cache[key] = value
+        return cache[key]
+
     def inv(self):
-        """h^-1, computed once and shared read-only (``data`` is never rebound)."""
-        if "_inv" not in self.__dict__:
-            self._inv = np.linalg.inv(self.data)
-            self._inv.flags.writeable = False
-        return self._inv
+        """h^-1, once per field."""
+        return self.derived("inv", lambda: np.linalg.inv(self.data))
 
     def check(self, tol: float = 1e-10):
         h = self.data
@@ -113,12 +122,25 @@ def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
     return LieForm(phi.chart, 1, d1=fiber.h_adjoint(phi.d2, hh, hinv), d2=fiber.h_adjoint(phi.d1, hh, hinv))
 
 
-@dataclass
 class ConnectionField:
-    A: LieForm
-    sigma_invariant: bool = False
-    unitary: bool = False
-    report: dict = field(default_factory=dict)
+    """A connection form ``A`` with its ``report`` and the flags
+    ``sigma_invariant`` and ``unitary``.  Given ``diagnose``, a function that
+    returns (report, sigma_invariant, unitary), the three are computed on
+    first read, so a caller that only uses ``A`` never pays for them."""
+
+    def __init__(self, A: LieForm, sigma_invariant=False, unitary=False, report=None, diagnose=None):
+        self.A = A
+        self._diagnose = diagnose
+        self._diagnosed = None if diagnose else ({} if report is None else report, sigma_invariant, unitary)
+
+    def _diagnostics(self):
+        if self._diagnosed is None:
+            self._diagnosed, self._diagnose = self._diagnose(), None
+        return self._diagnosed
+
+    report = property(lambda self: self._diagnostics()[0])
+    sigma_invariant = property(lambda self: self._diagnostics()[1])
+    unitary = property(lambda self: self._diagnostics()[2])
 
     @property
     def chart(self):
@@ -194,20 +216,27 @@ def fill_in(
     Without ``h``: joint least squares of d_A phi = d_A psi = 0 over exactly
     sigma-invariant component pairs.  With ``h``: least squares of
     d_A phi = 0 over the exactly-unitary sigma-invariant family through the
-    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.
+    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.  The
+    report (compatibility residuals, sigma and unitarity defects, warnings)
+    and the two flags are computed when first read.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
-    ch = phi.chart
     if h is not None:
-        psi_eff = hermitian_adjoint_field(phi, h)
         a1, a2, rep = _fill_in_unitary(phi, h, boundary, method)
     else:
         if psi is None:
             raise ValueError("fill_in needs either psi or h")
-        psi_eff = psi
         a1, a2, rep = _fill_in_sigma(phi, psi, boundary, method)
-    a_form = LieForm(ch, 1, d1=a1, d2=a2)
+    a_form = LieForm(phi.chart, 1, d1=a1, d2=a2)
+    return ConnectionField(A=a_form, diagnose=lambda: _fill_in_report(phi, psi, h, a_form, rep, boundary))
+
+
+def _fill_in_report(phi, psi, h, a_form, rep, boundary):
+    """``rep`` completed by the diagnostics of ``fill_in``, and the
+    (sigma_invariant, unitary) flags."""
+    ch, a1, a2 = phi.chart, a_form.d1, a_form.d2
+    psi_eff = psi if h is None else hermitian_adjoint_field(phi, h)
     mask = ch.mask()
     r_phi = _compat_residual(phi, a1, a2, boundary)
     r_psi = _compat_residual(psi_eff, a1, a2, boundary)
@@ -226,7 +255,7 @@ def fill_in(
         rep["warnings"].append(
             f"phi-compatibility residual {rep['compat_residual_phi']:.3e} above the h^2 floor"
         )
-    return ConnectionField(A=a_form, sigma_invariant=sig_ok, unitary=uni_ok, report=rep)
+    return rep, sig_ok, uni_ok
 
 
 def _fill_in_sigma(phi, psi, boundary, method):
@@ -251,26 +280,29 @@ def _fill_in_sigma(phi, psi, boundary, method):
     return a1, a2, {"mode": "sigma-pair"}
 
 
-def _unitary_base(phi, h, boundary):
-    ch = phi.chart
-    hinv = h.inv()
-    a0_1 = hinv @ dz_array(ch, h.data, boundary)
-    a0_2 = np.zeros_like(a0_1)
-    return a0_1, a0_2
+def _unitary_base(h, boundary):
+    """The Chern-like base point (h^-1 dh, 0), once per field and boundary."""
+    a0_1 = h.derived(("chern", boundary), lambda: h.inv() @ dz_array(h.chart, h.data, boundary))
+    return a0_1, np.zeros_like(a0_1)
 
 
-def _unitary_cols(phi, h, basis):
-    """Real-linear columns of the phi-compat residual over the unitary family."""
+def _h_adjoints(h, basis):
+    """The h-adjoint of each constant direction in ``basis``, one grid at a time."""
+    npt = h.chart.nx * h.chart.ny
+    hh, hinv = h.data.reshape(npt, h.n, h.n), h.inv().reshape(npt, h.n, h.n)
+    return (fiber.h_adjoint(s, hh, hinv) for s in basis)
+
+
+def _unitary_cols(phi, basis, sstars):
+    """Real-linear columns of the phi-compat residual over the unitary family;
+    ``sstars`` yields the h-adjoints of the ``basis`` directions."""
     ch = phi.chart
     n = phi.n
     npt = ch.nx * ch.ny
     p1 = phi.d1.reshape(npt, n, n)
     p2 = phi.d2.reshape(npt, n, n)
-    hh = h.data.reshape(npt, n, n)
-    hinv = h.inv().reshape(npt, n, n)
     cols = []
-    for s in basis:
-        sstar = fiber.h_adjoint(s, hh, hinv)  # h-adjoint of the direction
+    for s, sstar in zip(basis, sstars):
         br1 = fiber.commutator(s, p2)
         br2 = fiber.commutator(sstar, p1)
         cols.append((br1 + br2).reshape(npt, -1))  # real part direction
@@ -278,13 +310,13 @@ def _unitary_cols(phi, h, basis):
     return cols
 
 
-def _unitary_system(phi, h, basis, boundary):
+def _unitary_system(phi, h, basis, sstars, boundary):
     """Base point, realified columns and right-hand side of the phi-compat
     least squares over the unitary family through the base point."""
     npt = phi.chart.nx * phi.chart.ny
-    a0_1, a0_2 = _unitary_base(phi, h, boundary)
+    a0_1, a0_2 = _unitary_base(h, boundary)
     r0 = _compat_residual(phi, a0_1, a0_2, boundary).reshape(npt, -1)
-    mats = _realify_rows(np.stack(_unitary_cols(phi, h, basis), axis=-1))  # (npt, 2n^2, 2d)
+    mats = _realify_rows(np.stack(_unitary_cols(phi, basis, sstars), axis=-1))  # (npt, 2n^2, 2d)
     y = _realify_rows((-r0)[..., None])[..., 0]
     return a0_1, a0_2, mats, y
 
@@ -300,7 +332,10 @@ def _unitary_member(phi, h, basis, coef, a0_1, a0_2):
 
 def _fill_in_unitary(phi, h, boundary, method):
     basis = fiber.sigma_plus_basis(phi.n)
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, boundary)
+    # every Newton-map evaluation calls fill_in with the same h, so the
+    # adjoints of its directions are kept on the field
+    sstars = h.derived("sigma_adjoints", lambda: tuple(_h_adjoints(h, basis)))
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, sstars, boundary)
     coef = _solve_batched(mats, y, method, "fill_in(unitary)")
     a1, a2 = _unitary_member(phi, h, basis, coef, a0_1, a0_2)
     return a1, a2, {"mode": "unitary"}
@@ -345,7 +380,7 @@ def inject_covector(
     ch = phi.chart
     npt = ch.nx * ch.ny
     basis = fiber.sl_basis(n)
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, boundary)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, _h_adjoints(h, basis), boundary)
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
     powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
     a0m = fiber.sigma_split(a0_1)[1].reshape(npt, n, n)

@@ -56,6 +56,7 @@ __all__ = [
     "solve_linear",
     "conjugate_field",
     "expm_batch",
+    "expm_pair",
     "newton_continuation",
     "positivity_margin_field",
     "energy_identity_sides",
@@ -66,27 +67,34 @@ __all__ = [
 # small batched linear algebra
 
 
-def expm_batch(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential over leading axes via scaling and squaring."""
+def expm_pair(x: np.ndarray):
+    """(e^x, e^-x) over leading axes via scaling and squaring, from one Taylor
+    chain: the k-th term of e^-x is exactly (-1)^k times that of e^x (rounding
+    is symmetric under negation), so one chain of 16 products feeds both sums,
+    and each sum is squared s times.  e^-x is bitwise ``expm_batch(-x)``."""
     x = np.asarray(x, dtype=complex)
     nrm = np.abs(x).sum(axis=-1).max() if x.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.25))))
     y = x / (2.0**s)
-    n = x.shape[-1]
-    out = np.broadcast_to(np.eye(n, dtype=complex), x.shape).copy()
-    term = out.copy()
+    plus = np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape).copy()
+    minus, term = plus.copy(), plus.copy()
     for k in range(1, 17):
         term = term @ y / k
-        out = out + term
+        plus = plus + term
+        minus = minus - term if k % 2 else minus + term
     for _ in range(s):
-        out = out @ out
-    return out
+        plus, minus = plus @ plus, minus @ minus
+    return plus, minus
+
+
+def expm_batch(x: np.ndarray) -> np.ndarray:
+    """Matrix exponential over leading axes: the e^x of ``expm_pair``."""
+    return expm_pair(x)[0]
 
 
 def conjugate_field(phi: LieForm, eta: LieForm) -> LieForm:
     """Pointwise e^{-eta} Phi e^{eta} on each component."""
-    g = expm_batch(eta.d0)
-    gi = expm_batch(-eta.d0)
+    g, gi = expm_pair(eta.d0)
     if phi.degree == 1:
         return LieForm(phi.chart, 1, d1=gi @ phi.d1 @ g, d2=gi @ phi.d2 @ g)
     return LieForm(phi.chart, phi.degree, d0=gi @ phi.d0 @ g)
@@ -541,6 +549,8 @@ def _cg(ctx: LinearizedContext, rhs_coords, cfg: NewtonConfig, precond=None):
     b_norm = np.sqrt(space.dot(rhs_coords, rhs_coords))
     if b_norm == 0.0:
         return x, {"iterations": 0, "residuals": [0.0], "rayleigh_min": None}
+    if not np.isfinite(b_norm):
+        raise NonConvergenceError("CG residual is not finite at iteration 0: the right-hand side has a NaN or inf")
     hist = []
     rayleigh_min = np.inf
     for it in range(cfg.max_cg):
@@ -557,6 +567,8 @@ def _cg(ctx: LinearizedContext, rhs_coords, cfg: NewtonConfig, precond=None):
         r = r - alpha * mp
         rn = np.sqrt(space.dot(r, r)) / b_norm
         hist.append(float(rn))
+        if not np.isfinite(rn):
+            raise NonConvergenceError(f"CG residual is not finite at iteration {it + 1}", history=hist)
         if rn <= cfg.cg_tol:
             return x, {"iterations": it + 1, "residuals": hist, "rayleigh_min": float(rayleigh_min)}
         z = apply_p(r)
@@ -605,9 +617,10 @@ def _check_mu_target(base: FuchsianData, mu: BeltramiField):
 
 def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: NewtonConfig):
     """Continuation along (s mu_3, ..., s^{n-2} mu_n) with Newton on the
-    conjugating gauge field eta; returns (eta, report dict).  Each step starts
-    from the secant predictor 2 eta_k - eta_{k-1} and runs chord Newton: the
-    linearization built at its first iteration serves every later one.  A raised
+    conjugating gauge field eta; returns (eta, report dict), the report holding
+    also the final conjugated field ``phi`` and its ``connection``.  Each step
+    starts from the secant predictor 2 eta_k - eta_{k-1} and runs chord Newton:
+    the linearization built at its first iteration serves every later one.  A raised
     NonConvergenceError or PositivityError carries the finished steps' records
     as ``per_step``."""
     t0 = time.perf_counter()
@@ -625,8 +638,8 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
         return space.moments(curv.d0), phi_c, conn, curv
 
     zeros = np.zeros((ch.nx, ch.ny, space.dim))
-    base_moments, _, _, base_curv = curvature_moments(base.Phi, zeros)
-    floor = sup_norm(base_curv, mask=ch.interior())
+    base_moments, phi_c, conn, curv = curvature_moments(base.Phi, zeros)
+    floor = sup_norm(curv, mask=ch.interior())
 
     def gmap(phi_field, eta_coords):
         mom, phi_c, conn, curv = curvature_moments(phi_field, eta_coords)
@@ -703,6 +716,8 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
         "eta_sup": float(np.sqrt(np.sum(np.abs(eta.d0) ** 2, axis=(-2, -1))).max()),
         "projection_defect": recon_defect,
         "wall_time_s": time.perf_counter() - t0,
+        "phi": phi_c,
+        "connection": conn,
     }
     if cfg.fd_check:
         report["fd_checks"] = fd_checks

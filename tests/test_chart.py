@@ -1,7 +1,12 @@
+import csv
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from fockbench import chart as chm
 from fockbench.errors import DomainMismatchError
@@ -24,6 +29,27 @@ def test_disk_mask_and_band():
     assert m.sum() > 0 and band.sum() > 0
     assert not (inner & band).any()
     assert (inner | band).sum() == m.sum()
+
+
+@pytest.mark.parametrize("chart", [chm.disk_chart(33, 33, 0.5), chm.disk_chart(20, 27, 0.4), chm.periodic_chart(12, 10)])
+def test_chart_masks_are_cached_read_only(chart):
+    m, band, inner = chart.mask(), chart.boundary_band(), chart.interior()
+    assert chart.mask() is m and chart.boundary_band() is band and chart.interior() is inner
+    for arr in (m, band, inner):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = True
+    # a fresh computation: the disk test and two cross-shaped erosions
+    if chart.periodic:
+        fresh_m = np.ones((chart.nx, chart.ny), dtype=bool)
+        fresh_inner = fresh_m
+    else:
+        x, y = chart.xy()
+        fresh_m = x * x + y * y < chart.radius**2 * (1 - 1e-12)
+        fresh_inner = ndimage.binary_erosion(fresh_m, iterations=2, border_value=0)
+    assert np.array_equal(m, fresh_m)
+    assert np.array_equal(band, fresh_m & ~fresh_inner)
+    assert np.array_equal(inner, fresh_inner)
 
 
 def test_partial_constant_and_linear():
@@ -261,3 +287,110 @@ def test_csv_roundtrip(tmp_path):
     with open(p2) as fh:
         header = fh.readline().strip()
     assert header == "i,j,row,col,comp,re,im"
+
+
+# ---------------------------------------------------------------------------
+# CSV writers: bitwise round trips and the bytes of the csv-module writer
+
+
+def _oracle_rows(rows):
+    """What csv.writer made of the rows, with floats through f"{v:.17g}"."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return out.getvalue().encode()
+
+
+def _oracle_scalar(data):
+    rows = [["i", "j", "re", "im"]]
+    rows += [[i, j, float(v.real), float(v.imag)] for (i, j), v in np.ndenumerate(data)]
+    return _oracle_rows(rows)
+
+
+def _oracle_matrix(grids):
+    rows = [["i", "j", "row", "col", "comp", "re", "im"]]
+    for comp, grid in grids:
+        rows += [[*idx, comp, float(v.real), float(v.imag)] for idx, v in np.ndenumerate(grid)]
+    return _oracle_rows(rows)
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e-308, np.inf, -np.inf,
+]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False))
+
+
+@st.composite
+def _grids(draw, matrix, count=1):
+    """(chart, [complex grid] * count): values drawn from a small pool of
+    floats (edge cases among them), spread over the grids by a drawn seed."""
+    chart = chm.periodic_chart(draw(st.integers(8, 10)), draw(st.integers(8, 10)))
+    shape = (chart.nx, chart.ny)
+    if matrix:
+        n = draw(st.integers(2, 3))
+        shape += (n, n)
+    pool = np.array(draw(st.lists(_FLOATS, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for _ in range(count):
+        grid = np.empty(shape, dtype=complex)
+        grid.real = rng.choice(pool, size=shape)  # set part by part: no arithmetic touches the bits
+        grid.imag = rng.choice(pool, size=shape)
+        grids.append(grid)
+    return chart, grids
+
+
+def _bits(a):
+    return None if a is None else np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grids(matrix=False))
+def test_scalar_csv_round_trip_and_bytes(tmp_path_factory, drawn):
+    chart, (grid,) = drawn
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    chm.save_scalar_csv(path, chm.ScalarField(chart, grid))
+    assert path.read_bytes() == _oracle_scalar(grid)
+    assert _bits(chm.load_scalar_csv(path, chart).data) == _bits(grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grids(matrix=True, count=2), st.sampled_from([0, 1, 2]))
+def test_lieform_and_matrix_csv_round_trip_and_bytes(tmp_path_factory, drawn, degree):
+    chart, (grid, second) = drawn
+    n = grid.shape[-1]
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    if degree == 1:
+        form = chm.LieForm(chart, 1, d1=grid, d2=second)
+        grids = [("dz", grid), ("dzb", second)]
+    else:
+        form = chm.LieForm(chart, degree, d0=grid)
+        grids = [("0", grid)]
+    chm.save_lieform_csv(path, form)
+    assert path.read_bytes() == _oracle_matrix(grids)
+    back = chm.load_lieform_csv(path, chart, degree, n)
+    assert [_bits(back.d0), _bits(back.d1), _bits(back.d2)] == [_bits(form.d0), _bits(form.d1), _bits(form.d2)]
+    chm.save_matrix_field_csv(path, chart, grid)
+    assert path.read_bytes() == _oracle_matrix([("0", grid)])
+    assert _bits(chm.load_matrix_field_csv(path, chart, n)) == _bits(grid)
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("x,y,re,im\r\n0,0,1,0\r\n", "line 1: bad scalar field header"),
+        ("i,j,re,im\r\n0,0,1,0\r\n12,3,1,0\r\n", "line 3: index (12, 3) outside the 12 x 12 grid"),
+        ("i,j,re,im\r\n0,-1,1,0\r\n", "line 2: index (0, -1) outside the 12 x 12 grid"),
+        ("i,j,re,im\r\n0,0,one,0\r\n", "line 2: malformed row"),
+        ("i,j,re,im\r\n0,0,1\r\n", "line 2: malformed row"),
+    ],
+    ids=["bad-header", "index-outside", "negative-index", "not-a-number", "short-row"],
+)
+def test_load_scalar_csv_names_path_and_line(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body.encode())
+    with pytest.raises(ValueError) as info:
+        chm.load_scalar_csv(path, chm.periodic_chart(12, 12))
+    assert str(path) in str(info.value) and where in str(info.value)

@@ -282,6 +282,29 @@ def test_non_finite_field_data_is_config_error(tmp_path, capsys):
     assert "beltrami['3'] is not finite at grid point (3, 5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("x,y,re,im\r\n0,0,0,0\r\n", "line 1: bad scalar field header"),
+        ("i,j,re,im\r\n0,0,0,0\r\n99,3,0,0\r\n", "line 3: index (99, 3) outside the 12 x 12 grid"),
+        ("i,j,re,im\r\n-1,3,0,0\r\n", "line 2: index (-1, 3) outside the 12 x 12 grid"),
+    ],
+    ids=["bad-header", "index-outside", "negative-index"],
+)
+def test_malformed_field_file_is_config_error(tmp_path, capsys, body, message):
+    path = tmp_path / "mu3.csv"
+    path.write_bytes(body.encode())
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "periodic-rect", "nx": 12, "ny": 12},
+        "beltrami": {"3": {"type": "file", "path": str(path)}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    err = capsys.readouterr().err
+    assert f"beltrami['3']: {path}, {message}" in err
+
+
 def test_nan_final_residual_is_a_failure(tmp_path, capsys, monkeypatch):
     newton_continuation = sv.newton_continuation
 

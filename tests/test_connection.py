@@ -140,6 +140,96 @@ def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _eager_report(phi, psi, h, conn, boundary):
+    """The report fill_in computed eagerly before it became lazy, written out."""
+    ch, a1, a2 = phi.chart, conn.A.d1, conn.A.d2
+    mask = ch.mask()
+
+    def compat(f):
+        df = chm.exterior_d(f, boundary).d0
+        return np.abs((df + a1 @ f.d2 - f.d2 @ a1 - (a2 @ f.d1 - f.d1 @ a2))[mask]).max()
+
+    rep = {"mode": "unitary" if h is not None else "sigma-pair"}
+    rep["compat_residual_phi"] = float(compat(phi))
+    rep["compat_residual_psi"] = float(compat(cn.hermitian_adjoint_field(phi, h) if h is not None else psi))
+    rep["sigma_defect"] = cn.sigma_defect(conn.A)
+    sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1).max()))
+    uni = False
+    if h is not None:
+        rep["unitarity_defect"] = cn.unitarity_defect(conn.A, h, boundary)
+        uni = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
+    rep["warnings"] = []
+    if rep["compat_residual_phi"] > max(ch.hx * ch.hx * 10.0 * max(1.0, cn.sup_norm(phi)) * 100.0, 1e-6):
+        rep["warnings"].append(f"phi-compatibility residual {rep['compat_residual_phi']:.3e} above the h^2 floor")
+    return rep, sig, uni
+
+
+def _fill_in_cases():
+    ch = chm.disk_chart(32, 32, 0.5)
+    _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
+    yield phi, None, h, "rect"
+    rng = np.random.default_rng(8)
+    per = chm.periodic_chart(16, 16)
+    mu = chm.BeltramiField(per, 3, {k: chm.random_smooth_scalar(per, rng, amplitude=0.3).data for k in (2, 3)})
+    phi = hf.fock_form(per, mu)
+    h = cn.identity_hermitian(per, 3)
+    yield phi, None, h, "auto"
+    yield phi, cn.hermitian_adjoint_field(phi, h), None, "auto"
+
+
+def test_fill_in_report_is_computed_when_read(monkeypatch):
+    counts = {"sigma_defect": 0, "unitarity_defect": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cn, name, counting(name, getattr(cn, name)))
+    for phi, psi, h, boundary in _fill_in_cases():
+        counts.update(sigma_defect=0, unitarity_defect=0)
+        conn = cn.fill_in(phi, psi, h=h, boundary=boundary)
+        _ = conn.A, conn.chart
+        assert counts == {"sigma_defect": 0, "unitarity_defect": 0}  # the solve alone computes no diagnostics
+        flags, report = (conn.sigma_invariant, conn.unitary), conn.report
+        assert counts == {"sigma_defect": 1, "unitarity_defect": int(h is not None)}  # once, for every read
+        want_report, *want_flags = _eager_report(phi, psi, h, conn, boundary)
+        assert flags == tuple(want_flags)
+        assert report == want_report and list(report) == list(want_report)
+
+
+def test_hermitian_field_pieces_are_cached_read_only():
+    ch = chm.disk_chart(16, 16, 0.5)
+    _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
+    cn.fill_in(phi, h=h, boundary="rect")
+    cn.inject_covector(phi, h, chm.BeltramiField(ch, 3, {}), boundary="rect")
+    npt, n = ch.nx * ch.ny, 3
+    hh, hinv = h.data.reshape(npt, n, n), np.linalg.inv(h.data).reshape(npt, n, n)
+    fresh = {
+        "inv": np.linalg.inv(h.data),
+        ("chern", "rect"): np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
+    }
+    fresh["sigma_adjoints"] = tuple(fiber.h_adjoint(s, hh, hinv) for s in fiber.sigma_plus_basis(n))
+    cached = h._derived
+    assert set(cached) == set(fresh)  # inject_covector's sl_n adjoints are used once and not kept
+    for key, value in cached.items():
+        got = value if isinstance(value, tuple) else (value,)
+        want = fresh[key] if isinstance(fresh[key], tuple) else (fresh[key],)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        for arr in got:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert h.inv() is cached["inv"]
+    assert cn._unitary_base(h, "rect")[0] is cached[("chern", "rect")]
+
+
 def test_curvature_total_basics():
     ch = chm.periodic_chart(12, 12)
     n = 2

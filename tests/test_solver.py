@@ -40,6 +40,23 @@ def test_expm_batch_matches_scipy():
         assert np.abs(got[i] - scipy_expm(x[i])).max() < 1e-12
 
 
+def _bits(a):
+    """The raw bytes of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_expm_pair_is_bitwise_expm_batch(scale):
+    rng = np.random.default_rng(4)
+    for shape in ((6, 5, 3, 3), (7, 2, 2), (4, 4, 4)):
+        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        plus, minus = sv.expm_pair(x)
+        assert _bits(plus) == _bits(sv.expm_batch(x))
+        assert _bits(minus) == _bits(sv.expm_batch(-x))
+    zero = np.zeros((3, 3, 2, 2), dtype=complex)
+    assert all(_bits(e) == _bits(np.broadcast_to(np.eye(2, dtype=complex), zero.shape)) for e in sv.expm_pair(zero))
+
+
 def test_conjugate_field_identities():
     ch = chm.periodic_chart(12, 12)
     n = 2
@@ -421,6 +438,62 @@ def test_nan_residual_is_not_convergence(monkeypatch):
     monkeypatch.setattr(sv, "curvature_total", poisoned)
     with pytest.raises(NonConvergenceError):
         sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=1, max_cg=5))
+
+
+def test_cg_stops_at_once_on_non_finite_residual(monkeypatch):
+    # with the default max_cg: a NaN Newton residual reaches CG as its
+    # right-hand side, and CG fails before its first matvec
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
+    curvature_total, apply_coords = sv.curvature_total, sv.LinearizedContext.apply_coords
+    calls, applies = [], []
+
+    def poisoned(*args, **kwargs):
+        curv = curvature_total(*args, **kwargs)
+        if calls:
+            curv.d0[8, 8] = np.nan
+        calls.append(1)
+        return curv
+
+    def counted(ctx, coords):
+        applies.append(1)
+        return apply_coords(ctx, coords)
+
+    monkeypatch.setattr(sv, "curvature_total", poisoned)
+    monkeypatch.setattr(sv.LinearizedContext, "apply_coords", counted)
+    cfg = sv.NewtonConfig(continuation_steps=1)
+    assert cfg.max_cg == 4000
+    with pytest.raises(NonConvergenceError, match="residual is not finite at iteration 0"):
+        sv.newton_continuation(fd, mu, cfg)
+    assert applies == []
+    # a NaN that appears inside the iteration stops CG at that iteration
+    ctx = sv.LinearizedContext(fd.Phi, fd.A, fd.h)
+    rhs = ctx.space.moments(np.broadcast_to(fiber.sigma_plus_basis(3)[0], fd.Phi.d1.shape))
+
+    def nan_on_third(ctx_, coords):
+        applies.append(1)
+        out = apply_coords(ctx_, coords)
+        return out * np.nan if len(applies) == 3 else out
+
+    monkeypatch.setattr(sv.LinearizedContext, "apply_coords", nan_on_third)
+    with pytest.raises(NonConvergenceError, match="residual is not finite at iteration 3") as info:
+        sv._cg(ctx, rhs, sv.NewtonConfig())
+    assert len(applies) == 3 and len(info.value.history) == 3
+
+
+def test_newton_report_holds_the_final_field_and_connection():
+    # what the CLI writes as phi.csv and A.csv without recomputing them
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
+    for m in (mu, chm.BeltramiField(ch, 3, {})):
+        eta, rep = sv.newton_continuation(fd, m, sv.NewtonConfig(continuation_steps=2, preconditioner="jacobi"))
+        phi = sv.conjugate_field(hf.fock_form(ch, m), eta)
+        conn = cn.fill_in(phi, h=fd.h, boundary="rect")
+        for got, want in ((rep["phi"].d1, phi.d1), (rep["phi"].d2, phi.d2),
+                          (rep["connection"].A.d1, conn.A.d1), (rep["connection"].A.d2, conn.A.d2)):
+            assert _bits(got) == _bits(want)
 
 
 def test_newton_continuation_fd_check_recorded():
