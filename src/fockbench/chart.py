@@ -409,10 +409,30 @@ def save_scalar_csv(path, f: ScalarField):
         _write_rows(fh, f.data, "%d,%d,%.17g,%.17g\r\n")
 
 
+def _index_text(shape):
+    """Per axis, each valid index keyed by its decimal text, so that one dict
+    lookup both parses and range-checks an index field."""
+    return [{str(k): k for k in range(size)} for size in shape]
+
+
+def _parse_index(path, line, row, fields, shape):
+    """The index of a row whose index fields are not all in-range decimal
+    text: parsed by ``int``, or a ValueError naming path and line."""
+    try:
+        idx = tuple(int(f) for f in fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {line}: malformed row {row} ({exc})") from exc
+    if not all(0 <= k < size for k, size in zip(idx, shape)):
+        raise ValueError(f"{path}, line {line}: index {idx} outside the {' x '.join(map(str, shape))} grid")
+    return idx
+
+
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
     """Read a scalar field; a bad header, a malformed row or an index outside
     the grid (negative ones included) is a ValueError naming path and line."""
-    data = np.zeros((chart.nx, chart.ny), dtype=complex)
+    shape = (chart.nx, chart.ny)
+    rows, cols = _index_text(shape)
+    data = np.zeros(shape, dtype=complex)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
@@ -420,14 +440,14 @@ def load_scalar_csv(path, chart: Chart) -> ScalarField:
             raise ValueError(f"{path}, line 1: bad scalar field header {header}")
         for row in r:
             try:
-                i, j, v = int(row[0]), int(row[1]), complex(float(row[2]), float(row[3]))
+                i, j, v = row[0], row[1], complex(float(row[2]), float(row[3]))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}, line {r.line_num}: malformed row {row} ({exc})") from exc
-            if not (0 <= i < chart.nx and 0 <= j < chart.ny):
-                raise ValueError(
-                    f"{path}, line {r.line_num}: index ({i}, {j}) outside the {chart.nx} x {chart.ny} grid"
-                )
-            data[i, j] = v
+            try:
+                idx = rows[i], cols[j]
+            except KeyError:
+                idx = _parse_index(path, r.line_num, row, (i, j), shape)
+            data[idx] = v
     return ScalarField(chart, data)
 
 
@@ -446,20 +466,43 @@ def save_lieform_csv(path, form: LieForm):
 
 
 def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
+    """Read a Lie-valued form; a bad header, a malformed row, an index outside
+    the grid or the matrix (negative ones included), a component label the
+    degree does not have, or a missing component is a ValueError naming the
+    path (and the line)."""
+    comps = ("dz", "dzb") if degree == 1 else ("0",)
+    shape = (chart.nx, chart.ny, n, n)
+    rows, cols, entries = _index_text(shape[:3])
     grids = {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:7] != ["i", "j", "row", "col", "comp", "re", "im"]:
-            raise ValueError(f"bad field header in {path}: {header}")
+            raise ValueError(f"{path}, line 1: bad field header {header}")
         for row in r:
-            g = grids.get(row[4])
+            try:
+                i, j, a, b, comp, re, im = row
+                v = complex(float(re), float(im))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {r.line_num}: malformed row {row} ({exc})") from exc
+            try:
+                idx = rows[i], cols[j], entries[a], entries[b]
+            except KeyError:
+                idx = _parse_index(path, r.line_num, row, (i, j, a, b), shape)
+            g = grids.get(comp)
             if g is None:
-                g = grids[row[4]] = np.zeros((chart.nx, chart.ny, n, n), dtype=complex)
-            g[int(row[0]), int(row[1]), int(row[2]), int(row[3])] = complex(float(row[5]), float(row[6]))
+                if comp not in comps:
+                    raise ValueError(
+                        f"{path}, line {r.line_num}: component {comp!r} is not one of {comps} of a degree-{degree} form"
+                    )
+                g = grids[comp] = np.zeros(shape, dtype=complex)
+            g[idx] = v
+    missing = [c for c in comps if c not in grids]
+    if missing:
+        raise ValueError(f"{path}: no rows of component {missing[0]!r} of a degree-{degree} form")
     if degree == 1:
-        return LieForm(chart, 1, d1=grids.get("dz"), d2=grids.get("dzb"))
-    return LieForm(chart, degree, d0=grids.get("0"))
+        return LieForm(chart, 1, d1=grids["dz"], d2=grids["dzb"])
+    return LieForm(chart, degree, d0=grids["0"])
 
 
 def save_matrix_field_csv(path, chart: Chart, grid):

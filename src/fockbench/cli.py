@@ -56,7 +56,7 @@ def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -233,37 +233,65 @@ def _cmd_fiber_verify(args) -> int:
 # point-verify
 
 
-def _cmd_point_verify(args) -> int:
-    n = args.n
-    rng = np.random.default_rng(args.seed)
-    rep = SolveReport(command="point-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
-    t0 = time.perf_counter()
-    worst = {"reconstruction": 0.0, "dims": 0, "gram_vs_contraction": 0, "q_involution": 0.0}
-    for _ in range(args.samples):
+# Certified samples are evaluated in blocks of this many.  Larger blocks save no
+# time but raise peak memory: at n = 4, 200 samples in one block add 27 MB to
+# the process's peak, in blocks of 32 they add 7 MB.
+POINT_BLOCK = 32
+
+
+def _draw_certified(n, samples, rng):
+    """Draw and certify the samples in order: mu, then two random traceless
+    matrices for omega if mu certified.  Returns the certified phi2 (S, n, n),
+    the omega fibers (S, 2, n, n) and how many mu were degenerate."""
+    phi2, omega = [], []
+    for _ in range(samples):
         mu = 0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         try:
             pt = fp.fock_point(n, mu)
         except DegenerateStructureError:
             continue
-        star = fp.FormFiber(fiber.dagger(pt.phi2), fiber.dagger(pt.phi1))
-        om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
-        parts = fp.four_way_decompose(om, pt, star)
-        resid = (parts[0] + parts[1] + parts[2] + parts[3] - om).norm() / max(om.norm(), 1e-300)
-        worst["reconstruction"] = max(worst["reconstruction"], resid)
-        if fp.phi_cohomology_dims(pt) != (n - 1, 2 * (n - 1), n - 1):
-            worst["dims"] += 1
-        pos = fp.is_positive(pt)
-        s = fp.contraction_norm(pt)
-        eps = fp.EPS_POS
-        pos_c = s * s < (1 - eps) / (1 + eps)
-        worst["gram_vs_contraction"] += int(pos != pos_c)
-        x = fiber.sigma_plus_basis(n)[0]
-        om2 = fp.FormFiber(x, 0.5 * x)
-        if pos:
-            q2 = fp.q_involution(fp.q_involution(om2, pt, star), pt, star)
-            worst["q_involution"] = max(worst["q_involution"], (q2 - om2).norm())
+        phi2.append(pt.phi2)
+        omega.append((fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)))
+    return np.array(phi2).reshape(-1, n, n), np.array(omega).reshape(-1, 2, n, n), samples - len(phi2)
+
+
+def _verify_block(phi2, omega, worst) -> int:
+    """Fold the checks of one block of certified points into ``worst``; returns
+    how many of them are positive."""
+    n = phi2.shape[-1]
+    f = fiber.principal_nilpotent(n)
+    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
+    parts = fw.split(omega)
+    resid = fp.fiber_norms(parts.sum(axis=0) - omega) / np.maximum(fp.fiber_norms(omega), 1e-300)
+    worst["reconstruction"] = max(worst["reconstruction"], float(resid.max()))
+    worst["dims"] += int(np.any(fp.cohomology_dims(f, phi2) != (n - 1, 2 * (n - 1), n - 1), axis=-1).sum())
+    eps = fp.EPS_POS
+    pos = fp.positivity_margins(f, phi2) > eps
+    s = fp.contraction_norms(f, phi2)
+    worst["gram_vs_contraction"] += int(np.sum(pos != (s * s < (1 - eps) / (1 + eps))))
+    x = fiber.sigma_plus_basis(n)[0]
+    om2 = np.broadcast_to(np.stack([x, 0.5 * x]), (int(pos.sum()), 2, n, n))
+    fw_pos = fw[pos]
+    q2 = fw_pos.q_involution(fw_pos.q_involution(om2))
+    worst["q_involution"] = max(worst["q_involution"], float(fp.fiber_norms(q2 - om2).max(initial=0.0)))
+    return len(om2)
+
+
+def _cmd_point_verify(args) -> int:
+    n = args.n
+    rng = np.random.default_rng(args.seed)
+    rep = SolveReport(command="point-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
+    t0 = time.perf_counter()
+    phi2, omega, skipped = _draw_certified(n, args.samples, rng)
+    t1 = time.perf_counter()
+    worst = {"reconstruction": 0.0, "dims": 0, "gram_vs_contraction": 0, "q_involution": 0.0}
+    positive = 0
+    for lo in range(0, len(phi2), POINT_BLOCK):
+        positive += _verify_block(phi2[lo : lo + POINT_BLOCK], omega[lo : lo + POINT_BLOCK], worst)
+    t2 = time.perf_counter()
     rep.residual_norms = worst
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
+    rep.iteration_traces = {"samples_checked": len(phi2), "degenerate_skipped": skipped, "positive": positive}
+    rep.timings.update(wall_time_s=t2 - t0, certify_s=t1 - t0, batched_s=t2 - t1)
     if worst["reconstruction"] > 1e-10:
         rep.fail("four-way reconstruction above 1e-10")
     if worst["dims"] or worst["gram_vs_contraction"]:
@@ -485,11 +513,14 @@ def run(argv) -> int:
             except (argparse.ArgumentError, SystemExit) as exc:
                 sys.stderr.write(f"bad arguments: {exc}\n")
                 return EXIT_CONFIG
-            if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
             if args.n < 2:
                 sys.stderr.write("--n must be >= 2\n")
                 return EXIT_CONFIG
+            if cmd == "point-verify" and args.samples < 1:
+                sys.stderr.write("--samples must be >= 1\n")
+                return EXIT_CONFIG
+            if args.out is not None:
+                os.makedirs(args.out, exist_ok=True)
             return _cmd_fiber_verify(args) if cmd == "fiber-verify" else _cmd_point_verify(args)
         p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
         p.add_argument("--config", required=True)

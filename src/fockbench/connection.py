@@ -132,10 +132,19 @@ class ConnectionField:
         self.A = A
         self._diagnose = diagnose
         self._diagnosed = None if diagnose else ({} if report is None else report, sigma_invariant, unitary)
+        self._known = {}
+
+    def note(self, key, value):
+        """Set ``report[key]`` to a value the caller already has, without
+        computing the rest of the report before it is read."""
+        self._known[key] = value
+        if self._diagnosed is not None:
+            self._diagnosed[0][key] = value
 
     def _diagnostics(self):
         if self._diagnosed is None:
             self._diagnosed, self._diagnose = self._diagnose(), None
+            self._diagnosed[0].update(self._known)
         return self._diagnosed
 
     report = property(lambda self: self._diagnostics()[0])

@@ -264,7 +264,8 @@ def centralizer_basis(x: np.ndarray, tol: float = 1e-10):
 
 
 def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: bool = False):
-    """True iff x^n vanishes and the numerical rank of x is n-1.
+    """True iff x^n vanishes and the numerical rank of x is n-1; over a stack
+    (..., n, n), a boolean array with one verdict per matrix.
 
     Rank uses singular values with the relative threshold tol * sigma_max;
     nilpotency compares x^n against tol * sigma_max^n.  ``with_diagnostics``
@@ -273,24 +274,19 @@ def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: b
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
+    n = x.shape[-1]
     s = np.linalg.svd(x, compute_uv=False)
-    smax = s[0] if s[0] > 0 else 0.0
-    power = np.linalg.matrix_power(x, n)
-    if smax == 0.0:
-        ok, diag = False, {"sigma": s, "nilpotency_defect": 0.0, "rank": 0}
-    else:
-        nil_defect = float(np.abs(power).max() / smax**n)
-        rank = int(np.sum(s > tol * smax))
-        ok = nil_defect <= tol and rank == n - 1
-        diag = {
-            "sigma": s,
-            "nilpotency_defect": nil_defect,
-            "rank": rank,
-            "rank_margin": float(s[n - 2] / smax) if n >= 2 else 0.0,
-        }
+    smax = s[..., 0]
+    live = smax > 0
+    scale = np.where(live, smax, 1.0)
+    nil_defect = np.where(live, np.abs(np.linalg.matrix_power(x, n)).max(axis=(-2, -1)) / scale**n, 0.0)
+    rank = np.where(live, np.sum(s > tol * smax[..., None], axis=-1), 0)
+    ok = live & (nil_defect <= tol) & (rank == n - 1)
+    if x.ndim == 2:
+        ok = bool(ok)
     if with_diagnostics:
-        return ok, diag
+        margin = np.where(live, s[..., n - 2] / scale, 0.0)
+        return ok, {"sigma": s, "nilpotency_defect": nil_defect, "rank": rank, "rank_margin": margin}
     return ok
 
 

@@ -28,9 +28,14 @@ __all__ = [
     "positivity_margins",
     "positivity_margin",
     "is_positive",
+    "contraction_norms",
     "contraction_norm",
+    "fiber_norms",
+    "FourWay",
+    "four_way",
     "four_way_decompose",
     "q_involution",
+    "cohomology_dims",
     "phi_cohomology_dims",
     "cohomology_dims_raw",
 ]
@@ -75,12 +80,15 @@ def _critical_direction(mu2):
     return np.exp(1j * (np.angle(mu2) - np.pi) / 2.0)
 
 
+_UNIT_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16)
+
+
 def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
     """Pointwise field pair (F, sum_k mu_k F^{k-1}) from Beltrami data mu_2..mu_n.
 
     Certifies the nilpotency condition on 16 unit directions plus the
-    direction closest to the critical line; the analytic criterion is just
-    |mu_2| != 1.
+    direction closest to the critical line, as one stacked test; the analytic
+    criterion is just |mu_2| != 1.
     """
     mu = tuple(complex(m) for m in mu)
     if len(mu) != n - 1:
@@ -92,15 +100,12 @@ def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
     f = fiber.principal_nilpotent(n)
     powers = fiber.powers(f, n - 1)
     phi2 = sum(mu[k] * powers[k] for k in range(n - 1))
-    if not isinstance(phi2, np.ndarray):
-        phi2 = np.zeros((n, n), dtype=complex)
-    directions = [np.exp(2j * np.pi * k / 16) for k in range(16)]
-    directions.append(_critical_direction(mu[0]))
-    for v in directions:
-        if not fiber.is_principal_nilpotent(v * f + np.conj(v) * phi2, tol=1e-10):
-            raise DegenerateStructureError(
-                f"nilpotency condition failed along direction {v:.3f}"
-            )
+    v = np.append(_UNIT_DIRECTIONS, _critical_direction(mu[0]))[:, None, None]
+    ok = fiber.is_principal_nilpotent(v * f + np.conj(v) * phi2, tol=1e-10)
+    if not ok.all():
+        raise DegenerateStructureError(
+            f"nilpotency condition failed along direction {v[np.argmin(ok), 0, 0]:.3f}"
+        )
     return FockPoint(n=n, phi1=f, phi2=phi2, mu=mu)
 
 
@@ -118,19 +123,31 @@ def _tilde_pair(phi1, phi2, h):
     return s @ phi1 @ si, s @ phi2 @ si
 
 
+def _cat(arrays, axis):
+    """Concatenate stacks of matrices along ``axis`` (-1 or -2) after
+    broadcasting their stack axes, so a matrix the whole stack shares is built
+    once."""
+    lead = np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-2:]) for a in arrays], axis=axis)
+
+
 def _pair_columns(phi1, phi2):
     """ad of the pair (phi1, phi2) against ``sl_basis``: column k stacks
     (vec [phi1, x_k], vec [phi2, x_k])."""
-    basis = fiber.sl_basis(phi1.shape[-1])
-    return np.concatenate([fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)], axis=-2)
+    basis = fiber.sl_basis(phi2.shape[-1])
+    return _cat([fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)], axis=-2)
+
+
+# Batched kernels: each takes stacks of pairs phi1, phi2 (S, n, n), where phi1
+# (and the star's dzbar part) may be one (n, n) matrix the stack shares, and an
+# optional metric stack h (S, n, n).
 
 
 def _grams(phi1, phi2, h=None):
     """Gram matrices of the pseudo pairing on orthonormal frames of Im(ad_Phi)
-    for stacks of pairs (N, n, n) and metrics h (N, n, n) or None, plus
-    whether each frame has the rank n^2 - n of a Fock pair (its singular
-    values keep a 1e-8 relative gap)."""
-    n = phi1.shape[-1]
+    per pair, plus whether each frame has the rank n^2 - n of a Fock pair (its
+    singular values keep a 1e-8 relative gap)."""
+    n = phi2.shape[-1]
     u, s, _ = np.linalg.svd(_pair_columns(*_tilde_pair(phi1, phi2, h)), full_matrices=False)
     rank = n * n - n
     ub = u[..., :rank]
@@ -145,8 +162,122 @@ def positivity_margins(phi1, phi2, h=None):
     return np.where(full_rank, np.linalg.eigvalsh(gram)[:, 0], -1.0)
 
 
+def contraction_norms(phi1, phi2, h=None):
+    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}) per pair.
+
+    Positivity of the Gram pairing is equivalent to this norm being < 1; the
+    exact correspondence is lambda_min = (1 - s^2) / (1 + s^2) with s the norm
+    computed here.
+    """
+    p1, p2 = _tilde_pair(phi1, phi2, h)
+    basis = fiber.sl_basis(p2.shape[-1])
+    c1, c2 = fiber.ad_columns(p1, basis), fiber.ad_columns(p2, basis)
+    return np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2, axis=(-2, -1))
+
+
+def _ranks(m, tol):
+    s = np.linalg.svd(m, compute_uv=False)
+    return np.sum(s > tol * s[..., :1], axis=-1)
+
+
+def cohomology_dims(phi1, phi2, tol: float = 1e-10):
+    """Fiberwise cohomology dimensions (S, 3) of 0-forms -> 1-forms -> 2-forms
+    with differential [phi ^ .], per pair of any matrices."""
+    n = phi2.shape[-1]
+    dim = n * n - 1
+    basis = fiber.sl_basis(n)
+    c1, c2 = fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)
+    # 1-forms -> 2-forms: a-slot -[phi2, a], b-slot [phi1, b]
+    r0, r1 = _ranks(_cat([c1, c2], axis=-2), tol), _ranks(_cat([-c2, c1], axis=-1), tol)
+    return np.stack([dim - r0, 2 * dim - r1 - r0, dim - r1], axis=-1)
+
+
+def fiber_norms(v):
+    """Frobenius norms of a stack of 1-form fibers v (..., 2, n, n), where
+    v[..., 0, :, :] is the dz part and v[..., 1, :, :] the dzbar part."""
+    return np.sqrt(np.sum(np.abs(v) ** 2, axis=(-3, -2, -1)))
+
+
+@dataclass(frozen=True)
+class FourWay:
+    """The splitting Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar + Z(Phi*) dz of
+    1-form fibers over a stack of pairs, factored once by ``four_way``.
+
+    ``matrix`` (S, 2n^2, K) holds the four column blocks, whose columns span
+    the four summands (``spans`` are their column ranges), and ``pinv`` its
+    pseudo-inverse with cutoff 1e-12; each right-hand side then costs three
+    products.  Indexing takes a sub-stack.
+    """
+
+    matrix: np.ndarray
+    pinv: np.ndarray
+    spans: tuple
+
+    def __getitem__(self, idx):
+        return FourWay(self.matrix[idx], self.pinv[idx], self.spans)
+
+    def split(self, v):
+        """The four parts (4, S, 2, n, n) of fibers v (S, 2, n, n).
+
+        Requires the positivity/transversality of the pairs; raises
+        DecompositionError where a reconstruction misses its fiber.
+        """
+        x = self.pinv @ v.reshape(v.shape[:-3] + (self.pinv.shape[-1], 1))
+        parts = np.stack([self.matrix[..., lo:hi] @ x[..., lo:hi, :] for lo, hi in self.spans])
+        parts = parts.reshape((4,) + v.shape)
+        resid = fiber_norms(parts.sum(axis=0) - v)
+        recon = fiber_norms(parts).sum(axis=0)
+        scale = np.maximum(fiber_norms(v), np.where(recon > 0, recon, 1.0))
+        bad = np.flatnonzero(resid > 1e-9 * scale)
+        if bad.size:
+            raise DecompositionError(
+                f"four-way reconstruction residual {resid[bad[0]]:.3e} of stack entry {bad[0]} "
+                "exceeds tolerance (singular pair?)"
+            )
+        return parts
+
+    def q_involution(self, v, tol: float = 1e-8):
+        """Flip the Im(ad_Phi) component of sigma-invariant fibers v (S, 2, n, n)."""
+        axes = (-3, -2, -1)
+        defect = np.abs(fiber.involutions(v.shape[-1]).sigma(v) - v).max(axis=axes, initial=0.0)
+        scale = np.maximum(np.abs(v).max(axis=axes, initial=0.0), 1.0)
+        bad = np.flatnonzero(defect > tol * scale)
+        if bad.size:
+            raise DomainMismatchError(f"q_involution needs a sigma-invariant fiber (defect {defect[bad[0]]:.3e})")
+        w_im, w_im_star, w_z, w_zstar = self.split(v)
+        stray = np.maximum(fiber_norms(w_z), fiber_norms(w_zstar))
+        bad = np.flatnonzero(stray > 1e-8 * np.maximum(fiber_norms(v), 1.0))
+        if bad.size:
+            raise DecompositionError(f"sigma-invariant fiber has centralizer components {stray[bad[0]]:.3e}")
+        return w_im_star - w_im
+
+
+def four_way(phi1, phi2, star_a, star_b) -> FourWay:
+    """Factor the four-way splitting of the pairs (phi1, phi2) with stars
+    (star_a, star_b) = (phi2^*, phi1^*); phi1 and star_b may be shared."""
+    n = phi2.shape[-1]
+
+    def centralizer(x, slot):  # columns vec x^k, k = 1..n-1, in the dz (0) or dzbar (1) slot
+        cols = np.stack(fiber.powers(x, n - 1), axis=-1).reshape(x.shape[:-2] + (n * n, n - 1))
+        zero = np.zeros_like(cols)
+        return np.concatenate([zero, cols] if slot else [cols, zero], axis=-2)
+
+    blocks = [_pair_columns(phi1, phi2), _pair_columns(star_a, star_b), centralizer(phi1, 1), centralizer(star_b, 0)]
+    m = _cat(blocks, axis=-1)
+    ends = np.cumsum([b.shape[-1] for b in blocks]).tolist()
+    return FourWay(m, np.linalg.pinv(m, rcond=1e-12), tuple(zip([0] + ends[:-1], ends)))
+
+
+# Per-point functions: each is a batch of one through the kernels above.
+
+
 def _batch_of_one(phi: FockPoint, h):
     return phi.phi1[None], phi.phi2[None], None if h is None else np.asarray(h)[None]
+
+
+def _four_way_of_one(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
+    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star.a[None], phi_star.b[None])
+    return fw, np.stack([omega.a, omega.b])[None]
 
 
 def gram_matrix(phi: FockPoint, h=None) -> np.ndarray:
@@ -173,34 +304,9 @@ def positivity_margin(phi: FockPoint, h=None) -> float:
 
 
 def contraction_norm(phi: FockPoint, h=None) -> float:
-    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}).
-
-    Positivity of the Gram pairing is equivalent to this norm being < 1; the
-    exact correspondence is lambda_min = (1 - s^2) / (1 + s^2) with s the norm
-    computed here.
-    """
-    p1, p2 = _tilde_pair(phi.phi1, phi.phi2, h)
-    basis = fiber.sl_basis(phi.n)
-    c1, c2 = fiber.ad_columns(p1, basis), fiber.ad_columns(p2, basis)
-    return float(np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2))
-
-
-def _four_way_blocks(phi: FockPoint, phi_star: FormFiber):
-    n = phi.n
-    n2 = n * n
-    blocks = [_pair_columns(phi.phi1, phi.phi2), _pair_columns(phi_star.a, phi_star.b)]
-    zero = np.zeros(n2, dtype=complex)
-    b3 = []
-    for k in range(1, n):
-        zk = np.linalg.matrix_power(phi.phi1, k)
-        b3.append(np.concatenate([zero, zk.reshape(-1)]))
-    blocks.append(np.stack(b3, axis=1))
-    b4 = []
-    for k in range(1, n):
-        wk = np.linalg.matrix_power(phi_star.b, k)
-        b4.append(np.concatenate([wk.reshape(-1), zero]))
-    blocks.append(np.stack(b4, axis=1))
-    return blocks
+    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}); see
+    ``contraction_norms``."""
+    return float(contraction_norms(*_batch_of_one(phi, h))[0])
 
 
 def four_way_decompose(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
@@ -210,63 +316,21 @@ def four_way_decompose(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
     DecompositionError when the stacked system is singular or the
     reconstruction misses omega.
     """
-    blocks = _four_way_blocks(phi, phi_star)
-    m = np.concatenate(blocks, axis=1)
-    v = np.concatenate([omega.a.reshape(-1), omega.b.reshape(-1)])
-    x, *_ = np.linalg.lstsq(m, v, rcond=1e-12)
-    parts = []
-    start = 0
-    n = phi.n
-    for blk in blocks:
-        ncols = blk.shape[1]
-        w = blk @ x[start : start + ncols]
-        parts.append(FormFiber(w[: n * n].reshape(n, n), w[n * n :].reshape(n, n)))
-        start += ncols
-    recon = sum((p.norm() for p in parts)) or 1.0
-    resid = (parts[0] + parts[1] + parts[2] + parts[3] - omega).norm()
-    scale = max(omega.norm(), recon)
-    if scale > 0 and resid > 1e-9 * scale:
-        raise DecompositionError(
-            f"four-way reconstruction residual {resid:.3e} exceeds tolerance (singular pair?)"
-        )
-    return tuple(parts)
+    fw, v = _four_way_of_one(omega, phi, phi_star)
+    return tuple(FormFiber(p[0, 0], p[0, 1]) for p in fw.split(v))
 
 
 def q_involution(omega: FormFiber, phi: FockPoint, phi_star: FormFiber, tol: float = 1e-8) -> FormFiber:
     """Flip the Im(ad_Phi) component of a sigma-invariant 1-form fiber."""
-    inv = fiber.involutions(phi.n)
-    defect = max(
-        np.abs(inv.sigma(omega.a) - omega.a).max(initial=0.0),
-        np.abs(inv.sigma(omega.b) - omega.b).max(initial=0.0),
-    )
-    scale = max(np.abs(omega.a).max(initial=0.0), np.abs(omega.b).max(initial=0.0), 1.0)
-    if defect > tol * scale:
-        raise DomainMismatchError(f"q_involution needs a sigma-invariant fiber (defect {defect:.3e})")
-    w_im, w_im_star, w_z, w_zstar = four_way_decompose(omega, phi, phi_star)
-    stray = max(w_z.norm(), w_zstar.norm())
-    if stray > 1e-8 * max(omega.norm(), 1.0):
-        raise DecompositionError(f"sigma-invariant fiber has centralizer components {stray:.3e}")
-    return w_im_star - w_im
+    fw, v = _four_way_of_one(omega, phi, phi_star)
+    q = fw.q_involution(v, tol)[0]
+    return FormFiber(q[0], q[1])
 
 
 def cohomology_dims_raw(phi1: np.ndarray, phi2: np.ndarray, tol: float = 1e-10):
-    """Fiberwise cohomology dimensions of 0-forms -> 1-forms -> 2-forms with
-    differential [phi ^ .]; diagnostic variant accepting any matrix pair."""
-    n = phi1.shape[0]
-    dim = n * n - 1
-    basis = fiber.sl_basis(n)
-    m0 = _pair_columns(phi1, phi2)
-    # a-slot: -[phi2, a]; b-slot: [phi1, b]
-    m1 = np.concatenate([-fiber.ad_columns(phi2, basis), fiber.ad_columns(phi1, basis)], axis=1)
-
-    def _rank(m):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
-
-    r0, r1 = _rank(m0), _rank(m1)
-    return dim - r0, 2 * dim - r1 - r0, dim - r1
+    """Fiberwise cohomology dimensions of one pair; diagnostic variant
+    accepting any matrix pair."""
+    return tuple(int(d) for d in cohomology_dims(np.asarray(phi1)[None], np.asarray(phi2)[None], tol)[0])
 
 
 def phi_cohomology_dims(phi: FockPoint):

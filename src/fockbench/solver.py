@@ -216,7 +216,7 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
             f"[Phi ^ Phi*] term, above {_AFFINE_RTOL:.0e})",
             history=[predicted, resid],
         )
-    conn.report["fuchsian_curvature_sup"] = resid
+    conn.note("fuchsian_curvature_sup", resid)
     return FuchsianData(chart=chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0)
 
 

@@ -394,3 +394,40 @@ def test_load_scalar_csv_names_path_and_line(tmp_path, body, where):
     with pytest.raises(ValueError) as info:
         chm.load_scalar_csv(path, chm.periodic_chart(12, 12))
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+
+_LIE_HEADER = "i,j,row,col,comp,re,im\r\n"
+
+
+@pytest.mark.parametrize(
+    "degree, rows, where",
+    [
+        (1, "0,0,0,0,dz,1,0\r\n0,0,0,x,dzb,1,0\r\n", "line 3: malformed row"),
+        (1, "0,0,0,0,dz,1,0\r\n0,0,0,1,dzb,1\r\n", "line 3: malformed row"),
+        (1, "0,0,0,0,dz,1,0\r\n-1,0,0,0,dzb,1,0\r\n", "line 3: index (-1, 0, 0, 0) outside the 8 x 8 x 2 x 2 grid"),
+        (1, "0,0,0,0,dz,1,0\r\n0,0,2,0,dzb,1,0\r\n", "line 3: index (0, 0, 2, 0) outside the 8 x 8 x 2 x 2 grid"),
+        (1, "0,0,0,0,dz,1,0\r\n0,0,0,0,dzbar,1,0\r\n", "line 3: component 'dzbar' is not one of ('dz', 'dzb')"),
+        (0, "0,0,0,0,dz,1,0\r\n", "line 2: component 'dz' is not one of ('0',)"),
+        (1, "0,0,0,0,dz,1,0\r\n", "no rows of component 'dzb' of a degree-1 form"),
+        (2, "", "no rows of component '0' of a degree-2 form"),
+    ],
+    ids=["bad-int", "short-row", "negative-index", "matrix-index", "misspelled-comp", "wrong-degree", "missing-dzb", "empty"],
+)
+def test_load_lieform_csv_names_path_and_line(tmp_path, degree, rows, where):
+    path = tmp_path / "bad.csv"
+    path.write_bytes((_LIE_HEADER + rows).encode())
+    with pytest.raises(ValueError) as info:
+        chm.load_lieform_csv(path, chm.periodic_chart(8, 8), degree, 2)
+    assert str(path) in str(info.value) and where in str(info.value)
+
+
+def test_csv_readers_take_any_integer_spelling(tmp_path):
+    """Index fields that are not in the writer's spelling still parse by int()."""
+    chart = chm.periodic_chart(8, 8)
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"i,j,re,im\r\n+1, 02,1.5,-2\r\n")
+    assert chm.load_scalar_csv(path, chart).data[1, 2] == complex(1.5, -2)
+    path.write_bytes((_LIE_HEADER + "0,0,0,0,0,1,0\r\n3,+3,01,1,0,0,-0.0\r\n").encode())
+    grid = chm.load_matrix_field_csv(path, chart, 2)
+    assert grid[0, 0, 0, 0] == 1 and np.signbit(grid[3, 3, 1, 1].imag)

@@ -1,14 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockbench import chart as chm
+from fockbench import cli, fiber
+from fockbench import connection as cn
+from fockbench import fockpoint as fp
 from fockbench import solver as sv
 from fockbench.cli import run
+from fockbench.errors import DegenerateStructureError
 
 
 def _write_config(tmp_path, name, cfg):
@@ -35,6 +44,9 @@ def test_malformed_config(tmp_path):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     assert run(["solve", "--config", str(arr)]) == 4
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert run(["solve", "--config", str(binary)]) == 4
 
 
 @pytest.mark.parametrize(
@@ -73,6 +85,97 @@ def test_point_verify_ok(tmp_path, capsys):
     rep = _read_report(out)
     assert rep["status"] == "ok"
     assert rep["residual_norms"]["reconstruction"] < 1e-10
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_point_verify_needs_a_sample(tmp_path, capsys, samples):
+    out = tmp_path / "o"
+    assert run(["point-verify", "--n", "3", "--samples", samples, "--out", str(out)]) == 4
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (n, seed, positive samples, reconstruction, q_involution) of ``point-verify
+# --samples 40`` before its kernels were batched; every sample certified, and
+# dims and gram_vs_contraction were 0.
+_PARENT_POINT_VERIFY = [
+    (3, 0, 39, 8.587329396149885e-15, 1.426717907996117e-14),
+    (3, 1, 35, 8.469265074408763e-15, 1.4148458739155554e-14),
+    (3, 2, 37, 5.368812066526217e-15, 1.1899155337489852e-14),
+    (4, 0, 16, 3.1086046489128366e-14, 1.3922777633897493e-14),
+    (4, 1, 22, 1.6251405867438993e-14, 1.7028387649214076e-14),
+    (4, 2, 20, 1.8818160784036897e-14, 1.3719144454799982e-14),
+]
+
+
+@pytest.mark.parametrize("n, seed, positive, recon, q", _PARENT_POINT_VERIFY)
+def test_point_verify_matches_the_per_point_loop(tmp_path, capsys, n, seed, positive, recon, q):
+    out = str(tmp_path / "o")
+    assert run(["point-verify", "--n", str(n), "--samples", "40", "--seed", str(seed), "--out", out]) == 0
+    rep = _read_report(out)
+    norms = rep["residual_norms"]
+    assert (norms["dims"], norms["gram_vs_contraction"]) == (0, 0)
+    assert abs(norms["reconstruction"] - recon) <= 1e-12 and abs(norms["q_involution"] - q) <= 1e-12
+    assert rep["iteration_traces"] == {"samples_checked": 40, "degenerate_skipped": 0, "positive": positive}
+    assert set(rep["timings"]) == {"wall_time_s", "certify_s", "batched_s"}
+
+
+def test_point_verify_draws_in_the_sequential_order(monkeypatch):
+    n, samples, seed = 3, 10, 5
+    real, seen = fp.fock_point, []
+
+    def every_third_degenerate(n, mu):
+        seen.append(np.array(mu))
+        if len(seen) % 3 == 0:
+            raise DegenerateStructureError("stub")
+        return real(n, mu)
+
+    monkeypatch.setattr(fp, "fock_point", every_third_degenerate)
+    phi2, omega, skipped = cli._draw_certified(n, samples, np.random.default_rng(seed))
+    # the per-point loop's draws: mu, then omega's two matrices after a certified mu
+    rng = np.random.default_rng(seed)
+    want_mu, want_phi2, want_omega = [], [], []
+    for k in range(1, samples + 1):
+        want_mu.append(0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
+        if k % 3:
+            want_phi2.append(real(n, want_mu[-1]).phi2)
+            want_omega.append([fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)])
+    assert skipped == 3
+    assert np.array_equal(np.array(seen), np.array(want_mu))
+    assert np.array_equal(phi2, np.array(want_phi2)) and np.array_equal(omega, np.array(want_omega))
+
+
+@pytest.mark.parametrize("samples", [1, 31, 32, 33])
+def test_point_verify_block_edges(capsys, monkeypatch, samples):
+    def report():
+        assert run(["point-verify", "--n", "4", "--samples", str(samples), "--seed", "3"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    blocked = report()
+    monkeypatch.setattr(cli, "POINT_BLOCK", 1)
+    single = report()
+    assert blocked["iteration_traces"] == single["iteration_traces"]
+    assert blocked["iteration_traces"]["samples_checked"] == samples
+    for key, value in single["residual_norms"].items():
+        assert abs(blocked["residual_norms"][key] - value) <= 1e-12
+
+
+def test_solve_computes_no_unread_connection_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cn.sigma_defect
+    monkeypatch.setattr(cn, "sigma_defect", lambda a: calls.append(1) or real(a))
+    cfg = {
+        "n": 2,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "solver": {"continuation_steps": 1},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
+    assert calls == []
+    fd = sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
+    assert calls == []
+    assert fd.A.report["fuchsian_curvature_sup"] > 0  # the first read computes the rest
+    assert calls == [1] and "sigma_defect" in fd.A.report
 
 
 def test_fuchsian_refinement_report(tmp_path, capsys):
@@ -343,3 +446,121 @@ def test_solve_csv_independent_of_blas_threads(tmp_path):
         outs.append(out)
     for name in ("eta.csv", "phi.csv", "A.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# CLI fuzz: argv and JSON configs for every subcommand, each a small valid run
+# with up to three keys replaced or deleted.  Whatever the input, the CLI
+# answers with an exit code in 0..5 and no traceback.
+
+_DELETE = object()
+_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(-2.0, 9.0) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 12), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "value", "2", "x"]), st.integers(0, 3) | st.text(max_size=3), max_size=2),
+)
+_KEYS = [
+    ("n",), ("chart",), ("chart", "kind"), ("chart", "nx"), ("chart", "ny"), ("chart", "radius"),
+    ("beltrami",), ("beltrami", "2"), ("beltrami", "2", "type"), ("beltrami", "2", "path"),
+    ("beltrami", "2", "value"), ("covector", "2"), ("covector", "2", "radius"),
+    ("solver",), ("solver", "continuation_steps"), ("solver", "max_newton"), ("solver", "preconditioner"),
+    ("hamiltonian",), ("hamiltonian", "ell"), ("hamiltonian", "steps"), ("hamiltonian", "eps"),
+    ("hamiltonian", "w"), ("grids",), ("hermitian",), ("c0",), ("output_dir",), ("extra",),
+]
+_FIELD_FILES = {
+    "good": "i,j,re,im\r\n0,0,0.01,0\r\n",
+    "bad-header": "x,y,re,im\r\n0,0,0,0\r\n",
+    "negative-index": "i,j,re,im\r\n-1,0,0,0\r\n",
+    "not-a-number": "i,j,re,im\r\n0,0,one,0\r\n",
+    "nan": "i,j,re,im\r\n0,0,nan,0\r\n",
+    "binary": "\xff\xfe\x00",
+}
+
+
+def _fuzz_config(cmd, root):
+    disk = {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5}
+    periodic = {"kind": "periodic-rect", "nx": 8, "ny": 8}
+    field = {"type": "file", "path": os.path.join(root, "good.csv")}
+    bump = {"type": "bump", "center": [0.5, 0.5], "radius": 0.3, "amplitude": 0.05}
+    return {
+        "fuchsian": {"n": 2, "chart": disk},
+        "fillin": {"n": 2, "chart": periodic, "beltrami": {"2": field}},
+        "solve": {"n": 2, "chart": disk, "solver": {"continuation_steps": 1, "max_newton": 3}},
+        "muholo": {"n": 2, "chart": periodic, "beltrami": {"2": field}, "covector": {"2": bump}},
+        "flow": {"n": 2, "chart": periodic, "beltrami": {"2": field}, "covector": {"2": bump},
+                 "hamiltonian": {"ell": 2, "steps": 1, "w": bump}},
+    }[cmd] | {"output_dir": os.path.join(root, "out")}
+
+
+def _mutate(cfg, path, value):
+    spec = cfg
+    for key in path[:-1]:
+        spec = spec.get(key) if isinstance(spec, dict) else None
+    if not isinstance(spec, dict):
+        return
+    if value is _DELETE:
+        spec.pop(path[-1], None)
+    else:
+        spec[path[-1]] = value
+
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(_KEYS),
+        st.one_of(st.just(_DELETE), _JSON, st.sampled_from(sorted(_FIELD_FILES)).map(lambda f: ("file", f))),
+    ),
+    max_size=3,
+)
+_VERIFY_FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--n", "--samples", "--seed", "--out", "--bogus"]), st.integers(-2, 5).map(str) | st.text(max_size=3)),
+    max_size=4,
+)
+
+
+def _answer(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cmd=st.sampled_from(cli._SUBCOMMANDS + ("bogus",)),
+    mutations=_MUTATIONS,
+    flags=_VERIFY_FLAGS,
+    config=st.sampled_from(["built", "missing", "not-json", "array", "binary"]),
+)
+def test_cli_fuzz_exits_with_a_code(cmd, mutations, flags, config):
+    with tempfile.TemporaryDirectory() as root:
+        for name, body in _FIELD_FILES.items():
+            with open(os.path.join(root, f"{name}.csv"), "w", encoding="latin-1") as fh:
+                fh.write(body)
+        if cmd in ("fiber-verify", "point-verify"):
+            argv = [cmd] + [part for flag, value in flags for part in (flag, value)]
+            if "--n" not in argv:
+                argv += ["--n", "3"]
+            argv = [os.path.join(root, "out") if prev == "--out" else arg for prev, arg in zip([None] + argv, argv)]
+        else:
+            path = os.path.join(root, "c.json")
+            if config == "built" and cmd != "bogus":
+                cfg = _fuzz_config(cmd, root)
+                for key, value in mutations:
+                    if isinstance(value, tuple):
+                        value = {"type": "file", "path": os.path.join(root, f"{value[1]}.csv")}
+                    elif key == ("output_dir",) and isinstance(value, str):
+                        value = os.path.join(root, "good.csv", value)  # under a file: not creatable
+                    _mutate(cfg, key, value)
+                text = json.dumps(cfg)
+            else:
+                text = {"missing": None, "not-json": "{n: 2", "array": "[1, 2]", "binary": "\xff\xfe{}"}.get(config, "{}")
+            if text is not None:
+                with open(path, "w", encoding="latin-1") as fh:
+                    fh.write(text)
+            argv = [cmd, "--config", path]
+        rc, err = _answer(argv)
+    assert rc in range(6), (argv, rc, err)
+    assert "Traceback" not in err, (argv, err)

@@ -103,8 +103,7 @@ def test_four_way_block_independence():
     for n in (2, 3, 4):
         pt = fp.fock_point(n, 0.15 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
         star = _star_fiber(pt)
-        blocks = fp._four_way_blocks(pt, star)
-        m = np.concatenate(blocks, axis=1)
+        m = fp.four_way(pt.phi1, pt.phi2[None], star.a[None], star.b).matrix[0]
         s = np.linalg.svd(m, compute_uv=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         assert rank == 2 * (n * n - 1)
@@ -199,3 +198,67 @@ def test_cohomology_dims():
     zeros = np.zeros((3, 3), dtype=complex)
     d0, _, _ = fp.cohomology_dims_raw(zeros, zeros)
     assert d0 == 8
+
+
+def _lstsq_parts(omega, pt, star):
+    """The four-way parts from one least-squares solve per fiber: the
+    per-point reference for the factored, stacked splitting."""
+    n = pt.n
+    zero = np.zeros((n * n, n - 1), dtype=complex)
+    zk = np.stack([np.linalg.matrix_power(pt.phi1, k).reshape(-1) for k in range(1, n)], axis=1)
+    wk = np.stack([np.linalg.matrix_power(star.b, k).reshape(-1) for k in range(1, n)], axis=1)
+    blocks = [fp._pair_columns(pt.phi1, pt.phi2), fp._pair_columns(star.a, star.b), np.vstack([zero, zk]), np.vstack([wk, zero])]
+    x, *_ = np.linalg.lstsq(np.hstack(blocks), np.concatenate([omega.a.ravel(), omega.b.ravel()]), rcond=1e-12)
+    ends = np.cumsum([b.shape[1] for b in blocks])
+    return [blk @ x[e - blk.shape[1] : e] for blk, e in zip(blocks, ends)]
+
+
+def _reference_rank(m, tol=1e-10):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_kernels_agree_with_per_point_references(n):
+    rng = np.random.default_rng(10 + n)
+    pts = [fp.fock_point(n, 0.3 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))) for _ in range(12)]
+    omegas = [fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)) for _ in pts]
+    f = fiber.principal_nilpotent(n)
+    phi2 = np.stack([p.phi2 for p in pts])
+    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
+    parts = fw.split(np.stack([[om.a, om.b] for om in omegas]))
+    margins = fp.positivity_margins(f, phi2)
+    norms = fp.contraction_norms(f, phi2)
+    dims = fp.cohomology_dims(f, phi2)
+    basis = fiber.sl_basis(n)
+    eps = fp.EPS_POS
+    for k, (pt, om) in enumerate(zip(pts, omegas)):
+        star = _star_fiber(pt)
+        for got, want in zip(parts[:, k], _lstsq_parts(om, pt, star)):
+            assert np.abs(got.reshape(-1) - want).max() < 1e-12
+        # the per-point functions are batches of one of the same kernels
+        assert margins[k] == fp.positivity_margin(pt)
+        assert (margins[k] > eps) == fp.is_positive(pt)
+        c1, c2 = fiber.ad_columns(pt.phi1, basis), fiber.ad_columns(pt.phi2, basis)
+        s = np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2)
+        assert (s * s < (1 - eps) / (1 + eps)) == (norms[k] ** 2 < (1 - eps) / (1 + eps)) == fp.is_positive(pt)
+        m0 = fp._pair_columns(pt.phi1, pt.phi2)
+        m1 = np.hstack([-c2, c1])
+        r0, r1 = _reference_rank(m0), _reference_rank(m1)
+        dim = n * n - 1
+        assert tuple(dims[k]) == (dim - r0, 2 * dim - r1 - r0, dim - r1) == fp.phi_cohomology_dims(pt)
+
+
+def test_stacked_q_involution_checks_each_entry():
+    n = 3
+    f = fiber.principal_nilpotent(n)
+    phi2 = np.stack([fp.fock_point(n, [0.1, 0.2]).phi2, fp.fock_point(n, [0.2j, -0.1]).phi2])
+    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
+    x = fiber.sigma_plus_basis(n)[1]
+    om = np.stack([[x, 0.4 * x], [0.3 * x, -x]])
+    assert fp.fiber_norms(fw.q_involution(fw.q_involution(om)) - om).max() < 1e-9
+    assert fw[[1]].q_involution(om[[1]]).shape == (1, 2, n, n)
+    bad = om.copy()
+    bad[1, 0] = f  # sigma(F) = -F: the second entry is not sigma-invariant
+    with pytest.raises(DomainMismatchError):
+        fw.q_involution(bad)
