@@ -320,15 +320,25 @@ def wedge_bracket(alpha: LieForm, beta: LieForm) -> LieForm:
 
 
 def covariant_d(a_form: LieForm, omega: LieForm, boundary: str = "auto") -> LieForm:
-    """d omega + [A ^ omega] for a degree-1 connection form A."""
+    """d_A omega = d omega + [A ^ omega] for a degree-1 connection form A, the
+    one covariant exterior derivative of the package.
+
+    The sums run in a fixed order: degree 0 as d eta + (a eta - eta a) per
+    component, degree 1 as ((d omega + a1 w2) - w2 a1) - (a2 w1 - w1 a2).
+    Floating-point addition is not associative, so the order fixes the last
+    bits of every compatibility residual, of the fill-in least squares that
+    starts from one, and through them of the solver's outputs.
+    """
     d = exterior_d(omega, boundary)
-    w = wedge_bracket(a_form, omega)
+    a1, a2 = a_form.d1, a_form.d2
     if omega.degree == 0:
-        return LieForm(omega.chart, 1, d1=d.d1 + w.d1, d2=d.d2 + w.d2)
-    return LieForm(omega.chart, 2, d0=d.d0 + w.d0)
+        e = omega.d0
+        return LieForm(omega.chart, 1, d1=d.d1 + commutator(a1, e), d2=d.d2 + commutator(a2, e))
+    w1, w2 = omega.d1, omega.d2
+    return LieForm(omega.chart, 2, d0=d.d0 + a1 @ w2 - w2 @ a1 - (a2 @ w1 - w1 @ a2))
 
 
-def integrate(f, weight: str = "area"):
+def integrate(f):
     """Midpoint-rule integral over the chart; disk charts sum mask points only.
 
     ScalarField: returns sum(f) * hx * hy.  Degree-2 LieForm: integrates the

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -37,6 +38,27 @@ class ConfigError(ValueError):
     pass
 
 
+def _int(v):
+    """A JSON integer: bools, floats and strings are not coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _bool(v):
+    """A JSON boolean: no other value is read as one."""
+    if not isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a boolean")
+    return v
+
+
+# The type of each solver key; a key left out takes NewtonConfig's default.
+_SOLVER_KINDS = {
+    "continuation_steps": _int, "newton_tol": float, "max_newton": _int, "cg_tol": float,
+    "max_cg": _int, "fd_check": _bool, "preconditioner": str,
+}
+
+
 # Keys of the config schema, top level (None) and per checked section.
 _CONFIG_KEYS = {
     None: {
@@ -44,10 +66,7 @@ _CONFIG_KEYS = {
         "grids", "hermitian", "seed", "output_dir", "c0",
     },
     "chart": {"kind", "nx", "ny", "radius", "lx", "ly"},
-    "solver": {
-        "continuation_steps", "newton_tol", "max_newton", "cg_tol", "max_cg",
-        "fd_check", "preconditioner",
-    },
+    "solver": set(_SOLVER_KINDS),
     "hamiltonian": {"ell", "eps", "steps", "w"},
 }
 
@@ -74,10 +93,11 @@ def _load_config(path) -> dict:
 def _build_chart(spec) -> chm.Chart:
     try:
         kind = spec["kind"]
+        nx, ny = _typed(spec, "nx", _int), _typed(spec, "ny", _int)
         if kind == "periodic-rect":
-            return chm.periodic_chart(int(spec["nx"]), int(spec["ny"]), float(spec.get("lx", 1.0)), float(spec.get("ly", 1.0)))
+            return chm.periodic_chart(nx, ny, float(spec.get("lx", 1.0)), float(spec.get("ly", 1.0)))
         if kind == "dirichlet-disk":
-            return chm.disk_chart(int(spec["nx"]), int(spec["ny"]), float(spec.get("radius", 0.5)))
+            return chm.disk_chart(nx, ny, float(spec.get("radius", 0.5)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad chart spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown chart kind {kind!r}")
@@ -142,16 +162,9 @@ def _build_component_family(chart, n, spec, section):
 
 def _newton_config(spec) -> sv.NewtonConfig:
     spec = spec or {}
+    given = {key: _typed(spec, key, kind) for key, kind in _SOLVER_KINDS.items() if key in spec}
     try:
-        return sv.NewtonConfig(
-            continuation_steps=int(spec.get("continuation_steps", 3)),
-            newton_tol=float(spec.get("newton_tol", 1e-10)),
-            max_newton=int(spec.get("max_newton", 12)),
-            cg_tol=float(spec.get("cg_tol", 1e-11)),
-            max_cg=int(spec.get("max_cg", 4000)),
-            fd_check=bool(spec.get("fd_check", False)),
-            preconditioner=str(spec.get("preconditioner", "none")),
-        )
+        return sv.NewtonConfig(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver spec: {exc}") from exc
 
@@ -190,7 +203,7 @@ def _cmd_fiber_verify(args) -> int:
     checks["sigma_F"] = float(np.abs(inv.sigma(triple.F) + triple.F).max())
     checks["sigma_E"] = float(np.abs(inv.sigma(triple.E) + triple.E).max())
     worst = 0.0
-    for _ in range(20):
+    for _ in range(args.samples):
         x = fiber.random_traceless(n, rng)
         worst = max(worst, float(np.abs(inv.sigma(inv.rho(x)) - inv.rho(inv.sigma(x))).max()))
         worst = max(worst, float(np.abs(inv.sigma(inv.sigma(x)) - x).max()))
@@ -323,16 +336,16 @@ def _typed(spec, key, kind, default=None):
 def _cmd_fuchsian(cfg) -> int:
     rep = SolveReport(command="fuchsian", config_echo=cfg)
     t0 = time.perf_counter()
-    n = _typed(cfg, "n", int)
+    n = _typed(cfg, "n", _int)
     spec = _require(cfg, "chart")
     grids = cfg.get("grids")
     out = _outdir(cfg)
     residuals = {}
     if grids:
         try:
-            sizes = sorted({int(nx) for nx in grids})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grids must be a list of grid sizes: {exc}") from exc
+            sizes = sorted({_int(nx) for nx in grids})
+        except TypeError as exc:
+            raise ConfigError(f"'grids' must be a list of integer grid sizes, got {grids!r}") from exc
         if len(sizes) < 2:
             raise ConfigError(f"grids needs at least two distinct sizes for a refinement ratio, got {grids!r}")
         for nx in sizes:
@@ -340,13 +353,13 @@ def _cmd_fuchsian(cfg) -> int:
             local["nx"] = local["ny"] = nx
             ch = _build_chart(local)
             fd = sv.fuchsian_reference(n, ch)
-            residuals[str(nx)] = fd.A.report["fuchsian_curvature_sup"]
+            residuals[str(nx)] = fd.curvature_sup
         rep.residual_norms = dict(residuals)
         rep.residual_norms["ratio"] = residuals[str(sizes[0])] / residuals[str(sizes[1])]
     else:
         ch = _build_chart(spec)
         fd = sv.fuchsian_reference(n, ch)
-        residuals["residual_sup"] = fd.A.report["fuchsian_curvature_sup"]
+        residuals["residual_sup"] = fd.curvature_sup
         residuals["c0"] = fd.c0
         rep.residual_norms = residuals
         chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A.A)
@@ -357,7 +370,7 @@ def _cmd_fuchsian(cfg) -> int:
 
 
 def _fields_from_config(cfg):
-    n = _typed(cfg, "n", int)
+    n = _typed(cfg, "n", _int)
     ch = _build_chart(_require(cfg, "chart"))
     mu = _build_component_family(ch, n, cfg.get("beltrami"), "beltrami")
     t = _build_component_family(ch, n, cfg.get("covector"), "covector")
@@ -371,14 +384,9 @@ def _cmd_fillin(cfg) -> int:
     n, ch, mu, _ = _fields_from_config(cfg)
     hermitian = cfg.get("hermitian", "identity")
     if hermitian == "fuchsian":
-        fd = sv.fuchsian_reference(n, ch)
-        phi, h = fd.Phi, fd.h
-        boundary = "rect"
+        conn = sv.fuchsian_reference(n, ch).A  # fill_in(Phi, h=h, boundary="rect") of the reference
     else:
-        phi = hf.fock_form(ch, mu)
-        h = cn.identity_hermitian(ch, n)
-        boundary = "auto"
-    conn = cn.fill_in(phi, h=h, boundary=boundary)
+        conn = cn.fill_in(hf.fock_form(ch, mu), h=cn.identity_hermitian(ch, n))
     chm.save_lieform_csv(os.path.join(out, "A.csv"), conn.A)
     rep.residual_norms = {k: v for k, v in conn.report.items() if isinstance(v, float)}
     for msg in conn.report.get("warnings", []):
@@ -450,8 +458,8 @@ def _cmd_flow(cfg) -> int:
     n, ch, mu, t = _fields_from_config(cfg)
     ham_spec = _require(cfg, "hamiltonian")
     eps = _typed(ham_spec, "eps", float, 1e-3)
-    steps = _typed(ham_spec, "steps", int, 1)
-    ell = _typed(ham_spec, "ell", int)
+    steps = _typed(ham_spec, "steps", _int, 1)
+    ell = _typed(ham_spec, "ell", _int)
     ham = hf.HamiltonianTerm(ell, chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"), "hamiltonian['w']")))
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
@@ -466,22 +474,18 @@ def _cmd_flow(cfg) -> int:
         t_c = cn.covector_extract(a_c, phi_c)
         resid = hf.mu_holo_residual(mu_c, t_c)
         return {
-            "curvature_sup": float(np.sqrt(np.sum(np.abs(curv.d0) ** 2, axis=(-2, -1)))[mask].max()),
+            "curvature_sup": cn.sup_norm(curv),
             "mu_holo_sup": max(float(np.abs(resid[k][mask]).max()) for k in range(2, n + 1)),
         }
 
-    import warnings as _warnings
-
     before = table(phi, a_form)
-    traj = [before]
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         for _ in range(steps):
             phi, a_form = hf.flow_step(phi, a_form, h, ham, eps)
     for w in caught:
         rep.messages.append(f"step drift: {w.message}")
     after = table(phi, a_form)
-    traj.append(after)
     rep.residual_norms = {"before": before, "after": after}
     rep.iteration_traces = {"eps": eps, "steps": steps}
     rep.timings["wall_time_s"] = time.perf_counter() - t0
@@ -506,7 +510,7 @@ def run(argv) -> int:
             p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=50)
+            p.add_argument("--samples", type=int, default=20 if cmd == "fiber-verify" else 50)
             p.add_argument("--out", default=None)
             try:
                 args = p.parse_args(rest)
@@ -516,7 +520,7 @@ def run(argv) -> int:
             if args.n < 2:
                 sys.stderr.write("--n must be >= 2\n")
                 return EXIT_CONFIG
-            if cmd == "point-verify" and args.samples < 1:
+            if args.samples < 1:
                 sys.stderr.write("--samples must be >= 1\n")
                 return EXIT_CONFIG
             if args.out is not None:

@@ -20,11 +20,12 @@ discretization floor; each solver reports its residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import fiber
-from .chart import Chart, CovectorField, LieForm, dz_array, dzbar_array, exterior_d, wedge_bracket
+from .chart import Chart, CovectorField, LieForm, covariant_d, dz_array, dzbar_array, exterior_d, wedge_bracket
 from .errors import DomainMismatchError, TransversalityError
 
 __all__ = [
@@ -126,30 +127,21 @@ class ConnectionField:
     """A connection form ``A`` with its ``report`` and the flags
     ``sigma_invariant`` and ``unitary``.  Given ``diagnose``, a function that
     returns (report, sigma_invariant, unitary), the three are computed on
-    first read, so a caller that only uses ``A`` never pays for them."""
+    first read, so a caller that only uses ``A`` never pays for them; without
+    it the report is empty and both flags are False."""
 
-    def __init__(self, A: LieForm, sigma_invariant=False, unitary=False, report=None, diagnose=None):
+    def __init__(self, A: LieForm, diagnose=None):
         self.A = A
         self._diagnose = diagnose
-        self._diagnosed = None if diagnose else ({} if report is None else report, sigma_invariant, unitary)
-        self._known = {}
 
-    def note(self, key, value):
-        """Set ``report[key]`` to a value the caller already has, without
-        computing the rest of the report before it is read."""
-        self._known[key] = value
-        if self._diagnosed is not None:
-            self._diagnosed[0][key] = value
-
+    @cached_property
     def _diagnostics(self):
-        if self._diagnosed is None:
-            self._diagnosed, self._diagnose = self._diagnose(), None
-            self._diagnosed[0].update(self._known)
-        return self._diagnosed
+        diagnose, self._diagnose = self._diagnose, None  # drop the fields it holds
+        return diagnose() if diagnose else ({}, False, False)
 
-    report = property(lambda self: self._diagnostics()[0])
-    sigma_invariant = property(lambda self: self._diagnostics()[1])
-    unitary = property(lambda self: self._diagnostics()[2])
+    report = property(lambda self: self._diagnostics[0])
+    sigma_invariant = property(lambda self: self._diagnostics[1])
+    unitary = property(lambda self: self._diagnostics[2])
 
     @property
     def chart(self):
@@ -182,11 +174,6 @@ def unitarity_defect(a_form: LieForm, h: HermitianField, boundary: str = "auto")
 def _realify_rows(m):
     """(..., rows, cols) complex -> (..., 2 rows, cols) real."""
     return np.concatenate([m.real, m.imag], axis=-2)
-
-
-def _compat_residual(phi: LieForm, a1, a2, boundary):
-    dphi = exterior_d(phi, boundary).d0
-    return dphi + a1 @ phi.d2 - phi.d2 @ a1 - (a2 @ phi.d1 - phi.d1 @ a2)
 
 
 def _sigma_cols(phi: LieForm, basis):
@@ -242,13 +229,13 @@ def fill_in(
 
 
 def _fill_in_report(phi, psi, h, a_form, rep, boundary):
-    """``rep`` completed by the diagnostics of ``fill_in``, and the
-    (sigma_invariant, unitary) flags."""
-    ch, a1, a2 = phi.chart, a_form.d1, a_form.d2
+    """``rep`` completed by the diagnostics of ``fill_in`` and
+    ``inject_covector``, and the measured (sigma_invariant, unitary) flags."""
+    ch, a1 = phi.chart, a_form.d1
     psi_eff = psi if h is None else hermitian_adjoint_field(phi, h)
     mask = ch.mask()
-    r_phi = _compat_residual(phi, a1, a2, boundary)
-    r_psi = _compat_residual(psi_eff, a1, a2, boundary)
+    r_phi = covariant_d(a_form, phi, boundary).d0
+    r_psi = covariant_d(a_form, psi_eff, boundary).d0
     rep["compat_residual_phi"] = float(np.abs(r_phi[mask]).max())
     rep["compat_residual_psi"] = float(np.abs(r_psi[mask]).max())
     rep["sigma_defect"] = sigma_defect(a_form)
@@ -324,7 +311,7 @@ def _unitary_system(phi, h, basis, sstars, boundary):
     least squares over the unitary family through the base point."""
     npt = phi.chart.nx * phi.chart.ny
     a0_1, a0_2 = _unitary_base(h, boundary)
-    r0 = _compat_residual(phi, a0_1, a0_2, boundary).reshape(npt, -1)
+    r0 = covariant_d(LieForm(phi.chart, 1, d1=a0_1, d2=a0_2), phi, boundary).d0.reshape(npt, -1)
     mats = _realify_rows(np.stack(_unitary_cols(phi, basis, sstars), axis=-1))  # (npt, 2n^2, 2d)
     y = _realify_rows((-r0)[..., None])[..., 0]
     return a0_1, a0_2, mats, y
@@ -383,7 +370,8 @@ def inject_covector(
     unitary affine family (full sl_n direction space), subject to the linear
     covector constraints, solved as a KKT system.  t = 0 returns the
     generalized base point, whose sigma-odd part pairs to zero against the
-    centralizer directions.
+    centralizer directions.  The report and the flags are computed when first
+    read, as for ``fill_in``.
     """
     n = phi.n
     ch = phi.chart
@@ -425,13 +413,4 @@ def inject_covector(
         raise TransversalityError(f"inject_covector: singular KKT system ({exc})") from exc
     a1, a2 = _unitary_member(phi, h, basis, sol[:, :d2], a0_1, a0_2)
     a_form = LieForm(ch, 1, d1=a1, d2=a2)
-    mask = ch.mask()
-    rep = {
-        "mode": "inject",
-        "compat_residual_phi": float(
-            np.abs(_compat_residual(phi, a1, a2, boundary)[mask]).max()
-        ),
-        "unitarity_defect": unitarity_defect(a_form, h, boundary),
-        "sigma_defect": sigma_defect(a_form),
-    }
-    return ConnectionField(A=a_form, sigma_invariant=False, unitary=True, report=rep)
+    return ConnectionField(A=a_form, diagnose=lambda: _fill_in_report(phi, None, h, a_form, {"mode": "inject"}, boundary))

@@ -24,7 +24,6 @@ __all__ = [
     "FockPoint",
     "fock_point",
     "pseudo_norm",
-    "gram_matrix",
     "positivity_margins",
     "positivity_margin",
     "is_positive",
@@ -69,9 +68,6 @@ class FockPoint:
     phi1: np.ndarray
     phi2: np.ndarray
     mu: tuple = field(default_factory=tuple)
-
-    def as_fiber(self) -> FormFiber:
-        return FormFiber(self.phi1, self.phi2)
 
 
 def _critical_direction(mu2):
@@ -278,15 +274,6 @@ def _batch_of_one(phi: FockPoint, h):
 def _four_way_of_one(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
     fw = four_way(phi.phi1[None], phi.phi2[None], phi_star.a[None], phi_star.b[None])
     return fw, np.stack([omega.a, omega.b])[None]
-
-
-def gram_matrix(phi: FockPoint, h=None) -> np.ndarray:
-    """Gram matrix of the pseudo pairing on an orthonormal frame of Im(ad_Phi);
-    raises DegenerateStructureError when Im(ad_Phi) is rank deficient."""
-    gram, full_rank = _grams(*_batch_of_one(phi, h))
-    if not full_rank[0]:
-        raise DegenerateStructureError("Im(ad_Phi) does not have the rank n^2 - n of a Fock pair")
-    return gram[0]
 
 
 def is_positive(phi: FockPoint, h=None, eps_pos: float = EPS_POS) -> bool:

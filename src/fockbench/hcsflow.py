@@ -24,7 +24,6 @@ from .chart import (
     covariant_d,
     dz_array,
     dzbar_array,
-    exterior_d,
     wedge_bracket,
 )
 from .connection import ConnectionField, HermitianField, hermitian_adjoint_field
@@ -110,6 +109,13 @@ def mu_holo_residual(mu: BeltramiField, t: CovectorField, boundary: str = "auto"
     return out
 
 
+def _sigma_parts(a_form: LieForm):
+    """(A^sigma, A^{-sigma}), the sigma-even and sigma-odd parts of A."""
+    as1, am1 = fiber.sigma_split(a_form.d1)
+    as2, am2 = fiber.sigma_split(a_form.d2)
+    return LieForm(a_form.chart, 1, d1=as1, d2=as2), LieForm(a_form.chart, 1, d1=am1, d2=am2)
+
+
 def gauge_muholo_residual(phi: LieForm, a_conn, boundary: str = "auto"):
     """tr(phi1^{k-1} (d A^{-sigma} + [A^sigma ^ A^{-sigma}])) for k = 2..n.
 
@@ -118,11 +124,8 @@ def gauge_muholo_residual(phi: LieForm, a_conn, boundary: str = "auto"):
     """
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     n = phi.n
-    ch = phi.chart
-    as1, am1 = fiber.sigma_split(a_form.d1)
-    as2, am2 = fiber.sigma_split(a_form.d2)
-    coeff = dz_array(ch, am2, boundary) - dzbar_array(ch, am1, boundary)
-    coeff = coeff + as1 @ am2 - am2 @ as1 - (as2 @ am1 - am1 @ as2)
+    asig, aminus = _sigma_parts(a_form)
+    coeff = covariant_d(asig, aminus, boundary).d0
     pws = fiber.powers(phi.d1, n - 1)
     return {k: np.einsum("xyij,xyji->xy", pw, coeff) for k, pw in zip(range(2, n + 1), pws)}
 
@@ -253,10 +256,7 @@ def flow_step(
     ham.check(n)
     ch = phi.chart
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
-    as1, am1 = fiber.sigma_split(a_form.d1)
-    as2, am2 = fiber.sigma_split(a_form.d2)
-    aminus = LieForm(ch, 1, d1=am1, d2=am2)
-    asig = LieForm(ch, 1, d1=as1, d2=as2)
+    asig, aminus = _sigma_parts(a_form)
     xi = LieForm(ch, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
     eta = eta_correction(phi, aminus, ham)
     psi = hermitian_adjoint_field(phi, h)

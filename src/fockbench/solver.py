@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from . import fiber
-from .chart import BeltramiField, Chart, LieForm, ScalarField, difference_matrix, dz_array, dzbar_array
+from .chart import BeltramiField, Chart, LieForm, ScalarField, covariant_d, difference_matrix
 from .connection import (
     ConnectionField,
     HermitianField,
@@ -113,6 +113,9 @@ def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
 
 @dataclass
 class FuchsianData:
+    """The reference fields at c0, with their total curvature
+    F(A) + [Phi ^ Phi*] and its sup-norm over the chart interior."""
+
     chart: Chart
     n: int
     g: ScalarField
@@ -120,6 +123,8 @@ class FuchsianData:
     h: HermitianField
     A: ConnectionField
     c0: float
+    curvature: LieForm
+    curvature_sup: float
 
     def adjoint(self) -> LieForm:
         return hermitian_adjoint_field(self.Phi, self.h)
@@ -216,8 +221,7 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
             f"[Phi ^ Phi*] term, above {_AFFINE_RTOL:.0e})",
             history=[predicted, resid],
         )
-    conn.note("fuchsian_curvature_sup", resid)
-    return FuchsianData(chart=chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0)
+    return FuchsianData(chart=chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0, curvature=curv, curvature_sup=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +374,6 @@ class LinearizedContext:
         b = np.einsum("pa,aij->pij", qc[:, m:], self._s_plus).reshape(ch.nx, ch.ny, n, n)
         return LieForm(ch, 1, d1=a, d2=b)
 
-    def cov_d0(self, eta: LieForm) -> LieForm:
-        ch, bdy = self.chart, self.boundary
-        a1, a2 = self.a_form.d1, self.a_form.d2
-        e = eta.d0
-        d1 = dz_array(ch, e, bdy) + a1 @ e - e @ a1
-        d2 = dzbar_array(ch, e, bdy) + a2 @ e - e @ a2
-        return LieForm(ch, 1, d1=d1, d2=d2)
-
-    def cov_d1(self, omega: LieForm) -> LieForm:
-        ch, bdy = self.chart, self.boundary
-        a1, a2 = self.a_form.d1, self.a_form.d2
-        c = dz_array(ch, omega.d2, bdy) - dzbar_array(ch, omega.d1, bdy)
-        c = c + a1 @ omega.d2 - omega.d2 @ a1 - (a2 @ omega.d1 - omega.d1 @ a2)
-        return LieForm(ch, 2, d0=c)
-
     def zeroth(self, eta: LieForm) -> np.ndarray:
         p1, p2 = self.phi.d1, self.phi.d2
         q1, q2 = self.psi.d1, self.psi.d2
@@ -394,9 +383,8 @@ class LinearizedContext:
         return out - (br(p1, br(q2, e)) - br(p2, br(q1, e)))
 
     def apply(self, eta: LieForm) -> LieForm:
-        omega = self.cov_d0(eta)
-        tau = self.q_apply(omega)
-        out = self.cov_d1(tau)
+        tau = self.q_apply(covariant_d(self.a_form, eta, self.boundary))
+        out = covariant_d(self.a_form, tau, self.boundary)
         return LieForm(self.chart, 2, d0=out.d0 + self.zeroth(eta))
 
     def apply_coords(self, coords) -> np.ndarray:
@@ -419,10 +407,10 @@ class LinearizedContext:
         active points; column (q, b) is the coordinate of e_b(q); flat indices
         follow ``coords.ravel()``.
 
-        In s_plus coordinates, with F(p)[b, a] = tr(s_b^+ e_a(p)), cov_d0
+        In s_plus coordinates, with F(p)[b, a] = tr(s_b^+ e_a(p)), d_A
         takes c to w = [w1; w2] = [D_z + B_1; D_zbar + B_2] F c, where
         B_k = tr(s^+ [A_k, s]) is ad(A_k); Q maps w to u per point; and
-        -Re tr(e_a cov_d1(u)) = -Re F^T (T (D_z u2 - D_zbar u1) + B'_1 u2 - B'_2 u1)
+        -Re tr(e_a d_A u) = -Re F^T (T (D_z u2 - D_zbar u1) + B'_1 u2 - B'_2 u1)
         with T = tr(s s) and B'_k = tr(s [A_k, s]).  So L = -Re(Y U) plus the
         zeroth-order block, where U = Q X F and Y are block-sparse on one
         stencil step and their sparse product composes the two steps.
@@ -497,9 +485,10 @@ def energy_identity_sides(eta: LieForm, phi: LieForm, a_conn, h: HermitianField)
     w = ctx.chart.hx * ctx.chart.hy
     lhs_field = np.einsum("xyij,xyji->xy", eta.d0, ctx.apply(eta).d0)
     lhs = -float(lhs_field[mask].sum().real) * w
-    omega = ctx.cov_d0(eta)
-    pi_minus_1 = 0.5 * (omega.d1 - ctx.q_apply(omega).d1)
-    pi_minus_2 = 0.5 * (omega.d2 - ctx.q_apply(omega).d2)
+    omega = covariant_d(ctx.a_form, eta, ctx.boundary)
+    tau = ctx.q_apply(omega)
+    pi_minus_1 = 0.5 * (omega.d1 - tau.d1)
+    pi_minus_2 = 0.5 * (omega.d2 - tau.d2)
     hh, hinv = h.data, h.inv()
     trh = lambda x: np.einsum("xyij,xyji->xy", fiber.h_adjoint(x, hh, hinv), x).real
     pse_pi = (trh(pi_minus_1) - trh(pi_minus_2))[mask].sum() * w
@@ -629,32 +618,26 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     space = AdmissibleSpace(ch, n, h)
     boundary = "rect" if not ch.periodic else "periodic"
 
-    def curvature_moments(phi_field, eta_coords):
-        eta = space.to_field(eta_coords)
-        phi_c = conjugate_field(phi_field, eta)
-        conn = fill_in(phi_c, h=h, boundary=boundary)
-        psi_c = hermitian_adjoint_field(phi_c, h)
-        curv = curvature_total(conn, phi_c, psi_c, boundary=boundary)
-        return space.moments(curv.d0), phi_c, conn, curv
-
-    zeros = np.zeros((ch.nx, ch.ny, space.dim))
-    base_moments, phi_c, conn, curv = curvature_moments(base.Phi, zeros)
-    floor = sup_norm(curv, mask=ch.interior())
+    # the Newton map's value at eta = 0 is the reference's curvature
+    base_moments = space.moments(base.curvature.d0)
 
     def gmap(phi_field, eta_coords):
-        mom, phi_c, conn, curv = curvature_moments(phi_field, eta_coords)
-        return mom - base_moments, phi_c, conn, curv
+        phi_c = conjugate_field(phi_field, space.to_field(eta_coords))
+        conn = fill_in(phi_c, h=h, boundary=boundary)
+        curv = curvature_total(conn, phi_c, hermitian_adjoint_field(phi_c, h), boundary=boundary)
+        return space.moments(curv.d0) - base_moments, phi_c, conn, curv
 
     def gnorm(gm):
         return float(np.abs(gm).max())
 
-    eta_coords = eta_prev = zeros
+    eta_coords = eta_prev = np.zeros((ch.nx, ch.ny, space.dim))
+    phi_c, conn = base.Phi, base.A
     per_step = []
     fd_checks = []
     trivial = all(np.abs(mu_target.comp(k)).max(initial=0.0) == 0.0 for k in range(2, n + 1))
     steps = 0 if trivial else cfg.continuation_steps
     final_residual = 0.0
-    curv_sup = floor
+    curv_sup = base.curvature_sup
     try:
         for istep in range(steps):
             s = (istep + 1) / cfg.continuation_steps
@@ -712,8 +695,8 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
         "per_step": per_step,
         "final_residual": final_residual,
         "curvature_sup": curv_sup,
-        "curvature_floor": floor,
-        "eta_sup": float(np.sqrt(np.sum(np.abs(eta.d0) ** 2, axis=(-2, -1))).max()),
+        "curvature_floor": base.curvature_sup,
+        "eta_sup": sup_norm(eta),
         "projection_defect": recon_defect,
         "wall_time_s": time.perf_counter() - t0,
         "phi": phi_c,

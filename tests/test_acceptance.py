@@ -113,7 +113,7 @@ def test_criterion_4_fuchsian_curvature_convergence():
         res = {}
         for nx in (64, 128):
             fd = sv.fuchsian_reference(n, chm.disk_chart(nx, nx, 0.5))
-            res[nx] = fd.A.report["fuchsian_curvature_sup"]
+            res[nx] = fd.curvature_sup
         ratios[n] = res[64] / res[128]
         assert 3.0 < ratios[n] < 5.3
     detail = ", ".join(f"n={n}: {r:.2f}" for n, r in ratios.items())

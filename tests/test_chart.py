@@ -229,6 +229,27 @@ def test_wedge_bracket_fock_field_commutes():
     assert np.abs(wb.d0).max() < 1e-14
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "zerofill", "masked", "rect"])
+@pytest.mark.parametrize("chart", [chm.periodic_chart(16, 16), chm.disk_chart(20, 20, 0.5)], ids=["periodic", "disk"])
+def test_covariant_d_sums_in_its_stated_order(chart, boundary):
+    # covariant_d is the package's only d_A: the fill-in residuals, the strong
+    # form of the linearized operator and the gauge mu-holomorphicity residual
+    # all read it, so its rounding is pinned bitwise to the written-out sums
+    rng = np.random.default_rng(11)
+    n, shape = 3, (chart.nx, chart.ny, 3, 3)
+    a1, a2, w1, w2, e = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(5))
+    a = chm.LieForm(chart, 1, d1=a1, d2=a2)
+    dz = lambda x: chm.dz_array(chart, x, boundary)
+    dzb = lambda x: chm.dzbar_array(chart, x, boundary)
+    got0 = chm.covariant_d(a, chm.LieForm(chart, 0, d0=e), boundary)
+    for got, want in ((got0.d1, dz(e) + (a1 @ e - e @ a1)), (got0.d2, dzb(e) + (a2 @ e - e @ a2))):
+        assert np.array_equal(got.view(float), want.view(float))
+    got1 = chm.covariant_d(a, chm.LieForm(chart, 1, d1=w1, d2=w2), boundary)
+    want1 = ((dz(w2) - dzb(w1)) + a1 @ w2) - w2 @ a1 - (a2 @ w1 - w1 @ a2)
+    assert got1.degree == 2 and got1.n == n
+    assert np.array_equal(got1.d0.view(float), want1.view(float))
+
+
 def test_integrate():
     c = chm.periodic_chart(32, 32, 2.0, 1.5)
     x, _ = c.xy()

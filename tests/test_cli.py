@@ -87,6 +87,19 @@ def test_point_verify_ok(tmp_path, capsys):
     assert rep["residual_norms"]["reconstruction"] < 1e-10
 
 
+def test_fiber_verify_checks_samples_matrices(monkeypatch, capsys):
+    drawn, real = [], fiber.random_traceless
+    monkeypatch.setattr(fiber, "random_traceless", lambda n, rng: drawn.append(n) or real(n, rng))
+    assert run(["fiber-verify", "--n", "3"]) == 0
+    assert len(drawn) == 20
+    drawn.clear()
+    assert run(["fiber-verify", "--n", "3", "--samples", "7"]) == 0
+    assert len(drawn) == 7
+    capsys.readouterr()
+    assert run(["fiber-verify", "--n", "3", "--samples", "0"]) == 4
+    assert "--samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_point_verify_needs_a_sample(tmp_path, capsys, samples):
     out = tmp_path / "o"
@@ -173,9 +186,10 @@ def test_solve_computes_no_unread_connection_report(tmp_path, capsys, monkeypatc
     assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
     assert calls == []
     fd = sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
+    assert fd.curvature_sup > 0  # the reference's curvature needs no connection report
     assert calls == []
-    assert fd.A.report["fuchsian_curvature_sup"] > 0  # the first read computes the rest
-    assert calls == [1] and "sigma_defect" in fd.A.report
+    assert "sigma_defect" in fd.A.report  # the first read computes it
+    assert calls == [1]
 
 
 def test_fuchsian_refinement_report(tmp_path, capsys):
@@ -351,6 +365,20 @@ def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
         ("flow", "beltrami", "x", {"type": "constant"}),
         ("flow", "hamiltonian/w", "radius", "wide"),
         ("flow", None, "hamiltonian", 3),
+        # integer keys take JSON integers only, fd_check JSON booleans only
+        ("fuchsian", None, "n", 3.5),
+        ("solve", None, "n", True),
+        ("solve", "chart", "nx", 12.0),
+        ("flow", "chart", "ny", False),
+        ("fuchsian", None, "grids", [12, 16.5]),
+        ("fuchsian", None, "grids", [12, True]),
+        ("flow", "hamiltonian", "ell", 2.0),
+        ("flow", "hamiltonian", "steps", True),
+        ("solve", "solver", "continuation_steps", 2.7),
+        ("solve", "solver", "max_newton", "12"),
+        ("solve", "solver", "max_cg", 4000.0),
+        ("solve", "solver", "fd_check", "false"),
+        ("solve", "solver", "fd_check", 0),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):

@@ -104,7 +104,7 @@ def test_fuchsian_c0_matches_full_search(n):
     )
     fd = sv.fuchsian_reference(n, ch)
     assert abs(fd.c0 - full.x) <= 1e-9
-    assert fd.A.report["fuchsian_curvature_sup"] == _fuchsian_sup(n, ch, fd.c0)
+    assert fd.curvature_sup == _fuchsian_sup(n, ch, fd.c0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -141,7 +141,7 @@ def test_fuchsian_refinement_second_order():
     res = {}
     for nx in (33, 65):
         fd = sv.fuchsian_reference(2, chm.disk_chart(nx, nx, 0.5))
-        res[nx] = fd.A.report["fuchsian_curvature_sup"]
+        res[nx] = fd.curvature_sup
     assert 3.0 < res[33] / res[65] < 5.3
 
 
@@ -447,13 +447,11 @@ def test_cg_stops_at_once_on_non_finite_residual(monkeypatch):
     fd = sv.fuchsian_reference(3, ch)
     mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
     curvature_total, apply_coords = sv.curvature_total, sv.LinearizedContext.apply_coords
-    calls, applies = [], []
+    applies = []
 
-    def poisoned(*args, **kwargs):
+    def poisoned(*args, **kwargs):  # the Newton map; its baseline is the reference's own curvature
         curv = curvature_total(*args, **kwargs)
-        if calls:
-            curv.d0[8, 8] = np.nan
-        calls.append(1)
+        curv.d0[8, 8] = np.nan
         return curv
 
     def counted(ctx, coords):
@@ -494,6 +492,26 @@ def test_newton_report_holds_the_final_field_and_connection():
         for got, want in ((rep["phi"].d1, phi.d1), (rep["phi"].d2, phi.d2),
                           (rep["connection"].A.d1, conn.A.d1), (rep["connection"].A.d2, conn.A.d2)):
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_newton_baseline_is_the_reference_curvature(monkeypatch, n):
+    # the Newton map at eta = 0 is bitwise the reference's own curvature, so
+    # newton_continuation takes its baseline from the reference: a mu = 0
+    # solve runs no fill_in and reports the reference's floor, field and connection
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(n, ch)
+    assert fd.curvature_sup == cn.sup_norm(fd.curvature, mask=ch.interior())
+    phi0 = sv.conjugate_field(fd.Phi, chm.LieForm(ch, 0, d0=np.zeros(fd.h.data.shape)))
+    conn0 = cn.fill_in(phi0, h=fd.h, boundary="rect")
+    curv0 = cn.curvature_total(conn0, phi0, cn.hermitian_adjoint_field(phi0, fd.h), boundary="rect")
+    assert _bits(curv0.d0) == _bits(fd.curvature.d0)
+    calls, fill_in = [], sv.fill_in
+    monkeypatch.setattr(sv, "fill_in", lambda *args, **kwargs: calls.append(1) or fill_in(*args, **kwargs))
+    _, rep = sv.newton_continuation(fd, chm.BeltramiField(ch, n, {}), sv.NewtonConfig())
+    assert calls == []
+    assert rep["curvature_floor"] == rep["curvature_sup"] == fd.curvature_sup
+    assert rep["phi"] is fd.Phi and rep["connection"] is fd.A
 
 
 def test_newton_continuation_fd_check_recorded():
