@@ -190,7 +190,7 @@ def _emit(report: SolveReport, outdir) -> int:
 
 def _cmd_fiber_verify(args) -> int:
     n = args.n
-    rep = SolveReport(command="fiber-verify", config_echo={"n": n, "seed": args.seed})
+    rep = SolveReport(command="fiber-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     checks = {}
@@ -199,27 +199,27 @@ def _cmd_fiber_verify(args) -> int:
     checks["triple_HE"] = float(np.abs(br(triple.H, triple.E) - 2 * triple.E).max())
     checks["triple_HF"] = float(np.abs(br(triple.H, triple.F) + 2 * triple.F).max())
     checks["triple_EF"] = float(np.abs(br(triple.E, triple.F) - triple.H).max())
-    inv = fiber.involutions(n)
-    checks["sigma_F"] = float(np.abs(inv.sigma(triple.F) + triple.F).max())
-    checks["sigma_E"] = float(np.abs(inv.sigma(triple.E) + triple.E).max())
+    sigma, rho = fiber.sigma, fiber.rho
+    checks["sigma_F"] = float(np.abs(sigma(triple.F) + triple.F).max())
+    checks["sigma_E"] = float(np.abs(sigma(triple.E) + triple.E).max())
     worst = 0.0
     for _ in range(args.samples):
         x = fiber.random_traceless(n, rng)
-        worst = max(worst, float(np.abs(inv.sigma(inv.rho(x)) - inv.rho(inv.sigma(x))).max()))
-        worst = max(worst, float(np.abs(inv.sigma(inv.sigma(x)) - x).max()))
-        worst = max(worst, float(np.abs(inv.rho(inv.rho(x)) - x).max()))
+        worst = max(worst, float(np.abs(sigma(rho(x)) - rho(sigma(x))).max()))
+        worst = max(worst, float(np.abs(sigma(sigma(x)) - x).max()))
+        worst = max(worst, float(np.abs(rho(rho(x)) - x).max()))
     checks["involution_algebra"] = worst
     cb = fiber.centralizer_basis(triple.F)
     checks["centralizer_dim_defect"] = abs(len(cb) - (n - 1))
-    neg = max(float(np.abs(inv.sigma(b) + b).max()) for b in cb)
+    neg = max(float(np.abs(sigma(b) + b).max()) for b in cb)
     checks["sigma_negates_centralizer"] = neg
     ab = 0.0
-    ad = fiber.adjoint_operator(triple.F)
+    ad = fiber.ad_columns(triple.F, fiber.sl_basis(n))
     for i, b1 in enumerate(cb):
         for b2 in cb[i + 1 :]:
             ab = max(ab, float(np.abs(br(b1, b2)).max()))
-        sol, *_ = np.linalg.lstsq(ad.matrix, fiber._to_coords(n, b1), rcond=None)
-        resid = np.abs(ad.matrix @ sol - fiber._to_coords(n, b1)).max()
+        sol, *_ = np.linalg.lstsq(ad, b1.reshape(-1), rcond=None)
+        resid = np.abs(ad @ sol - b1.reshape(-1)).max()
         checks["center_in_image"] = max(checks.get("center_in_image", 0.0), float(resid))
     checks["centralizer_abelian"] = ab
     if n <= 6:
@@ -383,6 +383,8 @@ def _cmd_fillin(cfg) -> int:
     out = _outdir(cfg)
     n, ch, mu, _ = _fields_from_config(cfg)
     hermitian = cfg.get("hermitian", "identity")
+    if hermitian not in ("fuchsian", "identity"):
+        raise ConfigError(f"'hermitian' must be 'fuchsian' or 'identity', got {hermitian!r}")
     if hermitian == "fuchsian":
         conn = sv.fuchsian_reference(n, ch).A  # fill_in(Phi, h=h, boundary="rect") of the reference
     else:

@@ -149,9 +149,8 @@ class ConnectionField:
 
 
 def sigma_defect(a_form: LieForm) -> float:
-    inv = fiber.involutions(a_form.n)
-    d1 = np.abs(inv.sigma(a_form.d1) - a_form.d1).max()
-    d2 = np.abs(inv.sigma(a_form.d2) - a_form.d2).max()
+    d1 = np.abs(fiber.sigma(a_form.d1) - a_form.d1).max()
+    d2 = np.abs(fiber.sigma(a_form.d2) - a_form.d2).max()
     return float(max(d1, d2))
 
 

@@ -36,14 +36,11 @@ __all__ = [
     "Sl2Triple",
     "complete_sl2_triple",
     "weight_basis",
-    "trace_pairing",
     "sl_basis",
-    "AdOperator",
-    "adjoint_operator",
     "centralizer_basis",
     "is_principal_nilpotent",
-    "Involutions",
-    "involutions",
+    "sigma",
+    "rho",
     "sigma_plus_basis",
     "sigma_minus_basis",
     "random_traceless",
@@ -72,7 +69,7 @@ def h_adjoint(x, h, hinv):
 def sigma_split(x):
     """(x^sigma, x^-sigma): the sigma-even and sigma-odd parts of x, with
     x^-sigma = (x - sigma x) / 2 and x^sigma = x - x^-sigma."""
-    minus = 0.5 * (x - _sigma(x))
+    minus = 0.5 * (x - sigma(x))
     return x - minus, minus
 
 
@@ -170,15 +167,6 @@ def weight_basis(n: int, exact: bool = False):
     return out
 
 
-def trace_pairing(x, y):
-    """tr(xy); raises on mismatched sizes."""
-    if x.shape[-1] != y.shape[-1]:
-        raise InvalidDimensionError(
-            f"trace pairing needs equal sizes, got {x.shape} and {y.shape}"
-        )
-    return np.trace(x @ y)
-
-
 @lru_cache(maxsize=32)
 def _sl_basis_cached(n):
     mats = []
@@ -202,65 +190,18 @@ def sl_basis(n: int):
     return list(_sl_basis_cached(n))
 
 
-@lru_cache(maxsize=32)
-def _sl_coords_pinv(n):
-    b = np.stack([m.reshape(-1) for m in _sl_basis_cached(n)], axis=1)
-    return b, np.linalg.pinv(b)
-
-
-def _to_coords(n, x):
-    _, pinv = _sl_coords_pinv(n)
-    return pinv @ np.asarray(x, dtype=complex).reshape(-1)
-
-
-def _from_coords(n, c):
-    b, _ = _sl_coords_pinv(n)
-    return (b @ c).reshape(n, n)
-
-
-class AdOperator:
-    """ad_x as a dense (n^2-1) x (n^2-1) matrix against ``sl_basis``."""
-
-    def __init__(self, source: np.ndarray):
-        self.source = np.asarray(source, dtype=complex)
-        self.n = self.source.shape[0]
-        basis = sl_basis(self.n)
-        cols = [_to_coords(self.n, commutator(self.source, m)) for m in basis]
-        self.matrix = np.stack(cols, axis=1)
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return commutator(self.source, y)
-
-    def _svd(self):
-        return np.linalg.svd(self.matrix)
-
-    def kernel_basis(self, tol: float = 1e-10):
-        u, s, vh = self._svd()
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > tol * smax))
-        return [_from_coords(self.n, vh[k].conj()) for k in range(rank, len(s))]
-
-    def image_basis(self, tol: float = 1e-10):
-        u, s, vh = self._svd()
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > tol * smax))
-        return [_from_coords(self.n, u[:, k]) for k in range(rank)]
-
-    def rank(self, tol: float = 1e-10) -> int:
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
-
-
-def adjoint_operator(x: np.ndarray) -> AdOperator:
-    """Linear operator y -> [x, y] with kernel/image extraction."""
-    return AdOperator(x)
-
-
 def centralizer_basis(x: np.ndarray, tol: float = 1e-10):
-    """Orthonormalized basis of {y in sl_n : [x, y] = 0}."""
-    return adjoint_operator(x).kernel_basis(tol=tol)
+    """Basis of {y in sl_n : [x, y] = 0}: the SVD null space of
+    ``ad_columns(x, sl_basis(n))``, orthonormal in ``sl_basis`` coordinates.
+
+    The rank counts singular values above tol * sigma_max.
+    """
+    x = np.asarray(x, dtype=complex)
+    basis = np.stack(sl_basis(x.shape[-1]))
+    _, s, vh = np.linalg.svd(ad_columns(x, basis))
+    smax = s[0] if s[0] > 0 else 1.0
+    rank = int(np.sum(s > tol * smax))
+    return list(np.tensordot(vh[rank:].conj(), basis, axes=1))
 
 
 def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: bool = False):
@@ -290,35 +231,15 @@ def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: b
     return ok
 
 
-def _sigma(x):
-    """sigma(x) = -J x^T J."""
+def sigma(x):
+    """The linear involution sigma(x) = -J x^T J, J the antidiagonal of ones."""
     xt = np.swapaxes(np.asarray(x, dtype=complex), -1, -2)
     return -xt[..., ::-1, ::-1]
 
 
-class Involutions:
-    """The fixed involution gauge: J antidiagonal, sigma linear, rho antilinear.
-
-    All three maps broadcast over leading axes, so they apply equally to a
-    single matrix or to a whole grid of them.
-    """
-
-    def __init__(self, n: int):
-        _check_n(n)
-        self.n = n
-        self.J = np.fliplr(np.eye(n)).astype(complex)
-
-    sigma = staticmethod(_sigma)
-
-    def rho(self, x):
-        return -dagger(np.asarray(x, dtype=complex))
-
-    def tau(self, x):
-        return self.sigma(self.rho(x))
-
-
-def involutions(n: int) -> Involutions:
-    return Involutions(n)
+def rho(x):
+    """The antilinear involution rho(x) = -x^+."""
+    return -dagger(np.asarray(x, dtype=complex))
 
 
 def _mirror(n, a, b):

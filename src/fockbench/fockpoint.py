@@ -25,18 +25,12 @@ __all__ = [
     "fock_point",
     "pseudo_norm",
     "positivity_margins",
-    "positivity_margin",
-    "is_positive",
     "contraction_norms",
-    "contraction_norm",
     "fiber_norms",
     "FourWay",
     "four_way",
     "four_way_decompose",
-    "q_involution",
     "cohomology_dims",
-    "phi_cohomology_dims",
-    "cohomology_dims_raw",
 ]
 
 EPS_POS = 1e-8  # relative margin on the smallest Gram eigenvalue
@@ -235,7 +229,7 @@ class FourWay:
     def q_involution(self, v, tol: float = 1e-8):
         """Flip the Im(ad_Phi) component of sigma-invariant fibers v (S, 2, n, n)."""
         axes = (-3, -2, -1)
-        defect = np.abs(fiber.involutions(v.shape[-1]).sigma(v) - v).max(axis=axes, initial=0.0)
+        defect = np.abs(fiber.sigma(v) - v).max(axis=axes, initial=0.0)
         scale = np.maximum(np.abs(v).max(axis=axes, initial=0.0), 1.0)
         bad = np.flatnonzero(defect > tol * scale)
         if bad.size:
@@ -264,62 +258,13 @@ def four_way(phi1, phi2, star_a, star_b) -> FourWay:
     return FourWay(m, np.linalg.pinv(m, rcond=1e-12), tuple(zip([0] + ends[:-1], ends)))
 
 
-# Per-point functions: each is a batch of one through the kernels above.
-
-
-def _batch_of_one(phi: FockPoint, h):
-    return phi.phi1[None], phi.phi2[None], None if h is None else np.asarray(h)[None]
-
-
-def _four_way_of_one(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
-    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star.a[None], phi_star.b[None])
-    return fw, np.stack([omega.a, omega.b])[None]
-
-
-def is_positive(phi: FockPoint, h=None, eps_pos: float = EPS_POS) -> bool:
-    """Positivity of the pseudo pairing restricted to Im(ad_Phi).
-
-    With an orthonormal frame the Gram eigenvalues live in [-1, 1], so the
-    eps_pos margin is scale free.
-    """
-    return positivity_margin(phi, h) > eps_pos
-
-
-def positivity_margin(phi: FockPoint, h=None) -> float:
-    """Smallest Gram eigenvalue; -1.0 when Im(ad_Phi) is rank deficient."""
-    return float(positivity_margins(*_batch_of_one(phi, h))[0])
-
-
-def contraction_norm(phi: FockPoint, h=None) -> float:
-    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}); see
-    ``contraction_norms``."""
-    return float(contraction_norms(*_batch_of_one(phi, h))[0])
-
-
 def four_way_decompose(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
-    """Split omega into Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar + Z(Phi*) dz.
+    """Split one fiber omega into Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar +
+    Z(Phi*) dz, as a stack of one through ``four_way``.
 
     Requires the positivity/transversality of the pair; raises
     DecompositionError when the stacked system is singular or the
     reconstruction misses omega.
     """
-    fw, v = _four_way_of_one(omega, phi, phi_star)
-    return tuple(FormFiber(p[0, 0], p[0, 1]) for p in fw.split(v))
-
-
-def q_involution(omega: FormFiber, phi: FockPoint, phi_star: FormFiber, tol: float = 1e-8) -> FormFiber:
-    """Flip the Im(ad_Phi) component of a sigma-invariant 1-form fiber."""
-    fw, v = _four_way_of_one(omega, phi, phi_star)
-    q = fw.q_involution(v, tol)[0]
-    return FormFiber(q[0], q[1])
-
-
-def cohomology_dims_raw(phi1: np.ndarray, phi2: np.ndarray, tol: float = 1e-10):
-    """Fiberwise cohomology dimensions of one pair; diagnostic variant
-    accepting any matrix pair."""
-    return tuple(int(d) for d in cohomology_dims(np.asarray(phi1)[None], np.asarray(phi2)[None], tol)[0])
-
-
-def phi_cohomology_dims(phi: FockPoint):
-    """(rank, 2 rank, rank) for valid Fock points, computed not assumed."""
-    return cohomology_dims_raw(phi.phi1, phi.phi2)
+    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star.a[None], phi_star.b[None])
+    return tuple(FormFiber(p[0, 0], p[0, 1]) for p in fw.split(np.stack([omega.a, omega.b])[None]))

@@ -197,11 +197,11 @@ def covector_variation(t: CovectorField, ham: HamiltonianTerm, boundary: str = "
 
 def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: float = 1e-8) -> LieForm:
     """Middle-term correction for the flow generator of H = w p^{ell-1}:
-    the symmetrized sum with one phi1-factor replaced by the dz part of
-    A^{-sigma}.  Satisfies [A^{-sigma}, xi] + [Phi, eta] = 0 pointwise when
-    [A^{-sigma} ^ Phi] = 0; a violated precondition only warns."""
-    n = phi.n
-    ham.check(n)
+    ``eta_for_word`` on the word z^{ell-1}, the symmetrized sum with one
+    phi1-factor replaced by the dz part of A^{-sigma}.  Satisfies
+    [A^{-sigma}, xi] + [Phi, eta] = 0 pointwise when [A^{-sigma} ^ Phi] = 0;
+    a violated precondition only warns."""
+    ham.check(phi.n)
     defect = wedge_bracket(aminus, phi)
     dnorm = float(np.abs(defect.d0).max())
     scale = max(1.0, float(np.abs(aminus.d1).max()), float(np.abs(aminus.d2).max()))
@@ -210,12 +210,7 @@ def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: flo
             f"A^-sigma is not Phi-commuting: wedge defect {dnorm:.3e}; eta correction is approximate",
             stacklevel=2,
         )
-    eye = np.broadcast_to(np.eye(n, dtype=complex), phi.d1.shape)
-    pw = [eye] + fiber.powers(phi.d1, ham.ell - 2)  # phi1^0 .. phi1^{ell-2}
-    data = np.zeros_like(phi.d1)
-    for j in range(ham.ell - 1):
-        data = data + pw[j] @ aminus.d1 @ pw[ham.ell - 2 - j]
-    return LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * data)
+    return eta_for_word(phi, aminus, ("z",) * (ham.ell - 1), ham.w)
 
 
 def eta_for_word(phi: LieForm, aminus: LieForm, word, w: ScalarField) -> LieForm:

@@ -24,7 +24,7 @@ floor).  The raw curvature sup-norm is reported alongside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -463,11 +463,9 @@ class LinearizedContext:
 
 def linearized_operator(eta: LieForm, phi: LieForm, a_conn, h: HermitianField, tol: float = 1e-6) -> LieForm:
     """Strong-form L eta; eta must be admissible (sigma-even, h-hermitian)."""
-    n = phi.n
-    inv = fiber.involutions(n)
     e = eta.d0
     scale = max(1.0, float(np.abs(e).max()))
-    sig = np.abs(inv.sigma(e) - e).max()
+    sig = np.abs(fiber.sigma(e) - e).max()
     herm = np.abs(fiber.h_adjoint(e, h.data, h.inv()) - e).max()
     if max(sig, herm) > tol * scale:
         raise DomainMismatchError(

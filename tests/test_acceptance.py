@@ -41,16 +41,16 @@ def test_criterion_1_fiber_identity_suite():
                     assert tr != 0
                 else:
                     assert tr == 0
-        inv = fiber.involutions(n)
-        assert np.abs(inv.sigma(t.F) + t.F).max() <= tol
+        sigma, rho = fiber.sigma, fiber.rho
+        assert np.abs(sigma(t.F) + t.F).max() <= tol
         cb = fiber.centralizer_basis(t.F)
         assert len(cb) == n - 1
         for b in cb:
-            assert np.abs(inv.sigma(b) + b).max() <= tol
+            assert np.abs(sigma(b) + b).max() <= tol
         rng = np.random.default_rng(n)
         for _ in range(10):
             x = fiber.random_traceless(n, rng)
-            assert np.abs(inv.sigma(inv.rho(x)) - inv.rho(inv.sigma(x))).max() <= tol
+            assert np.abs(sigma(rho(x)) - rho(sigma(x))).max() <= tol
     _report("C1 fiber identities (n=2..6, tol 1e-12)", time.perf_counter() - t0, 5.0, "triple/trace/involution checks exact")
 
 
@@ -70,14 +70,15 @@ def test_criterion_2_decomposition_suite():
                 pt = fp.fock_point(n, mu)
             except DegenerateStructureError:
                 continue
-            pos_gram = fp.is_positive(pt)
-            s = fp.contraction_norm(pt)
+            phi1, phi2 = pt.phi1[None], pt.phi2[None]  # the point as a stack of one
+            pos_gram = fp.positivity_margins(phi1, phi2)[0] > eps
+            s = fp.contraction_norms(phi1, phi2)[0]
             pos_contr = s * s < (1 - eps) / (1 + eps)
             assert pos_gram == pos_contr  # criterion: the two tests agree on every sample
             if not pos_gram:
                 continue
             positives += 1
-            assert fp.phi_cohomology_dims(pt) == (n - 1, 2 * (n - 1), n - 1)
+            assert tuple(fp.cohomology_dims(phi1, phi2)[0]) == (n - 1, 2 * (n - 1), n - 1)
             star = fp.FormFiber(pt.phi2.conj().T, pt.phi1.conj().T)
             om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
             parts = fp.four_way_decompose(om, pt, star)

@@ -92,10 +92,11 @@ def test_fiber_verify_checks_samples_matrices(monkeypatch, capsys):
     monkeypatch.setattr(fiber, "random_traceless", lambda n, rng: drawn.append(n) or real(n, rng))
     assert run(["fiber-verify", "--n", "3"]) == 0
     assert len(drawn) == 20
+    assert json.loads(capsys.readouterr().out)["config_echo"] == {"n": 3, "samples": 20, "seed": 0}
     drawn.clear()
     assert run(["fiber-verify", "--n", "3", "--samples", "7"]) == 0
     assert len(drawn) == 7
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["config_echo"] == {"n": 3, "samples": 7, "seed": 0}
     assert run(["fiber-verify", "--n", "3", "--samples", "0"]) == 4
     assert "--samples" in capsys.readouterr().err
 
@@ -379,6 +380,8 @@ def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
         ("solve", "solver", "max_cg", 4000.0),
         ("solve", "solver", "fd_check", "false"),
         ("solve", "solver", "fd_check", 0),
+        # hermitian names one of the two structures
+        ("fillin", None, "hermitian", "fuchsain"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):

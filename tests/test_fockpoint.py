@@ -13,6 +13,31 @@ def _star_fiber(pt, h=None):
     return fp.FormFiber(hinv @ pt.phi2.conj().T @ h, hinv @ pt.phi1.conj().T @ h)
 
 
+# One point through the stacked kernels: a stack of one.
+
+
+def _margin(pt):
+    return fp.positivity_margins(pt.phi1[None], pt.phi2[None])[0]
+
+
+def _positive(pt):
+    return _margin(pt) > fp.EPS_POS
+
+
+def _contraction(pt):
+    return fp.contraction_norms(pt.phi1[None], pt.phi2[None])[0]
+
+
+def _dims(phi1, phi2):
+    return tuple(int(d) for d in fp.cohomology_dims(phi1[None], phi2[None])[0])
+
+
+def _q(omega, pt, star):
+    fw = fp.four_way(pt.phi1[None], pt.phi2[None], star.a[None], star.b[None])
+    q = fw.q_involution(np.stack([omega.a, omega.b])[None])[0]
+    return fp.FormFiber(q[0], q[1])
+
+
 def test_fock_point_fuchsian_and_formula():
     p = fp.fock_point(3, [0, 0])
     assert np.abs(p.phi2).max() == 0
@@ -41,12 +66,12 @@ def test_pseudo_norm():
 
 
 def test_positivity_fuchsian_and_ramp():
-    assert fp.is_positive(fp.fock_point(4, [0, 0, 0]))
+    assert _positive(fp.fock_point(4, [0, 0, 0]))
     f = fiber.principal_nilpotent(3)
     margins = []
     for c in np.linspace(0.0, 3.0, 16):
         pt = fp.FockPoint(3, f, c * (f @ f), (0.0, c))
-        margins.append(fp.positivity_margin(pt))
+        margins.append(_margin(pt))
     assert margins[0] > 0.9
     assert min(margins) < 0  # positivity eventually fails along the ramp
     assert all(m2 <= m1 + 1e-12 for m1, m2 in zip(margins, margins[1:]))
@@ -58,12 +83,12 @@ def test_positivity_after_diagonal_gauge():
     n = 3
     t = fiber.complete_sl2_triple(n)
     pt = fp.fock_point(n, [0.3, 2.5])
-    assert not fp.is_positive(pt)
+    assert not _positive(pt)
     s = 1.5
     g = np.diag(np.exp(s * np.diag(t.H)))
     gi = np.diag(np.exp(-s * np.diag(t.H)))
     conj = fp.FockPoint(n, g @ pt.phi1 @ gi, g @ pt.phi2 @ gi, pt.mu)
-    assert fp.is_positive(conj)
+    assert _positive(conj)
 
 
 def test_gram_contraction_correspondence():
@@ -75,8 +100,8 @@ def test_gram_contraction_correspondence():
                 pt = fp.fock_point(n, mu)
             except DegenerateStructureError:
                 continue
-            lam = fp.positivity_margin(pt)
-            s = fp.contraction_norm(pt)
+            lam = _margin(pt)
+            s = _contraction(pt)
             assert lam == pytest.approx((1 - s * s) / (1 + s * s), abs=1e-8)
 
 
@@ -124,7 +149,7 @@ def test_pseudo_norm_positive_on_image_component():
     rng = np.random.default_rng(4)
     n = 3
     pt = fp.fock_point(n, [0.2, 0.1j])
-    assert fp.is_positive(pt)
+    assert _positive(pt)
     star = _star_fiber(pt)
     for _ in range(10):
         om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
@@ -140,21 +165,20 @@ def test_q_involution():
     star = _star_fiber(pt)
     x = fiber.sigma_plus_basis(n)[1]
     om = fp.FormFiber(x, 0.4 * x)
-    q = fp.q_involution(om, pt, star)
-    qq = fp.q_involution(q, pt, star)
+    q = _q(om, pt, star)
+    qq = _q(q, pt, star)
     assert (qq - om).norm() < 1e-9
     # definition on the two summands: flips Im(ad_Phi), fixes Im(ad_Phi*)
-    inv = fiber.involutions(n)
     eta = fiber.random_traceless(n, rng)
-    eta = 0.5 * (eta - inv.sigma(eta))  # sigma-odd so that [Phi, eta] is sigma-even
+    eta = 0.5 * (eta - fiber.sigma(eta))  # sigma-odd so that [Phi, eta] is sigma-even
     w_minus = fp.FormFiber(fiber.commutator(pt.phi1, eta), fiber.commutator(pt.phi2, eta))
     w_plus = fp.FormFiber(fiber.commutator(star.a, eta), fiber.commutator(star.b, eta))
-    got = fp.q_involution(w_minus + w_plus, pt, star)
+    got = _q(w_minus + w_plus, pt, star)
     assert (got - (w_plus - w_minus)).norm() < 1e-9 * max(1.0, (w_minus + w_plus).norm())
     zero = fp.FormFiber(np.zeros((n, n)), np.zeros((n, n)))
-    assert fp.q_involution(zero, pt, star).norm() == 0
+    assert _q(zero, pt, star).norm() == 0
     with pytest.raises(DomainMismatchError):
-        fp.q_involution(fp.FormFiber(fiber.principal_nilpotent(n), np.zeros((n, n))), pt, star)
+        _q(fp.FormFiber(fiber.principal_nilpotent(n), np.zeros((n, n))), pt, star)
 
 
 def test_sigma_acts_by_minus_one_on_cohomology():
@@ -162,7 +186,6 @@ def test_sigma_acts_by_minus_one_on_cohomology():
     rng = np.random.default_rng(6)
     n = 3
     pt = fp.fock_point(n, [0.15, -0.2])
-    inv = fiber.involutions(n)
     basis = fiber.sl_basis(n)
     cols = []
     for x in basis:  # a-slot of the 1-form -> 2-form map
@@ -176,7 +199,7 @@ def test_sigma_acts_by_minus_one_on_cohomology():
     dim = n * n - 1
     a = sum(coef[i] * basis[i] for i in range(dim))
     b = sum(coef[dim + i] * basis[i] for i in range(dim))
-    c_plus_sigma = fp.FormFiber(a + inv.sigma(a), b + inv.sigma(b))
+    c_plus_sigma = fp.FormFiber(a + fiber.sigma(a), b + fiber.sigma(b))
     # solve [Phi, y] = c + sigma(c) for a 0-form y
     cols0 = np.stack(
         [
@@ -193,10 +216,11 @@ def test_sigma_acts_by_minus_one_on_cohomology():
 
 
 def test_cohomology_dims():
-    assert fp.phi_cohomology_dims(fp.fock_point(2, [0.0])) == (1, 2, 1)
-    assert fp.phi_cohomology_dims(fp.fock_point(5, [0.05, 0.02, 0.01, -0.03])) == (4, 8, 4)
+    p2, p5 = fp.fock_point(2, [0.0]), fp.fock_point(5, [0.05, 0.02, 0.01, -0.03])
+    assert _dims(p2.phi1, p2.phi2) == (1, 2, 1)
+    assert _dims(p5.phi1, p5.phi2) == (4, 8, 4)
     zeros = np.zeros((3, 3), dtype=complex)
-    d0, _, _ = fp.cohomology_dims_raw(zeros, zeros)
+    d0, _, _ = _dims(zeros, zeros)
     assert d0 == 8
 
 
@@ -236,17 +260,17 @@ def test_batched_kernels_agree_with_per_point_references(n):
         star = _star_fiber(pt)
         for got, want in zip(parts[:, k], _lstsq_parts(om, pt, star)):
             assert np.abs(got.reshape(-1) - want).max() < 1e-12
-        # the per-point functions are batches of one of the same kernels
-        assert margins[k] == fp.positivity_margin(pt)
-        assert (margins[k] > eps) == fp.is_positive(pt)
+        # a stack of one gives the same bits as the whole stack
+        assert margins[k] == _margin(pt)
+        assert (margins[k] > eps) == _positive(pt)
         c1, c2 = fiber.ad_columns(pt.phi1, basis), fiber.ad_columns(pt.phi2, basis)
         s = np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2)
-        assert (s * s < (1 - eps) / (1 + eps)) == (norms[k] ** 2 < (1 - eps) / (1 + eps)) == fp.is_positive(pt)
+        assert (s * s < (1 - eps) / (1 + eps)) == (norms[k] ** 2 < (1 - eps) / (1 + eps)) == _positive(pt)
         m0 = fp._pair_columns(pt.phi1, pt.phi2)
         m1 = np.hstack([-c2, c1])
         r0, r1 = _reference_rank(m0), _reference_rank(m1)
         dim = n * n - 1
-        assert tuple(dims[k]) == (dim - r0, 2 * dim - r1 - r0, dim - r1) == fp.phi_cohomology_dims(pt)
+        assert tuple(dims[k]) == (dim - r0, 2 * dim - r1 - r0, dim - r1) == _dims(pt.phi1, pt.phi2)
 
 
 def test_stacked_q_involution_checks_each_entry():

@@ -250,6 +250,27 @@ def test_eta_correction_warns_on_bad_precondition():
         hf.eta_correction(phi, bad, hf.HamiltonianTerm(2, w))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eta_correction_is_the_word_sum(n):
+    # bitwise the symmetrized sum sum_j phi1^j a phi1^(ell-2-j) on Fock fields
+    rng = np.random.default_rng(20 + n)
+    ch = chm.periodic_chart(12, 12)
+    phi = hf.fock_form(ch, _random_mu(ch, n, rng, 0.1))
+    lie = lambda: sum(chm.random_smooth_scalar(ch, rng).data[..., None, None] * fiber.random_traceless(n, rng) for _ in range(3))
+    aminus = chm.LieForm(ch, 1, d1=lie(), d2=lie())
+    eye = np.broadcast_to(np.eye(n, dtype=complex), phi.d1.shape)
+    for ell in range(2, n + 1):
+        w = chm.random_smooth_scalar(ch, rng)
+        pw = [eye] + fiber.powers(phi.d1, ell - 2)
+        data = np.zeros_like(phi.d1)
+        for j in range(ell - 1):
+            data = data + pw[j] @ aminus.d1 @ pw[ell - 2 - j]
+        with pytest.warns(UserWarning):  # a random A^-sigma is not Phi-commuting
+            eta = hf.eta_correction(phi, aminus, hf.HamiltonianTerm(ell, w))
+        assert eta.d0.tobytes() == (w.data[..., None, None] * data).tobytes()
+        assert eta.d0.tobytes() == hf.eta_for_word(phi, aminus, ("z",) * (ell - 1), w).d0.tobytes()
+
+
 def test_gauge_tensor_equivalence_refines():
     for n in (2, 3):
         diffs = {}

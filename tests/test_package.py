@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import fockbench
 
@@ -9,3 +11,35 @@ def test_every_exported_name_resolves():
     exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
     assert len({mod for mod, _ in exported}) >= 7
     assert [f"{mod.__name__}.{name}" for mod, name in exported if not hasattr(mod, name)] == []
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads, nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_has_an_unused_import():
+    unused = {
+        path.name: found
+        for path in sorted(Path(fockbench.__file__).parent.glob("*.py"))
+        if (found := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
+
+def test_unused_import_finder_sees_each_kind():
+    src = "from __future__ import annotations\nimport os, numpy as np\nfrom a import b, c as d\nfrom . import e\n__all__ = ['e']\nnp.zeros(b)\n"
+    assert _unused_imports(src) == [(2, "os"), (3, "d")]

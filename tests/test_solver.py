@@ -152,8 +152,7 @@ def test_admissible_space_roundtrip_and_structure():
         h = cn.identity_hermitian(ch, n)
         space = sv.AdmissibleSpace(ch, n, h)
         assert space.dim == n * (n - 1) // 2
-        inv = fiber.involutions(n)
-        assert np.abs(inv.sigma(space.basis) - space.basis).max() < 1e-12
+        assert np.abs(fiber.sigma(space.basis) - space.basis).max() < 1e-12
         assert np.abs(np.conj(np.swapaxes(space.basis, -1, -2)) - space.basis).max() < 1e-12
         eta, coords = _random_admissible(space, rng)
         assert np.abs(space.to_coords(eta) - coords).max() < 1e-12
@@ -291,21 +290,19 @@ def test_symbol_positivity_pointwise():
             pt = fp.fock_point(n, mu)
         except DegenerateStructureError:
             continue
-        if not fp.is_positive(pt):
+        if not fp.positivity_margins(pt.phi1[None], pt.phi2[None])[0] > fp.EPS_POS:
             continue
         count += 1
-        star = fp.FormFiber(pt.phi2.conj().T, pt.phi1.conj().T)
+        fw = fp.four_way(pt.phi1[None], pt.phi2[None], pt.phi2.conj().T[None], pt.phi1.conj().T[None])
         p = rng.standard_normal() + 1j * rng.standard_normal()  # covector alpha = p dz + conj(p) dzbar
         for _ in range(5):
             x = fiber.random_traceless(n, rng)
-            inv = fiber.involutions(n)
-            eta = 0.5 * (x + inv.sigma(x))
+            eta = 0.5 * (x + fiber.sigma(x))
             eta = 0.5 * (eta + eta.conj().T)  # admissible: sigma-even hermitian
             if np.abs(eta).max() < 1e-10:
                 continue
-            omega = fp.FormFiber(p * eta, np.conj(p) * eta)
-            q = fp.q_involution(omega, pt, star)
-            val = -(np.trace(eta @ (p * q.b)) - np.trace(eta @ (np.conj(p) * q.a))).real
+            qa, qb = fw.q_involution(np.stack([p * eta, np.conj(p) * eta])[None])[0]
+            val = -(np.trace(eta @ (p * qb)) - np.trace(eta @ (np.conj(p) * qa))).real
             assert val < 0
 
 
@@ -556,4 +553,4 @@ def test_positivity_margin_field_is_the_pointwise_margin():
             a = fiber.random_traceless(n, rng, scale=0.3)
             h = cn.hermitian_structure(ch, np.broadcast_to(a @ a.conj().T + np.eye(n), (ch.nx, ch.ny, n, n)))
             phi = chm.LieForm(ch, 1, d1=np.broadcast_to(f, h.data.shape).copy(), d2=np.broadcast_to(pt.phi2, h.data.shape).copy())
-            assert sv.positivity_margin_field(phi, h) == fp.positivity_margin(pt, h.data[0, 0])
+            assert sv.positivity_margin_field(phi, h) == fp.positivity_margins(f[None], pt.phi2[None], h.data[:1, 0])[0]
