@@ -11,7 +11,7 @@ from .chart import (
     periodic_chart,
 )
 from .connection import ConnectionField, HermitianField
-from .fockpoint import FockPoint, FormFiber
+from .fockpoint import FockPoint
 from .solver import FuchsianData, NewtonConfig
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "ConnectionField",
     "HermitianField",
     "FockPoint",
-    "FormFiber",
     "FuchsianData",
     "NewtonConfig",
 ]

@@ -202,13 +202,17 @@ def _cmd_fiber_verify(args) -> int:
     sigma, rho = fiber.sigma, fiber.rho
     checks["sigma_F"] = float(np.abs(sigma(triple.F) + triple.F).max())
     checks["sigma_E"] = float(np.abs(sigma(triple.E) + triple.E).max())
-    worst = 0.0
+    worst = compact = 0.0
     for _ in range(args.samples):
         x = fiber.random_traceless(n, rng)
         worst = max(worst, float(np.abs(sigma(rho(x)) - rho(sigma(x))).max()))
         worst = max(worst, float(np.abs(sigma(sigma(x)) - x).max()))
         worst = max(worst, float(np.abs(rho(rho(x)) - x).max()))
+        # rho fixes su(n): it fixes the anti-hermitian part and negates the hermitian one
+        anti, herm = x - fiber.dagger(x), x + fiber.dagger(x)
+        compact = max(compact, float(np.abs(rho(anti) - anti).max()), float(np.abs(rho(herm) + herm).max()))
     checks["involution_algebra"] = worst
+    checks["rho_fixes_su_n"] = compact
     cb = fiber.centralizer_basis(triple.F)
     checks["centralizer_dim_defect"] = abs(len(cb) - (n - 1))
     neg = max(float(np.abs(sigma(b) + b).max()) for b in cb)
@@ -282,12 +286,15 @@ def _verify_block(phi2, omega, worst) -> int:
     pos = fp.positivity_margins(f, phi2) > eps
     s = fp.contraction_norms(f, phi2)
     worst["gram_vs_contraction"] += int(np.sum(pos != (s * s < (1 - eps) / (1 + eps))))
-    x = fiber.sigma_plus_basis(n)[0]
-    om2 = np.broadcast_to(np.stack([x, 0.5 * x]), (int(pos.sum()), 2, n, n))
-    fw_pos = fw[pos]
-    q2 = fw_pos.q_involution(fw_pos.q_involution(om2))
-    worst["q_involution"] = max(worst["q_involution"], float(fp.fiber_norms(q2 - om2).max(initial=0.0)))
-    return len(om2)
+    # omega_2 = (x, x/2) with x the first sigma_plus_basis element, in the
+    # coordinates Q acts on; the basis is orthonormal, so their norms are fiber norms
+    m = n * (n - 1) // 2
+    om2 = np.zeros((2 * m, 1))
+    om2[[0, m], 0] = 1.0, 0.5
+    q = fp.q_matrices(f, phi2[pos], fiber.dagger(phi2[pos]), fiber.dagger(f))
+    q2 = np.linalg.norm(q @ (q @ om2) - om2, axis=(-2, -1))
+    worst["q_involution"] = max(worst["q_involution"], float(q2.max(initial=0.0)))
+    return len(q)
 
 
 def _cmd_point_verify(args) -> int:

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fiber
-from .errors import DecompositionError, DegenerateStructureError, DomainMismatchError
+from .errors import DecompositionError, DegenerateStructureError
 
 __all__ = [
-    "FormFiber",
     "FockPoint",
     "fock_point",
     "pseudo_norm",
@@ -31,29 +30,10 @@ __all__ = [
     "four_way",
     "four_way_decompose",
     "cohomology_dims",
+    "q_matrices",
 ]
 
 EPS_POS = 1e-8  # relative margin on the smallest Gram eigenvalue
-
-
-@dataclass
-class FormFiber:
-    """1-form fiber a dz + b dzbar."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __add__(self, other):
-        return FormFiber(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return FormFiber(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return FormFiber(-self.a, -self.b)
-
-    def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2)))
 
 
 @dataclass
@@ -99,10 +79,10 @@ def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
     return FockPoint(n=n, phi1=f, phi2=phi2, mu=mu)
 
 
-def pseudo_norm(omega: FormFiber) -> float:
-    """tr(a^+ a) - tr(b^+ b); positive on dz-type fibers, negative on dzbar."""
-    a, b = omega.a, omega.b
-    return float((np.sum(np.abs(a) ** 2) - np.sum(np.abs(b) ** 2)).real)
+def pseudo_norm(omega) -> float:
+    """tr(a^+ a) - tr(b^+ b) of one fiber omega = (a, b), shape (2, n, n);
+    positive on dz-type fibers, negative on dzbar."""
+    return float(np.sum(np.abs(omega[0]) ** 2) - np.sum(np.abs(omega[1]) ** 2))
 
 
 def _tilde_pair(phi1, phi2, h):
@@ -196,15 +176,12 @@ class FourWay:
     ``matrix`` (S, 2n^2, K) holds the four column blocks, whose columns span
     the four summands (``spans`` are their column ranges), and ``pinv`` its
     pseudo-inverse with cutoff 1e-12; each right-hand side then costs three
-    products.  Indexing takes a sub-stack.
+    products.
     """
 
     matrix: np.ndarray
     pinv: np.ndarray
     spans: tuple
-
-    def __getitem__(self, idx):
-        return FourWay(self.matrix[idx], self.pinv[idx], self.spans)
 
     def split(self, v):
         """The four parts (4, S, 2, n, n) of fibers v (S, 2, n, n).
@@ -226,21 +203,6 @@ class FourWay:
             )
         return parts
 
-    def q_involution(self, v, tol: float = 1e-8):
-        """Flip the Im(ad_Phi) component of sigma-invariant fibers v (S, 2, n, n)."""
-        axes = (-3, -2, -1)
-        defect = np.abs(fiber.sigma(v) - v).max(axis=axes, initial=0.0)
-        scale = np.maximum(np.abs(v).max(axis=axes, initial=0.0), 1.0)
-        bad = np.flatnonzero(defect > tol * scale)
-        if bad.size:
-            raise DomainMismatchError(f"q_involution needs a sigma-invariant fiber (defect {defect[bad[0]]:.3e})")
-        w_im, w_im_star, w_z, w_zstar = self.split(v)
-        stray = np.maximum(fiber_norms(w_z), fiber_norms(w_zstar))
-        bad = np.flatnonzero(stray > 1e-8 * np.maximum(fiber_norms(v), 1.0))
-        if bad.size:
-            raise DecompositionError(f"sigma-invariant fiber has centralizer components {stray[bad[0]]:.3e}")
-        return w_im_star - w_im
-
 
 def four_way(phi1, phi2, star_a, star_b) -> FourWay:
     """Factor the four-way splitting of the pairs (phi1, phi2) with stars
@@ -258,13 +220,49 @@ def four_way(phi1, phi2, star_a, star_b) -> FourWay:
     return FourWay(m, np.linalg.pinv(m, rcond=1e-12), tuple(zip([0] + ends[:-1], ends)))
 
 
-def four_way_decompose(omega: FormFiber, phi: FockPoint, phi_star: FormFiber):
-    """Split one fiber omega into Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar +
-    Z(Phi*) dz, as a stack of one through ``four_way``.
+def four_way_decompose(omega, phi: FockPoint, phi_star):
+    """Split one fiber omega (2, n, n) into Im(ad_Phi) + Im(ad_Phi*) + Z(Phi)
+    dzbar + Z(Phi*) dz, as a stack of one through ``four_way``; phi_star is the
+    star pair (2, n, n) and the four parts are (2, n, n) each.
 
     Requires the positivity/transversality of the pair; raises
     DecompositionError when the stacked system is singular or the
     reconstruction misses omega.
     """
-    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star.a[None], phi_star.b[None])
-    return tuple(FormFiber(p[0, 0], p[0, 1]) for p in fw.split(np.stack([omega.a, omega.b])[None]))
+    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star[0][None], phi_star[1][None])
+    return tuple(fw.split(np.asarray(omega)[None])[:, 0])
+
+
+def q_matrices(phi1, phi2, psi1, psi2):
+    """The involution Q per pair (phi1, phi2) with star (psi1, psi2): on
+    sigma-invariant fibers it flips the Im(ad_Phi) part against the
+    Im(ad_Phi*) part.  phi1 and psi2 may be shared by the stack.
+
+    Fibers (a, b) are taken in ``sigma_plus_basis`` coordinates, a's before
+    b's, so Q is the (S, 2m, 2m) matrix eye - 2 P_minus, m = n(n-1)/2.
+    P_minus projects onto the brackets ([phi1, y], [phi2, y]) along
+    ([psi1, y], [psi2, y]), y in ``sigma_minus_basis``, through one pinv
+    with cutoff 1e-11.  Raises DecompositionError naming the first stack
+    entry where Q^2 misses the identity by more than 1e-8 (a singular pair).
+    """
+    n = phi2.shape[-1]
+    sdag = fiber.dagger(np.stack(fiber.sigma_plus_basis(n)))
+    s_minus = np.stack(fiber.sigma_minus_basis(n))
+
+    def brackets(x1, x2):  # (S, 2m, q): coordinates of ([x1, y], [x2, y]), one column per y
+        return _cat(
+            [np.einsum("aij,...qji->...aq", sdag, fiber.commutator(x[..., None, :, :], s_minus)) for x in (x1, x2)],
+            axis=-2,
+        )
+
+    b_minus = brackets(phi1, phi2)
+    pinv = np.linalg.pinv(_cat([b_minus, brackets(psi1, psi2)], axis=-1), rcond=1e-11)
+    eye = np.eye(2 * len(sdag), dtype=complex)
+    q = eye - 2.0 * (b_minus @ pinv[..., : b_minus.shape[-1], :])
+    defect = np.abs(q @ q - eye).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= 1e-8))
+    if bad.size:
+        raise DecompositionError(
+            f"Q^2 misses the identity by {defect[bad[0]]:.3e} at stack entry {bad[0]} (singular pair?)"
+        )
+    return q

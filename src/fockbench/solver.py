@@ -43,7 +43,7 @@ from .connection import (
     sup_norm,
 )
 from .errors import DomainMismatchError, NonConvergenceError, PositivityError
-from .fockpoint import positivity_margins
+from .fockpoint import positivity_margins, q_matrices
 from .hcsflow import fock_form
 
 __all__ = [
@@ -258,6 +258,8 @@ class AdmissibleSpace:
         self.basis = self.basis.reshape(chart.nx, chart.ny, self.dim, n, n)
         active = chart.interior() if not chart.periodic else chart.mask()
         self.active = active
+        self._mask3 = active[..., None].astype(float)  # zeroes coordinates off the active points
+        self._mask3.flags.writeable = False
         self.weight = chart.hx * chart.hy
 
     def to_field(self, coords) -> LieForm:
@@ -267,15 +269,12 @@ class AdmissibleSpace:
     def to_coords(self, x) -> np.ndarray:
         data = x.d0 if isinstance(x, LieForm) else x
         c = np.einsum("xyaij,xyji->xya", fiber.dagger(self.basis), data)
-        return c.real * self._mask3()
+        return c.real * self._mask3
 
     def moments(self, coeff) -> np.ndarray:
         """Galerkin residual coordinates -Re tr(e_a * coeff) on active points."""
         r = -np.einsum("xyaij,xyji->xya", self.basis, coeff).real
-        return r * self._mask3()
-
-    def _mask3(self):
-        return self.active[..., None].astype(float)
+        return r * self._mask3
 
     def dot(self, c1, c2) -> float:
         return float(np.sum(c1 * c2) * self.weight)
@@ -329,38 +328,11 @@ class LinearizedContext:
         self.n = phi.n
         self.boundary = "periodic" if self.chart.periodic else "zerofill"
         self.space = space if space is not None else AdmissibleSpace(self.chart, self.n, h)
-        self._build_q()
-
-    def _build_q(self):
-        n = self.n
-        ch = self.chart
-        npt = ch.nx * ch.ny
-        s_plus = np.stack(fiber.sigma_plus_basis(n))
-        s_minus = fiber.sigma_minus_basis(n)
-        m = s_plus.shape[0]
-        p1 = self.phi.d1.reshape(npt, n, n)
-        p2 = self.phi.d2.reshape(npt, n, n)
-        q1 = self.psi.d1.reshape(npt, n, n)
-        q2 = self.psi.d2.reshape(npt, n, n)
-
-        def coords(y):
-            # coordinates of a sigma-even matrix grid against the ONB s_plus
-            return np.einsum("aij,pji->pa", fiber.dagger(s_plus), y)
-
-        def bracket_block(x1, x2):
-            # coordinates of ([x1, y], [x2, y]), one column per y in s_minus
-            cols = [np.concatenate([coords(fiber.commutator(x, y)) for x in (x1, x2)], axis=-1) for y in s_minus]
-            return np.stack(cols, axis=-1)  # (npt, 2m, q)
-
-        b_minus, b_plus = bracket_block(p1, p2), bracket_block(q1, q2)
-        both = np.concatenate([b_minus, b_plus], axis=-1)
-        pinv = np.linalg.pinv(both, rcond=1e-11)
-        qdim = b_minus.shape[-1]
-        p_minus = b_minus @ pinv[:, :qdim, :]
-        eye = np.eye(2 * m, dtype=complex)[None]
-        self._qmat = eye - 2.0 * p_minus
-        self._s_plus = s_plus
-        self._m = m
+        npt = self.chart.nx * self.chart.ny
+        fields = (self.phi.d1, self.phi.d2, self.psi.d1, self.psi.d2)
+        self._qmat = q_matrices(*(f.reshape(npt, self.n, self.n) for f in fields))
+        self._s_plus = np.stack(fiber.sigma_plus_basis(self.n))
+        self._m = self._s_plus.shape[0]
 
     def q_apply(self, omega: LieForm) -> LieForm:
         n, ch, m = self.n, self.chart, self._m
@@ -529,7 +501,7 @@ def _cg(ctx: LinearizedContext, rhs_coords, cfg: NewtonConfig, precond=None):
     space = ctx.space
     x = np.zeros_like(rhs_coords)
     r = rhs_coords.copy()
-    apply_p = (lambda v: np.einsum("xyab,xyb->xya", precond, v) * space._mask3()) if precond is not None else (lambda v: v)
+    apply_p = (lambda v: np.einsum("xyab,xyb->xya", precond, v) * space._mask3) if precond is not None else (lambda v: v)
     z = apply_p(r)
     p = z.copy()
     rz = space.dot(r, z)

@@ -79,10 +79,10 @@ def test_criterion_2_decomposition_suite():
                 continue
             positives += 1
             assert tuple(fp.cohomology_dims(phi1, phi2)[0]) == (n - 1, 2 * (n - 1), n - 1)
-            star = fp.FormFiber(pt.phi2.conj().T, pt.phi1.conj().T)
-            om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
+            star = np.stack([pt.phi2.conj().T, pt.phi1.conj().T])
+            om = np.stack([fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)])
             parts = fp.four_way_decompose(om, pt, star)
-            resid = (parts[0] + parts[1] + parts[2] + parts[3] - om).norm() / om.norm()
+            resid = fp.fiber_norms(parts[0] + parts[1] + parts[2] + parts[3] - om) / fp.fiber_norms(om)
             worst_recon = max(worst_recon, resid)
         assert worst_recon < 1e-10
     _report("C2 decomposition suite (100 positive points, n=2..5)", time.perf_counter() - t0, 30.0, f"worst reconstruction {worst_recon:.1e}")

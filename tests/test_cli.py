@@ -77,6 +77,7 @@ def test_fiber_verify_ok(tmp_path, capsys):
     rep = _read_report(out)
     assert rep["status"] == "ok"
     assert rep["residual_norms"]["trace_orthogonality_violations"] == 0
+    assert rep["residual_norms"]["rho_fixes_su_n"] == 0.0
 
 
 def test_point_verify_ok(tmp_path, capsys):
@@ -296,24 +297,72 @@ def test_fillin_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "A.csv"))
 
 
+# Small runs of the commands that write fields, each with the files it writes.
+# ``solve`` has a mu_3 bump, so it reaches CG and Newton; ``flow`` writes no
+# CSV, so its report's values stand for its output.
+_DISK16 = {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5}
+_PERIODIC16 = {"kind": "periodic-rect", "nx": 16, "ny": 16, "lx": 1.0, "ly": 1.0}
+_BUMP = {"type": "bump", "center": [0.5, 0.5], "radius": 0.3}
+_DETERMINISM_RUNS = {
+    "solve": (
+        {
+            "n": 3,
+            "chart": _DISK16,
+            "beltrami": {"3": {"type": "bump", "center": [0.02, -0.01], "radius": 0.3, "amplitude": 0.01}},
+            "solver": {"continuation_steps": 2, "preconditioner": "jacobi"},
+        },
+        ("eta.csv", "phi.csv", "A.csv"),
+    ),
+    "fuchsian": ({"n": 3, "chart": _DISK16}, ("A.csv", "h.csv", "g.csv")),
+    "fillin": (
+        {"n": 3, "chart": _PERIODIC16, "beltrami": {"2": dict(_BUMP, amplitude=0.05), "3": dict(_BUMP, amplitude=0.02)}},
+        ("A.csv",),
+    ),
+    "flow": (
+        {
+            "n": 3,
+            "chart": _PERIODIC16,
+            "beltrami": {"3": dict(_BUMP, amplitude=0.02)},
+            "covector": {"2": dict(_BUMP, amplitude=0.1)},
+            "hamiltonian": {"ell": 2, "eps": 1e-3, "steps": 2, "w": dict(_BUMP, amplitude=0.1)},
+        },
+        (),
+    ),
+}
+
+
+def _determinism_configs(tmp_path, tag):
+    """Write each run's config with its output under ``tag``; (command, config
+    path, output dir) per run."""
+    runs = []
+    for cmd, (cfg, _) in _DETERMINISM_RUNS.items():
+        out = tmp_path / tag / cmd
+        runs.append((cmd, _write_config(tmp_path, f"{tag}-{cmd}.json", dict(cfg, output_dir=str(out))), out))
+    return runs
+
+
+def _determinism_outputs(runs):
+    """The bytes of every CSV the runs wrote, and each report's values."""
+    got = {}
+    for cmd, _, out in runs:
+        for name in _DETERMINISM_RUNS[cmd][1]:
+            got[cmd, name] = (out / name).read_bytes()
+        rep = _read_report(out)
+        assert rep["status"] == "ok", rep["messages"]
+        got[cmd, "report"] = json.dumps([rep["residual_norms"], rep["iteration_traces"]])
+    return got
+
+
 def test_csv_outputs_bitwise_deterministic(tmp_path, capsys):
-    cfgs = []
-    for name in ("x", "y"):
-        out = str(tmp_path / name)
-        cfg = {
-            "n": 2,
-            "chart": {"kind": "dirichlet-disk", "nx": 32, "ny": 32, "radius": 0.5},
-            "beltrami": {},
-            "solver": {"continuation_steps": 1, "newton_tol": 1e-9},
-            "output_dir": out,
-            "seed": 3,
-        }
-        assert run(["solve", "--config", _write_config(tmp_path, f"{name}.json", cfg)]) == 0
-        cfgs.append(out)
-    for fname in ("eta.csv", "phi.csv", "A.csv"):
-        a = open(os.path.join(cfgs[0], fname), "rb").read()
-        b = open(os.path.join(cfgs[1], fname), "rb").read()
-        assert a == b
+    outputs = []
+    for tag in ("x", "y"):
+        runs = _determinism_configs(tmp_path, tag)
+        for cmd, path, _ in runs:
+            assert run([cmd, "--config", path]) == 0
+        outputs.append(_determinism_outputs(runs))
+    assert outputs[0] == outputs[1]
+    steps = json.loads(outputs[0]["solve", "report"])[1]["per_step"]
+    assert len(steps) == 2 and all(step["newton_iters"] > 0 for step in steps)
 
 
 def test_failed_solve_writes_fail_report(tmp_path, capsys):
@@ -454,29 +503,24 @@ def test_nan_final_residual_is_a_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_csv_independent_of_blas_threads(tmp_path):
-    # the thread count is set for the child processes only
-    outs = []
+    # the thread count is set for the child processes only; each child runs every command
+    outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        cfg = {
-            "n": 3,
-            "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
-            "beltrami": {"3": {"type": "bump", "center": [0.02, -0.01], "radius": 0.3, "amplitude": 0.01}},
-            "solver": {"continuation_steps": 2, "preconditioner": "jacobi"},
-            "output_dir": str(out),
-        }
+        runs = _determinism_configs(tmp_path, f"threads{threads}")
+        argv = [arg for cmd, path, _ in runs for arg in (cmd, path)]
         src = os.path.dirname(os.path.dirname(os.path.abspath(sv.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\nfrom fockbench.cli import run\n"
+            "sys.exit(max(run([c, '--config', p]) for c, p in zip(sys.argv[1::2], sys.argv[2::2])))"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "from fockbench.cli import main; main()", "solve", "--config",
-             _write_config(tmp_path, f"c{threads}.json", cfg)],
-            env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("eta.csv", "phi.csv", "A.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        outputs.append(_determinism_outputs(runs))
+    assert outputs[0] == outputs[1]
 
 
 # CLI fuzz: argv and JSON configs for every subcommand, each a small valid run

@@ -168,6 +168,17 @@ def test_involutions_properties():
             assert np.abs(sigma(rho(x)) - rho(sigma(x))).max() < 1e-14
 
 
+def test_rho_is_minus_the_adjoint_and_fixes_su_n():
+    x = np.array([[1.0 + 2.0j, 3.0 - 1.0j], [-0.5j, -1.0 - 2.0j]])
+    assert np.array_equal(fiber.rho(x), np.array([[-1.0 + 2.0j, -0.5j], [-3.0 - 1.0j, 1.0 - 2.0j]]))
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4, 5):
+        y = fiber.random_traceless(n, rng)
+        anti, herm = y - fiber.dagger(y), y + fiber.dagger(y)
+        assert np.abs(fiber.rho(anti) - anti).max() < 1e-15  # the compact real form su(n) is fixed
+        assert np.abs(fiber.rho(herm) + herm).max() < 1e-15
+
+
 def test_sigma_negates_centralizer():
     for n in (2, 3, 4, 5):
         f = fiber.principal_nilpotent(n)

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from fockbench import fiber, fockpoint as fp
-from fockbench.errors import DegenerateStructureError, DomainMismatchError
+from fockbench.errors import DecompositionError, DegenerateStructureError
 
 
-def _star_fiber(pt, h=None):
-    """h-adjoint of the point field as a FormFiber (identity metric default)."""
-    if h is None:
-        return fp.FormFiber(pt.phi2.conj().T, pt.phi1.conj().T)
-    hinv = np.linalg.inv(h)
-    return fp.FormFiber(hinv @ pt.phi2.conj().T @ h, hinv @ pt.phi1.conj().T @ h)
+def _star_fiber(pt):
+    """Adjoint (phi2^+, phi1^+) of the point field, as a fiber (2, n, n)."""
+    return np.stack([pt.phi2.conj().T, pt.phi1.conj().T])
+
+
+def _fiber(a, b):
+    return np.stack([a, b])
+
+
+def _norm(v):
+    return float(fp.fiber_norms(v))
 
 
 # One point through the stacked kernels: a stack of one.
@@ -32,10 +37,22 @@ def _dims(phi1, phi2):
     return tuple(int(d) for d in fp.cohomology_dims(phi1[None], phi2[None])[0])
 
 
+def _plus_coords(v):
+    """sigma_plus_basis coordinates (..., 2m) of sigma-invariant fibers v (..., 2, n, n)."""
+    sdag = fiber.dagger(np.stack(fiber.sigma_plus_basis(v.shape[-1])))
+    c = np.einsum("aij,...ji->...a", sdag, v)
+    return c.reshape(c.shape[:-2] + (-1,))
+
+
+def _plus_fibers(c, n):
+    """The fibers (..., 2, n, n) of sigma_plus_basis coordinates c (..., 2m)."""
+    s_plus = np.stack(fiber.sigma_plus_basis(n))
+    return np.einsum("...ka,aij->...kij", c.reshape(c.shape[:-1] + (2, -1)), s_plus)
+
+
 def _q(omega, pt, star):
-    fw = fp.four_way(pt.phi1[None], pt.phi2[None], star.a[None], star.b[None])
-    q = fw.q_involution(np.stack([omega.a, omega.b])[None])[0]
-    return fp.FormFiber(q[0], q[1])
+    q = fp.q_matrices(pt.phi1[None], pt.phi2[None], star[0][None], star[1][None])[0]
+    return _plus_fibers(q @ _plus_coords(omega), pt.n)
 
 
 def test_fock_point_fuchsian_and_formula():
@@ -60,9 +77,9 @@ def test_pseudo_norm():
     for n in (2, 3, 5):
         f = fiber.principal_nilpotent(n)
         zero = np.zeros((n, n))
-        assert fp.pseudo_norm(fp.FormFiber(f, zero)) == pytest.approx(n - 1)
-        assert fp.pseudo_norm(fp.FormFiber(zero, f)) == pytest.approx(-(n - 1))
-        assert fp.pseudo_norm(fp.FormFiber(zero, zero)) == 0.0
+        assert fp.pseudo_norm(_fiber(f, zero)) == pytest.approx(n - 1)
+        assert fp.pseudo_norm(_fiber(zero, f)) == pytest.approx(-(n - 1))
+        assert fp.pseudo_norm(_fiber(zero, zero)) == 0.0
 
 
 def test_positivity_fuchsian_and_ramp():
@@ -111,16 +128,16 @@ def test_four_way_decomposition():
         mu = 0.2 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         pt = fp.fock_point(n, mu)
         star = _star_fiber(pt)
-        om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
+        om = _fiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
         parts = fp.four_way_decompose(om, pt, star)
-        assert (parts[0] + parts[1] + parts[2] + parts[3] - om).norm() < 1e-10 * om.norm()
-        assert np.abs(parts[2].a).max() < 1e-9  # Z(Phi) block is dzbar only
-        assert np.abs(parts[3].b).max() < 1e-9  # Z(Phi*) block is dz only
+        assert _norm(parts[0] + parts[1] + parts[2] + parts[3] - om) < 1e-10 * _norm(om)
+        assert np.abs(parts[2][0]).max() < 1e-9  # Z(Phi) block is dzbar only
+        assert np.abs(parts[3][1]).max() < 1e-9  # Z(Phi*) block is dz only
         # dzbar part of the Z(Phi) block commutes with phi1
-        assert np.abs(fiber.commutator(pt.phi1, parts[2].b)).max() < 1e-8
-        zero = fp.FormFiber(np.zeros((n, n)), np.zeros((n, n)))
+        assert np.abs(fiber.commutator(pt.phi1, parts[2][1])).max() < 1e-8
+        zero = np.zeros((2, n, n))
         zparts = fp.four_way_decompose(zero, pt, star)
-        assert max(p.norm() for p in zparts) < 1e-12
+        assert max(_norm(p) for p in zparts) < 1e-12
 
 
 def test_four_way_block_independence():
@@ -128,7 +145,7 @@ def test_four_way_block_independence():
     for n in (2, 3, 4):
         pt = fp.fock_point(n, 0.15 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
         star = _star_fiber(pt)
-        m = fp.four_way(pt.phi1, pt.phi2[None], star.a[None], star.b).matrix[0]
+        m = fp.four_way(pt.phi1, pt.phi2[None], star[0][None], star[1]).matrix[0]
         s = np.linalg.svd(m, compute_uv=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         assert rank == 2 * (n * n - 1)
@@ -138,11 +155,11 @@ def test_fuchsian_components():
     pt = fp.fock_point(2, [0.0])
     star = _star_fiber(pt)
     f = fiber.principal_nilpotent(2)
-    parts = fp.four_way_decompose(fp.FormFiber(f, np.zeros((2, 2))), pt, star)
-    assert parts[0].norm() > 0.99 and parts[1].norm() < 1e-10 and parts[2].norm() < 1e-10
+    parts = fp.four_way_decompose(_fiber(f, np.zeros((2, 2))), pt, star)
+    assert _norm(parts[0]) > 0.99 and _norm(parts[1]) < 1e-10 and _norm(parts[2]) < 1e-10
     h = np.diag([1.0, -1.0]).astype(complex)
-    parts = fp.four_way_decompose(fp.FormFiber(np.zeros((2, 2)), h), pt, star)
-    assert parts[1].norm() > 1.0 and parts[0].norm() < 1e-10 and parts[3].norm() < 1e-10
+    parts = fp.four_way_decompose(_fiber(np.zeros((2, 2)), h), pt, star)
+    assert _norm(parts[1]) > 1.0 and _norm(parts[0]) < 1e-10 and _norm(parts[3]) < 1e-10
 
 
 def test_pseudo_norm_positive_on_image_component():
@@ -152,9 +169,9 @@ def test_pseudo_norm_positive_on_image_component():
     assert _positive(pt)
     star = _star_fiber(pt)
     for _ in range(10):
-        om = fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
+        om = _fiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng))
         part = fp.four_way_decompose(om, pt, star)[0]
-        if part.norm() > 1e-8:
+        if _norm(part) > 1e-8:
             assert fp.pseudo_norm(part) > 0
 
 
@@ -164,21 +181,19 @@ def test_q_involution():
     pt = fp.fock_point(n, [0.1, 0.2])
     star = _star_fiber(pt)
     x = fiber.sigma_plus_basis(n)[1]
-    om = fp.FormFiber(x, 0.4 * x)
+    om = _fiber(x, 0.4 * x)
     q = _q(om, pt, star)
     qq = _q(q, pt, star)
-    assert (qq - om).norm() < 1e-9
+    assert _norm(qq - om) < 1e-9
     # definition on the two summands: flips Im(ad_Phi), fixes Im(ad_Phi*)
     eta = fiber.random_traceless(n, rng)
     eta = 0.5 * (eta - fiber.sigma(eta))  # sigma-odd so that [Phi, eta] is sigma-even
-    w_minus = fp.FormFiber(fiber.commutator(pt.phi1, eta), fiber.commutator(pt.phi2, eta))
-    w_plus = fp.FormFiber(fiber.commutator(star.a, eta), fiber.commutator(star.b, eta))
+    w_minus = _fiber(fiber.commutator(pt.phi1, eta), fiber.commutator(pt.phi2, eta))
+    w_plus = _fiber(fiber.commutator(star[0], eta), fiber.commutator(star[1], eta))
     got = _q(w_minus + w_plus, pt, star)
-    assert (got - (w_plus - w_minus)).norm() < 1e-9 * max(1.0, (w_minus + w_plus).norm())
-    zero = fp.FormFiber(np.zeros((n, n)), np.zeros((n, n)))
-    assert _q(zero, pt, star).norm() == 0
-    with pytest.raises(DomainMismatchError):
-        _q(fp.FormFiber(fiber.principal_nilpotent(n), np.zeros((n, n))), pt, star)
+    assert _norm(got - (w_plus - w_minus)) < 1e-9 * max(1.0, _norm(w_minus + w_plus))
+    zero = np.zeros((2, n, n), dtype=complex)
+    assert _norm(_q(zero, pt, star)) == 0
 
 
 def test_sigma_acts_by_minus_one_on_cohomology():
@@ -199,7 +214,7 @@ def test_sigma_acts_by_minus_one_on_cohomology():
     dim = n * n - 1
     a = sum(coef[i] * basis[i] for i in range(dim))
     b = sum(coef[dim + i] * basis[i] for i in range(dim))
-    c_plus_sigma = fp.FormFiber(a + fiber.sigma(a), b + fiber.sigma(b))
+    c_plus_sigma = _fiber(a + fiber.sigma(a), b + fiber.sigma(b))
     # solve [Phi, y] = c + sigma(c) for a 0-form y
     cols0 = np.stack(
         [
@@ -210,7 +225,7 @@ def test_sigma_acts_by_minus_one_on_cohomology():
         ],
         axis=1,
     )
-    target = np.concatenate([c_plus_sigma.a.reshape(-1), c_plus_sigma.b.reshape(-1)])
+    target = c_plus_sigma.reshape(-1)
     sol, *_ = np.linalg.lstsq(cols0, target, rcond=None)
     assert np.abs(cols0 @ sol - target).max() < 1e-10
 
@@ -230,9 +245,9 @@ def _lstsq_parts(omega, pt, star):
     n = pt.n
     zero = np.zeros((n * n, n - 1), dtype=complex)
     zk = np.stack([np.linalg.matrix_power(pt.phi1, k).reshape(-1) for k in range(1, n)], axis=1)
-    wk = np.stack([np.linalg.matrix_power(star.b, k).reshape(-1) for k in range(1, n)], axis=1)
-    blocks = [fp._pair_columns(pt.phi1, pt.phi2), fp._pair_columns(star.a, star.b), np.vstack([zero, zk]), np.vstack([wk, zero])]
-    x, *_ = np.linalg.lstsq(np.hstack(blocks), np.concatenate([omega.a.ravel(), omega.b.ravel()]), rcond=1e-12)
+    wk = np.stack([np.linalg.matrix_power(star[1], k).reshape(-1) for k in range(1, n)], axis=1)
+    blocks = [fp._pair_columns(pt.phi1, pt.phi2), fp._pair_columns(star[0], star[1]), np.vstack([zero, zk]), np.vstack([wk, zero])]
+    x, *_ = np.linalg.lstsq(np.hstack(blocks), omega.reshape(-1), rcond=1e-12)
     ends = np.cumsum([b.shape[1] for b in blocks])
     return [blk @ x[e - blk.shape[1] : e] for blk, e in zip(blocks, ends)]
 
@@ -246,11 +261,11 @@ def _reference_rank(m, tol=1e-10):
 def test_batched_kernels_agree_with_per_point_references(n):
     rng = np.random.default_rng(10 + n)
     pts = [fp.fock_point(n, 0.3 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))) for _ in range(12)]
-    omegas = [fp.FormFiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)) for _ in pts]
+    omegas = [_fiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)) for _ in pts]
     f = fiber.principal_nilpotent(n)
     phi2 = np.stack([p.phi2 for p in pts])
     fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
-    parts = fw.split(np.stack([[om.a, om.b] for om in omegas]))
+    parts = fw.split(np.stack(omegas))
     margins = fp.positivity_margins(f, phi2)
     norms = fp.contraction_norms(f, phi2)
     dims = fp.cohomology_dims(f, phi2)
@@ -277,12 +292,30 @@ def test_stacked_q_involution_checks_each_entry():
     n = 3
     f = fiber.principal_nilpotent(n)
     phi2 = np.stack([fp.fock_point(n, [0.1, 0.2]).phi2, fp.fock_point(n, [0.2j, -0.1]).phi2])
-    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
+    q = fp.q_matrices(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
     x = fiber.sigma_plus_basis(n)[1]
-    om = np.stack([[x, 0.4 * x], [0.3 * x, -x]])
-    assert fp.fiber_norms(fw.q_involution(fw.q_involution(om)) - om).max() < 1e-9
-    assert fw[[1]].q_involution(om[[1]]).shape == (1, 2, n, n)
-    bad = om.copy()
-    bad[1, 0] = f  # sigma(F) = -F: the second entry is not sigma-invariant
-    with pytest.raises(DomainMismatchError):
-        fw.q_involution(bad)
+    om = _plus_coords(np.stack([[x, 0.4 * x], [0.3 * x, -x]]))[..., None]
+    assert np.abs(q @ (q @ om) - om).max() < 1e-9
+    one = fp.q_matrices(f, phi2[[1]], fiber.dagger(phi2[[1]]), fiber.dagger(f))
+    assert one.shape == (1, 2 * 3, 2 * 3) and np.array_equal(one[0], q[1])
+    bad = phi2.copy()
+    bad[1] = f.T  # Phi = (F, F^T) is its own adjoint: the two bracket images coincide
+    with pytest.raises(DecompositionError, match="stack entry 1 "):
+        fp.q_matrices(f, bad, fiber.dagger(bad), fiber.dagger(f))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_q_kernel_matches_the_four_way_split(n):
+    # on sigma-invariant fibers at positive points, Q = w_im_star - w_im
+    rng = np.random.default_rng(20 + n)
+    f = fiber.principal_nilpotent(n)
+    mus = 0.05 * (rng.standard_normal((8, n - 1)) + 1j * rng.standard_normal((8, n - 1)))
+    phi2 = np.stack([fp.fock_point(n, mu).phi2 for mu in mus])
+    assert (fp.positivity_margins(f, phi2) > fp.EPS_POS).all()
+    star_a, star_b = fiber.dagger(phi2), fiber.dagger(f)
+    v = np.stack([fiber.sigma_split(fiber.random_traceless(n, rng))[0] for _ in range(2 * len(phi2))])
+    v = v.reshape(len(phi2), 2, n, n)
+    w_im, w_im_star, _, _ = fp.four_way(f, phi2, star_a, star_b).split(v)
+    q = fp.q_matrices(f, phi2, star_a, star_b)
+    got = _plus_fibers((q @ _plus_coords(v)[..., None])[..., 0], n)
+    assert np.abs(got - (w_im_star - w_im)).max() < 1e-12

@@ -6,6 +6,14 @@ from pathlib import Path
 import fockbench
 
 
+def test_every_traced_benchmark_target_resolves(monkeypatch):
+    # perfbench wraps these by name; a deletion that would break its traced run fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    layers = importlib.import_module("perfbench.layers")
+    assert len(layers.TARGETS) >= 20
+    assert [(owner, attr) for owner, attr, *_ in layers.TARGETS if not hasattr(owner, attr)] == []
+
+
 def test_every_exported_name_resolves():
     modules = [fockbench] + [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_modules(fockbench.__path__)]
     exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]

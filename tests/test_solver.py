@@ -204,24 +204,60 @@ def test_linearized_operator_self_adjoint():
     assert abs(b12 - b21) < 1e-11 * abs(b12)
 
 
-def _linearization(kind, n):
-    """A LinearizedContext on a 16^2 Fuchsian disk with a mu_3 bump (zero-fill
-    stencils) or on a 12^2 periodic chart with random smooth mu (wrap-around)."""
+def _fock_fields(kind, n):
+    """(phi, h) on a 16^2 Fuchsian disk with a mu_3 bump or on a 12^2 periodic
+    chart with random smooth complex mu."""
     rng = np.random.default_rng(10 + n)
     if kind == "disk":
         ch = chm.disk_chart(16, 16, 0.5)
-        fd = sv.fuchsian_reference(n, ch, c0=n - 1.0)
-        d2 = np.zeros_like(fd.Phi.d1)
+        _, fuchsian, h = sv._fuchsian_fields(n, ch, n - 1.0)  # the reference's fields, without its fill-in
+        d2 = np.zeros_like(fuchsian.d1)
         if n >= 3:
             f2 = np.linalg.matrix_power(fiber.principal_nilpotent(n), 2)
             d2 = chm.bump_field(ch, radius=0.3, amplitude=0.02).data[..., None, None] * f2
-        phi = chm.LieForm(ch, 1, d1=fd.Phi.d1, d2=d2)
-        return sv.LinearizedContext(phi, cn.fill_in(phi, h=fd.h, boundary="rect"), fd.h)
+        return chm.LieForm(ch, 1, d1=fuchsian.d1, d2=d2), h
     ch = chm.periodic_chart(12, 12)
-    h = cn.identity_hermitian(ch, n)
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
-    phi = hf.fock_form(ch, mu)
-    return sv.LinearizedContext(phi, cn.fill_in(phi, h=h), h)
+    return hf.fock_form(ch, mu), cn.identity_hermitian(ch, n)
+
+
+def _linearization(kind, n):
+    """A LinearizedContext on ``_fock_fields``: zero-fill stencils on the disk,
+    wrap-around on the periodic chart."""
+    phi, h = _fock_fields(kind, n)
+    return sv.LinearizedContext(phi, cn.fill_in(phi, h=h, boundary="rect" if kind == "disk" else "auto"), h)
+
+
+def _loop_q(p1, p2, q1, q2):
+    """The solver's Q as it was built before the stacked kernel: sigma-odd
+    bracket blocks from one commutator per sigma_minus_basis element."""
+    n = p1.shape[-1]
+    s_plus = np.stack(fiber.sigma_plus_basis(n))
+    m = s_plus.shape[0]
+
+    def coords(y):
+        return np.einsum("aij,pji->pa", fiber.dagger(s_plus), y)
+
+    def bracket_block(x1, x2):
+        cols = [np.concatenate([coords(fiber.commutator(x, y)) for x in (x1, x2)], axis=-1) for y in fiber.sigma_minus_basis(n)]
+        return np.stack(cols, axis=-1)
+
+    b_minus, b_plus = bracket_block(p1, p2), bracket_block(q1, q2)
+    pinv = np.linalg.pinv(np.concatenate([b_minus, b_plus], axis=-1), rcond=1e-11)
+    return np.eye(2 * m, dtype=complex)[None] - 2.0 * (b_minus @ pinv[:, : b_minus.shape[-1], :])
+
+
+@pytest.mark.parametrize("kind", ["disk", "periodic"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_q_kernel_is_bitwise_the_bracket_loop(kind, n):
+    phi, h = _fock_fields(kind, n)
+    psi = cn.hermitian_adjoint_field(phi, h)
+    npt = phi.chart.nx * phi.chart.ny
+    fields = [f.reshape(npt, n, n) for f in (phi.d1, phi.d2, psi.d1, psi.d2)]
+    want = _bits(_loop_q(*fields))
+    assert _bits(fp.q_matrices(*fields)) == want
+    if n <= 4:  # fill_in cannot yet build the n = 5 disk connection (singular pointwise system)
+        assert _bits(_linearization(kind, n)._qmat) == want
 
 
 @pytest.mark.parametrize("kind", ["disk", "periodic"])
@@ -283,6 +319,8 @@ def test_symbol_positivity_pointwise():
     # -(i/2) tr(eta alpha ^ Q(alpha eta)) is sign-definite for positive points
     rng = np.random.default_rng(6)
     n = 3
+    s_plus = np.stack(fiber.sigma_plus_basis(n))
+    sdag = fiber.dagger(s_plus)
     count = 0
     while count < 100:
         mu = 0.25 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
@@ -293,7 +331,7 @@ def test_symbol_positivity_pointwise():
         if not fp.positivity_margins(pt.phi1[None], pt.phi2[None])[0] > fp.EPS_POS:
             continue
         count += 1
-        fw = fp.four_way(pt.phi1[None], pt.phi2[None], pt.phi2.conj().T[None], pt.phi1.conj().T[None])
+        q = fp.q_matrices(pt.phi1[None], pt.phi2[None], pt.phi2.conj().T[None], pt.phi1.conj().T[None])[0]
         p = rng.standard_normal() + 1j * rng.standard_normal()  # covector alpha = p dz + conj(p) dzbar
         for _ in range(5):
             x = fiber.random_traceless(n, rng)
@@ -301,7 +339,8 @@ def test_symbol_positivity_pointwise():
             eta = 0.5 * (eta + eta.conj().T)  # admissible: sigma-even hermitian
             if np.abs(eta).max() < 1e-10:
                 continue
-            qa, qb = fw.q_involution(np.stack([p * eta, np.conj(p) * eta])[None])[0]
+            c = np.einsum("aij,ji->a", sdag, eta)  # sigma_plus_basis coordinates of eta
+            qa, qb = np.einsum("ka,aij->kij", (q @ np.concatenate([p * c, np.conj(p) * c])).reshape(2, -1), s_plus)
             val = -(np.trace(eta @ (p * qb)) - np.trace(eta @ (np.conj(p) * qa))).real
             assert val < 0
 
