@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: fiber-verify, point-verify, fillin, fuchsian, solve, muholo,
-flow.  Configs are JSON, fields travel as CSV, every run writes exactly one
-report.json into the output directory (and echoes it to stdout).
+flow.  Configs are JSON, fields travel as CSV, every run past its argument
+and config checks, a failed one included, writes exactly one report.json
+into the output directory (and echoes it to stdout).
 
 Exit codes: 0 ok, 1 warn-threshold breached, 2 fail, 3 unknown subcommand,
 4 malformed config, 5 I/O failure.
@@ -30,9 +31,6 @@ from .report import SolveReport
 
 EXIT_OK, EXIT_WARN, EXIT_FAIL = 0, 1, 2
 EXIT_USAGE, EXIT_CONFIG, EXIT_IO = 3, 4, 5
-
-_SUBCOMMANDS = ("fiber-verify", "point-verify", "fillin", "fuchsian", "solve", "muholo", "flow")
-
 
 class ConfigError(ValueError):
     pass
@@ -169,17 +167,17 @@ def _newton_config(spec) -> sv.NewtonConfig:
         raise ConfigError(f"bad solver spec: {exc}") from exc
 
 
-def _outdir(cfg):
-    out = cfg.get("output_dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _emit(report: SolveReport, outdir) -> int:
-    text = report.to_json()
-    if outdir is not None:
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            fh.write(text + "\n")
+    """Write ``report`` to ``outdir``/report.json (none without ``outdir``),
+    echo it on stdout and return its exit code."""
+    try:
+        text = report.to_json()
+        if outdir is not None:
+            with open(os.path.join(outdir, "report.json"), "w") as fh:
+                fh.write(text + "\n")
+    except (TypeError, ValueError) as err:  # an output_dir that is not a path
+        sys.stderr.write(f"no report written: {err}\n")
+        return EXIT_FAIL
     print(text)
     return report.exit_code()
 
@@ -188,11 +186,9 @@ def _emit(report: SolveReport, outdir) -> int:
 # fiber-verify
 
 
-def _cmd_fiber_verify(args) -> int:
-    n = args.n
-    rep = SolveReport(command="fiber-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
+def _cmd_fiber_verify(cfg, out, rep):
+    n = cfg["n"]
+    rng = np.random.default_rng(cfg["seed"])
     checks = {}
     triple = fiber.complete_sl2_triple(n)
     br = fiber.commutator
@@ -203,7 +199,7 @@ def _cmd_fiber_verify(args) -> int:
     checks["sigma_F"] = float(np.abs(sigma(triple.F) + triple.F).max())
     checks["sigma_E"] = float(np.abs(sigma(triple.E) + triple.E).max())
     worst = compact = 0.0
-    for _ in range(args.samples):
+    for _ in range(cfg["samples"]):
         x = fiber.random_traceless(n, rng)
         worst = max(worst, float(np.abs(sigma(rho(x)) - rho(sigma(x))).max()))
         worst = max(worst, float(np.abs(sigma(sigma(x)) - x).max()))
@@ -238,12 +234,10 @@ def _cmd_fiber_verify(args) -> int:
                     bad += tr != 0
         checks["trace_orthogonality_violations"] = bad
     rep.residual_norms = checks
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
     tol = 1e-12
     for key, val in checks.items():
         if val > tol:
             rep.fail(f"{key} = {val!r} exceeds {tol}")
-    return _emit(rep, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +291,9 @@ def _verify_block(phi2, omega, worst) -> int:
     return len(q)
 
 
-def _cmd_point_verify(args) -> int:
-    n = args.n
-    rng = np.random.default_rng(args.seed)
-    rep = SolveReport(command="point-verify", config_echo={"n": n, "samples": args.samples, "seed": args.seed})
+def _cmd_point_verify(cfg, out, rep):
     t0 = time.perf_counter()
-    phi2, omega, skipped = _draw_certified(n, args.samples, rng)
+    phi2, omega, skipped = _draw_certified(cfg["n"], cfg["samples"], np.random.default_rng(cfg["seed"]))
     t1 = time.perf_counter()
     worst = {"reconstruction": 0.0, "dims": 0, "gram_vs_contraction": 0, "q_involution": 0.0}
     positive = 0
@@ -311,14 +302,13 @@ def _cmd_point_verify(args) -> int:
     t2 = time.perf_counter()
     rep.residual_norms = worst
     rep.iteration_traces = {"samples_checked": len(phi2), "degenerate_skipped": skipped, "positive": positive}
-    rep.timings.update(wall_time_s=t2 - t0, certify_s=t1 - t0, batched_s=t2 - t1)
+    rep.timings.update(certify_s=t1 - t0, batched_s=t2 - t1)
     if worst["reconstruction"] > 1e-10:
         rep.fail("four-way reconstruction above 1e-10")
     if worst["dims"] or worst["gram_vs_contraction"]:
         rep.fail("discrete invariants violated")
     if worst["q_involution"] > 1e-9:
         rep.fail("Q is not an involution")
-    return _emit(rep, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +330,10 @@ def _typed(spec, key, kind, default=None):
         raise ConfigError(f"{key!r} must be {kind.__name__.lstrip('_')}, got {value!r}") from exc
 
 
-def _cmd_fuchsian(cfg) -> int:
-    rep = SolveReport(command="fuchsian", config_echo=cfg)
-    t0 = time.perf_counter()
+def _cmd_fuchsian(cfg, out, rep):
     n = _typed(cfg, "n", _int)
     spec = _require(cfg, "chart")
     grids = cfg.get("grids")
-    out = _outdir(cfg)
     residuals = {}
     if grids:
         try:
@@ -372,8 +359,6 @@ def _cmd_fuchsian(cfg) -> int:
         chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A.A)
         chm.save_matrix_field_csv(os.path.join(out, "h.csv"), ch, fd.h.data)
         chm.save_scalar_csv(os.path.join(out, "g.csv"), fd.g)
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
-    return _emit(rep, out)
 
 
 def _fields_from_config(cfg):
@@ -384,10 +369,7 @@ def _fields_from_config(cfg):
     return n, ch, mu, t
 
 
-def _cmd_fillin(cfg) -> int:
-    rep = SolveReport(command="fillin", config_echo=cfg)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def _cmd_fillin(cfg, out, rep):
     n, ch, mu, _ = _fields_from_config(cfg)
     hermitian = cfg.get("hermitian", "identity")
     if hermitian not in ("fuchsian", "identity"):
@@ -400,14 +382,9 @@ def _cmd_fillin(cfg) -> int:
     rep.residual_norms = {k: v for k, v in conn.report.items() if isinstance(v, float)}
     for msg in conn.report.get("warnings", []):
         rep.warn(msg)
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
-    return _emit(rep, out)
 
 
-def _cmd_solve(cfg) -> int:
-    rep = SolveReport(command="solve", config_echo=cfg)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def _cmd_solve(cfg, out, rep):
     n, ch, mu, _ = _fields_from_config(cfg)
     ncfg = _newton_config(cfg.get("solver"))
     fd = sv.fuchsian_reference(n, ch, c0=cfg.get("c0"))
@@ -422,17 +399,12 @@ def _cmd_solve(cfg) -> int:
         "eta_sup": srep["eta_sup"],
     }
     rep.iteration_traces = {"per_step": srep["per_step"]}
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
     rep.timings["newton_wall_time_s"] = srep["wall_time_s"]
     if not (srep["final_residual"] <= ncfg.newton_tol):
         rep.fail(f"final residual {srep['final_residual']:.3e} above newton_tol")
-    return _emit(rep, out)
 
 
-def _cmd_muholo(cfg) -> int:
-    rep = SolveReport(command="muholo", config_echo=cfg)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def _cmd_muholo(cfg, out, rep):
     n, ch, mu, t = _fields_from_config(cfg)
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
@@ -453,17 +425,12 @@ def _cmd_muholo(cfg) -> int:
     for k in range(2, n + 1):
         chm.save_scalar_csv(os.path.join(out, f"tensor_residual_{k}.csv"), chm.ScalarField(ch, tensor[k]))
         chm.save_scalar_csv(os.path.join(out, f"gauge_residual_{k}.csv"), chm.ScalarField(ch, gauge[k]))
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
     floor = 100.0 * ch.hx**2
     if diff_sup > floor:
         rep.warn(f"gauge/tensor residual difference {diff_sup:.3e} above {floor:.1e}")
-    return _emit(rep, out)
 
 
-def _cmd_flow(cfg) -> int:
-    rep = SolveReport(command="flow", config_echo=cfg)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def _cmd_flow(cfg, out, rep):
     n, ch, mu, t = _fields_from_config(cfg)
     ham_spec = _require(cfg, "hamiltonian")
     eps = _typed(ham_spec, "eps", float, 1e-3)
@@ -497,87 +464,84 @@ def _cmd_flow(cfg) -> int:
     after = table(phi, a_form)
     rep.residual_norms = {"before": before, "after": after}
     rep.iteration_traces = {"eps": eps, "steps": steps}
-    rep.timings["wall_time_s"] = time.perf_counter() - t0
-    return _emit(rep, out)
 
 
 # ---------------------------------------------------------------------------
 
+# Each handler fills the run's report from its config, writing any field CSVs
+# into the output directory; run() builds, times and emits the report.
+_HANDLERS = {
+    "fiber-verify": _cmd_fiber_verify,
+    "point-verify": _cmd_point_verify,
+    "fillin": _cmd_fillin,
+    "fuchsian": _cmd_fuchsian,
+    "solve": _cmd_solve,
+    "muholo": _cmd_muholo,
+    "flow": _cmd_flow,
+}
+_SUBCOMMANDS = tuple(_HANDLERS)
+
 
 def run(argv) -> int:
+    """Run one subcommand and emit its one report.  A handler that raises
+    anything but a config or I/O error leaves a ``fail`` report with the
+    exception and whatever trace it carries (a residual history, a
+    continuation parameter, a grid point, the records of the continuation
+    steps that finished)."""
     argv = list(argv)
     if not argv:
         sys.stderr.write(f"usage: fockbench <{'|'.join(_SUBCOMMANDS)}> ...\n")
         return EXIT_USAGE
-    cmd, rest = argv[0], argv[1:]
-    if cmd not in _SUBCOMMANDS:
+    cmd = argv[0]
+    if cmd not in _HANDLERS:
         sys.stderr.write(f"unknown subcommand {cmd!r}; expected one of {', '.join(_SUBCOMMANDS)}\n")
         return EXIT_USAGE
-    cfg = None  # set once the config has loaded; a later failure is reported into its output_dir
-    try:
-        if cmd in ("fiber-verify", "point-verify"):
-            p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=20 if cmd == "fiber-verify" else 50)
-            p.add_argument("--out", default=None)
-            try:
-                args = p.parse_args(rest)
-            except (argparse.ArgumentError, SystemExit) as exc:
-                sys.stderr.write(f"bad arguments: {exc}\n")
-                return EXIT_CONFIG
-            if args.n < 2:
-                sys.stderr.write("--n must be >= 2\n")
-                return EXIT_CONFIG
-            if args.samples < 1:
-                sys.stderr.write("--samples must be >= 1\n")
-                return EXIT_CONFIG
-            if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
-            return _cmd_fiber_verify(args) if cmd == "fiber-verify" else _cmd_point_verify(args)
-        p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
+    flags = cmd in ("fiber-verify", "point-verify")  # the others read a --config
+    p = argparse.ArgumentParser(prog=f"fockbench {cmd}", exit_on_error=False)
+    if flags:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=20 if cmd == "fiber-verify" else 50)
+        p.add_argument("--out", default=None)
+    else:
         p.add_argument("--config", required=True)
+    try:
+        args = p.parse_args(argv[1:])
+    except (argparse.ArgumentError, SystemExit) as exc:
+        sys.stderr.write(f"bad arguments: {exc}\n")
+        return EXIT_CONFIG
+    try:
+        if flags:
+            if args.n < 2:
+                raise ConfigError("--n must be >= 2")
+            if args.samples < 1:
+                raise ConfigError("--samples must be >= 1")
+            cfg, out = {"n": args.n, "samples": args.samples, "seed": args.seed}, args.out
+        else:
+            cfg = _load_config(args.config)
+            out = cfg.get("output_dir", "out")
+        rep = SolveReport(command=cmd, config_echo=cfg)
+        t0 = time.perf_counter()
         try:
-            args = p.parse_args(rest)
-        except (argparse.ArgumentError, SystemExit) as exc:
-            sys.stderr.write(f"bad arguments: {exc}\n")
-            return EXIT_CONFIG
-        cfg = _load_config(args.config)
-        handler = {
-            "fillin": _cmd_fillin,
-            "fuchsian": _cmd_fuchsian,
-            "solve": _cmd_solve,
-            "muholo": _cmd_muholo,
-            "flow": _cmd_flow,
-        }[cmd]
-        return handler(cfg)
+            if out is not None:  # without --out the report goes to stdout alone
+                os.makedirs(out, exist_ok=True)
+            _HANDLERS[cmd](cfg, out, rep)
+        except (ConfigError, OSError):
+            raise
+        except Exception as exc:  # solver-level failures surface as status "fail"
+            sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+            rep.fail(f"{type(exc).__name__}: {exc}")
+            for key in ("history", "where", "point", "per_step"):
+                if getattr(exc, key, None) is not None:
+                    rep.iteration_traces[key] = getattr(exc, key)
+        rep.timings["wall_time_s"] = time.perf_counter() - t0
+        return _emit(rep, out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO
-    except Exception as exc:  # solver-level failures surface as status "fail"
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        if cfg is None:
-            return EXIT_FAIL
-        return _emit_failure(cmd, cfg, exc)
-
-
-def _emit_failure(cmd, cfg, exc) -> int:
-    """The fail report of a handler that raised: the exception and whatever
-    trace it carries (a residual history, a continuation parameter, a grid
-    point, the records of the continuation steps that finished)."""
-    rep = SolveReport(command=cmd, config_echo=cfg)
-    rep.fail(f"{type(exc).__name__}: {exc}")
-    rep.iteration_traces = {
-        key: getattr(exc, key) for key in ("history", "where", "point", "per_step") if getattr(exc, key, None) is not None
-    }
-    try:
-        return _emit(rep, _outdir(cfg))
-    except (OSError, TypeError, ValueError) as err:  # the output directory is unusable
-        sys.stderr.write(f"no report written: {err}\n")
-        return EXIT_FAIL
 
 
 def main() -> None:

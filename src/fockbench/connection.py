@@ -83,6 +83,11 @@ class HermitianField:
         """h^-1, once per field."""
         return self.derived("inv", lambda: np.linalg.inv(self.data))
 
+    def sigma_adjoints(self):
+        """The h-adjoints of the ``sigma_plus_basis`` directions, (nx * ny, m, n, n),
+        once per field: the admissible space and every unitary ``fill_in`` read them."""
+        return self.derived("sigma_adjoints", lambda: _h_adjoints(self, fiber.sigma_plus_basis(self.n)))
+
     def check(self, tol: float = 1e-10):
         h = self.data
         herm = np.abs(h - fiber.dagger(h)).max()
@@ -282,36 +287,36 @@ def _unitary_base(h, boundary):
 
 
 def _h_adjoints(h, basis):
-    """The h-adjoint of each constant direction in ``basis``, one grid at a time."""
+    """The h-adjoints of the constant directions in ``basis``, (nx * ny, K, n, n)."""
     npt = h.chart.nx * h.chart.ny
     hh, hinv = h.data.reshape(npt, h.n, h.n), h.inv().reshape(npt, h.n, h.n)
-    return (fiber.h_adjoint(s, hh, hinv) for s in basis)
+    return fiber.h_adjoint(np.stack(basis), hh[:, None], hinv[:, None])
 
 
-def _unitary_cols(phi, basis, sstars):
-    """Real-linear columns of the phi-compat residual over the unitary family;
-    ``sstars`` yields the h-adjoints of the ``basis`` directions."""
-    ch = phi.chart
-    n = phi.n
+def _unitary_cols(phi, basis, adjoints):
+    """Real-linear columns of the phi-compat residual over the unitary family,
+    C-ordered (npt, n^2, 2K): for each direction s of ``basis`` with h-adjoint
+    s*, the real direction [s, phi2] + [s*, phi1] and then the imaginary one
+    i([s, phi2] - [s*, phi1]).  ``adjoints()`` returns the s* (npt, K, n, n);
+    it is called here so that a fresh stack is freed once its brackets exist."""
+    ch, n, k = phi.chart, phi.n, len(basis)
     npt = ch.nx * ch.ny
-    p1 = phi.d1.reshape(npt, n, n)
-    p2 = phi.d2.reshape(npt, n, n)
-    cols = []
-    for s, sstar in zip(basis, sstars):
-        br1 = fiber.commutator(s, p2)
-        br2 = fiber.commutator(sstar, p1)
-        cols.append((br1 + br2).reshape(npt, -1))  # real part direction
-        cols.append((1j * (br1 - br2)).reshape(npt, -1))  # imaginary direction
-    return cols
+    br1 = fiber.commutator(np.stack(basis), phi.d2.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
+    br2 = fiber.commutator(adjoints(), phi.d1.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
+    cols = np.empty((npt, n * n, k, 2), dtype=complex)
+    np.add(br1, br2, out=cols[..., 0])
+    np.subtract(br1, br2, out=cols[..., 1])
+    cols[..., 1] *= 1j
+    return cols.reshape(npt, n * n, 2 * k)
 
 
-def _unitary_system(phi, h, basis, sstars, boundary):
+def _unitary_system(phi, h, basis, adjoints, boundary):
     """Base point, realified columns and right-hand side of the phi-compat
     least squares over the unitary family through the base point."""
     npt = phi.chart.nx * phi.chart.ny
     a0_1, a0_2 = _unitary_base(h, boundary)
     r0 = covariant_d(LieForm(phi.chart, 1, d1=a0_1, d2=a0_2), phi, boundary).d0.reshape(npt, -1)
-    mats = _realify_rows(np.stack(_unitary_cols(phi, basis, sstars), axis=-1))  # (npt, 2n^2, 2d)
+    mats = _realify_rows(_unitary_cols(phi, basis, adjoints))  # (npt, 2n^2, 2d)
     y = _realify_rows((-r0)[..., None])[..., 0]
     return a0_1, a0_2, mats, y
 
@@ -329,8 +334,7 @@ def _fill_in_unitary(phi, h, boundary, method):
     basis = fiber.sigma_plus_basis(phi.n)
     # every Newton-map evaluation calls fill_in with the same h, so the
     # adjoints of its directions are kept on the field
-    sstars = h.derived("sigma_adjoints", lambda: tuple(_h_adjoints(h, basis)))
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, sstars, boundary)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, h.sigma_adjoints, boundary)
     coef = _solve_batched(mats, y, method, "fill_in(unitary)")
     a1, a2 = _unitary_member(phi, h, basis, coef, a0_1, a0_2)
     return a1, a2, {"mode": "unitary"}
@@ -376,7 +380,7 @@ def inject_covector(
     ch = phi.chart
     npt = ch.nx * ch.ny
     basis = fiber.sl_basis(n)
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, _h_adjoints(h, basis), boundary)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, lambda: _h_adjoints(h, basis), boundary)
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
     powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
     a0m = fiber.sigma_split(a0_1)[1].reshape(npt, n, n)

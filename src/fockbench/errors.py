@@ -26,18 +26,16 @@ class DecompositionError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iterative solve stagnated; carries the residual history (and ``per_step``)."""
+    """Iterative solve stagnated; carries the residual history."""
 
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
-        self.per_step = None
 
 
 class PositivityError(RuntimeError):
-    """A field left the positive cone; carries the parameter value (and ``per_step``)."""
+    """A field left the positive cone; carries the parameter value."""
 
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
-        self.per_step = None

@@ -169,13 +169,16 @@ def hamiltonian_variation_mu(mu: BeltramiField, ham: HamiltonianTerm, boundary: 
     return BeltramiField(ch, n, comps)
 
 
+def _xi(phi: LieForm, ham: HamiltonianTerm) -> LieForm:
+    """The gauge generator xi = w phi1^{ell-1} of H = w p^{ell-1}."""
+    return LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
+
+
 def gauge_variation_phi(phi: LieForm, a_conn, ham: HamiltonianTerm, boundary: str = "auto") -> LieForm:
     """delta Phi = d_A xi for xi = w phi1^{ell-1}."""
-    n = phi.n
-    ham.check(n)
+    ham.check(phi.n)
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
-    xi = LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
-    return covariant_d(a_form, xi, boundary)
+    return covariant_d(a_form, _xi(phi, ham), boundary)
 
 
 def covector_variation(t: CovectorField, ham: HamiltonianTerm, boundary: str = "auto") -> CovectorField:
@@ -252,7 +255,7 @@ def flow_step(
     ch = phi.chart
     a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     asig, aminus = _sigma_parts(a_form)
-    xi = LieForm(ch, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
+    xi = _xi(phi, ham)
     eta = eta_correction(phi, aminus, ham)
     psi = hermitian_adjoint_field(phi, h)
     xi_star = LieForm(ch, 0, d0=fiber.h_adjoint(xi.d0, h.data, h.inv()))

@@ -156,14 +156,7 @@ def _fuchsian_fields(n, chart, c0):
     for i in range(n):
         h[..., i, i] = kap[i] * g ** exps[i]
     hf = hermitian_structure(chart, h)
-    f = fiber.principal_nilpotent(n)
-    phi = LieForm(
-        chart,
-        1,
-        d1=np.broadcast_to(f, h.shape).copy(),
-        d2=np.zeros_like(h),
-    )
-    return ScalarField(chart, g.astype(complex)), phi, hf
+    return ScalarField(chart, g.astype(complex)), fock_form(chart, BeltramiField(chart, n, {})), hf
 
 
 def _fuchsian_curvature(n, chart, c0):
@@ -239,10 +232,8 @@ class AdmissibleSpace:
         npt = chart.nx * chart.ny
         s_plus = np.stack(fiber.sigma_plus_basis(n))  # (m, n, n)
         m = s_plus.shape[0]
-        hh = h.data.reshape(npt, n, n)
-        hinv = h.inv().reshape(npt, n, n)
         # real-linear condition h^-1 X^+ h - X = 0 on X = sum (u_a + i v_a) s_a
-        s_star = fiber.h_adjoint(s_plus, hh[:, None], hinv[:, None])  # (npt, m, n, n)
+        s_star = h.sigma_adjoints()  # (npt, m, n, n)
         cond = np.stack([s_star - s_plus, -1j * (s_star + s_plus)], axis=2)  # columns u_0, v_0, u_1, ...
         cond = np.swapaxes(cond.reshape(npt, 2 * m, n * n), -1, -2)  # (npt, n^2, 2m) complex
         cond = np.concatenate([cond.real, cond.imag], axis=-2)
@@ -579,8 +570,8 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     conjugating gauge field eta; returns (eta, report dict), the report holding
     also the final conjugated field ``phi`` and its ``connection``.  Each step
     starts from the secant predictor 2 eta_k - eta_{k-1} and runs chord Newton:
-    the linearization built at its first iteration serves every later one.  A raised
-    NonConvergenceError or PositivityError carries the finished steps' records
+    the linearization built at its first iteration serves every later one.  An
+    exception raised during the continuation carries the finished steps' records
     as ``per_step``."""
     t0 = time.perf_counter()
     _check_mu_target(base, mu_target)
@@ -656,7 +647,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
             curv_sup = sup_norm(curv, mask=ch.interior())
             per_step.append({"s": s, "newton_iters": it, "residuals": residuals})
             final_residual = residuals[-1]
-    except (NonConvergenceError, PositivityError) as exc:
+    except Exception as exc:
         exc.per_step = per_step  # the records of the steps that finished
         raise
     eta = space.to_field(eta_coords)

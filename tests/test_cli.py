@@ -15,9 +15,10 @@ from fockbench import chart as chm
 from fockbench import cli, fiber
 from fockbench import connection as cn
 from fockbench import fockpoint as fp
+from fockbench import hcsflow as hf
 from fockbench import solver as sv
 from fockbench.cli import run
-from fockbench.errors import DegenerateStructureError
+from fockbench.errors import DecompositionError, DegenerateStructureError, NonConvergenceError
 
 
 def _write_config(tmp_path, name, cfg):
@@ -75,7 +76,7 @@ def test_fiber_verify_ok(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert run(["fiber-verify", "--n", "4", "--out", out]) == 0
     rep = _read_report(out)
-    assert rep["status"] == "ok"
+    assert rep["status"] == "ok" and "wall_time_s" in rep["timings"]
     assert rep["residual_norms"]["trace_orthogonality_violations"] == 0
     assert rep["residual_norms"]["rho_fixes_su_n"] == 0.0
 
@@ -265,6 +266,7 @@ def test_muholo_report_and_determinism(tmp_path, capsys):
     assert run(["muholo", "--config", _write_config(tmp_path, "b.json", cfg_b)]) == 0
     ra, rb = _read_report(outa), _read_report(outb)
     assert ra["residual_norms"] == rb["residual_norms"]
+    assert "wall_time_s" in ra["timings"]
     assert ra["residual_norms"]["equivalence_sup"] < 100 * (1.0 / 24) ** 2
 
 
@@ -349,6 +351,7 @@ def _determinism_outputs(runs):
             got[cmd, name] = (out / name).read_bytes()
         rep = _read_report(out)
         assert rep["status"] == "ok", rep["messages"]
+        assert "wall_time_s" in rep["timings"]
         got[cmd, "report"] = json.dumps([rep["residual_norms"], rep["iteration_traces"]])
     return got
 
@@ -401,6 +404,82 @@ def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
     (step,) = rep["iteration_traces"]["per_step"]
     assert step["s"] == 0.5 and step["newton_iters"] >= 1
     assert len(step["residuals"]) == step["newton_iters"] + 1 and step["residuals"][-1] <= 1e-10
+
+
+def test_failed_solve_keeps_finished_steps_on_any_exception(tmp_path, capsys, monkeypatch):
+    calls, real = [], sv.q_matrices
+
+    def second_raises(*fields):  # the linearization of the second continuation step
+        calls.append(1)
+        if len(calls) == 2:
+            raise DecompositionError("stub: no Q")
+        return real(*fields)
+
+    monkeypatch.setattr(sv, "q_matrices", second_raises)
+    out = str(tmp_path / "o")
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "beltrami": {"3": {"type": "bump", "center": [0.0, 0.0], "radius": 0.25, "amplitude": 0.01}},
+        "solver": {"continuation_steps": 2, "preconditioner": "jacobi"},
+        "output_dir": out,
+    }
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+    assert len(calls) == 2
+    rep = _read_report(out)
+    assert rep["messages"] == ["DecompositionError: stub: no Q"]
+    (step,) = rep["iteration_traces"]["per_step"]
+    assert step["s"] == 0.5 and step["newton_iters"] >= 1
+    assert "wall_time_s" in rep["timings"]
+
+
+# One kernel of each subcommand, and a small config for those that read one.
+_KERNELS = {
+    "fiber-verify": (fiber, "centralizer_basis"),
+    "point-verify": (fp, "q_matrices"),
+    "fuchsian": (sv, "fuchsian_reference"),
+    "fillin": (cn, "fill_in"),
+    "solve": (sv, "newton_continuation"),
+    "muholo": (cn, "inject_covector"),
+    "flow": (hf, "flow_step"),
+}
+_DISK12 = {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5}
+_PERIODIC8 = {"kind": "periodic-rect", "nx": 8, "ny": 8}
+_KERNEL_CONFIGS = {
+    "fuchsian": {"n": 2, "chart": _DISK12},
+    "fillin": {"n": 2, "chart": _PERIODIC8},
+    "solve": {"n": 2, "chart": _DISK12},
+    "muholo": {"n": 2, "chart": _PERIODIC8},
+    "flow": {"n": 2, "chart": _PERIODIC8, "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}}},
+}
+
+
+def _kernel_raises(*args, **kwargs):
+    raise NonConvergenceError("kernel stub", history=[0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "cmd, to_dir", [(cmd, True) for cmd in _KERNELS] + [("fiber-verify", False), ("point-verify", False)]
+)
+def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, cmd, to_dir):
+    monkeypatch.setattr(*_KERNELS[cmd], _kernel_raises)
+    out = tmp_path / "o"
+    if cmd in _KERNEL_CONFIGS:
+        argv = [cmd, "--config", _write_config(tmp_path, "c.json", dict(_KERNEL_CONFIGS[cmd], output_dir=str(out)))]
+    else:
+        argv = [cmd, "--n", "3", "--samples", "5"] + (["--out", str(out)] if to_dir else [])
+    assert run(argv) == 2
+    printed = capsys.readouterr()
+    assert "no report written" not in printed.err
+    rep = json.loads(printed.out)
+    assert rep["command"] == cmd and rep["status"] == "fail"
+    assert rep["messages"] == ["NonConvergenceError: kernel stub"]
+    assert rep["iteration_traces"] == {"history": [0.5, 0.25]}
+    assert set(rep["timings"]) == {"wall_time_s"}
+    if to_dir:
+        assert _read_report(out) == rep
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -525,7 +604,8 @@ def test_solve_csv_independent_of_blas_threads(tmp_path):
 
 # CLI fuzz: argv and JSON configs for every subcommand, each a small valid run
 # with up to three keys replaced or deleted.  Whatever the input, the CLI
-# answers with an exit code in 0..5 and no traceback.
+# answers with an exit code in 0..5 and no traceback, and a run that exits 2
+# without "no report written" has emitted a fail report.
 
 _DELETE = object()
 _JSON = st.one_of(
@@ -596,10 +676,10 @@ _VERIFY_FLAGS = st.lists(
 
 
 def _answer(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run(argv)
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -610,6 +690,7 @@ def _answer(argv):
     config=st.sampled_from(["built", "missing", "not-json", "array", "binary"]),
 )
 def test_cli_fuzz_exits_with_a_code(cmd, mutations, flags, config):
+    outdir = None
     with tempfile.TemporaryDirectory() as root:
         for name, body in _FIELD_FILES.items():
             with open(os.path.join(root, f"{name}.csv"), "w", encoding="latin-1") as fh:
@@ -619,6 +700,7 @@ def test_cli_fuzz_exits_with_a_code(cmd, mutations, flags, config):
             if "--n" not in argv:
                 argv += ["--n", "3"]
             argv = [os.path.join(root, "out") if prev == "--out" else arg for prev, arg in zip([None] + argv, argv)]
+            outdir = os.path.join(root, "out") if "--out" in argv else None
         else:
             path = os.path.join(root, "c.json")
             if config == "built" and cmd != "bogus":
@@ -630,12 +712,23 @@ def test_cli_fuzz_exits_with_a_code(cmd, mutations, flags, config):
                         value = os.path.join(root, "good.csv", value)  # under a file: not creatable
                     _mutate(cfg, key, value)
                 text = json.dumps(cfg)
+                outdir = cfg.get("output_dir", "out")
             else:
                 text = {"missing": None, "not-json": "{n: 2", "array": "[1, 2]", "binary": "\xff\xfe{}"}.get(config, "{}")
             if text is not None:
                 with open(path, "w", encoding="latin-1") as fh:
                     fh.write(text)
             argv = [cmd, "--config", path]
-        rc, err = _answer(argv)
+        cwd = os.getcwd()
+        os.chdir(root)  # a config without output_dir writes to the relative "out"
+        try:
+            rc, out, err = _answer(argv)
+            if rc == 2 and "no report written" not in err:  # a failed run emits its fail report
+                rep = json.loads(out)
+                assert rep["status"] == "fail", (argv, rep)
+                if outdir is not None:
+                    assert _read_report(outdir) == rep, argv
+        finally:
+            os.chdir(cwd)
     assert rc in range(6), (argv, rc, err)
     assert "Traceback" not in err, (argv, err)

@@ -215,7 +215,8 @@ def test_hermitian_field_pieces_are_cached_read_only():
         "inv": np.linalg.inv(h.data),
         ("chern", "rect"): np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
     }
-    fresh["sigma_adjoints"] = tuple(fiber.h_adjoint(s, hh, hinv) for s in fiber.sigma_plus_basis(n))
+    # the stacked adjoints, bitwise the adjoints taken one direction at a time
+    fresh["sigma_adjoints"] = np.stack([fiber.h_adjoint(s, hh, hinv) for s in fiber.sigma_plus_basis(n)], axis=1)
     cached = h._derived
     assert set(cached) == set(fresh)  # inject_covector's sl_n adjoints are used once and not kept
     for key, value in cached.items():
