@@ -10,7 +10,7 @@ from .chart import (
     disk_chart,
     periodic_chart,
 )
-from .connection import ConnectionField, HermitianField
+from .connection import HermitianField
 from .fockpoint import FockPoint
 from .solver import FuchsianData, NewtonConfig
 
@@ -31,7 +31,6 @@ __all__ = [
     "ScalarField",
     "disk_chart",
     "periodic_chart",
-    "ConnectionField",
     "HermitianField",
     "FockPoint",
     "FuchsianData",

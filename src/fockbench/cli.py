@@ -50,6 +50,13 @@ def _bool(v):
     return v
 
 
+def _positive(v):
+    """A finite positive JSON number: bools and strings are not coerced."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+        raise ValueError(f"{v!r} is not a finite positive number")
+    return float(v)
+
+
 # The type of each solver key; a key left out takes NewtonConfig's default.
 _SOLVER_KINDS = {
     "continuation_steps": _int, "newton_tol": float, "max_newton": _int, "cg_tol": float,
@@ -335,13 +342,11 @@ def _cmd_fuchsian(cfg, out, rep):
     spec = _require(cfg, "chart")
     grids = cfg.get("grids")
     residuals = {}
-    if grids:
-        try:
-            sizes = sorted({_int(nx) for nx in grids})
-        except TypeError as exc:
-            raise ConfigError(f"'grids' must be a list of integer grid sizes, got {grids!r}") from exc
+    if grids is not None:
+        ints = isinstance(grids, list) and all(isinstance(nx, int) and not isinstance(nx, bool) for nx in grids)
+        sizes = sorted(set(grids)) if ints else []
         if len(sizes) < 2:
-            raise ConfigError(f"grids needs at least two distinct sizes for a refinement ratio, got {grids!r}")
+            raise ConfigError(f"'grids' must be a list of two or more distinct integer grid sizes, got {grids!r}")
         for nx in sizes:
             local = dict(spec)
             local["nx"] = local["ny"] = nx
@@ -356,7 +361,7 @@ def _cmd_fuchsian(cfg, out, rep):
         residuals["residual_sup"] = fd.curvature_sup
         residuals["c0"] = fd.c0
         rep.residual_norms = residuals
-        chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A.A)
+        chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A)
         chm.save_matrix_field_csv(os.path.join(out, "h.csv"), ch, fd.h.data)
         chm.save_scalar_csv(os.path.join(out, "g.csv"), fd.g)
 
@@ -375,23 +380,27 @@ def _cmd_fillin(cfg, out, rep):
     if hermitian not in ("fuchsian", "identity"):
         raise ConfigError(f"'hermitian' must be 'fuchsian' or 'identity', got {hermitian!r}")
     if hermitian == "fuchsian":
-        conn = sv.fuchsian_reference(n, ch).A  # fill_in(Phi, h=h, boundary="rect") of the reference
+        fd = sv.fuchsian_reference(n, ch)
+        phi, h, a, boundary = fd.Phi, fd.h, fd.A, sv.FUCHSIAN_BOUNDARY
     else:
-        conn = cn.fill_in(hf.fock_form(ch, mu), h=cn.identity_hermitian(ch, n))
-    chm.save_lieform_csv(os.path.join(out, "A.csv"), conn.A)
-    rep.residual_norms = {k: v for k, v in conn.report.items() if isinstance(v, float)}
-    for msg in conn.report.get("warnings", []):
+        phi, h, boundary = hf.fock_form(ch, mu), cn.identity_hermitian(ch, n), "auto"
+        a = cn.fill_in(phi, h=h, boundary=boundary)
+    chm.save_lieform_csv(os.path.join(out, "A.csv"), a)
+    diagnostics = cn.connection_report(phi, a, h=h, boundary=boundary)
+    rep.residual_norms = {k: v for k, v in diagnostics.items() if isinstance(v, float)}
+    for msg in diagnostics["warnings"]:
         rep.warn(msg)
 
 
 def _cmd_solve(cfg, out, rep):
     n, ch, mu, _ = _fields_from_config(cfg)
     ncfg = _newton_config(cfg.get("solver"))
-    fd = sv.fuchsian_reference(n, ch, c0=cfg.get("c0"))
+    c0 = None if cfg.get("c0") is None else _typed(cfg, "c0", _positive)
+    fd = sv.fuchsian_reference(n, ch, c0=c0)
     eta, srep = sv.newton_continuation(fd, mu, ncfg)
     chm.save_lieform_csv(os.path.join(out, "eta.csv"), eta)
     chm.save_lieform_csv(os.path.join(out, "phi.csv"), srep["phi"])
-    chm.save_lieform_csv(os.path.join(out, "A.csv"), srep["connection"].A)
+    chm.save_lieform_csv(os.path.join(out, "A.csv"), srep["connection"])
     rep.residual_norms = {
         "final_residual": srep["final_residual"],
         "curvature_sup": srep["curvature_sup"],
@@ -407,10 +416,9 @@ def _cmd_solve(cfg, out, rep):
 def _cmd_muholo(cfg, out, rep):
     n, ch, mu, t = _fields_from_config(cfg)
     phi = hf.fock_form(ch, mu)
-    h = cn.identity_hermitian(ch, n)
-    conn = cn.inject_covector(phi, h, t)
+    a = cn.inject_covector(phi, cn.identity_hermitian(ch, n), t)
     tensor = hf.mu_holo_residual(mu, t)
-    gauge = hf.gauge_muholo_residual(phi, conn)
+    gauge = hf.gauge_muholo_residual(phi, a)
     mask = ch.mask()
     norms = {}
     diff_sup = 0.0
@@ -439,8 +447,7 @@ def _cmd_flow(cfg, out, rep):
     ham = hf.HamiltonianTerm(ell, chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"), "hamiltonian['w']")))
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
-    conn = cn.inject_covector(phi, h, t)
-    a_form = conn.A
+    a_form = cn.inject_covector(phi, h, t)
     mask = ch.mask()
 
     def table(phi_c, a_c):

@@ -14,13 +14,13 @@ The filling-in solvers work per grid point (data parallel, deterministic):
   the covector traces as linear constraints (KKT system per point).
 
 Compatibility of finite-difference fields holds only up to the O(h^2)
-discretization floor; each solver reports its residuals.
+discretization floor; ``connection_report`` measures the residuals of a
+solved connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +30,11 @@ from .errors import DomainMismatchError, TransversalityError
 
 __all__ = [
     "HermitianField",
-    "ConnectionField",
     "hermitian_structure",
     "identity_hermitian",
     "hermitian_adjoint_field",
     "fill_in",
+    "connection_report",
     "curvature_total",
     "covector_extract",
     "inject_covector",
@@ -88,17 +88,6 @@ class HermitianField:
         once per field: the admissible space and every unitary ``fill_in`` read them."""
         return self.derived("sigma_adjoints", lambda: _h_adjoints(self, fiber.sigma_plus_basis(self.n)))
 
-    def check(self, tol: float = 1e-10):
-        h = self.data
-        herm = np.abs(h - fiber.dagger(h)).max()
-        w = np.linalg.eigvalsh(h)
-        det = np.linalg.det(h)
-        return {
-            "hermitian_defect": float(herm),
-            "min_eig": float(w.min()),
-            "det_defect": float(np.abs(det - 1.0).max()),
-        }
-
 
 def hermitian_structure(chart: Chart, data: np.ndarray, normalize: bool = True) -> HermitianField:
     """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}."""
@@ -107,11 +96,9 @@ def hermitian_structure(chart: Chart, data: np.ndarray, normalize: bool = True) 
         det = np.linalg.det(h)
         n = h.shape[-1]
         h = h / det[..., None, None] ** (1.0 / n)
-    hf = HermitianField(chart, h)
-    chk = hf.check()
-    if chk["min_eig"] <= 0:
+    if np.linalg.eigvalsh(h).min() <= 0:
         raise DomainMismatchError("hermitian structure must be positive definite")
-    return hf
+    return HermitianField(chart, h)
 
 
 def identity_hermitian(chart: Chart, n: int) -> HermitianField:
@@ -126,31 +113,6 @@ def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
         raise DomainMismatchError("hermitian adjoint expects a degree-1 field")
     hh, hinv = h.data, h.inv()
     return LieForm(phi.chart, 1, d1=fiber.h_adjoint(phi.d2, hh, hinv), d2=fiber.h_adjoint(phi.d1, hh, hinv))
-
-
-class ConnectionField:
-    """A connection form ``A`` with its ``report`` and the flags
-    ``sigma_invariant`` and ``unitary``.  Given ``diagnose``, a function that
-    returns (report, sigma_invariant, unitary), the three are computed on
-    first read, so a caller that only uses ``A`` never pays for them; without
-    it the report is empty and both flags are False."""
-
-    def __init__(self, A: LieForm, diagnose=None):
-        self.A = A
-        self._diagnose = diagnose
-
-    @cached_property
-    def _diagnostics(self):
-        diagnose, self._diagnose = self._diagnose, None  # drop the fields it holds
-        return diagnose() if diagnose else ({}, False, False)
-
-    report = property(lambda self: self._diagnostics[0])
-    sigma_invariant = property(lambda self: self._diagnostics[1])
-    unitary = property(lambda self: self._diagnostics[2])
-
-    @property
-    def chart(self):
-        return self.A.chart
 
 
 def sigma_defect(a_form: LieForm) -> float:
@@ -210,43 +172,47 @@ def fill_in(
     h: HermitianField | None = None,
     boundary: str = "auto",
     method: str = "normal",
-) -> ConnectionField:
-    """Canonical compatible connection for a transverse pair.
+) -> LieForm:
+    """Canonical compatible connection A for a transverse pair.
 
     Without ``h``: joint least squares of d_A phi = d_A psi = 0 over exactly
     sigma-invariant component pairs.  With ``h``: least squares of
     d_A phi = 0 over the exactly-unitary sigma-invariant family through the
-    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.  The
-    report (compatibility residuals, sigma and unitarity defects, warnings)
-    and the two flags are computed when first read.
+    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.
+    Its diagnostics are ``connection_report``.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
     if h is not None:
-        a1, a2, rep = _fill_in_unitary(phi, h, boundary, method)
+        a1, a2 = _fill_in_unitary(phi, h, boundary, method)
     else:
         if psi is None:
             raise ValueError("fill_in needs either psi or h")
-        a1, a2, rep = _fill_in_sigma(phi, psi, boundary, method)
-    a_form = LieForm(phi.chart, 1, d1=a1, d2=a2)
-    return ConnectionField(A=a_form, diagnose=lambda: _fill_in_report(phi, psi, h, a_form, rep, boundary))
+        a1, a2 = _fill_in_sigma(phi, psi, boundary, method)
+    return LieForm(phi.chart, 1, d1=a1, d2=a2)
 
 
-def _fill_in_report(phi, psi, h, a_form, rep, boundary):
-    """``rep`` completed by the diagnostics of ``fill_in`` and
-    ``inject_covector``, and the measured (sigma_invariant, unitary) flags."""
-    ch, a1 = phi.chart, a_form.d1
+def connection_report(
+    phi: LieForm, a: LieForm, psi: LieForm | None = None, h: HermitianField | None = None, boundary: str = "auto"
+) -> dict:
+    """Diagnostics of a connection A from ``fill_in`` or ``inject_covector``,
+    given the arguments it was solved from: the compatibility residuals with
+    phi and psi (the h-adjoint of phi when ``h`` is given), the sigma defect,
+    the unitarity defect (with ``h``), warnings, and the flags
+    ``sigma_invariant`` and ``unitary``."""
+    ch, a1 = phi.chart, a.d1
     psi_eff = psi if h is None else hermitian_adjoint_field(phi, h)
     mask = ch.mask()
-    r_phi = covariant_d(a_form, phi, boundary).d0
-    r_psi = covariant_d(a_form, psi_eff, boundary).d0
+    r_phi = covariant_d(a, phi, boundary).d0
+    r_psi = covariant_d(a, psi_eff, boundary).d0
+    rep = {}
     rep["compat_residual_phi"] = float(np.abs(r_phi[mask]).max())
     rep["compat_residual_psi"] = float(np.abs(r_psi[mask]).max())
-    rep["sigma_defect"] = sigma_defect(a_form)
+    rep["sigma_defect"] = sigma_defect(a)
     sig_ok = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1).max()))
     uni_ok = False
     if h is not None:
-        rep["unitarity_defect"] = unitarity_defect(a_form, h, boundary)
+        rep["unitarity_defect"] = unitarity_defect(a, h, boundary)
         uni_ok = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     floor = ch.hx * ch.hx * 10.0
     rep["warnings"] = []
@@ -255,7 +221,8 @@ def _fill_in_report(phi, psi, h, a_form, rep, boundary):
         rep["warnings"].append(
             f"phi-compatibility residual {rep['compat_residual_phi']:.3e} above the h^2 floor"
         )
-    return rep, sig_ok, uni_ok
+    rep["sigma_invariant"], rep["unitary"] = sig_ok, uni_ok
+    return rep
 
 
 def _fill_in_sigma(phi, psi, boundary, method):
@@ -277,7 +244,7 @@ def _fill_in_sigma(phi, psi, boundary, method):
     bstack = np.stack(basis)  # (m, n, n)
     a1 = np.einsum("pa,aij->pij", coef[:, :m], bstack).reshape(ch.nx, ch.ny, n, n)
     a2 = np.einsum("pa,aij->pij", coef[:, m:], bstack).reshape(ch.nx, ch.ny, n, n)
-    return a1, a2, {"mode": "sigma-pair"}
+    return a1, a2
 
 
 def _unitary_base(h, boundary):
@@ -336,13 +303,11 @@ def _fill_in_unitary(phi, h, boundary, method):
     # adjoints of its directions are kept on the field
     a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, h.sigma_adjoints, boundary)
     coef = _solve_batched(mats, y, method, "fill_in(unitary)")
-    a1, a2 = _unitary_member(phi, h, basis, coef, a0_1, a0_2)
-    return a1, a2, {"mode": "unitary"}
+    return _unitary_member(phi, h, basis, coef, a0_1, a0_2)
 
 
-def curvature_total(a_conn, phi: LieForm, psi: LieForm, boundary: str = "auto") -> LieForm:
+def curvature_total(a_form: LieForm, phi: LieForm, psi: LieForm, boundary: str = "auto") -> LieForm:
     """F(A) + [Phi ^ Psi] as a dz^dzbar coefficient field."""
-    a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     ch = a_form.chart
     da = exterior_d(a_form, boundary).d0
     comm = fiber.commutator(a_form.d1, a_form.d2)
@@ -350,9 +315,8 @@ def curvature_total(a_conn, phi: LieForm, psi: LieForm, boundary: str = "auto") 
     return LieForm(ch, 2, d0=da + comm + ff)
 
 
-def covector_extract(a_conn, phi: LieForm) -> CovectorField:
+def covector_extract(a_form: LieForm, phi: LieForm) -> CovectorField:
     """t_k = tr(phi1^{k-1} Aminus_dz) for k = 2..n."""
-    a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     n = phi.n
     aminus1 = fiber.sigma_split(a_form.d1)[1]
     comps = {}
@@ -366,15 +330,15 @@ def inject_covector(
     h: HermitianField,
     t: CovectorField,
     boundary: str = "auto",
-) -> ConnectionField:
-    """Unitary Phi-compatible connection whose extracted covector equals t.
+) -> LieForm:
+    """Unitary Phi-compatible connection A whose extracted covector equals t.
 
     Per grid point: least squares of the Phi-compatibility over the exactly
     unitary affine family (full sl_n direction space), subject to the linear
     covector constraints, solved as a KKT system.  t = 0 returns the
     generalized base point, whose sigma-odd part pairs to zero against the
-    centralizer directions.  The report and the flags are computed when first
-    read, as for ``fill_in``.
+    centralizer directions.  Its diagnostics are ``connection_report`` with
+    ``h``, as for ``fill_in``.
     """
     n = phi.n
     ch = phi.chart
@@ -415,5 +379,4 @@ def inject_covector(
     except np.linalg.LinAlgError as exc:
         raise TransversalityError(f"inject_covector: singular KKT system ({exc})") from exc
     a1, a2 = _unitary_member(phi, h, basis, sol[:, :d2], a0_1, a0_2)
-    a_form = LieForm(ch, 1, d1=a1, d2=a2)
-    return ConnectionField(A=a_form, diagnose=lambda: _fill_in_report(phi, None, h, a_form, {"mode": "inject"}, boundary))
+    return LieForm(ch, 1, d1=a1, d2=a2)

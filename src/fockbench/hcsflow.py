@@ -26,7 +26,7 @@ from .chart import (
     dzbar_array,
     wedge_bracket,
 )
-from .connection import ConnectionField, HermitianField, hermitian_adjoint_field
+from .connection import HermitianField, hermitian_adjoint_field
 from .errors import DomainMismatchError
 
 __all__ = [
@@ -116,13 +116,12 @@ def _sigma_parts(a_form: LieForm):
     return LieForm(a_form.chart, 1, d1=as1, d2=as2), LieForm(a_form.chart, 1, d1=am1, d2=am2)
 
 
-def gauge_muholo_residual(phi: LieForm, a_conn, boundary: str = "auto"):
+def gauge_muholo_residual(phi: LieForm, a_form: LieForm, boundary: str = "auto"):
     """tr(phi1^{k-1} (d A^{-sigma} + [A^sigma ^ A^{-sigma}])) for k = 2..n.
 
     Pointwise equal (up to the stencil floor) to the residual of
     ``mu_holo_residual`` at the Beltrami/covector data carried by (phi, A).
     """
-    a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     n = phi.n
     asig, aminus = _sigma_parts(a_form)
     coeff = covariant_d(asig, aminus, boundary).d0
@@ -174,10 +173,9 @@ def _xi(phi: LieForm, ham: HamiltonianTerm) -> LieForm:
     return LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
 
 
-def gauge_variation_phi(phi: LieForm, a_conn, ham: HamiltonianTerm, boundary: str = "auto") -> LieForm:
+def gauge_variation_phi(phi: LieForm, a_form: LieForm, ham: HamiltonianTerm, boundary: str = "auto") -> LieForm:
     """delta Phi = d_A xi for xi = w phi1^{ell-1}."""
     ham.check(phi.n)
-    a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     return covariant_d(a_form, _xi(phi, ham), boundary)
 
 
@@ -236,7 +234,7 @@ def eta_for_word(phi: LieForm, aminus: LieForm, word, w: ScalarField) -> LieForm
 
 def flow_step(
     phi: LieForm,
-    a_conn,
+    a_form: LieForm,
     h: HermitianField,
     ham: HamiltonianTerm,
     eps: float,
@@ -253,7 +251,6 @@ def flow_step(
     n = phi.n
     ham.check(n)
     ch = phi.chart
-    a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
     asig, aminus = _sigma_parts(a_form)
     xi = _xi(phi, ham)
     eta = eta_correction(phi, aminus, ham)

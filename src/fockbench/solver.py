@@ -34,7 +34,6 @@ from scipy.optimize import minimize_scalar
 from . import fiber
 from .chart import BeltramiField, Chart, LieForm, ScalarField, covariant_d, difference_matrix
 from .connection import (
-    ConnectionField,
     HermitianField,
     curvature_total,
     fill_in,
@@ -49,13 +48,13 @@ from .hcsflow import fock_form
 __all__ = [
     "FuchsianData",
     "NewtonConfig",
+    "FUCHSIAN_BOUNDARY",
     "fuchsian_reference",
     "AdmissibleSpace",
     "LinearizedContext",
     "linearized_operator",
     "solve_linear",
     "conjugate_field",
-    "expm_batch",
     "expm_pair",
     "newton_continuation",
     "positivity_margin_field",
@@ -71,7 +70,7 @@ def expm_pair(x: np.ndarray):
     """(e^x, e^-x) over leading axes via scaling and squaring, from one Taylor
     chain: the k-th term of e^-x is exactly (-1)^k times that of e^x (rounding
     is symmetric under negation), so one chain of 16 products feeds both sums,
-    and each sum is squared s times.  e^-x is bitwise ``expm_batch(-x)``."""
+    and each sum is squared s times.  e^-x is bitwise the e^x of ``expm_pair(-x)``."""
     x = np.asarray(x, dtype=complex)
     nrm = np.abs(x).sum(axis=-1).max() if x.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.25))))
@@ -85,11 +84,6 @@ def expm_pair(x: np.ndarray):
     for _ in range(s):
         plus, minus = plus @ plus, minus @ minus
     return plus, minus
-
-
-def expm_batch(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential over leading axes: the e^x of ``expm_pair``."""
-    return expm_pair(x)[0]
 
 
 def conjugate_field(phi: LieForm, eta: LieForm) -> LieForm:
@@ -113,15 +107,16 @@ def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
 
 @dataclass
 class FuchsianData:
-    """The reference fields at c0, with their total curvature
-    F(A) + [Phi ^ Phi*] and its sup-norm over the chart interior."""
+    """The reference fields at c0, the connection A = fill_in(Phi, h) on
+    ``FUCHSIAN_BOUNDARY``, and their total curvature F(A) + [Phi ^ Phi*]
+    with its sup-norm over the chart interior."""
 
     chart: Chart
     n: int
     g: ScalarField
     Phi: LieForm
     h: HermitianField
-    A: ConnectionField
+    A: LieForm
     c0: float
     curvature: LieForm
     curvature_sup: float
@@ -130,6 +125,9 @@ class FuchsianData:
         return hermitian_adjoint_field(self.Phi, self.h)
 
 
+# The stencil policy the reference connection and curvature are built on; its
+# connection's diagnostics must be measured on the same one.
+FUCHSIAN_BOUNDARY = "rect"
 _GOLDEN = (3.0 - np.sqrt(5.0)) / 2  # where a bounded golden-section search first probes
 _AFFINE_RTOL = 1e-9  # allowed gap between the affine c0 model and the full evaluation
 
@@ -161,9 +159,9 @@ def _fuchsian_fields(n, chart, c0):
 
 def _fuchsian_curvature(n, chart, c0):
     gs, phi, hf = _fuchsian_fields(n, chart, c0)
-    conn = fill_in(phi, h=hf, boundary="rect")
+    conn = fill_in(phi, h=hf, boundary=FUCHSIAN_BOUNDARY)
     psi = hermitian_adjoint_field(phi, hf)
-    return curvature_total(conn, phi, psi, boundary="rect"), gs, phi, hf, conn
+    return curvature_total(conn, phi, psi, boundary=FUCHSIAN_BOUNDARY), gs, phi, hf, conn
 
 
 def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> FuchsianData:
@@ -310,10 +308,10 @@ class LinearizedContext:
     the strong form ``apply`` and, through ``apply_coords``, its Galerkin
     matrix."""
 
-    def __init__(self, phi: LieForm, a_conn, h: HermitianField, space: AdmissibleSpace | None = None):
+    def __init__(self, phi: LieForm, a_form: LieForm, h: HermitianField, space: AdmissibleSpace | None = None):
         self.phi = phi
         self.h = h
-        self.a_form = a_conn.A if isinstance(a_conn, ConnectionField) else a_conn
+        self.a_form = a_form
         self.psi = hermitian_adjoint_field(phi, h)
         self.chart = phi.chart
         self.n = phi.n
@@ -424,7 +422,7 @@ class LinearizedContext:
         return np.einsum("xyaij,xybji->xyab", e, e).real
 
 
-def linearized_operator(eta: LieForm, phi: LieForm, a_conn, h: HermitianField, tol: float = 1e-6) -> LieForm:
+def linearized_operator(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField, tol: float = 1e-6) -> LieForm:
     """Strong-form L eta; eta must be admissible (sigma-even, h-hermitian)."""
     e = eta.d0
     scale = max(1.0, float(np.abs(e).max()))
@@ -434,14 +432,14 @@ def linearized_operator(eta: LieForm, phi: LieForm, a_conn, h: HermitianField, t
         raise DomainMismatchError(
             f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
         )
-    ctx = LinearizedContext(phi, a_conn, h)
+    ctx = LinearizedContext(phi, a_form, h)
     return ctx.apply(eta)
 
 
-def energy_identity_sides(eta: LieForm, phi: LieForm, a_conn, h: HermitianField):
+def energy_identity_sides(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField):
     """Both sides of the discrete energy identity (left: pairing with L eta;
     right: 2|pi_(Im ad)(d_A eta)|^2 + 2|[Phi, eta]|^2 in the pseudo pairing)."""
-    ctx = LinearizedContext(phi, a_conn, h)
+    ctx = LinearizedContext(phi, a_form, h)
     mask = ctx.chart.mask()
     w = ctx.chart.hx * ctx.chart.hy
     lhs_field = np.einsum("xyij,xyji->xy", eta.d0, ctx.apply(eta).d0)
@@ -530,12 +528,12 @@ def _cg(ctx: LinearizedContext, rhs_coords, cfg: NewtonConfig, precond=None):
     )
 
 
-def solve_linear(phi: LieForm, a_conn, h: HermitianField, rhs: LieForm, cfg: NewtonConfig):
+def solve_linear(phi: LieForm, a_form: LieForm, h: HermitianField, rhs: LieForm, cfg: NewtonConfig):
     """CG solve of L eta = rhs in the Galerkin coordinates of the admissible
     space; returns (eta, report)."""
     if rhs.degree != 2:
         raise DomainMismatchError("rhs must be a degree-2 form")
-    ctx = LinearizedContext(phi, a_conn, h)
+    ctx = LinearizedContext(phi, a_form, h)
     b = ctx.space.moments(rhs.d0)
     pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
     coords, rep = _cg(ctx, b, cfg, precond=pre)
@@ -577,7 +575,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     _check_mu_target(base, mu_target)
     ch, n, h = base.chart, base.n, base.h
     space = AdmissibleSpace(ch, n, h)
-    boundary = "rect" if not ch.periodic else "periodic"
+    boundary = FUCHSIAN_BOUNDARY if not ch.periodic else "periodic"
 
     # the Newton map's value at eta = 0 is the reference's curvature
     base_moments = space.moments(base.curvature.d0)

@@ -178,8 +178,9 @@ def test_point_verify_block_edges(capsys, monkeypatch, samples):
 
 def test_solve_computes_no_unread_connection_report(tmp_path, capsys, monkeypatch):
     calls = []
-    real = cn.sigma_defect
-    monkeypatch.setattr(cn, "sigma_defect", lambda a: calls.append(1) or real(a))
+    for name in ("connection_report", "sigma_defect"):
+        real = getattr(cn, name)
+        monkeypatch.setattr(cn, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     cfg = {
         "n": 2,
         "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
@@ -191,8 +192,8 @@ def test_solve_computes_no_unread_connection_report(tmp_path, capsys, monkeypatc
     fd = sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
     assert fd.curvature_sup > 0  # the reference's curvature needs no connection report
     assert calls == []
-    assert "sigma_defect" in fd.A.report  # the first read computes it
-    assert calls == [1]
+    assert "sigma_defect" in cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+    assert calls == ["connection_report", "sigma_defect"]
 
 
 def test_fuchsian_refinement_report(tmp_path, capsys):
@@ -501,6 +502,17 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("flow", "chart", "ny", False),
         ("fuchsian", None, "grids", [12, 16.5]),
         ("fuchsian", None, "grids", [12, True]),
+        # grids, when given, is a list of two or more distinct integers
+        ("fuchsian", None, "grids", 0),
+        ("fuchsian", None, "grids", False),
+        ("fuchsian", None, "grids", ""),
+        ("fuchsian", None, "grids", {}),
+        ("fuchsian", None, "grids", []),
+        # c0, when given, is a finite positive number
+        ("solve", None, "c0", "abc"),
+        ("solve", None, "c0", True),
+        ("solve", None, "c0", -1.0),
+        ("solve", None, "c0", 0),
         ("flow", "hamiltonian", "ell", 2.0),
         ("flow", "hamiltonian", "steps", True),
         ("solve", "solver", "continuation_steps", 2.7),

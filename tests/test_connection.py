@@ -67,8 +67,8 @@ def test_fill_in_constant_fields_gives_zero():
         phi = _const_fock(ch, n, [0.2, 0.1][: n - 1])
         psi = chm.LieForm(ch, 1, d1=np.conj(np.swapaxes(phi.d2, -1, -2)), d2=np.conj(np.swapaxes(phi.d1, -1, -2)))
         conn = cn.fill_in(phi, psi)
-        assert cn.sup_norm(conn.A) < 1e-11
-        assert conn.sigma_invariant
+        assert cn.sup_norm(conn) < 1e-11
+        assert cn.connection_report(phi, conn, psi)["sigma_invariant"]
 
 
 def test_fill_in_requires_psi_or_h():
@@ -88,11 +88,11 @@ def test_fill_in_determinism_two_methods():
     psi = cn.hermitian_adjoint_field(phi, h)
     a1 = cn.fill_in(phi, psi, method="normal")
     a2 = cn.fill_in(phi, psi, method="svd")
-    diff = max(np.abs(a1.A.d1 - a2.A.d1).max(), np.abs(a1.A.d2 - a2.A.d2).max())
+    diff = max(np.abs(a1.d1 - a2.d1).max(), np.abs(a1.d2 - a2.d2).max())
     assert diff < 1e-10
     u1 = cn.fill_in(phi, h=h, method="normal")
     u2 = cn.fill_in(phi, h=h, method="svd")
-    diff = max(np.abs(u1.A.d1 - u2.A.d1).max(), np.abs(u1.A.d2 - u2.A.d2).max())
+    diff = max(np.abs(u1.d1 - u2.d1).max(), np.abs(u1.d2 - u2.d2).max())
     assert diff < 1e-10
 
 
@@ -106,16 +106,15 @@ def test_fill_in_gauge_covariance_constant_gauge():
     psi = cn.hermitian_adjoint_field(phi, h)
     conn = cn.fill_in(phi, psi)
     s = 0.3 * fiber.sigma_plus_basis(n)[0] + 0.2 * fiber.sigma_plus_basis(n)[2]
-    g = sv.expm_batch(s[None, None])
-    gi = sv.expm_batch(-s[None, None])
+    g, gi = sv.expm_pair(s[None, None])
     conj = lambda x: gi @ x @ g
     phi_g = chm.LieForm(ch, 1, d1=conj(phi.d1), d2=conj(phi.d2))
     psi_g = chm.LieForm(ch, 1, d1=conj(psi.d1), d2=conj(psi.d2))
     conn_g = cn.fill_in(phi_g, psi_g)
-    expect1 = conj(conn.A.d1)
-    expect2 = conj(conn.A.d2)
-    assert np.abs(conn_g.A.d1 - expect1).max() < 1e-9
-    assert np.abs(conn_g.A.d2 - expect2).max() < 1e-9
+    expect1 = conj(conn.d1)
+    expect2 = conj(conn.d2)
+    assert np.abs(conn_g.d1 - expect1).max() < 1e-9
+    assert np.abs(conn_g.d2 - expect2).max() < 1e-9
 
 
 def test_fill_in_unitary_reproduces_chern_and_uniqueness():
@@ -124,10 +123,11 @@ def test_fill_in_unitary_reproduces_chern_and_uniqueness():
         fd = sv.fuchsian_reference(n, ch)
         chern = fd.h.inv() @ chm.dz_array(ch, fd.h.data, "rect")
         m = ch.mask()
-        diff = np.abs(fd.A.A.d1 - chern)[m].max() + np.abs(fd.A.A.d2)[m].max()
+        diff = np.abs(fd.A.d1 - chern)[m].max() + np.abs(fd.A.d2)[m].max()
         assert diff < 1e-10
-        assert fd.A.unitary
-        assert fd.A.report["unitarity_defect"] < 1e-10
+        report = cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+        assert report["unitary"]
+        assert report["unitarity_defect"] < 1e-10
 
 
 def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
@@ -145,22 +145,23 @@ def _bits(a):
 
 
 def _eager_report(phi, psi, h, conn, boundary):
-    """The report fill_in computed eagerly before it became lazy, written out."""
-    ch, a1, a2 = phi.chart, conn.A.d1, conn.A.d2
+    """The diagnostics of a connection solved from (phi, psi) or (phi, h),
+    written out: the report and the (sigma_invariant, unitary) flags."""
+    ch, a1, a2 = phi.chart, conn.d1, conn.d2
     mask = ch.mask()
 
     def compat(f):
         df = chm.exterior_d(f, boundary).d0
         return np.abs((df + a1 @ f.d2 - f.d2 @ a1 - (a2 @ f.d1 - f.d1 @ a2))[mask]).max()
 
-    rep = {"mode": "unitary" if h is not None else "sigma-pair"}
+    rep = {}
     rep["compat_residual_phi"] = float(compat(phi))
     rep["compat_residual_psi"] = float(compat(cn.hermitian_adjoint_field(phi, h) if h is not None else psi))
-    rep["sigma_defect"] = cn.sigma_defect(conn.A)
+    rep["sigma_defect"] = cn.sigma_defect(conn)
     sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1).max()))
     uni = False
     if h is not None:
-        rep["unitarity_defect"] = cn.unitarity_defect(conn.A, h, boundary)
+        rep["unitarity_defect"] = cn.unitarity_defect(conn, h, boundary)
         uni = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     rep["warnings"] = []
     if rep["compat_residual_phi"] > max(ch.hx * ch.hx * 10.0 * max(1.0, cn.sup_norm(phi)) * 100.0, 1e-6):
@@ -181,7 +182,7 @@ def _fill_in_cases():
     yield phi, cn.hermitian_adjoint_field(phi, h), None, "auto"
 
 
-def test_fill_in_report_is_computed_when_read(monkeypatch):
+def test_connection_report_is_computed_only_when_called(monkeypatch):
     counts = {"sigma_defect": 0, "unitarity_defect": 0}
 
     def counting(name, fn):
@@ -194,14 +195,19 @@ def test_fill_in_report_is_computed_when_read(monkeypatch):
         monkeypatch.setattr(cn, name, counting(name, getattr(cn, name)))
     for phi, psi, h, boundary in _fill_in_cases():
         counts.update(sigma_defect=0, unitarity_defect=0)
-        conn = cn.fill_in(phi, psi, h=h, boundary=boundary)
-        _ = conn.A, conn.chart
-        assert counts == {"sigma_defect": 0, "unitarity_defect": 0}  # the solve alone computes no diagnostics
-        flags, report = (conn.sigma_invariant, conn.unitary), conn.report
-        assert counts == {"sigma_defect": 1, "unitarity_defect": int(h is not None)}  # once, for every read
-        want_report, *want_flags = _eager_report(phi, psi, h, conn, boundary)
-        assert flags == tuple(want_flags)
-        assert report == want_report and list(report) == list(want_report)
+        conns = [(psi, cn.fill_in(phi, psi, h=h, boundary=boundary))]
+        if h is not None:
+            t0 = chm.CovectorField(phi.chart, phi.n, {})
+            conns.append((None, cn.inject_covector(phi, h, t0, boundary=boundary)))
+        assert counts == {"sigma_defect": 0, "unitarity_defect": 0}  # the solvers compute no diagnostics
+        for given_psi, conn in conns:
+            counts.update(sigma_defect=0, unitarity_defect=0)
+            report = cn.connection_report(phi, conn, given_psi, h=h, boundary=boundary)
+            assert counts == {"sigma_defect": 1, "unitarity_defect": int(h is not None)}  # once per call
+            want_report, *want_flags = _eager_report(phi, given_psi, h, conn, boundary)
+            assert list(report)[-2:] == ["sigma_invariant", "unitary"]
+            assert [report.pop("sigma_invariant"), report.pop("unitary")] == want_flags
+            assert report == want_report and list(report) == list(want_report)
 
 
 def test_hermitian_field_pieces_are_cached_read_only():
@@ -273,8 +279,9 @@ def test_lambda_independence_floor():
     psi = fd.adjoint()
     assert np.abs(chm.wedge_bracket(fd.Phi, fd.Phi).d0).max() == 0
     assert np.abs(chm.wedge_bracket(psi, psi).d0).max() < 1e-12
-    assert fd.A.report["compat_residual_phi"] < 1e-10
-    assert fd.A.report["compat_residual_psi"] < 100 * ch.hx**2
+    report = cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+    assert report["compat_residual_phi"] < 1e-10
+    assert report["compat_residual_psi"] < 100 * ch.hx**2
 
 
 def test_covector_extract_sigma_invariant_is_zero():
@@ -296,7 +303,7 @@ def test_inject_roundtrip_and_base_point():
     h = cn.identity_hermitian(ch, n)
     t = chm.CovectorField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.2).data for k in (2, 3)})
     conn = cn.inject_covector(phi, h, t)
-    assert conn.unitary
+    assert cn.connection_report(phi, conn, h=h)["unitary"]
     back = cn.covector_extract(conn, phi)
     for k in (2, 3):
         assert np.abs(back.comp(k) - t.comp(k)).max() < 1e-10
@@ -304,8 +311,8 @@ def test_inject_roundtrip_and_base_point():
     t0 = chm.CovectorField(ch, n, {})
     base = cn.inject_covector(phi, h, t0)
     filled = cn.fill_in(phi, h=h)
-    assert np.abs(base.A.d1 - filled.A.d1).max() < 1e-9
-    assert np.abs(base.A.d2 - filled.A.d2).max() < 1e-9
+    assert np.abs(base.d1 - filled.d1).max() < 1e-9
+    assert np.abs(base.d2 - filled.d2).max() < 1e-9
 
 
 def test_inject_constant_phi_centralizer_membership():
@@ -317,8 +324,8 @@ def test_inject_constant_phi_centralizer_membership():
     h = cn.identity_hermitian(ch, n)
     t = chm.CovectorField(ch, n, {3: chm.bump_field(ch, center=(0.7, 0.4), radius=0.2, amplitude=0.3).data})
     conn = cn.inject_covector(phi, h, t)
-    _, am1 = fiber.sigma_split(conn.A.d1)
-    _, am2 = fiber.sigma_split(conn.A.d2)
+    _, am1 = fiber.sigma_split(conn.d1)
+    _, am2 = fiber.sigma_split(conn.d2)
     am = chm.LieForm(ch, 1, d1=am1, d2=am2)
     psi = cn.hermitian_adjoint_field(phi, h)
     d1 = np.abs(chm.wedge_bracket(am, phi).d0).max()
@@ -334,5 +341,5 @@ def test_sup_norm_and_defect_helpers():
     phi = _const_fock(ch, n, [0.0])
     h = cn.identity_hermitian(ch, n)
     conn = cn.fill_in(phi, h=h)
-    assert cn.sigma_defect(conn.A) < 1e-12
-    assert cn.unitarity_defect(conn.A, h) < 1e-12
+    assert cn.sigma_defect(conn) < 1e-12
+    assert cn.unitarity_defect(conn, h) < 1e-12
