@@ -40,8 +40,6 @@ __all__ = [
     "BeltramiField",
     "CovectorField",
     "difference_matrix",
-    "partial_z",
-    "partial_zbar",
     "exterior_d",
     "wedge_bracket",
     "covariant_d",
@@ -73,13 +71,13 @@ class Chart:
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
-            raise ValueError("grids need nx, ny >= 8")
+            raise ValueError(f"'nx' and 'ny' must be >= 8, got {self.nx} x {self.ny}")
         if self.kind == "periodic-rect":
             object.__setattr__(self, "hx", self.lx / self.nx)
             object.__setattr__(self, "hy", self.ly / self.ny)
         elif self.kind == "dirichlet-disk":
             if not 0.0 < self.radius <= 0.7:
-                raise ValueError("disk charts need 0 < R <= 0.7 (inside the unit disk)")
+                raise ValueError(f"'radius' must be in (0, 0.7] (inside the unit disk), got {self.radius!r}")
             object.__setattr__(self, "hx", 2 * self.radius / (self.nx - 1))
             object.__setattr__(self, "hy", 2 * self.radius / (self.ny - 1))
         else:
@@ -191,6 +189,10 @@ class BeltramiField:
     n: int
     comps: dict  # {k: (nx, ny) complex array}
 
+    def __post_init__(self):
+        if not set(self.comps) <= set(range(2, self.n + 1)):
+            raise ValueError(f"component indices {sorted(self.comps)} must lie in 2..{self.n}")
+
     def comp(self, k):
         z = np.zeros((self.chart.nx, self.chart.ny), dtype=complex)
         return self.comps.get(k, z)
@@ -275,15 +277,6 @@ def dz_array(chart, arr, boundary="auto"):
 
 def dzbar_array(chart, arr, boundary="auto"):
     return 0.5 * (dx_array(chart, arr, boundary) + 1j * dy_array(chart, arr, boundary))
-
-
-def partial_z(f: ScalarField, boundary: str = "auto") -> ScalarField:
-    """d f = (d_x - i d_y) f / 2 with the chart's boundary treatment."""
-    return ScalarField(f.chart, dz_array(f.chart, f.data, boundary))
-
-
-def partial_zbar(f: ScalarField, boundary: str = "auto") -> ScalarField:
-    return ScalarField(f.chart, dzbar_array(f.chart, f.data, boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +365,19 @@ def bump_field(chart: Chart, center=(0.0, 0.0), radius: float = 0.25, amplitude=
     return ScalarField(chart, amplitude * prof.astype(complex))
 
 
-def random_smooth_scalar(chart: Chart, rng, amplitude: float = 1.0, modes: int = 2) -> ScalarField:
-    """Smooth random field: low trig polynomial (periodic) or bump-carried polynomial (disk)."""
+def random_smooth_scalar(chart: Chart, rng, amplitude: float = 1.0) -> ScalarField:
+    """Smooth random field: degree-2 trig polynomial (periodic) or bump-carried polynomial (disk)."""
     x, y = chart.xy()
     out = np.zeros_like(x, dtype=complex)
     if chart.periodic:
-        for kx in range(-modes, modes + 1):
-            for ky in range(-modes, modes + 1):
+        for kx in range(-2, 3):
+            for ky in range(-2, 3):
                 c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + kx * kx + ky * ky)
                 out += c * np.exp(2j * np.pi * (kx * x / chart.lx + ky * y / chart.ly))
     else:
         r = chart.radius
-        for px in range(modes + 1):
-            for py in range(modes + 1):
+        for px in range(3):
+            for py in range(3):
                 c = rng.standard_normal() + 1j * rng.standard_normal()
                 out += c * (x / r) ** px * (y / r) ** py
         out = out * bump_field(chart, radius=0.75 * r).data

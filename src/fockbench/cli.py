@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 warn-threshold breached, 2 fail, 3 unknown subcommand,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,119 +30,164 @@ from . import solver as sv
 from .errors import DegenerateStructureError
 from .report import SolveReport
 
-EXIT_OK, EXIT_WARN, EXIT_FAIL = 0, 1, 2
 EXIT_USAGE, EXIT_CONFIG, EXIT_IO = 3, 4, 5
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _int(v):
-    """A JSON integer: bools, floats and strings are not coerced."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"{v!r} is not an integer")
-    return v
+# ---------------------------------------------------------------------------
+# config schema: every key a config may hold and the check of its value
 
 
-def _bool(v):
-    """A JSON boolean: no other value is read as one."""
-    if not isinstance(v, bool):
-        raise TypeError(f"{v!r} is not a boolean")
-    return v
+def _value(test, what, cast=None):
+    """The check of one config value: ``test(v)`` holds, or the config error
+    names the key and what it must be.  Returns ``v``, or ``cast(v)``."""
+
+    def check(v, key):
+        if not test(v):
+            raise ConfigError(f"{key!r} must be {what}, got {v!r}")
+        return v if cast is None else cast(v)
+
+    return check
 
 
-def _positive(v):
-    """A finite positive JSON number: bools and strings are not coerced."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
-        raise ValueError(f"{v!r} is not a finite positive number")
-    return float(v)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-# The type of each solver key; a key left out takes NewtonConfig's default.
-_SOLVER_KINDS = {
-    "continuation_steps": _int, "newton_tol": float, "max_newton": _int, "cg_tol": float,
-    "max_cg": _int, "fd_check": _bool, "preconditioner": str,
+def _is_real(v):
+    """A finite JSON number: bools and strings are not numbers."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))
+
+
+def _one_of(*names):
+    return _value(lambda v: v in names, " or ".join(map(repr, names)))
+
+
+def _optional(check):
+    """``check``, with null read as the key left out."""
+    return lambda v, key: None if v is None else check(v, key)
+
+
+_INTEGER = _value(_is_int, "an integer")
+_COUNT = _value(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_REAL = _value(_is_real, "a finite number", float)
+_LENGTH = _value(lambda v: _is_real(v) and v > 0, "a finite positive number", float)
+_COMPLEX = _value(
+    lambda v: _is_real(v) or _is_pair(v),
+    "a finite number or [re, im] pair",
+    lambda v: complex(*v) if isinstance(v, list) else complex(v),
+)
+_POINT = _value(_is_pair, "an [x, y] pair of finite numbers", lambda v: (float(v[0]), float(v[1])))
+_BOOL = _value(lambda v: isinstance(v, bool), "true or false")
+_TEXT = _value(lambda v: isinstance(v, str), "a string")
+_PATH = _value(lambda v: isinstance(v, str) and "\0" not in v, "a path string")
+_OBJECT = _value(lambda v: isinstance(v, dict), "an object")
+_GRIDS = _value(
+    lambda v: isinstance(v, list) and all(map(_is_int, v)) and len(set(v)) >= 2,
+    "a list of two or more distinct integer grid sizes",
+    lambda v: sorted(set(v)),
+)
+
+
+def _table(schema, required=()):
+    """The check of an object: each key by its own check in ``schema``; a key
+    ``schema`` lacks, or a missing required one, is a config error."""
+
+    def check(spec, key):
+        _OBJECT(spec, key)
+        for k in spec:
+            if k not in schema:
+                raise ConfigError(f"unknown key {k!r} in {key!r}; known keys: {', '.join(sorted(schema))}")
+        for k in required:
+            if k not in spec:
+                raise ConfigError(f"{key!r} is missing {k!r}")
+        return {k: schema[k](v, k) for k, v in spec.items()}
+
+    return check
+
+
+_FIELD_TYPES = {
+    "constant": _table({"type": _TEXT, "value": _COMPLEX}),
+    "bump": _table({"type": _TEXT, "center": _POINT, "radius": _LENGTH, "amplitude": _COMPLEX}),
+    "file": _table({"type": _TEXT, "path": _PATH}, required=("path",)),
 }
 
 
-# Keys of the config schema, top level (None) and per checked section.
-_CONFIG_KEYS = {
-    None: {
-        "n", "chart", "beltrami", "covector", "hamiltonian", "solver",
-        "grids", "hermitian", "seed", "output_dir", "c0",
+def _field(spec, key):
+    """The check of a field spec: its "type" picks the table of its keys."""
+    kind = _one_of(*_FIELD_TYPES)(_OBJECT(spec, key).get("type"), "type")
+    return _FIELD_TYPES[kind](spec, key)
+
+
+def _family(spec, key):
+    """The check of a field family: decimal component index -> field spec;
+    returns the specs by integer index (BeltramiField checks they lie in 2..n)."""
+    comps = {}
+    for k, sub in _OBJECT(spec, key).items():
+        if not (k.isascii() and k.isdigit()):
+            raise ConfigError(f"{k!r} must be a component index in {key!r}")
+        comps[int(k)] = _field(sub, f"{key}['{k}']")
+    return comps
+
+
+# Every key the CLI reads, with the check of its value.  A key left out takes
+# the default of the code that reads it.  The ranges the library checks itself
+# (Chart: nx, ny >= 8 and 0 < radius <= 0.7; NewtonConfig: counts, tolerances
+# and preconditioner; HamiltonianTerm: ell in 2..n; BeltramiField: component
+# indices in 2..n) are left to it.
+_N = _value(lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+_SCHEMA = _table(
+    {
+        "n": _N,
+        "chart": _table(
+            {
+                "kind": _one_of("periodic-rect", "dirichlet-disk"),
+                "nx": _INTEGER, "ny": _INTEGER, "lx": _LENGTH, "ly": _LENGTH, "radius": _LENGTH,
+            },
+            required=("kind", "nx", "ny"),
+        ),
+        "beltrami": _family,
+        "covector": _family,
+        "hamiltonian": _table({"ell": _INTEGER, "eps": _REAL, "steps": _COUNT, "w": _field}, required=("ell", "w")),
+        "solver": _table(
+            {
+                "continuation_steps": _INTEGER, "newton_tol": _REAL, "max_newton": _INTEGER,
+                "cg_tol": _REAL, "max_cg": _INTEGER, "fd_check": _BOOL, "preconditioner": _TEXT,
+            }
+        ),
+        "grids": _optional(_GRIDS),
+        "hermitian": _one_of("fuchsian", "identity"),
+        "seed": _INTEGER,
+        "output_dir": _PATH,
+        "c0": _optional(_LENGTH),
     },
-    "chart": {"kind", "nx", "ny", "radius", "lx", "ly"},
-    "solver": set(_SOLVER_KINDS),
-    "hamiltonian": {"ell", "eps", "steps", "w"},
-}
+    required=("n", "chart"),
+)
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    for section, known in _CONFIG_KEYS.items():
-        spec = cfg if section is None else cfg.get(section)
-        if section in cfg and not isinstance(spec, dict):
-            raise ConfigError(f"{section!r} must be an object, got {spec!r}")
-        unknown = sorted(set(spec) - known) if isinstance(spec, dict) else []
-        if unknown:
-            where = "the config" if section is None else f"{section!r}"
-            raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(sorted(known))}")
-    return cfg
-
-
-def _build_chart(spec) -> chm.Chart:
-    try:
-        kind = spec["kind"]
-        nx, ny = _typed(spec, "nx", _int), _typed(spec, "ny", _int)
-        if kind == "periodic-rect":
-            return chm.periodic_chart(nx, ny, float(spec.get("lx", 1.0)), float(spec.get("ly", 1.0)))
-        if kind == "dirichlet-disk":
-            return chm.disk_chart(nx, ny, float(spec.get("radius", 0.5)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad chart spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown chart kind {kind!r}")
-
-
-def _complex(v):
-    """A complex number from a number or a [re, im] pair."""
-    if isinstance(v, (list, tuple)):
-        re, im = v
-        return complex(re, im)
-    return complex(v)
-
-
-def _point(v):
-    x, y = v
-    return (float(x), float(y))
+def _chart(kind, nx, ny, lx=1.0, ly=1.0, radius=0.5) -> chm.Chart:
+    return chm.periodic_chart(nx, ny, lx, ly) if kind == "periodic-rect" else chm.disk_chart(nx, ny, radius)
 
 
 def _build_scalar(chart, spec, name) -> np.ndarray:
-    """The grid values of a field spec; ``name`` labels the spec in errors."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a field spec object, got {spec!r}")
-    kind = spec.get("type")
+    """The grid values of a checked field spec; ``name`` labels it in errors."""
+    kind = spec["type"]
     if kind == "constant":
-        data = np.full((chart.nx, chart.ny), _typed(spec, "value", _complex, 0.0))
+        data = np.full((chart.nx, chart.ny), spec.get("value", 0j))
     elif kind == "bump":
-        data = chm.bump_field(
-            chart,
-            center=_typed(spec, "center", _point, (0.0, 0.0)),
-            radius=_typed(spec, "radius", float, 0.25),
-            amplitude=_typed(spec, "amplitude", _complex, 1.0),
-        ).data
-    elif kind == "file":
+        data = chm.bump_field(chart, **{k: v for k, v in spec.items() if k != "type"}).data
+    else:
         try:
-            data = chm.load_scalar_csv(_require(spec, "path"), chart).data
+            data = chm.load_scalar_csv(spec["path"], chart).data
         except ValueError as exc:  # a malformed file; a missing one stays an I/O error
             raise ConfigError(f"{name}: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown field spec type {kind!r}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
@@ -149,44 +195,37 @@ def _build_scalar(chart, spec, name) -> np.ndarray:
     return data
 
 
-def _build_component_family(chart, n, spec, section):
-    spec = {} if spec is None else spec
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{section!r} must be an object, got {spec!r}")
-    comps = {}
-    for key, sub in spec.items():
-        try:
-            k = int(key)
-        except ValueError as exc:
-            raise ConfigError(f"{key!r} must be a component index in {section!r}") from exc
-        if not 2 <= k <= n:
-            raise ConfigError(f"component index {k} outside 2..{n}")
-        comps[k] = _build_scalar(chart, sub, f"{section}[{key!r}]")
-    return chm.BeltramiField(chart, n, comps)
-
-
-def _newton_config(spec) -> sv.NewtonConfig:
-    spec = spec or {}
-    given = {key: _typed(spec, key, kind) for key, kind in _SOLVER_KINDS.items() if key in spec}
+def _load_config(path, cmd):
+    """The config at ``path`` as read, for the report's echo, and as the
+    inputs of ``cmd``: its values checked against ``_SCHEMA``, then its charts,
+    fields, NewtonConfig and Hamiltonian term built, where the library's range
+    checks (a ValueError) are config errors too.  Nothing is written yet."""
     try:
-        return sv.NewtonConfig(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver spec: {exc}") from exc
-
-
-def _emit(report: SolveReport, outdir) -> int:
-    """Write ``report`` to ``outdir``/report.json (none without ``outdir``),
-    echo it on stdout and return its exit code."""
+        with open(path) as fh:
+            echo = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = _SCHEMA(echo, "config")
+    if cmd == "flow" and "hamiltonian" not in cfg:
+        raise ConfigError("'config' is missing 'hamiltonian', which flow reads")
+    if cmd == "fillin" and cfg.get("hermitian") == "fuchsian" and cfg.get("beltrami"):
+        raise ConfigError("'beltrami' must be empty with 'hermitian': 'fuchsian', whose reference has mu = 0")
+    n = cfg["n"]
     try:
-        text = report.to_json()
-        if outdir is not None:
-            with open(os.path.join(outdir, "report.json"), "w") as fh:
-                fh.write(text + "\n")
-    except (TypeError, ValueError) as err:  # an output_dir that is not a path
-        sys.stderr.write(f"no report written: {err}\n")
-        return EXIT_FAIL
-    print(text)
-    return report.exit_code()
+        ch = cfg["chart"] = _chart(**cfg["chart"])
+        cfg["grids"] = [dataclasses.replace(ch, nx=nx, ny=nx) for nx in cfg.get("grids") or ()]
+        for section in ("beltrami", "covector"):
+            comps = {k: _build_scalar(ch, spec, f"{section}['{k}']") for k, spec in cfg.get(section, {}).items()}
+            cfg[section] = chm.BeltramiField(ch, n, comps)
+        cfg["solver"] = sv.NewtonConfig(**cfg.get("solver", {}))
+        if "hamiltonian" in cfg:
+            ham = cfg["hamiltonian"]
+            w = chm.ScalarField(ch, _build_scalar(ch, ham["w"], "hamiltonian['w']"))
+            ham["term"] = hf.HamiltonianTerm(ham["ell"], w)
+            ham["term"].check(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return echo, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -322,68 +361,26 @@ def _cmd_point_verify(cfg, out, rep):
 # config-driven commands
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"config is missing {key!r}")
-    return cfg[key]
-
-
-def _typed(spec, key, kind, default=None):
-    """``kind(spec[key])``, required without a default; a bad type is a config error."""
-    value = _require(spec, key) if default is None else spec.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be {kind.__name__.lstrip('_')}, got {value!r}") from exc
-
-
 def _cmd_fuchsian(cfg, out, rep):
-    n = _typed(cfg, "n", _int)
-    spec = _require(cfg, "chart")
-    grids = cfg.get("grids")
-    residuals = {}
-    if grids is not None:
-        ints = isinstance(grids, list) and all(isinstance(nx, int) and not isinstance(nx, bool) for nx in grids)
-        sizes = sorted(set(grids)) if ints else []
-        if len(sizes) < 2:
-            raise ConfigError(f"'grids' must be a list of two or more distinct integer grid sizes, got {grids!r}")
-        for nx in sizes:
-            local = dict(spec)
-            local["nx"] = local["ny"] = nx
-            ch = _build_chart(local)
-            fd = sv.fuchsian_reference(n, ch)
-            residuals[str(nx)] = fd.curvature_sup
-        rep.residual_norms = dict(residuals)
-        rep.residual_norms["ratio"] = residuals[str(sizes[0])] / residuals[str(sizes[1])]
+    n, ch, grids = cfg["n"], cfg["chart"], cfg["grids"]
+    if grids:
+        residuals = {str(g.nx): sv.fuchsian_reference(n, g).curvature_sup for g in grids}
+        rep.residual_norms = dict(residuals, ratio=residuals[str(grids[0].nx)] / residuals[str(grids[1].nx)])
     else:
-        ch = _build_chart(spec)
         fd = sv.fuchsian_reference(n, ch)
-        residuals["residual_sup"] = fd.curvature_sup
-        residuals["c0"] = fd.c0
-        rep.residual_norms = residuals
+        rep.residual_norms = {"residual_sup": fd.curvature_sup, "c0": fd.c0}
         chm.save_lieform_csv(os.path.join(out, "A.csv"), fd.A)
         chm.save_matrix_field_csv(os.path.join(out, "h.csv"), ch, fd.h.data)
         chm.save_scalar_csv(os.path.join(out, "g.csv"), fd.g)
 
 
-def _fields_from_config(cfg):
-    n = _typed(cfg, "n", _int)
-    ch = _build_chart(_require(cfg, "chart"))
-    mu = _build_component_family(ch, n, cfg.get("beltrami"), "beltrami")
-    t = _build_component_family(ch, n, cfg.get("covector"), "covector")
-    return n, ch, mu, t
-
-
 def _cmd_fillin(cfg, out, rep):
-    n, ch, mu, _ = _fields_from_config(cfg)
-    hermitian = cfg.get("hermitian", "identity")
-    if hermitian not in ("fuchsian", "identity"):
-        raise ConfigError(f"'hermitian' must be 'fuchsian' or 'identity', got {hermitian!r}")
-    if hermitian == "fuchsian":
+    n, ch = cfg["n"], cfg["chart"]
+    if cfg.get("hermitian") == "fuchsian":
         fd = sv.fuchsian_reference(n, ch)
         phi, h, a, boundary = fd.Phi, fd.h, fd.A, sv.FUCHSIAN_BOUNDARY
     else:
-        phi, h, boundary = hf.fock_form(ch, mu), cn.identity_hermitian(ch, n), "auto"
+        phi, h, boundary = hf.fock_form(ch, cfg["beltrami"]), cn.identity_hermitian(ch, n), "auto"
         a = cn.fill_in(phi, h=h, boundary=boundary)
     chm.save_lieform_csv(os.path.join(out, "A.csv"), a)
     diagnostics = cn.connection_report(phi, a, h=h, boundary=boundary)
@@ -393,11 +390,9 @@ def _cmd_fillin(cfg, out, rep):
 
 
 def _cmd_solve(cfg, out, rep):
-    n, ch, mu, _ = _fields_from_config(cfg)
-    ncfg = _newton_config(cfg.get("solver"))
-    c0 = None if cfg.get("c0") is None else _typed(cfg, "c0", _positive)
-    fd = sv.fuchsian_reference(n, ch, c0=c0)
-    eta, srep = sv.newton_continuation(fd, mu, ncfg)
+    ncfg = cfg["solver"]
+    fd = sv.fuchsian_reference(cfg["n"], cfg["chart"], c0=cfg.get("c0"))
+    eta, srep = sv.newton_continuation(fd, cfg["beltrami"], ncfg)
     chm.save_lieform_csv(os.path.join(out, "eta.csv"), eta)
     chm.save_lieform_csv(os.path.join(out, "phi.csv"), srep["phi"])
     chm.save_lieform_csv(os.path.join(out, "A.csv"), srep["connection"])
@@ -408,27 +403,26 @@ def _cmd_solve(cfg, out, rep):
         "eta_sup": srep["eta_sup"],
     }
     rep.iteration_traces = {"per_step": srep["per_step"]}
+    if ncfg.fd_check:
+        rep.iteration_traces["fd_checks"] = srep["fd_checks"]
     rep.timings["newton_wall_time_s"] = srep["wall_time_s"]
     if not (srep["final_residual"] <= ncfg.newton_tol):
         rep.fail(f"final residual {srep['final_residual']:.3e} above newton_tol")
 
 
 def _cmd_muholo(cfg, out, rep):
-    n, ch, mu, t = _fields_from_config(cfg)
+    n, ch, mu, t = cfg["n"], cfg["chart"], cfg["beltrami"], cfg["covector"]
     phi = hf.fock_form(ch, mu)
     a = cn.inject_covector(phi, cn.identity_hermitian(ch, n), t)
     tensor = hf.mu_holo_residual(mu, t)
     gauge = hf.gauge_muholo_residual(phi, a)
     mask = ch.mask()
     norms = {}
-    diff_sup = 0.0
     for k in range(2, n + 1):
         norms[f"tensor_{k}"] = float(np.abs(tensor[k][mask]).max())
         norms[f"gauge_{k}"] = float(np.abs(gauge[k][mask]).max())
-        d = float(np.abs((tensor[k] - gauge[k])[mask]).max())
-        norms[f"difference_{k}"] = d
-        diff_sup = max(diff_sup, d)
-    norms["equivalence_sup"] = diff_sup
+        norms[f"difference_{k}"] = float(np.abs((tensor[k] - gauge[k])[mask]).max())
+    norms["equivalence_sup"] = diff_sup = max(norms[f"difference_{k}"] for k in range(2, n + 1))
     rep.residual_norms = norms
     for k in range(2, n + 1):
         chm.save_scalar_csv(os.path.join(out, f"tensor_residual_{k}.csv"), chm.ScalarField(ch, tensor[k]))
@@ -439,12 +433,9 @@ def _cmd_muholo(cfg, out, rep):
 
 
 def _cmd_flow(cfg, out, rep):
-    n, ch, mu, t = _fields_from_config(cfg)
-    ham_spec = _require(cfg, "hamiltonian")
-    eps = _typed(ham_spec, "eps", float, 1e-3)
-    steps = _typed(ham_spec, "steps", _int, 1)
-    ell = _typed(ham_spec, "ell", _int)
-    ham = hf.HamiltonianTerm(ell, chm.ScalarField(ch, _build_scalar(ch, _require(ham_spec, "w"), "hamiltonian['w']")))
+    n, ch, mu, t = cfg["n"], cfg["chart"], cfg["beltrami"], cfg["covector"]
+    spec = cfg["hamiltonian"]
+    ham, eps, steps = spec["term"], spec.get("eps", 1e-3), spec.get("steps", 1)
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
     a_form = cn.inject_covector(phi, h, t)
@@ -475,8 +466,9 @@ def _cmd_flow(cfg, out, rep):
 
 # ---------------------------------------------------------------------------
 
-# Each handler fills the run's report from its config, writing any field CSVs
-# into the output directory; run() builds, times and emits the report.
+# Each handler fills the run's report from its checked config and built inputs,
+# writing any field CSVs into the output directory; run() builds, times and
+# emits the report.
 _HANDLERS = {
     "fiber-verify": _cmd_fiber_verify,
     "point-verify": _cmd_point_verify,
@@ -490,8 +482,9 @@ _SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(argv) -> int:
-    """Run one subcommand and emit its one report.  A handler that raises
-    anything but a config or I/O error leaves a ``fail`` report with the
+    """Run one subcommand and emit its one report.  The config is checked and
+    its inputs built before the output directory is made; a handler that
+    raises anything but an I/O error leaves a ``fail`` report with the
     exception and whatever trace it carries (a residual history, a
     continuation parameter, a grid point, the records of the continuation
     steps that finished)."""
@@ -519,21 +512,18 @@ def run(argv) -> int:
         return EXIT_CONFIG
     try:
         if flags:
-            if args.n < 2:
-                raise ConfigError("--n must be >= 2")
-            if args.samples < 1:
-                raise ConfigError("--samples must be >= 1")
-            cfg, out = {"n": args.n, "samples": args.samples, "seed": args.seed}, args.out
+            echo = cfg = {"n": _N(args.n, "--n"), "samples": _COUNT(args.samples, "--samples"), "seed": args.seed}
+            out = args.out
         else:
-            cfg = _load_config(args.config)
+            echo, cfg = _load_config(args.config, cmd)
             out = cfg.get("output_dir", "out")
-        rep = SolveReport(command=cmd, config_echo=cfg)
+        rep = SolveReport(command=cmd, config_echo=echo)
         t0 = time.perf_counter()
         try:
             if out is not None:  # without --out the report goes to stdout alone
                 os.makedirs(out, exist_ok=True)
             _HANDLERS[cmd](cfg, out, rep)
-        except (ConfigError, OSError):
+        except OSError:
             raise
         except Exception as exc:  # solver-level failures surface as status "fail"
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
@@ -542,7 +532,12 @@ def run(argv) -> int:
                 if getattr(exc, key, None) is not None:
                     rep.iteration_traces[key] = getattr(exc, key)
         rep.timings["wall_time_s"] = time.perf_counter() - t0
-        return _emit(rep, out)
+        text = rep.to_json()
+        if out is not None:
+            with open(os.path.join(out, "report.json"), "w") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return rep.exit_code()
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

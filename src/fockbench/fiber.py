@@ -190,17 +190,17 @@ def sl_basis(n: int):
     return list(_sl_basis_cached(n))
 
 
-def centralizer_basis(x: np.ndarray, tol: float = 1e-10):
+def centralizer_basis(x: np.ndarray):
     """Basis of {y in sl_n : [x, y] = 0}: the SVD null space of
     ``ad_columns(x, sl_basis(n))``, orthonormal in ``sl_basis`` coordinates.
 
-    The rank counts singular values above tol * sigma_max.
+    The rank counts singular values above 1e-10 * sigma_max.
     """
     x = np.asarray(x, dtype=complex)
     basis = np.stack(sl_basis(x.shape[-1]))
     _, s, vh = np.linalg.svd(ad_columns(x, basis))
     smax = s[0] if s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > 1e-10 * smax))
     return list(np.tensordot(vh[rank:].conj(), basis, axes=1))
 
 

@@ -51,9 +51,10 @@ def _critical_direction(mu2):
 
 
 _UNIT_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16)
+_DEGENERATE_TOL = 1e-6  # |mu_2| this close to 1 is on the degenerate locus
 
 
-def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
+def fock_point(n: int, mu) -> FockPoint:
     """Pointwise field pair (F, sum_k mu_k F^{k-1}) from Beltrami data mu_2..mu_n.
 
     Certifies the nilpotency condition on 16 unit directions plus the
@@ -63,9 +64,9 @@ def fock_point(n: int, mu, nilpotency_tol: float = 1e-6) -> FockPoint:
     mu = tuple(complex(m) for m in mu)
     if len(mu) != n - 1:
         raise ValueError(f"expected {n - 1} Beltrami coefficients mu_2..mu_{n}, got {len(mu)}")
-    if abs(abs(mu[0]) - 1.0) < nilpotency_tol:
+    if abs(abs(mu[0]) - 1.0) < _DEGENERATE_TOL:
         raise DegenerateStructureError(
-            f"|mu_2| = {abs(mu[0]):.3e} is within {nilpotency_tol:g} of the degenerate locus"
+            f"|mu_2| = {abs(mu[0]):.3e} is within {_DEGENERATE_TOL:g} of the degenerate locus"
         )
     f = fiber.principal_nilpotent(n)
     powers = fiber.powers(f, n - 1)
@@ -145,12 +146,12 @@ def contraction_norms(phi1, phi2, h=None):
     return np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2, axis=(-2, -1))
 
 
-def _ranks(m, tol):
+def _ranks(m):
     s = np.linalg.svd(m, compute_uv=False)
-    return np.sum(s > tol * s[..., :1], axis=-1)
+    return np.sum(s > 1e-10 * s[..., :1], axis=-1)
 
 
-def cohomology_dims(phi1, phi2, tol: float = 1e-10):
+def cohomology_dims(phi1, phi2):
     """Fiberwise cohomology dimensions (S, 3) of 0-forms -> 1-forms -> 2-forms
     with differential [phi ^ .], per pair of any matrices."""
     n = phi2.shape[-1]
@@ -158,7 +159,7 @@ def cohomology_dims(phi1, phi2, tol: float = 1e-10):
     basis = fiber.sl_basis(n)
     c1, c2 = fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)
     # 1-forms -> 2-forms: a-slot -[phi2, a], b-slot [phi1, b]
-    r0, r1 = _ranks(_cat([c1, c2], axis=-2), tol), _ranks(_cat([-c2, c1], axis=-1), tol)
+    r0, r1 = _ranks(_cat([c1, c2], axis=-2)), _ranks(_cat([-c2, c1], axis=-1))
     return np.stack([dim - r0, 2 * dim - r1 - r0, dim - r1], axis=-1)
 
 

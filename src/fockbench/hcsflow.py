@@ -54,7 +54,7 @@ class HamiltonianTerm:
 
     def check(self, n: int):
         if not 2 <= self.ell <= n:
-            raise DomainMismatchError(f"Hamiltonian index ell={self.ell} outside 2..{n}")
+            raise DomainMismatchError(f"Hamiltonian index 'ell' must be in 2..{n}, got {self.ell}")
         if not np.all(np.isfinite(self.w.data)):
             raise DomainMismatchError("Hamiltonian coefficient must be finite")
 
@@ -196,7 +196,7 @@ def covector_variation(t: CovectorField, ham: HamiltonianTerm, boundary: str = "
     return CovectorField(ch, n, comps)
 
 
-def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: float = 1e-8) -> LieForm:
+def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm) -> LieForm:
     """Middle-term correction for the flow generator of H = w p^{ell-1}:
     ``eta_for_word`` on the word z^{ell-1}, the symmetrized sum with one
     phi1-factor replaced by the dz part of A^{-sigma}.  Satisfies
@@ -206,7 +206,7 @@ def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm, tol: flo
     defect = wedge_bracket(aminus, phi)
     dnorm = float(np.abs(defect.d0).max())
     scale = max(1.0, float(np.abs(aminus.d1).max()), float(np.abs(aminus.d2).max()))
-    if dnorm > tol * scale:
+    if dnorm > 1e-8 * scale:
         warnings.warn(
             f"A^-sigma is not Phi-commuting: wedge defect {dnorm:.3e}; eta correction is approximate",
             stacklevel=2,

@@ -245,9 +245,8 @@ class AdmissibleSpace:
         coeff = null[..., 0::2] + 1j * null[..., 1::2]  # (npt, dim, m)
         self.basis = np.einsum("pdm,mij->pdij", coeff, s_plus)
         self.basis = self.basis.reshape(chart.nx, chart.ny, self.dim, n, n)
-        active = chart.interior() if not chart.periodic else chart.mask()
-        self.active = active
-        self._mask3 = active[..., None].astype(float)  # zeroes coordinates off the active points
+        self.active = chart.interior()
+        self._mask3 = self.active[..., None].astype(float)  # zeroes coordinates off the active points
         self._mask3.flags.writeable = False
         self.weight = chart.hx * chart.hy
 
@@ -422,13 +421,13 @@ class LinearizedContext:
         return np.einsum("xyaij,xybji->xyab", e, e).real
 
 
-def linearized_operator(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField, tol: float = 1e-6) -> LieForm:
+def linearized_operator(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField) -> LieForm:
     """Strong-form L eta; eta must be admissible (sigma-even, h-hermitian)."""
     e = eta.d0
     scale = max(1.0, float(np.abs(e).max()))
     sig = np.abs(fiber.sigma(e) - e).max()
     herm = np.abs(fiber.h_adjoint(e, h.data, h.inv()) - e).max()
-    if max(sig, herm) > tol * scale:
+    if max(sig, herm) > 1e-6 * scale:
         raise DomainMismatchError(
             f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
         )
@@ -469,10 +468,12 @@ class NewtonConfig:
     preconditioner: str = "none"  # "none" | "jacobi"
 
     def __post_init__(self):
-        if min(self.continuation_steps, self.max_newton, self.max_cg) <= 0:
-            raise ValueError("iteration counts must be positive")
-        if not (0 < self.newton_tol < 1 and 0 < self.cg_tol < 1):
-            raise ValueError("tolerances must sit in (0, 1)")
+        for key in ("continuation_steps", "max_newton", "max_cg"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key!r} must be positive, got {getattr(self, key)!r}")
+        for key in ("newton_tol", "cg_tol"):
+            if not 0 < getattr(self, key) < 1:
+                raise ValueError(f"{key!r} must be in (0, 1), got {getattr(self, key)!r}")
         if self.preconditioner not in ("none", "jacobi"):
             raise ValueError(f"'preconditioner' must be 'none' or 'jacobi', got {self.preconditioner!r}")
 
@@ -575,15 +576,14 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     _check_mu_target(base, mu_target)
     ch, n, h = base.chart, base.n, base.h
     space = AdmissibleSpace(ch, n, h)
-    boundary = FUCHSIAN_BOUNDARY if not ch.periodic else "periodic"
 
     # the Newton map's value at eta = 0 is the reference's curvature
     base_moments = space.moments(base.curvature.d0)
 
     def gmap(phi_field, eta_coords):
         phi_c = conjugate_field(phi_field, space.to_field(eta_coords))
-        conn = fill_in(phi_c, h=h, boundary=boundary)
-        curv = curvature_total(conn, phi_c, hermitian_adjoint_field(phi_c, h), boundary=boundary)
+        conn = fill_in(phi_c, h=h, boundary=FUCHSIAN_BOUNDARY)
+        curv = curvature_total(conn, phi_c, hermitian_adjoint_field(phi_c, h), boundary=FUCHSIAN_BOUNDARY)
         return space.moments(curv.d0) - base_moments, phi_c, conn, curv
 
     def gnorm(gm):

@@ -52,19 +52,30 @@ def test_malformed_config(tmp_path):
 
 @pytest.mark.parametrize(
     "section, key",
-    [(None, "continuation_step"), ("solver", "continuation_step"), ("chart", "radus"), ("hamiltonian", "epsilon")],
+    [
+        (None, "continuation_step"),
+        ("solver", "continuation_step"),
+        ("chart", "radus"),
+        ("hamiltonian", "epsilon"),
+        ("beltrami/3", "extra"),
+        ("hamiltonian/w", "center_x"),
+    ],
 )
 def test_unknown_config_key_is_config_error(tmp_path, capsys, section, key):
     cfg = {
-        "n": 2,
+        "n": 3,
         "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
+        "beltrami": {"3": {"type": "bump", "radius": 0.2, "amplitude": 0.01}},
         "solver": {"continuation_steps": 1},
         "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}},
         "output_dir": str(tmp_path / "o"),
     }
-    (cfg if section is None else cfg[section])[key] = 1
+    spec = cfg
+    for part in section.split("/") if section else []:  # a path into nested specs
+        spec = spec[part]
+    spec[key] = 1
     assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
-    assert repr(key) in capsys.readouterr().err
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -522,13 +533,38 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("solve", "solver", "fd_check", 0),
         # hermitian names one of the two structures
         ("fillin", None, "hermitian", "fuchsain"),
+        # numbers are JSON numbers: no string or boolean is read as one
+        ("fillin", "chart", "lx", True),
+        ("fillin", "chart", "lx", "1.0"),
+        ("fillin", "chart", "radius", "0.5"),
+        ("flow", "hamiltonian/w", "radius", True),
+        ("flow", "hamiltonian/w", "amplitude", "0.1"),
+        ("fillin", "beltrami/2", "value", "1+1j"),
+        ("flow", "hamiltonian", "eps", "0.001"),
+        ("flow", "hamiltonian", "eps", True),
+        ("solve", "solver", "cg_tol", "1e-11"),
+        ("solve", None, "seed", "x"),
+        # lengths are finite and positive, eps is finite, steps >= 1, n >= 2
+        ("fillin", "chart", "lx", 0),
+        ("flow", "hamiltonian/w", "radius", 0),
+        ("flow", "hamiltonian/w", "radius", -1),
+        ("flow", "hamiltonian", "eps", float("nan")),
+        ("flow", "hamiltonian", "steps", 0),
+        ("flow", "hamiltonian", "steps", -3),
+        ("solve", None, "n", 1),
+        # the ranges the library checks while the inputs are built
+        ("flow", "hamiltonian", "ell", 7),
+        ("fillin", "chart", "radius", 0.9),
+        ("solve", "solver", "cg_tol", 2.0),
+        ("solve", "solver", "max_cg", 0),
+        ("fillin", None, "output_dir", 5),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):
     cfg = {
         "n": 2,
         "chart": {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5},
-        "beltrami": {},
+        "beltrami": {"2": {"type": "constant", "value": 0.0}},
         "solver": {},
         "hamiltonian": {"ell": 2, "w": {"type": "bump", "amplitude": 0.0}},
         "output_dir": str(tmp_path / "o"),
@@ -539,6 +575,32 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, secti
     spec[key] = value
     assert run([cmd, "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
     assert f"{key!r} must be" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_fillin_fuchsian_rejects_beltrami(tmp_path, capsys):
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "dirichlet-disk", "nx": 16, "ny": 16, "radius": 0.5},
+        "beltrami": {"3": {"type": "bump", "radius": 0.2, "amplitude": 0.5}},
+        "hermitian": "fuchsian",
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert "'beltrami' must be empty" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+    cfg["beltrami"] = {}
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
+
+
+def test_solve_reports_fd_checks(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    cfg = dict(_DETERMINISM_RUNS["solve"][0], output_dir=out)
+    cfg["solver"] = dict(cfg["solver"], fd_check=True)
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
+    traces = _read_report(out)["iteration_traces"]
+    assert [c["s"] for c in traces["fd_checks"]] == [step["s"] for step in traces["per_step"]] == [0.5, 1.0]
+    assert all(c["rel_mismatch"] < 0.05 for c in traces["fd_checks"])
 
 
 def test_non_finite_field_data_is_config_error(tmp_path, capsys):
@@ -617,7 +679,7 @@ def test_solve_csv_independent_of_blas_threads(tmp_path):
 # CLI fuzz: argv and JSON configs for every subcommand, each a small valid run
 # with up to three keys replaced or deleted.  Whatever the input, the CLI
 # answers with an exit code in 0..5 and no traceback, and a run that exits 2
-# without "no report written" has emitted a fail report.
+# has emitted a fail report.
 
 _DELETE = object()
 _JSON = st.one_of(
@@ -631,11 +693,11 @@ _JSON = st.one_of(
 )
 _KEYS = [
     ("n",), ("chart",), ("chart", "kind"), ("chart", "nx"), ("chart", "ny"), ("chart", "radius"),
-    ("beltrami",), ("beltrami", "2"), ("beltrami", "2", "type"), ("beltrami", "2", "path"),
-    ("beltrami", "2", "value"), ("covector", "2"), ("covector", "2", "radius"),
+    ("chart", "lx"), ("beltrami",), ("beltrami", "2"), ("beltrami", "2", "type"), ("beltrami", "2", "path"),
+    ("beltrami", "2", "value"), ("beltrami", "2", "radius"), ("covector", "2"), ("covector", "2", "radius"),
     ("solver",), ("solver", "continuation_steps"), ("solver", "max_newton"), ("solver", "preconditioner"),
-    ("hamiltonian",), ("hamiltonian", "ell"), ("hamiltonian", "steps"), ("hamiltonian", "eps"),
-    ("hamiltonian", "w"), ("grids",), ("hermitian",), ("c0",), ("output_dir",), ("extra",),
+    ("solver", "cg_tol"), ("hamiltonian",), ("hamiltonian", "ell"), ("hamiltonian", "steps"), ("hamiltonian", "eps"),
+    ("hamiltonian", "w"), ("grids",), ("hermitian",), ("c0",), ("seed",), ("output_dir",), ("extra",),
 ]
 _FIELD_FILES = {
     "good": "i,j,re,im\r\n0,0,0.01,0\r\n",
@@ -735,7 +797,7 @@ def test_cli_fuzz_exits_with_a_code(cmd, mutations, flags, config):
         os.chdir(root)  # a config without output_dir writes to the relative "out"
         try:
             rc, out, err = _answer(argv)
-            if rc == 2 and "no report written" not in err:  # a failed run emits its fail report
+            if rc == 2:  # a failed run emits its fail report
                 rep = json.loads(out)
                 assert rep["status"] == "fail", (argv, rep)
                 if outdir is not None:

@@ -158,7 +158,7 @@ def _eager_report(phi, psi, h, conn, boundary):
     rep["compat_residual_phi"] = float(compat(phi))
     rep["compat_residual_psi"] = float(compat(cn.hermitian_adjoint_field(phi, h) if h is not None else psi))
     rep["sigma_defect"] = cn.sigma_defect(conn)
-    sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1).max()))
+    sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1[mask]).max()))
     uni = False
     if h is not None:
         rep["unitarity_defect"] = cn.unitarity_defect(conn, h, boundary)
@@ -333,6 +333,17 @@ def test_inject_constant_phi_centralizer_membership():
     scale = max(np.abs(am.d1).max(), 1e-300)
     assert d1 < 1e-9 * max(scale, 1.0)
     assert d2 < 1e-7 * max(scale, 1.0)
+
+
+def test_sigma_defect_is_taken_over_the_mask():
+    ch = chm.disk_chart(16, 16, 0.5)
+    f = fiber.principal_nilpotent(3)  # sigma(F) = -F
+    d1 = np.zeros((16, 16, 3, 3), dtype=complex)
+    d1[~ch.mask()] = f
+    a = chm.LieForm(ch, 1, d1=d1, d2=np.zeros_like(d1))
+    assert cn.sigma_defect(a) == 0.0
+    d1[8, 8] = f
+    assert ch.mask()[8, 8] and cn.sigma_defect(a) == float(np.abs(2 * f).max())
 
 
 def test_sup_norm_and_defect_helpers():
