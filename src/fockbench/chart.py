@@ -8,7 +8,9 @@ boundary policies.  ``periodic`` wraps; ``zerofill`` drops the neighbours off
 the grid (exactly skew-adjoint; the solver's choice on disks); ``masked``
 treats points outside the disk mask as missing, with one-sided stencils along
 the boundary band, first order where only one neighbour exists and an empty row
-where none does; ``rect`` is ``masked`` with the whole rectangle valid.
+where none does; ``rect`` is ``masked`` with the whole rectangle valid.  The
+policy belongs to the chart: every derivative of a field uses its chart's
+``Chart.stencil``, and only the stencil primitives take one as an argument.
 
 Form conventions (fixed once, used by every module):
 
@@ -66,12 +68,16 @@ class Chart:
     lx: float = 0.0
     ly: float = 0.0
     radius: float = 0.0
+    stencil: str = ""  # the boundary policy of its derivatives; "" is periodic or masked by kind
     hx: float = field(init=False, default=0.0)
     hy: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise ValueError(f"'nx' and 'ny' must be >= 8, got {self.nx} x {self.ny}")
+        object.__setattr__(self, "stencil", self.stencil or ("periodic" if self.periodic else "masked"))
+        if self.stencil not in ("periodic", "zerofill", "masked", "rect"):
+            raise ValueError(f"'stencil' must be one of periodic, zerofill, masked, rect, got {self.stencil!r}")
         if self.kind == "periodic-rect":
             object.__setattr__(self, "hx", self.lx / self.nx)
             object.__setattr__(self, "hy", self.ly / self.ny)
@@ -251,19 +257,19 @@ def difference_matrix(chart: Chart, boundary: str, axis: int) -> sparse.csr_arra
     return mat
 
 
-def dx_array(chart: Chart, arr, boundary: str = "auto"):
-    """d/dx of a grid array; boundary in {auto, periodic, zerofill, masked,
-    rect} (``difference_matrix``); auto is periodic or masked by chart kind."""
+def dx_array(chart: Chart, arr, boundary: str | None = None):
+    """d/dx of a grid array under a policy of ``difference_matrix``, the
+    chart's own stencil when ``boundary`` is omitted."""
     return _d_dispatch(chart, arr, 0, chart.hx, boundary)
 
 
-def dy_array(chart: Chart, arr, boundary: str = "auto"):
+def dy_array(chart: Chart, arr, boundary: str | None = None):
     return _d_dispatch(chart, arr, 1, chart.hy, boundary)
 
 
 def _d_dispatch(chart, arr, axis, h, boundary):
-    if boundary == "auto":
-        boundary = "periodic" if chart.periodic else "masked"
+    if boundary is None:
+        boundary = chart.stencil
     a = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
     flat = a.view(float).reshape(chart.nx * chart.ny, -1)  # real and imaginary parts as columns
     out = (difference_matrix(chart, boundary, axis) @ flat).reshape(a.view(float).shape).view(a.dtype)
@@ -271,11 +277,11 @@ def _d_dispatch(chart, arr, axis, h, boundary):
     return out
 
 
-def dz_array(chart, arr, boundary="auto"):
+def dz_array(chart, arr, boundary=None):
     return 0.5 * (dx_array(chart, arr, boundary) - 1j * dy_array(chart, arr, boundary))
 
 
-def dzbar_array(chart, arr, boundary="auto"):
+def dzbar_array(chart, arr, boundary=None):
     return 0.5 * (dx_array(chart, arr, boundary) + 1j * dy_array(chart, arr, boundary))
 
 
@@ -283,13 +289,13 @@ def dzbar_array(chart, arr, boundary="auto"):
 # exterior calculus on Lie-valued forms
 
 
-def exterior_d(alpha: LieForm, boundary: str = "auto") -> LieForm:
-    """Discrete d; degree 0 -> 1, degree 1 -> 2."""
+def exterior_d(alpha: LieForm) -> LieForm:
+    """Discrete d on the stencil of the form's chart; degree 0 -> 1, degree 1 -> 2."""
     ch = alpha.chart
     if alpha.degree == 0:
-        return LieForm(ch, 1, d1=dz_array(ch, alpha.d0, boundary), d2=dzbar_array(ch, alpha.d0, boundary))
+        return LieForm(ch, 1, d1=dz_array(ch, alpha.d0, ch.stencil), d2=dzbar_array(ch, alpha.d0, ch.stencil))
     if alpha.degree == 1:
-        c = dz_array(ch, alpha.d2, boundary) - dzbar_array(ch, alpha.d1, boundary)
+        c = dz_array(ch, alpha.d2, ch.stencil) - dzbar_array(ch, alpha.d1, ch.stencil)
         return LieForm(ch, 2, d0=c)
     raise DomainMismatchError("exterior_d is defined for degrees 0 and 1 only")
 
@@ -312,9 +318,10 @@ def wedge_bracket(alpha: LieForm, beta: LieForm) -> LieForm:
     return LieForm(ch, 2, d0=commutator(alpha.d1, beta.d2) - commutator(alpha.d2, beta.d1))
 
 
-def covariant_d(a_form: LieForm, omega: LieForm, boundary: str = "auto") -> LieForm:
+def covariant_d(a_form: LieForm, omega: LieForm) -> LieForm:
     """d_A omega = d omega + [A ^ omega] for a degree-1 connection form A, the
-    one covariant exterior derivative of the package.
+    one covariant exterior derivative of the package, on the stencil of
+    omega's chart.
 
     The sums run in a fixed order: degree 0 as d eta + (a eta - eta a) per
     component, degree 1 as ((d omega + a1 w2) - w2 a1) - (a2 w1 - w1 a2).
@@ -322,7 +329,7 @@ def covariant_d(a_form: LieForm, omega: LieForm, boundary: str = "auto") -> LieF
     bits of every compatibility residual, of the fill-in least squares that
     starts from one, and through them of the solver's outputs.
     """
-    d = exterior_d(omega, boundary)
+    d = exterior_d(omega)
     a1, a2 = a_form.d1, a_form.d2
     if omega.degree == 0:
         e = omega.d0
@@ -359,9 +366,12 @@ def integrate(f):
 
 def bump_field(chart: Chart, center=(0.0, 0.0), radius: float = 0.25, amplitude=1.0) -> ScalarField:
     """C^2 compactly supported bump amplitude*(1 - r^2)^3 on r < 1."""
+    if not radius**2 > 0:
+        raise ValueError(f"'radius' must be positive with a nonzero square, got {radius!r}")
     x, y = chart.xy()
-    r2 = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius**2
-    prof = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
+    d2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+    r2 = np.divide(d2, radius**2, out=np.ones_like(d2), where=d2 < radius**2)  # r^2, or 1 off the support
+    prof = (1.0 - r2) ** 3
     return ScalarField(chart, amplitude * prof.astype(complex))
 
 
@@ -431,20 +441,22 @@ def _parse_index(path, line, row, fields, shape):
 
 
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
-    """Read a scalar field; a bad header, a malformed row or an index outside
-    the grid (negative ones included) is a ValueError naming path and line."""
+    """Read a scalar field; a header other than i,j,re,im, a malformed row or
+    an index outside the grid (negative ones included) is a ValueError naming
+    path and line."""
     shape = (chart.nx, chart.ny)
     rows, cols = _index_text(shape)
     data = np.zeros(shape, dtype=complex)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
-        if header[:4] != ["i", "j", "re", "im"]:
+        if header != ["i", "j", "re", "im"]:
             raise ValueError(f"{path}, line 1: bad scalar field header {header}")
         for row in r:
             try:
-                i, j, v = row[0], row[1], complex(float(row[2]), float(row[3]))
-            except (IndexError, ValueError) as exc:
+                i, j, re, im = row
+                v = complex(float(re), float(im))
+            except ValueError as exc:
                 raise ValueError(f"{path}, line {r.line_num}: malformed row {row} ({exc})") from exc
             try:
                 idx = rows[i], cols[j]
@@ -469,10 +481,10 @@ def save_lieform_csv(path, form: LieForm):
 
 
 def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
-    """Read a Lie-valued form; a bad header, a malformed row, an index outside
-    the grid or the matrix (negative ones included), a component label the
-    degree does not have, or a missing component is a ValueError naming the
-    path (and the line)."""
+    """Read a Lie-valued form; a header other than ``_MATRIX_HEADER``, a
+    malformed row, an index outside the grid or the matrix (negative ones
+    included), a component label the degree does not have, or a missing
+    component is a ValueError naming the path (and the line)."""
     comps = ("dz", "dzb") if degree == 1 else ("0",)
     shape = (chart.nx, chart.ny, n, n)
     rows, cols, entries = _index_text(shape[:3])
@@ -480,7 +492,7 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
-        if header[:7] != ["i", "j", "row", "col", "comp", "re", "im"]:
+        if header != ["i", "j", "row", "col", "comp", "re", "im"]:
             raise ValueError(f"{path}, line 1: bad field header {header}")
         for row in r:
             try:

@@ -378,12 +378,12 @@ def _cmd_fillin(cfg, out, rep):
     n, ch = cfg["n"], cfg["chart"]
     if cfg.get("hermitian") == "fuchsian":
         fd = sv.fuchsian_reference(n, ch)
-        phi, h, a, boundary = fd.Phi, fd.h, fd.A, sv.FUCHSIAN_BOUNDARY
+        phi, h, a = fd.Phi, fd.h, fd.A
     else:
-        phi, h, boundary = hf.fock_form(ch, cfg["beltrami"]), cn.identity_hermitian(ch, n), "auto"
-        a = cn.fill_in(phi, h=h, boundary=boundary)
+        phi, h = hf.fock_form(ch, cfg["beltrami"]), cn.identity_hermitian(ch, n)
+        a = cn.fill_in(phi, h=h)
     chm.save_lieform_csv(os.path.join(out, "A.csv"), a)
-    diagnostics = cn.connection_report(phi, a, h=h, boundary=boundary)
+    diagnostics = cn.connection_report(phi, a, h=h)
     rep.residual_norms = {k: v for k, v in diagnostics.items() if isinstance(v, float)}
     for msg in diagnostics["warnings"]:
         rep.warn(msg)

@@ -123,12 +123,12 @@ def sigma_defect(a_form: LieForm) -> float:
     return float(max(d1, d2))
 
 
-def unitarity_defect(a_form: LieForm, h: HermitianField, boundary: str = "auto") -> float:
+def unitarity_defect(a_form: LieForm, h: HermitianField) -> float:
     """sup |d_A h| : dh - h A - A^+ h componentwise."""
     hh = h.data
     ch = a_form.chart
-    dh_z = dz_array(ch, hh, boundary)
-    dh_zb = dzbar_array(ch, hh, boundary)
+    dh_z = dz_array(ch, hh, ch.stencil)
+    dh_zb = dzbar_array(ch, hh, ch.stencil)
     r1 = dh_z - hh @ a_form.d1 - fiber.dagger(a_form.d2) @ hh
     r2 = dh_zb - hh @ a_form.d2 - fiber.dagger(a_form.d1) @ hh
     m = ch.mask()
@@ -153,12 +153,16 @@ def _sigma_cols(phi: LieForm, basis):
 
 
 def _solve_batched(mats, rhs, method, context):
-    """Least squares per point for stacked systems (N, rows, cols)."""
+    """Least squares per point for stacked systems (N, rows, cols).  A point is
+    singular when its Gram G has a zero column or its Jacobi-equilibrated Gram
+    D^-1/2 G D^-1/2 (D = diag G) is, whatever the scale of the columns."""
     if method == "normal":
         g = np.swapaxes(mats, -1, -2).conj() @ mats
         b = (np.swapaxes(mats, -1, -2).conj() @ rhs[..., None])[..., 0]
-        w = np.linalg.eigvalsh(g)
-        bad = w[:, 0] < 1e-13 * np.maximum(w[:, -1], 1e-300)
+        d = np.diagonal(g, axis1=-2, axis2=-1).real
+        s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+        w = np.linalg.eigvalsh(g * s[:, :, None] * s[:, None, :])
+        bad = (d <= 0).any(axis=-1) | (w[:, 0] < 1e-13 * np.maximum(w[:, -1], 1e-300))
         if bad.any():
             raise TransversalityError(
                 f"{context}: singular pointwise system", point=int(np.argmax(bad))
@@ -172,7 +176,6 @@ def fill_in(
     phi: LieForm,
     psi: LieForm | None = None,
     h: HermitianField | None = None,
-    boundary: str = "auto",
     method: str = "normal",
 ) -> LieForm:
     """Canonical compatible connection A for a transverse pair.
@@ -181,33 +184,36 @@ def fill_in(
     sigma-invariant component pairs.  With ``h``: least squares of
     d_A phi = 0 over the exactly-unitary sigma-invariant family through the
     Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.
-    Its diagnostics are ``connection_report``.
+    ``method`` is "normal" (normal equations) or "svd" (pseudo-inverse).  Its
+    diagnostics are ``connection_report``.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
+    if method not in ("normal", "svd"):
+        raise ValueError(f"'method' must be 'normal' or 'svd', got {method!r}")
     if h is not None:
-        a1, a2 = _fill_in_unitary(phi, h, boundary, method)
+        a1, a2 = _fill_in_unitary(phi, h, method)
     else:
         if psi is None:
             raise ValueError("fill_in needs either psi or h")
-        a1, a2 = _fill_in_sigma(phi, psi, boundary, method)
+        a1, a2 = _fill_in_sigma(phi, psi, method)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
 
 
-def connection_report(
-    phi: LieForm, a: LieForm, psi: LieForm | None = None, h: HermitianField | None = None, boundary: str = "auto"
-) -> dict:
+def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: HermitianField | None = None) -> dict:
     """Diagnostics of a connection A from ``fill_in`` or ``inject_covector``,
     given the arguments it was solved from: the compatibility residuals with
     phi and psi (the h-adjoint of phi when ``h`` is given), the sigma defect,
     the unitarity defect (with ``h``), warnings, and the flags
     ``sigma_invariant`` and ``unitary``.  Residuals and defects are sups over
-    the chart mask."""
+    the chart mask, on the stencil of the chart all of them share."""
+    if any(f is not None and f.chart != phi.chart for f in (a, psi, h)):
+        raise DomainMismatchError("connection_report needs phi, A, psi and h on one chart")
     ch, a1 = phi.chart, a.d1
     psi_eff = psi if h is None else hermitian_adjoint_field(phi, h)
     mask = ch.mask()
-    r_phi = covariant_d(a, phi, boundary).d0
-    r_psi = covariant_d(a, psi_eff, boundary).d0
+    r_phi = covariant_d(a, phi).d0
+    r_psi = covariant_d(a, psi_eff).d0
     rep = {}
     rep["compat_residual_phi"] = float(np.abs(r_phi[mask]).max())
     rep["compat_residual_psi"] = float(np.abs(r_psi[mask]).max())
@@ -215,7 +221,7 @@ def connection_report(
     sig_ok = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1[mask]).max()))
     uni_ok = False
     if h is not None:
-        rep["unitarity_defect"] = unitarity_defect(a, h, boundary)
+        rep["unitarity_defect"] = unitarity_defect(a, h)
         uni_ok = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     floor = ch.hx * ch.hx * 10.0
     rep["warnings"] = []
@@ -228,7 +234,7 @@ def connection_report(
     return rep
 
 
-def _fill_in_sigma(phi, psi, boundary, method):
+def _fill_in_sigma(phi, psi, method):
     n = phi.n
     ch = phi.chart
     npt = ch.nx * ch.ny
@@ -236,13 +242,7 @@ def _fill_in_sigma(phi, psi, boundary, method):
     m = len(basis)
     # rows: phi-equation then psi-equation; cols: alpha (A1) then beta (A2)
     mats = np.concatenate([_sigma_cols(phi, basis), _sigma_cols(psi, basis)], axis=-2)
-    y = -np.concatenate(
-        [
-            exterior_d(phi, boundary).d0.reshape(npt, -1),
-            exterior_d(psi, boundary).d0.reshape(npt, -1),
-        ],
-        axis=-1,
-    )
+    y = -np.concatenate([exterior_d(f).d0.reshape(npt, -1) for f in (phi, psi)], axis=-1)
     coef = _solve_batched(mats, y, method, "fill_in")
     bstack = np.stack(basis)  # (m, n, n)
     a1 = np.einsum("pa,aij->pij", coef[:, :m], bstack).reshape(ch.nx, ch.ny, n, n)
@@ -250,9 +250,9 @@ def _fill_in_sigma(phi, psi, boundary, method):
     return a1, a2
 
 
-def _unitary_base(h, boundary):
-    """The Chern-like base point (h^-1 dh, 0), once per field and boundary."""
-    a0_1 = h.derived(("chern", boundary), lambda: h.inv() @ dz_array(h.chart, h.data, boundary))
+def _unitary_base(h):
+    """The Chern-like base point (h^-1 dh, 0), once per field."""
+    a0_1 = h.derived("chern", lambda: h.inv() @ dz_array(h.chart, h.data, h.chart.stencil))
     return a0_1, np.zeros_like(a0_1)
 
 
@@ -280,12 +280,14 @@ def _unitary_cols(phi, basis, adjoints):
     return cols.reshape(npt, n * n, 2 * k)
 
 
-def _unitary_system(phi, h, basis, adjoints, boundary):
+def _unitary_system(phi, h, basis, adjoints):
     """Base point, realified columns and right-hand side of the phi-compat
     least squares over the unitary family through the base point."""
+    if h.chart != phi.chart:
+        raise DomainMismatchError("h and phi live on different charts, so on different stencils or grids")
     npt = phi.chart.nx * phi.chart.ny
-    a0_1, a0_2 = _unitary_base(h, boundary)
-    r0 = covariant_d(LieForm(phi.chart, 1, d1=a0_1, d2=a0_2), phi, boundary).d0.reshape(npt, -1)
+    a0_1, a0_2 = _unitary_base(h)
+    r0 = covariant_d(LieForm(phi.chart, 1, d1=a0_1, d2=a0_2), phi).d0.reshape(npt, -1)
     mats = _realify_rows(_unitary_cols(phi, basis, adjoints))  # (npt, 2n^2, 2d)
     y = _realify_rows((-r0)[..., None])[..., 0]
     return a0_1, a0_2, mats, y
@@ -300,19 +302,19 @@ def _unitary_member(phi, h, basis, coef, a0_1, a0_2):
     return a0_1 + v1.reshape(ch.nx, ch.ny, n, n), a0_2 + v2.reshape(ch.nx, ch.ny, n, n)
 
 
-def _fill_in_unitary(phi, h, boundary, method):
+def _fill_in_unitary(phi, h, method):
     basis = fiber.sigma_plus_basis(phi.n)
     # every Newton-map evaluation calls fill_in with the same h, so the
     # adjoints of its directions are kept on the field
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, h.sigma_adjoints, boundary)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, h.sigma_adjoints)
     coef = _solve_batched(mats, y, method, "fill_in(unitary)")
     return _unitary_member(phi, h, basis, coef, a0_1, a0_2)
 
 
-def curvature_total(a_form: LieForm, phi: LieForm, psi: LieForm, boundary: str = "auto") -> LieForm:
+def curvature_total(a_form: LieForm, phi: LieForm, psi: LieForm) -> LieForm:
     """F(A) + [Phi ^ Psi] as a dz^dzbar coefficient field."""
     ch = a_form.chart
-    da = exterior_d(a_form, boundary).d0
+    da = exterior_d(a_form).d0
     comm = fiber.commutator(a_form.d1, a_form.d2)
     ff = wedge_bracket(phi, psi).d0
     return LieForm(ch, 2, d0=da + comm + ff)
@@ -328,12 +330,7 @@ def covector_extract(a_form: LieForm, phi: LieForm) -> CovectorField:
     return CovectorField(phi.chart, n, comps)
 
 
-def inject_covector(
-    phi: LieForm,
-    h: HermitianField,
-    t: CovectorField,
-    boundary: str = "auto",
-) -> LieForm:
+def inject_covector(phi: LieForm, h: HermitianField, t: CovectorField) -> LieForm:
     """Unitary Phi-compatible connection A whose extracted covector equals t.
 
     Per grid point: least squares of the Phi-compatibility over the exactly
@@ -347,7 +344,7 @@ def inject_covector(
     ch = phi.chart
     npt = ch.nx * ch.ny
     basis = fiber.sl_basis(n)
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, lambda: _h_adjoints(h, basis), boundary)
+    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, lambda: _h_adjoints(h, basis))
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
     powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
     a0m = fiber.sigma_split(a0_1)[1].reshape(npt, n, n)
@@ -355,13 +352,8 @@ def inject_covector(
     for k, pw in zip(range(2, n + 1), powers):
         base = np.einsum("pij,pji->p", pw, a0m)
         tk = t.comp(k).reshape(npt)
-        row_cols = []
-        for s in basis:
-            sm = fiber.sigma_split(s)[1]
-            cu = np.einsum("pij,ji->p", pw, sm)
-            row_cols.append(cu)
-            row_cols.append(1j * cu)
-        row = np.stack(row_cols, axis=-1)  # (npt, 2d) complex
+        cus = [np.einsum("pij,ji->p", pw, fiber.sigma_split(s)[1]) for s in basis]
+        row = np.stack([c for cu in cus for c in (cu, 1j * cu)], axis=-1)  # (npt, 2d) complex
         crows.extend([row.real, row.imag])
         rhsk = tk - base
         cvals.extend([rhsk.real, rhsk.imag])

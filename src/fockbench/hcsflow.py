@@ -86,7 +86,7 @@ def beltrami_extract(phi: LieForm) -> BeltramiField:
     return BeltramiField(ch, n, comps)
 
 
-def mu_holo_residual(mu: BeltramiField, t: CovectorField, boundary: str = "auto"):
+def mu_holo_residual(mu: BeltramiField, t: CovectorField):
     """Residuals of the coupled first-order system, one scalar field per k:
 
     -dbar t_k + mu_2 d t_k + k t_k d mu_2
@@ -96,8 +96,8 @@ def mu_holo_residual(mu: BeltramiField, t: CovectorField, boundary: str = "auto"
         raise DomainMismatchError("Beltrami and covector data live on different charts")
     n = mu.n
     ch = mu.chart
-    dz = lambda a: dz_array(ch, a, boundary)
-    dzb = lambda a: dzbar_array(ch, a, boundary)
+    dz = lambda a: dz_array(ch, a, ch.stencil)
+    dzb = lambda a: dzbar_array(ch, a, ch.stencil)
     out = {}
     dmu = {k: dz(mu.comp(k)) for k in range(2, n + 1)}
     dt = {k: dz(t.comp(k)) for k in range(2, n + 1)}
@@ -116,7 +116,7 @@ def _sigma_parts(a_form: LieForm):
     return LieForm(a_form.chart, 1, d1=as1, d2=as2), LieForm(a_form.chart, 1, d1=am1, d2=am2)
 
 
-def gauge_muholo_residual(phi: LieForm, a_form: LieForm, boundary: str = "auto"):
+def gauge_muholo_residual(phi: LieForm, a_form: LieForm):
     """tr(phi1^{k-1} (d A^{-sigma} + [A^sigma ^ A^{-sigma}])) for k = 2..n.
 
     Pointwise equal (up to the stencil floor) to the residual of
@@ -124,12 +124,12 @@ def gauge_muholo_residual(phi: LieForm, a_form: LieForm, boundary: str = "auto")
     """
     n = phi.n
     asig, aminus = _sigma_parts(a_form)
-    coeff = covariant_d(asig, aminus, boundary).d0
+    coeff = covariant_d(asig, aminus).d0
     pws = fiber.powers(phi.d1, n - 1)
     return {k: np.einsum("xyij,xyji->xy", pw, coeff) for k, pw in zip(range(2, n + 1), pws)}
 
 
-def solve_X(mu: BeltramiField, boundary: str = "auto") -> LieForm:
+def solve_X(mu: BeltramiField) -> LieForm:
     """Pointwise X = sum_l (d mu_l) / (2l - 2) [F^{l-1}, E]; satisfies
     d(sum mu_l F^{l-1}) = [X, F] identically."""
     n = mu.n
@@ -139,11 +139,11 @@ def solve_X(mu: BeltramiField, boundary: str = "auto") -> LieForm:
     data = np.zeros((ch.nx, ch.ny, n, n), dtype=complex)
     for l, pw in zip(range(2, n + 1), fiber.powers(f, n - 1)):
         bracket = fiber.commutator(pw, e)
-        data = data + (dz_array(ch, mu.comp(l), boundary) / (2 * l - 2))[..., None, None] * bracket
+        data = data + (dz_array(ch, mu.comp(l), ch.stencil) / (2 * l - 2))[..., None, None] * bracket
     return LieForm(ch, 0, d0=data)
 
 
-def hamiltonian_variation_mu(mu: BeltramiField, ham: HamiltonianTerm, boundary: str = "auto") -> BeltramiField:
+def hamiltonian_variation_mu(mu: BeltramiField, ham: HamiltonianTerm) -> BeltramiField:
     """First variation of the Beltrami coefficients under H = w p^{ell-1}.
 
     delta mu_j = dbar w [j = ell] + (ell-1) w d mu_{j-ell+2}
@@ -154,8 +154,8 @@ def hamiltonian_variation_mu(mu: BeltramiField, ham: HamiltonianTerm, boundary: 
     ch = mu.chart
     k = ham.ell - 1  # monomial degree in p
     w = ham.w.data
-    dw = dz_array(ch, w, boundary)
-    dbw = dzbar_array(ch, w, boundary)
+    dw = dz_array(ch, w, ch.stencil)
+    dbw = dzbar_array(ch, w, ch.stencil)
     comps = {}
     for j in range(2, n + 1):
         r = np.zeros((ch.nx, ch.ny), dtype=complex)
@@ -163,7 +163,7 @@ def hamiltonian_variation_mu(mu: BeltramiField, ham: HamiltonianTerm, boundary: 
             r = r + dbw
         m = j - k + 1
         if 2 <= m <= n:
-            r = r + k * w * dz_array(ch, mu.comp(m), boundary) - (j - k) * mu.comp(m) * dw
+            r = r + k * w * dz_array(ch, mu.comp(m), ch.stencil) - (j - k) * mu.comp(m) * dw
         comps[j] = r
     return BeltramiField(ch, n, comps)
 
@@ -173,24 +173,24 @@ def _xi(phi: LieForm, ham: HamiltonianTerm) -> LieForm:
     return LieForm(phi.chart, 0, d0=ham.w.data[..., None, None] * fiber.powers(phi.d1, ham.ell - 1)[-1])
 
 
-def gauge_variation_phi(phi: LieForm, a_form: LieForm, ham: HamiltonianTerm, boundary: str = "auto") -> LieForm:
+def gauge_variation_phi(phi: LieForm, a_form: LieForm, ham: HamiltonianTerm) -> LieForm:
     """delta Phi = d_A xi for xi = w phi1^{ell-1}."""
     ham.check(phi.n)
-    return covariant_d(a_form, _xi(phi, ham), boundary)
+    return covariant_d(a_form, _xi(phi, ham))
 
 
-def covector_variation(t: CovectorField, ham: HamiltonianTerm, boundary: str = "auto") -> CovectorField:
+def covector_variation(t: CovectorField, ham: HamiltonianTerm) -> CovectorField:
     """delta t_k = (k+ell-2) t_{k+ell-2} d w + (ell-1) w d t_{k+ell-2}."""
     n = t.n
     ham.check(n)
     ch = t.chart
     w = ham.w.data
-    dw = dz_array(ch, w, boundary)
+    dw = dz_array(ch, w, ch.stencil)
     comps = {}
     for k in range(2, n + 1):
         idx = k + ham.ell - 2
         if 2 <= idx <= n:
-            comps[k] = (idx) * t.comp(idx) * dw + (ham.ell - 1) * w * dz_array(ch, t.comp(idx), boundary)
+            comps[k] = (idx) * t.comp(idx) * dw + (ham.ell - 1) * w * dz_array(ch, t.comp(idx), ch.stencil)
         else:
             comps[k] = np.zeros((ch.nx, ch.ny), dtype=complex)
     return CovectorField(ch, n, comps)
@@ -232,14 +232,7 @@ def eta_for_word(phi: LieForm, aminus: LieForm, word, w: ScalarField) -> LieForm
     return LieForm(phi.chart, 0, d0=w.data[..., None, None] * total)
 
 
-def flow_step(
-    phi: LieForm,
-    a_form: LieForm,
-    h: HermitianField,
-    ham: HamiltonianTerm,
-    eps: float,
-    boundary: str = "auto",
-):
+def flow_step(phi: LieForm, a_form: LieForm, h: HermitianField, ham: HamiltonianTerm, eps: float):
     """One explicit Euler step of the three-part gauge generator
     (xi, eta, xi*) built from H = w p^{ell-1}; returns (phi_new, a_new).
 
@@ -256,15 +249,11 @@ def flow_step(
     eta = eta_correction(phi, aminus, ham)
     psi = hermitian_adjoint_field(phi, h)
     xi_star = LieForm(ch, 0, d0=fiber.h_adjoint(xi.d0, h.data, h.inv()))
-    dphi = covariant_d(asig, xi, boundary)
-    da = covariant_d(a_form, eta, boundary)
+    dphi = covariant_d(asig, xi)
+    da = covariant_d(a_form, eta)
     br = fiber.commutator
-    da = LieForm(
-        ch,
-        1,
-        d1=da.d1 + br(phi.d1, xi_star.d0) + br(psi.d1, xi.d0),
-        d2=da.d2 + br(phi.d2, xi_star.d0) + br(psi.d2, xi.d0),
-    )
+    da1 = da.d1 + br(phi.d1, xi_star.d0) + br(psi.d1, xi.d0)
+    da2 = da.d2 + br(phi.d2, xi_star.d0) + br(psi.d2, xi.d0)
     phi_new = LieForm(ch, 1, d1=phi.d1 + eps * dphi.d1, d2=phi.d2 + eps * dphi.d2)
-    a_new = LieForm(ch, 1, d1=a_form.d1 + eps * da.d1, d2=a_form.d2 + eps * da.d2)
+    a_new = LieForm(ch, 1, d1=a_form.d1 + eps * da1, d2=a_form.d2 + eps * da2)
     return phi_new, a_new

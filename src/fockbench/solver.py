@@ -24,7 +24,7 @@ floor).  The raw curvature sup-norm is reported alongside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -48,7 +48,6 @@ from .hcsflow import fock_form
 __all__ = [
     "FuchsianData",
     "NewtonConfig",
-    "FUCHSIAN_BOUNDARY",
     "fuchsian_reference",
     "AdmissibleSpace",
     "LinearizedContext",
@@ -107,9 +106,9 @@ def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
 
 @dataclass
 class FuchsianData:
-    """The reference fields at c0, the connection A = fill_in(Phi, h) on
-    ``FUCHSIAN_BOUNDARY``, and their total curvature F(A) + [Phi ^ Phi*]
-    with its sup-norm over the chart interior."""
+    """The reference fields at c0, the connection A = fill_in(Phi, h) and their
+    total curvature F(A) + [Phi ^ Phi*] with its sup-norm over the chart
+    interior, all on ``chart``, the disk with the ``rect`` stencil."""
 
     chart: Chart
     n: int
@@ -125,9 +124,6 @@ class FuchsianData:
         return hermitian_adjoint_field(self.Phi, self.h)
 
 
-# The stencil policy the reference connection and curvature are built on; its
-# connection's diagnostics must be measured on the same one.
-FUCHSIAN_BOUNDARY = "rect"
 _GOLDEN = (3.0 - np.sqrt(5.0)) / 2  # where a bounded golden-section search first probes
 _AFFINE_RTOL = 1e-9  # allowed gap between the affine c0 model and the full evaluation
 
@@ -146,6 +142,8 @@ def _ladder_constants(n):
 
 
 def _fuchsian_fields(n, chart, c0):
+    """(g, Phi, h) at c0, on ``chart`` with the ``rect`` stencil (analytic fields)."""
+    chart = replace(chart, stencil="rect")
     z = chart.z()
     g = c0 / (1.0 - np.abs(z) ** 2) ** 2
     kap = _ladder_constants(n)
@@ -157,11 +155,15 @@ def _fuchsian_fields(n, chart, c0):
     return ScalarField(chart, g.astype(complex)), fock_form(chart, BeltramiField(chart, n, {})), hf
 
 
+def _newton_map(phi, h):
+    """The total curvature F(A) + [phi ^ phi*] of A = fill_in(phi, h), and A."""
+    conn = fill_in(phi, h=h)
+    return curvature_total(conn, phi, hermitian_adjoint_field(phi, h)), conn
+
+
 def _fuchsian_curvature(n, chart, c0):
     gs, phi, hf = _fuchsian_fields(n, chart, c0)
-    conn = fill_in(phi, h=hf, boundary=FUCHSIAN_BOUNDARY)
-    psi = hermitian_adjoint_field(phi, hf)
-    return curvature_total(conn, phi, psi, boundary=FUCHSIAN_BOUNDARY), gs, phi, hf, conn
+    return (*_newton_map(phi, hf), gs, phi, hf)
 
 
 def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> FuchsianData:
@@ -203,7 +205,7 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
         )
         c0, predicted = float(res.x), float(res.fun)
         scale = c0 * _frobenius_sup(slope)
-    curv, gs, phi, hf, conn = _fuchsian_curvature(n, chart, c0)
+    curv, conn, gs, phi, hf = _fuchsian_curvature(n, chart, c0)
     resid = sup_norm(curv, mask=interior)
     if predicted is not None and abs(resid - predicted) > _AFFINE_RTOL * scale:
         raise NonConvergenceError(
@@ -212,7 +214,7 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
             f"[Phi ^ Phi*] term, above {_AFFINE_RTOL:.0e})",
             history=[predicted, resid],
         )
-    return FuchsianData(chart=chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0, curvature=curv, curvature_sup=resid)
+    return FuchsianData(chart=phi.chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0, curvature=curv, curvature_sup=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +282,17 @@ def _ad_traces(a, x, y):
 
 
 @lru_cache(maxsize=8)
-def _grid_stencil(chart: Chart, policy: str):
+def _grid_stencil(chart: Chart):
     """One central-difference step on the flattened grid (point i * ny + j),
-    from ``difference_matrix`` under ``policy`` ("periodic" or "zerofill").
+    from ``difference_matrix`` under the chart's stencil ("periodic" or "zerofill").
 
     Returns (indptr, indices, rows, own, dzbar): a CSR pattern holding every
     point and its neighbours, the row of each entry, whether the entry is the
     point itself, and the d_zbar weight (d_x + i d_y)/2 of the entry, zero on
     the point itself; d_z is its conjugate.
     """
-    dx = difference_matrix(chart, policy, 0) / (2 * chart.hx)
-    dy = difference_matrix(chart, policy, 1) / (2 * chart.hy)
+    dx = difference_matrix(chart, chart.stencil, 0) / (2 * chart.hx)
+    dy = difference_matrix(chart, chart.stencil, 1) / (2 * chart.hy)
     npt = chart.nx * chart.ny
     pattern = (dx + 1j * dy + sparse.eye_array(npt)).tocsr()
     pattern.sort_indices()  # the assembly sums each row in column order
@@ -312,10 +314,11 @@ class LinearizedContext:
         self.h = h
         self.a_form = a_form
         self.psi = hermitian_adjoint_field(phi, h)
-        self.chart = phi.chart
+        # d_A differentiates on phi's chart with the zero-fill stencil (wrap-around
+        # on periodic charts), whose exact summation by parts makes B symmetric
+        self.chart = replace(phi.chart, stencil="periodic" if phi.chart.periodic else "zerofill")
         self.n = phi.n
-        self.boundary = "periodic" if self.chart.periodic else "zerofill"
-        self.space = space if space is not None else AdmissibleSpace(self.chart, self.n, h)
+        self.space = space if space is not None else AdmissibleSpace(phi.chart, self.n, h)
         npt = self.chart.nx * self.chart.ny
         fields = (self.phi.d1, self.phi.d2, self.psi.d1, self.psi.d2)
         self._qmat = q_matrices(*(f.reshape(npt, self.n, self.n) for f in fields))
@@ -342,9 +345,12 @@ class LinearizedContext:
         out = br(br(p1, e), q2) - br(br(p2, e), q1)
         return out - (br(p1, br(q2, e)) - br(p2, br(q1, e)))
 
+    def d_a(self, eta: LieForm) -> LieForm:
+        """d_A of a degree-0 field, on the context's chart."""
+        return covariant_d(self.a_form, LieForm(self.chart, 0, d0=eta.d0))
+
     def apply(self, eta: LieForm) -> LieForm:
-        tau = self.q_apply(covariant_d(self.a_form, eta, self.boundary))
-        out = covariant_d(self.a_form, tau, self.boundary)
+        out = covariant_d(self.a_form, self.q_apply(self.d_a(eta)))
         return LieForm(self.chart, 2, d0=out.d0 + self.zeroth(eta))
 
     def apply_coords(self, coords) -> np.ndarray:
@@ -379,7 +385,7 @@ class LinearizedContext:
         npt = ch.nx * ch.ny
         s = self._s_plus
         sdag = fiber.dagger(s)
-        indptr, cols, rows, own, dzb = _grid_stencil(ch, self.boundary)
+        indptr, cols, rows, own, dzb = _grid_stencil(ch)
         dzb = dzb[:, None, None]
         dz = np.conj(dzb)
         a1 = self.a_form.d1.reshape(npt, n, n)
@@ -443,7 +449,7 @@ def energy_identity_sides(eta: LieForm, phi: LieForm, a_form: LieForm, h: Hermit
     w = ctx.chart.hx * ctx.chart.hy
     lhs_field = np.einsum("xyij,xyji->xy", eta.d0, ctx.apply(eta).d0)
     lhs = -float(lhs_field[mask].sum().real) * w
-    omega = covariant_d(ctx.a_form, eta, ctx.boundary)
+    omega = ctx.d_a(eta)
     tau = ctx.q_apply(omega)
     pi_minus_1 = 0.5 * (omega.d1 - tau.d1)
     pi_minus_2 = 0.5 * (omega.d2 - tau.d2)
@@ -582,8 +588,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
 
     def gmap(phi_field, eta_coords):
         phi_c = conjugate_field(phi_field, space.to_field(eta_coords))
-        conn = fill_in(phi_c, h=h, boundary=FUCHSIAN_BOUNDARY)
-        curv = curvature_total(conn, phi_c, hermitian_adjoint_field(phi_c, h), boundary=FUCHSIAN_BOUNDARY)
+        curv, conn = _newton_map(phi_c, h)
         return space.moments(curv.d0) - base_moments, phi_c, conn, curv
 
     def gnorm(gm):

@@ -98,7 +98,7 @@ def test_criterion_3_filling_in_chern():
         m = ch.mask()
         diff = float(np.abs(fd.A.d1 - chern)[m].max() + np.abs(fd.A.d2)[m].max())
         assert diff < 1e-8
-        alt = cn.fill_in(fd.Phi, h=fd.h, boundary="rect", method="svd")
+        alt = cn.fill_in(fd.Phi, h=fd.h, method="svd")
         diff2 = float(
             max(np.abs(alt.d1 - fd.A.d1)[m].max(), np.abs(alt.d2 - fd.A.d2)[m].max())
         )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 
@@ -229,22 +230,37 @@ def test_wedge_bracket_fock_field_commutes():
     assert np.abs(wb.d0).max() < 1e-14
 
 
+def test_chart_stencil_defaults_by_kind_and_is_checked():
+    periodic, disk = chm.periodic_chart(12, 12), chm.disk_chart(12, 12, 0.5)
+    assert (periodic.stencil, disk.stencil) == ("periodic", "masked")
+    rect = dataclasses.replace(disk, stencil="rect")
+    assert rect != disk and dataclasses.replace(rect, nx=16).stencil == "rect"
+    arr = np.random.default_rng(4).standard_normal((12, 12)) + 0j
+    for ch in (periodic, disk, rect):  # an omitted policy is the chart's
+        for derivative in (chm.dx_array, chm.dy_array, chm.dz_array, chm.dzbar_array):
+            assert np.array_equal(derivative(ch, arr), derivative(ch, arr, ch.stencil))
+    with pytest.raises(ValueError, match="'stencil' must be one of"):
+        dataclasses.replace(disk, stencil="auto")
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "zerofill", "masked", "rect"])
 @pytest.mark.parametrize("chart", [chm.periodic_chart(16, 16), chm.disk_chart(20, 20, 0.5)], ids=["periodic", "disk"])
 def test_covariant_d_sums_in_its_stated_order(chart, boundary):
     # covariant_d is the package's only d_A: the fill-in residuals, the strong
     # form of the linearized operator and the gauge mu-holomorphicity residual
-    # all read it, so its rounding is pinned bitwise to the written-out sums
+    # all read it, so its rounding is pinned bitwise to the written-out sums,
+    # on the stencil of the chart the form lives on
+    chart = dataclasses.replace(chart, stencil=boundary)
     rng = np.random.default_rng(11)
     n, shape = 3, (chart.nx, chart.ny, 3, 3)
     a1, a2, w1, w2, e = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(5))
     a = chm.LieForm(chart, 1, d1=a1, d2=a2)
     dz = lambda x: chm.dz_array(chart, x, boundary)
     dzb = lambda x: chm.dzbar_array(chart, x, boundary)
-    got0 = chm.covariant_d(a, chm.LieForm(chart, 0, d0=e), boundary)
+    got0 = chm.covariant_d(a, chm.LieForm(chart, 0, d0=e))
     for got, want in ((got0.d1, dz(e) + (a1 @ e - e @ a1)), (got0.d2, dzb(e) + (a2 @ e - e @ a2))):
         assert np.array_equal(got.view(float), want.view(float))
-    got1 = chm.covariant_d(a, chm.LieForm(chart, 1, d1=w1, d2=w2), boundary)
+    got1 = chm.covariant_d(a, chm.LieForm(chart, 1, d1=w1, d2=w2))
     want1 = ((dz(w2) - dzb(w1)) + a1 @ w2) - w2 @ a1 - (a2 @ w1 - w1 @ a2)
     assert got1.degree == 2 and got1.n == n
     assert np.array_equal(got1.d0.view(float), want1.view(float))
@@ -406,8 +422,10 @@ def test_lieform_and_matrix_csv_round_trip_and_bytes(tmp_path_factory, drawn, de
         ("i,j,re,im\r\n0,-1,1,0\r\n", "line 2: index (0, -1) outside the 12 x 12 grid"),
         ("i,j,re,im\r\n0,0,one,0\r\n", "line 2: malformed row"),
         ("i,j,re,im\r\n0,0,1\r\n", "line 2: malformed row"),
+        ("i,j,re,im,extra\r\n0,0,1,0,0\r\n", "line 1: bad scalar field header"),
+        ("i,j,re,im\r\n0,0,1.0,2.0,junk\r\n", "line 2: malformed row"),
     ],
-    ids=["bad-header", "index-outside", "negative-index", "not-a-number", "short-row"],
+    ids=["bad-header", "index-outside", "negative-index", "not-a-number", "short-row", "extra-column", "long-row"],
 )
 def test_load_scalar_csv_names_path_and_line(tmp_path, body, where):
     path = tmp_path / "bad.csv"
@@ -426,6 +444,7 @@ _LIE_HEADER = "i,j,row,col,comp,re,im\r\n"
     [
         (1, "0,0,0,0,dz,1,0\r\n0,0,0,x,dzb,1,0\r\n", "line 3: malformed row"),
         (1, "0,0,0,0,dz,1,0\r\n0,0,0,1,dzb,1\r\n", "line 3: malformed row"),
+        (1, "0,0,0,0,dz,1,0\r\n0,0,0,1,dzb,1,0,junk\r\n", "line 3: malformed row"),
         (1, "0,0,0,0,dz,1,0\r\n-1,0,0,0,dzb,1,0\r\n", "line 3: index (-1, 0, 0, 0) outside the 8 x 8 x 2 x 2 grid"),
         (1, "0,0,0,0,dz,1,0\r\n0,0,2,0,dzb,1,0\r\n", "line 3: index (0, 0, 2, 0) outside the 8 x 8 x 2 x 2 grid"),
         (1, "0,0,0,0,dz,1,0\r\n0,0,0,0,dzbar,1,0\r\n", "line 3: component 'dzbar' is not one of ('dz', 'dzb')"),
@@ -433,7 +452,7 @@ _LIE_HEADER = "i,j,row,col,comp,re,im\r\n"
         (1, "0,0,0,0,dz,1,0\r\n", "no rows of component 'dzb' of a degree-1 form"),
         (2, "", "no rows of component '0' of a degree-2 form"),
     ],
-    ids=["bad-int", "short-row", "negative-index", "matrix-index", "misspelled-comp", "wrong-degree", "missing-dzb", "empty"],
+    ids=["bad-int", "short-row", "long-row", "negative-index", "matrix-index", "misspelled-comp", "wrong-degree", "missing-dzb", "empty"],
 )
 def test_load_lieform_csv_names_path_and_line(tmp_path, degree, rows, where):
     path = tmp_path / "bad.csv"
@@ -441,6 +460,13 @@ def test_load_lieform_csv_names_path_and_line(tmp_path, degree, rows, where):
     with pytest.raises(ValueError) as info:
         chm.load_lieform_csv(path, chm.periodic_chart(8, 8), degree, 2)
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+def test_load_lieform_csv_requires_the_exact_header(tmp_path):
+    path = tmp_path / "extra.csv"
+    path.write_bytes((_LIE_HEADER.replace("im", "im,extra") + "0,0,0,0,0,1,0,0\r\n").encode())
+    with pytest.raises(ValueError, match="line 1: bad field header"):
+        chm.load_matrix_field_csv(path, chm.periodic_chart(8, 8), 2)
 
 
 def test_csv_readers_take_any_integer_spelling(tmp_path):

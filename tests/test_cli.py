@@ -203,7 +203,7 @@ def test_solve_computes_no_unread_connection_report(tmp_path, capsys, monkeypatc
     fd = sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
     assert fd.curvature_sup > 0  # the reference's curvature needs no connection report
     assert calls == []
-    assert "sigma_defect" in cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+    assert "sigma_defect" in cn.connection_report(fd.Phi, fd.A, h=fd.h)
     assert calls == ["connection_report", "sigma_defect"]
 
 
@@ -548,6 +548,7 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("fillin", "chart", "lx", 0),
         ("flow", "hamiltonian/w", "radius", 0),
         ("flow", "hamiltonian/w", "radius", -1),
+        ("flow", "hamiltonian/w", "radius", 1e-200),  # its square underflows to 0
         ("flow", "hamiltonian", "eps", float("nan")),
         ("flow", "hamiltonian", "steps", 0),
         ("flow", "hamiltonian", "steps", -3),

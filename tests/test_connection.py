@@ -6,7 +6,7 @@ from fockbench import connection as cn
 from fockbench import fiber
 from fockbench import hcsflow as hf
 from fockbench import solver as sv
-from fockbench.errors import DomainMismatchError
+from fockbench.errors import DomainMismatchError, TransversalityError
 
 
 def _const_fock(ch, n, mu):
@@ -125,18 +125,67 @@ def test_fill_in_unitary_reproduces_chern_and_uniqueness():
         m = ch.mask()
         diff = np.abs(fd.A.d1 - chern)[m].max() + np.abs(fd.A.d2)[m].max()
         assert diff < 1e-10
-        report = cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+        report = cn.connection_report(fd.Phi, fd.A, h=fd.h)
         assert report["unitary"]
         assert report["unitarity_defect"] < 1e-10
+
+
+def test_connection_report_reads_the_stencil_of_the_fields():
+    # the reference's fields carry the rect stencil on their chart, so the
+    # report of its exact Chern connection needs no policy to find it unitary
+    fd = sv.fuchsian_reference(3, chm.disk_chart(24, 24, 0.5))
+    assert fd.chart.stencil == fd.Phi.chart.stencil == fd.h.chart.stencil == fd.A.chart.stencil == "rect"
+    report = cn.connection_report(fd.Phi, fd.A, h=fd.h)
+    assert report["unitary"] and report["unitarity_defect"] < 1e-12
+    ch = chm.disk_chart(24, 24, 0.5)
+    masked = hf.fock_form(ch, chm.BeltramiField(ch, 3, {}))  # fd.Phi's values on the default stencil
+    with pytest.raises(DomainMismatchError, match="on one chart"):  # it would mix two stencils
+        cn.connection_report(masked, fd.A, h=fd.h)
+
+
+def test_unitary_fill_in_rejects_h_on_another_chart():
+    ch = chm.disk_chart(16, 16, 0.5)
+    _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
+    masked = cn.HermitianField(ch, h.data)  # the same values, on the chart's default stencil
+    with pytest.raises(DomainMismatchError, match="different charts"):
+        cn.fill_in(phi, h=masked)
+    with pytest.raises(DomainMismatchError, match="different charts"):
+        cn.inject_covector(phi, masked, chm.CovectorField(ch, 3, {}))
+    assert "_derived" not in masked.__dict__  # nothing was differentiated on the wrong stencil
+
+
+def test_fill_in_method_is_normal_or_svd():
+    _, phi, h = sv._fuchsian_fields(2, chm.disk_chart(16, 16, 0.5), 1.0)
+    normal, svd = cn.fill_in(phi, h=h), cn.fill_in(phi, h=h, method="svd")
+    assert np.abs(normal.d1 - svd.d1).max() < 1e-10
+    with pytest.raises(ValueError, match="'method' must be 'normal' or 'svd', got 'bogus'"):
+        cn.fill_in(phi, h=h, method="bogus")
+
+
+def test_pointwise_singularity_test_ignores_column_scale():
+    # columns scaled 1e9 apart leave the raw Gram's eigenvalue ratio near
+    # 1e-19, yet the equilibrated Gram is well conditioned and the solve exact;
+    # a zero column is singular, without a divide-by-zero warning
+    rng = np.random.default_rng(0)
+    mats = rng.standard_normal((4, 6, 3))
+    mats[:, :, 2] *= 1e-9
+    rhs = rng.standard_normal((4, 6))
+    want = np.stack([np.linalg.lstsq(m, r, rcond=None)[0] for m, r in zip(mats, rhs)])
+    got = cn._solve_batched(mats, rhs, "normal", "test")
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    mats[1, :, 0] = 0.0
+    with pytest.raises(TransversalityError, match="test: singular pointwise system") as info:
+        cn._solve_batched(mats, rhs, "normal", "test")
+    assert info.value.point == 1
 
 
 def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
     _, phi, h = sv._fuchsian_fields(3, chm.disk_chart(16, 16, 0.5), 2.0)
     inv, calls = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
-    cn.fill_in(phi, h=h, boundary="rect")
+    cn.fill_in(phi, h=h)
     assert calls == [h.data.shape]
-    cn.fill_in(phi, h=h, boundary="rect")
+    cn.fill_in(phi, h=h)
     assert len(calls) == 1
 
 
@@ -144,14 +193,14 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _eager_report(phi, psi, h, conn, boundary):
+def _eager_report(phi, psi, h, conn):
     """The diagnostics of a connection solved from (phi, psi) or (phi, h),
     written out: the report and the (sigma_invariant, unitary) flags."""
     ch, a1, a2 = phi.chart, conn.d1, conn.d2
     mask = ch.mask()
 
     def compat(f):
-        df = chm.exterior_d(f, boundary).d0
+        df = chm.exterior_d(f).d0
         return np.abs((df + a1 @ f.d2 - f.d2 @ a1 - (a2 @ f.d1 - f.d1 @ a2))[mask]).max()
 
     rep = {}
@@ -161,7 +210,7 @@ def _eager_report(phi, psi, h, conn, boundary):
     sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1[mask]).max()))
     uni = False
     if h is not None:
-        rep["unitarity_defect"] = cn.unitarity_defect(conn, h, boundary)
+        rep["unitarity_defect"] = cn.unitarity_defect(conn, h)
         uni = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     rep["warnings"] = []
     if rep["compat_residual_phi"] > max(ch.hx * ch.hx * 10.0 * max(1.0, cn.sup_norm(phi)) * 100.0, 1e-6):
@@ -172,14 +221,14 @@ def _eager_report(phi, psi, h, conn, boundary):
 def _fill_in_cases():
     ch = chm.disk_chart(32, 32, 0.5)
     _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
-    yield phi, None, h, "rect"
+    yield phi, None, h
     rng = np.random.default_rng(8)
     per = chm.periodic_chart(16, 16)
     mu = chm.BeltramiField(per, 3, {k: chm.random_smooth_scalar(per, rng, amplitude=0.3).data for k in (2, 3)})
     phi = hf.fock_form(per, mu)
     h = cn.identity_hermitian(per, 3)
-    yield phi, None, h, "auto"
-    yield phi, cn.hermitian_adjoint_field(phi, h), None, "auto"
+    yield phi, None, h
+    yield phi, cn.hermitian_adjoint_field(phi, h), None
 
 
 def test_connection_report_is_computed_only_when_called(monkeypatch):
@@ -193,18 +242,18 @@ def test_connection_report_is_computed_only_when_called(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(cn, name, counting(name, getattr(cn, name)))
-    for phi, psi, h, boundary in _fill_in_cases():
+    for phi, psi, h in _fill_in_cases():
         counts.update(sigma_defect=0, unitarity_defect=0)
-        conns = [(psi, cn.fill_in(phi, psi, h=h, boundary=boundary))]
+        conns = [(psi, cn.fill_in(phi, psi, h=h))]
         if h is not None:
             t0 = chm.CovectorField(phi.chart, phi.n, {})
-            conns.append((None, cn.inject_covector(phi, h, t0, boundary=boundary)))
+            conns.append((None, cn.inject_covector(phi, h, t0)))
         assert counts == {"sigma_defect": 0, "unitarity_defect": 0}  # the solvers compute no diagnostics
         for given_psi, conn in conns:
             counts.update(sigma_defect=0, unitarity_defect=0)
-            report = cn.connection_report(phi, conn, given_psi, h=h, boundary=boundary)
+            report = cn.connection_report(phi, conn, given_psi, h=h)
             assert counts == {"sigma_defect": 1, "unitarity_defect": int(h is not None)}  # once per call
-            want_report, *want_flags = _eager_report(phi, given_psi, h, conn, boundary)
+            want_report, *want_flags = _eager_report(phi, given_psi, h, conn)
             assert list(report)[-2:] == ["sigma_invariant", "unitary"]
             assert [report.pop("sigma_invariant"), report.pop("unitary")] == want_flags
             assert report == want_report and list(report) == list(want_report)
@@ -213,13 +262,13 @@ def test_connection_report_is_computed_only_when_called(monkeypatch):
 def test_hermitian_field_pieces_are_cached_read_only():
     ch = chm.disk_chart(16, 16, 0.5)
     _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
-    cn.fill_in(phi, h=h, boundary="rect")
-    cn.inject_covector(phi, h, chm.BeltramiField(ch, 3, {}), boundary="rect")
+    cn.fill_in(phi, h=h)
+    cn.inject_covector(phi, h, chm.BeltramiField(phi.chart, 3, {}))
     npt, n = ch.nx * ch.ny, 3
     hh, hinv = h.data.reshape(npt, n, n), np.linalg.inv(h.data).reshape(npt, n, n)
     fresh = {
         "inv": np.linalg.inv(h.data),
-        ("chern", "rect"): np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
+        "chern": np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
     }
     # the stacked adjoints, bitwise the adjoints taken one direction at a time
     fresh["sigma_adjoints"] = np.stack([fiber.h_adjoint(s, hh, hinv) for s in fiber.sigma_plus_basis(n)], axis=1)
@@ -234,7 +283,7 @@ def test_hermitian_field_pieces_are_cached_read_only():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     assert h.inv() is cached["inv"]
-    assert cn._unitary_base(h, "rect")[0] is cached[("chern", "rect")]
+    assert cn._unitary_base(h)[0] is cached["chern"]
 
 
 def test_curvature_total_basics():
@@ -266,7 +315,7 @@ def test_curvature_rho_invariance():
         adj = lambda c: hinv @ np.conj(np.swapaxes(c, -1, -2)) @ hh
         m = ch.interior()
         assert np.abs((adj(wb.d0) - wb.d0))[m].max() < 1e-10
-        curv = cn.curvature_total(fd.A, fd.Phi, psi, boundary="rect")
+        curv = cn.curvature_total(fd.A, fd.Phi, psi)
         defects[nx] = np.abs(adj(curv.d0) - curv.d0)[m].max()
     assert defects[33] / defects[65] > 2.5
 
@@ -279,7 +328,7 @@ def test_lambda_independence_floor():
     psi = fd.adjoint()
     assert np.abs(chm.wedge_bracket(fd.Phi, fd.Phi).d0).max() == 0
     assert np.abs(chm.wedge_bracket(psi, psi).d0).max() < 1e-12
-    report = cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)
+    report = cn.connection_report(fd.Phi, fd.A, h=fd.h)
     assert report["compat_residual_phi"] < 1e-10
     assert report["compat_residual_psi"] < 100 * ch.hx**2
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -348,34 +350,34 @@ def test_flow_preserves_flatness_to_first_order():
     ch = chm.disk_chart(48, 48, 0.5)
     fd = sv.fuchsian_reference(2, ch)
     psi = fd.adjoint()
-    f0 = cn.curvature_total(fd.A, fd.Phi, psi, boundary="rect")
+    f0 = cn.curvature_total(fd.A, fd.Phi, psi)
     ham = hf.HamiltonianTerm(2, chm.bump_field(ch, radius=0.3, amplitude=0.2))
     h2 = ch.hx**2
     m = ch.interior()
     for eps in (1e-2, 1e-3):
-        phi2, a2 = hf.flow_step(fd.Phi, fd.A, fd.h, ham, eps, boundary="rect")
+        phi2, a2 = hf.flow_step(fd.Phi, fd.A, fd.h, ham, eps)
         psi2 = cn.hermitian_adjoint_field(phi2, fd.h)
-        f1 = cn.curvature_total(a2, phi2, psi2, boundary="rect")
+        f1 = cn.curvature_total(a2, phi2, psi2)
         drift = np.abs(f1.d0 - f0.d0)[m].max()
         assert drift < 20 * (eps**2 + eps * h2)
 
 
 def test_flow_preserves_mu_holomorphicity_to_first_order():
-    ch = chm.disk_chart(48, 48, 0.5)
+    ch = dataclasses.replace(chm.disk_chart(48, 48, 0.5), stencil="rect")
     z = ch.z()
     n = 2
     mu0 = chm.BeltramiField(ch, n, {})
     t0 = chm.CovectorField(ch, n, {2: 0.3 + 0.2 * z + 0.4 * z * z})
     phi = hf.fock_form(ch, mu0)
     h = cn.identity_hermitian(ch, n)
-    conn = cn.inject_covector(phi, h, t0, boundary="rect")
+    conn = cn.inject_covector(phi, h, t0)
     ham = hf.HamiltonianTerm(2, chm.bump_field(ch, radius=0.3, amplitude=0.2))
     m = ch.interior()
     h2 = ch.hx**2
     for eps in (1e-2, 1e-3):
-        phi2, a2 = hf.flow_step(phi, conn, h, ham, eps, boundary="rect")
+        phi2, a2 = hf.flow_step(phi, conn, h, ham, eps)
         mu2 = hf.beltrami_extract(phi2)
         t2 = cn.covector_extract(a2, phi2)
-        resid = hf.mu_holo_residual(mu2, t2, boundary="rect")
+        resid = hf.mu_holo_residual(mu2, t2)
         rmax = max(np.abs(resid[k][m]).max() for k in range(2, n + 1))
         assert rmax < 5 * (eps**2 + h2)

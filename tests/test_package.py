@@ -48,6 +48,27 @@ def test_no_module_has_an_unused_import():
     assert unused == {}
 
 
+def _boundary_takers(source):
+    """Names of the functions in ``source`` with a ``boundary`` parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if "boundary" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_only_the_stencil_primitives_take_a_boundary():
+    # the stencil policy is the chart's field; only chart's primitives take one
+    root = Path(fockbench.__file__).parent
+    takers = {path.name: _boundary_takers(path.read_text()) for path in sorted(root.glob("*.py"))}
+    primitives = ["difference_matrix", "dx_array", "dy_array", "_d_dispatch", "dz_array", "dzbar_array"]
+    assert takers.pop("chart.py") == primitives
+    assert {name: found for name, found in takers.items() if found} == {}
+    assert _boundary_takers("def f(a, *, boundary=None): pass\ng = lambda boundary: 0\n") == ["f", "<lambda>"]
+
+
 def test_unused_import_finder_sees_each_kind():
     src = "from __future__ import annotations\nimport os, numpy as np\nfrom a import b, c as d\nfrom . import e\n__all__ = ['e']\nnp.zeros(b)\n"
     assert _unused_imports(src) == [(2, "os"), (3, "d")]

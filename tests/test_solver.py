@@ -86,13 +86,22 @@ def test_fuchsian_reference_properties():
         fd = sv.fuchsian_reference(n, ch)
         assert fd.c0 == pytest.approx(n - 1, abs=2e-2)
         assert np.abs(np.linalg.det(fd.h.data) - 1).max() < 1e-10
-        assert cn.connection_report(fd.Phi, fd.A, h=fd.h, boundary=sv.FUCHSIAN_BOUNDARY)["unitary"]
+        assert cn.connection_report(fd.Phi, fd.A, h=fd.h)["unitary"]
     with pytest.raises(DomainMismatchError):
         sv.fuchsian_reference(2, chm.periodic_chart(16, 16))
 
 
 def _fuchsian_sup(n, ch, c):
     return cn.sup_norm(sv._fuchsian_curvature(n, ch, c)[0], mask=ch.interior())
+
+
+def test_fuchsian_reference_n5_converges_at_second_order():
+    # C4's bounds at n = 5: the pointwise fill-in systems, whose columns scale
+    # with powers of g, pass the equilibrated singularity test
+    fds = {nx: sv.fuchsian_reference(5, chm.disk_chart(nx, nx, 0.5)) for nx in (32, 64)}
+    assert 3.0 < fds[32].curvature_sup / fds[64].curvature_sup < 5.3
+    assert fds[64].c0 == pytest.approx(4.0, abs=2e-2)
+    assert cn.connection_report(fds[32].Phi, fds[32].A, h=fds[32].h)["unitary"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -217,7 +226,7 @@ def _fock_fields(kind, n):
         if n >= 3:
             f2 = np.linalg.matrix_power(fiber.principal_nilpotent(n), 2)
             d2 = chm.bump_field(ch, radius=0.3, amplitude=0.02).data[..., None, None] * f2
-        return chm.LieForm(ch, 1, d1=fuchsian.d1, d2=d2), h
+        return chm.LieForm(fuchsian.chart, 1, d1=fuchsian.d1, d2=d2), h
     ch = chm.periodic_chart(12, 12)
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
     return hf.fock_form(ch, mu), cn.identity_hermitian(ch, n)
@@ -227,7 +236,7 @@ def _linearization(kind, n):
     """A LinearizedContext on ``_fock_fields``: zero-fill stencils on the disk,
     wrap-around on the periodic chart."""
     phi, h = _fock_fields(kind, n)
-    return sv.LinearizedContext(phi, cn.fill_in(phi, h=h, boundary="rect" if kind == "disk" else "auto"), h)
+    return sv.LinearizedContext(phi, cn.fill_in(phi, h=h), h)
 
 
 def _loop_q(p1, p2, q1, q2):
@@ -258,8 +267,7 @@ def test_q_kernel_is_bitwise_the_bracket_loop(kind, n):
     fields = [f.reshape(npt, n, n) for f in (phi.d1, phi.d2, psi.d1, psi.d2)]
     want = _bits(_loop_q(*fields))
     assert _bits(fp.q_matrices(*fields)) == want
-    if n <= 4:  # fill_in cannot yet build the n = 5 disk connection (singular pointwise system)
-        assert _bits(_linearization(kind, n)._qmat) == want
+    assert _bits(_linearization(kind, n)._qmat) == want
 
 
 @pytest.mark.parametrize("kind", ["disk", "periodic"])
@@ -525,8 +533,8 @@ def test_newton_report_holds_the_final_field_and_connection():
     mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
     for m in (mu, chm.BeltramiField(ch, 3, {})):
         eta, rep = sv.newton_continuation(fd, m, sv.NewtonConfig(continuation_steps=2, preconditioner="jacobi"))
-        phi = sv.conjugate_field(hf.fock_form(ch, m), eta)
-        conn = cn.fill_in(phi, h=fd.h, boundary="rect")
+        phi = sv.conjugate_field(hf.fock_form(fd.chart, m), eta)
+        conn = cn.fill_in(phi, h=fd.h)
         for got, want in ((rep["phi"].d1, phi.d1), (rep["phi"].d2, phi.d2),
                           (rep["connection"].d1, conn.d1), (rep["connection"].d2, conn.d2)):
             assert _bits(got) == _bits(want)
@@ -541,8 +549,8 @@ def test_newton_baseline_is_the_reference_curvature(monkeypatch, n):
     fd = sv.fuchsian_reference(n, ch)
     assert fd.curvature_sup == cn.sup_norm(fd.curvature, mask=ch.interior())
     phi0 = sv.conjugate_field(fd.Phi, chm.LieForm(ch, 0, d0=np.zeros(fd.h.data.shape)))
-    conn0 = cn.fill_in(phi0, h=fd.h, boundary="rect")
-    curv0 = cn.curvature_total(conn0, phi0, cn.hermitian_adjoint_field(phi0, fd.h), boundary="rect")
+    conn0 = cn.fill_in(phi0, h=fd.h)
+    curv0 = cn.curvature_total(conn0, phi0, cn.hermitian_adjoint_field(phi0, fd.h))
     assert _bits(curv0.d0) == _bits(fd.curvature.d0)
     calls, fill_in = [], sv.fill_in
     monkeypatch.setattr(sv, "fill_in", lambda *args, **kwargs: calls.append(1) or fill_in(*args, **kwargs))
