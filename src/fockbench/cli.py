@@ -232,6 +232,12 @@ def _load_config(path, cmd):
 # fiber-verify
 
 
+def _sup(values) -> float:
+    """Largest of ``values``, 0.0 for none, NaN if any is NaN (``max()`` keeps
+    whichever comes first)."""
+    return float(np.max(list(values), initial=0.0))
+
+
 def _cmd_fiber_verify(cfg, out, rep):
     n = cfg["n"]
     rng = np.random.default_rng(cfg["seed"])
@@ -244,30 +250,28 @@ def _cmd_fiber_verify(cfg, out, rep):
     sigma, rho = fiber.sigma, fiber.rho
     checks["sigma_F"] = float(np.abs(sigma(triple.F) + triple.F).max())
     checks["sigma_E"] = float(np.abs(sigma(triple.E) + triple.E).max())
-    worst = compact = 0.0
+    involution, compact = [], []
     for _ in range(cfg["samples"]):
         x = fiber.random_traceless(n, rng)
-        worst = max(worst, float(np.abs(sigma(rho(x)) - rho(sigma(x))).max()))
-        worst = max(worst, float(np.abs(sigma(sigma(x)) - x).max()))
-        worst = max(worst, float(np.abs(rho(rho(x)) - x).max()))
+        involution.append(np.abs(sigma(rho(x)) - rho(sigma(x))).max())
+        involution.append(np.abs(sigma(sigma(x)) - x).max())
+        involution.append(np.abs(rho(rho(x)) - x).max())
         # rho fixes su(n): it fixes the anti-hermitian part and negates the hermitian one
         anti, herm = x - fiber.dagger(x), x + fiber.dagger(x)
-        compact = max(compact, float(np.abs(rho(anti) - anti).max()), float(np.abs(rho(herm) + herm).max()))
-    checks["involution_algebra"] = worst
-    checks["rho_fixes_su_n"] = compact
+        compact += [np.abs(rho(anti) - anti).max(), np.abs(rho(herm) + herm).max()]
+    checks["involution_algebra"] = _sup(involution)
+    checks["rho_fixes_su_n"] = _sup(compact)
     cb = fiber.centralizer_basis(triple.F)
     checks["centralizer_dim_defect"] = abs(len(cb) - (n - 1))
-    neg = max(float(np.abs(sigma(b) + b).max()) for b in cb)
-    checks["sigma_negates_centralizer"] = neg
-    ab = 0.0
+    checks["sigma_negates_centralizer"] = _sup(np.abs(sigma(b) + b).max() for b in cb)
+    brackets, image = [], []
     ad = fiber.ad_columns(triple.F, fiber.sl_basis(n))
     for i, b1 in enumerate(cb):
-        for b2 in cb[i + 1 :]:
-            ab = max(ab, float(np.abs(br(b1, b2)).max()))
+        brackets += [np.abs(br(b1, b2)).max() for b2 in cb[i + 1 :]]
         sol, *_ = np.linalg.lstsq(ad, b1.reshape(-1), rcond=None)
-        resid = np.abs(ad @ sol - b1.reshape(-1)).max()
-        checks["center_in_image"] = max(checks.get("center_in_image", 0.0), float(resid))
-    checks["centralizer_abelian"] = ab
+        image.append(np.abs(ad @ sol - b1.reshape(-1)).max())
+    checks["center_in_image"] = _sup(image)
+    checks["centralizer_abelian"] = _sup(brackets)
     if n <= 6:
         wb = fiber.weight_basis(n, exact=True)
         bad = 0
@@ -282,7 +286,7 @@ def _cmd_fiber_verify(cfg, out, rep):
     rep.residual_norms = checks
     tol = 1e-12
     for key, val in checks.items():
-        if val > tol:
+        if not val <= tol:  # NaN fails
             rep.fail(f"{key} = {val!r} exceeds {tol}")
 
 
@@ -320,7 +324,7 @@ def _verify_block(phi2, omega, worst) -> int:
     fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
     parts = fw.split(omega)
     resid = fp.fiber_norms(parts.sum(axis=0) - omega) / np.maximum(fp.fiber_norms(omega), 1e-300)
-    worst["reconstruction"] = max(worst["reconstruction"], float(resid.max()))
+    worst["reconstruction"] = _sup([worst["reconstruction"], resid.max()])
     worst["dims"] += int(np.any(fp.cohomology_dims(f, phi2) != (n - 1, 2 * (n - 1), n - 1), axis=-1).sum())
     eps = fp.EPS_POS
     pos = fp.positivity_margins(f, phi2) > eps
@@ -333,7 +337,7 @@ def _verify_block(phi2, omega, worst) -> int:
     om2[[0, m], 0] = 1.0, 0.5
     q = fp.q_matrices(f, phi2[pos], fiber.dagger(phi2[pos]), fiber.dagger(f))
     q2 = np.linalg.norm(q @ (q @ om2) - om2, axis=(-2, -1))
-    worst["q_involution"] = max(worst["q_involution"], float(q2.max(initial=0.0)))
+    worst["q_involution"] = _sup([worst["q_involution"], q2.max(initial=0.0)])
     return len(q)
 
 
@@ -349,11 +353,11 @@ def _cmd_point_verify(cfg, out, rep):
     rep.residual_norms = worst
     rep.iteration_traces = {"samples_checked": len(phi2), "degenerate_skipped": skipped, "positive": positive}
     rep.timings.update(certify_s=t1 - t0, batched_s=t2 - t1)
-    if worst["reconstruction"] > 1e-10:
+    if not worst["reconstruction"] <= 1e-10:  # NaN fails
         rep.fail("four-way reconstruction above 1e-10")
     if worst["dims"] or worst["gram_vs_contraction"]:
         rep.fail("discrete invariants violated")
-    if worst["q_involution"] > 1e-9:
+    if not worst["q_involution"] <= 1e-9:
         rep.fail("Q is not an involution")
 
 

@@ -45,15 +45,11 @@ __all__ = [
 
 
 def sup_norm(form: LieForm, mask=None) -> float:
-    """Largest pointwise Frobenius norm over the chart mask."""
+    """Largest pointwise Frobenius norm over the chart mask; NaN if any norm is NaN."""
     if mask is None:
         mask = form.chart.mask()
     arrs = [a for a in (form.d0, form.d1, form.d2) if a is not None]
-    out = 0.0
-    for a in arrs:
-        nrm = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
-        out = max(out, float(nrm[mask].max()))
-    return out
+    return float(np.max([np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))[mask].max() for a in arrs], initial=0.0))
 
 
 @dataclass

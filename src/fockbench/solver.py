@@ -23,13 +23,13 @@ floor).  The raw curvature sup-norm is reported alongside.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize_scalar
 
 from . import fiber
 from .chart import BeltramiField, Chart, LieForm, ScalarField, covariant_d, difference_matrix
@@ -124,8 +124,82 @@ class FuchsianData:
         return hermitian_adjoint_field(self.Phi, self.h)
 
 
-_GOLDEN = (3.0 - np.sqrt(5.0)) / 2  # where a bounded golden-section search first probes
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2  # golden-section fraction: where the bounded search first probes
 _AFFINE_RTOL = 1e-9  # allowed gap between the affine c0 model and the full evaluation
+_SQRT_EPS = math.sqrt(2.2e-16)  # the bounded search's relative step floor
+_MAX_EVALS = 500  # the bounded search's evaluation budget
+
+
+def _bounded_min(f, lo, hi, xatol):
+    """Minimize the scalar function f on [lo, hi] by Brent's derivative-free
+    golden-section/parabolic search (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 5).  The loop is a line-for-line port of scipy's
+    ``minimize_scalar(method="bounded")`` (BSD licence) in plain floats, so x,
+    f(x) and the evaluation count are bitwise scipy's for the same ``xatol``.
+
+    Returns (x, f(x), evaluations, status); status is "converged", "max
+    evaluations" after 500 evaluations, or "not finite" when x or f(x) is not
+    finite or the last trial value is NaN."""
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = float(f(xf))
+    num, fu = 1, math.inf
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    status = "converged"
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try the parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step  # a zero step moves up, as in scipy
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            status = "max evaluations"
+            break
+    if not (math.isfinite(xf) and math.isfinite(fx)) or math.isnan(fu):
+        status = "not finite"
+    return xf, fx, num, status
 
 
 def _frobenius_sup(t):
@@ -197,21 +271,21 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
         c1, c2 = n - 1.0, lo + _GOLDEN * (hi - lo)
         t1 = _fuchsian_curvature(n, chart, c1)[0].d0[interior]
         slope = (_fuchsian_curvature(n, chart, c2)[0].d0[interior] - t1) / (c2 - c1)
-        res = minimize_scalar(
-            lambda c: _frobenius_sup(t1 + (c - c1) * slope),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        c0, predicted = float(res.x), float(res.fun)
+        c0, predicted, evals, status = _bounded_min(lambda c: _frobenius_sup(t1 + (c - c1) * slope), lo, hi, 1e-10)
+        if status != "converged":
+            raise NonConvergenceError(
+                f"c0 search on [{lo!r}, {hi!r}] of the affine curvature model ended with status "
+                f"{status!r} after {evals} evaluations (c0 = {c0!r}, residual {predicted!r})",
+                history=[predicted],
+            )
         scale = c0 * _frobenius_sup(slope)
     curv, conn, gs, phi, hf = _fuchsian_curvature(n, chart, c0)
     resid = sup_norm(curv, mask=interior)
-    if predicted is not None and abs(resid - predicted) > _AFFINE_RTOL * scale:
+    if predicted is not None and not (abs(resid - predicted) <= _AFFINE_RTOL * scale):  # NaN fails
         raise NonConvergenceError(
             f"affine curvature model predicts residual {predicted!r} at c0 = {c0!r}, the full "
             f"evaluation gives {resid!r} (gap {abs(resid - predicted) / scale:.2e} of the "
-            f"[Phi ^ Phi*] term, above {_AFFINE_RTOL:.0e})",
+            f"[Phi ^ Phi*] term, not within {_AFFINE_RTOL:.0e})",
             history=[predicted, resid],
         )
     return FuchsianData(chart=phi.chart, n=n, g=gs, Phi=phi, h=hf, A=conn, c0=c0, curvature=curv, curvature_sup=resid)

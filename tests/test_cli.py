@@ -147,6 +147,57 @@ def test_point_verify_matches_the_per_point_loop(tmp_path, capsys, n, seed, posi
     assert set(rep["timings"]) == {"wall_time_s", "certify_s", "batched_s"}
 
 
+def test_fiber_verify_fails_on_one_nan_check(monkeypatch, capsys):
+    # the first rho of the first sample is NaN, every later check is finite and small
+    real, calls = fiber.rho, []
+
+    def rho(x):
+        calls.append(x)
+        return real(x) * (np.nan if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(fiber, "rho", rho)
+    assert run(["fiber-verify", "--n", "3"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert np.isnan(rep["residual_norms"]["involution_algebra"])
+    assert rep["messages"] == ["involution_algebra = nan exceeds 1e-12"]
+
+
+class _NanSplit:
+    """A four-way decomposition whose first part has one NaN entry."""
+
+    def __init__(self, fw):
+        self.fw = fw
+
+    def split(self, omega):
+        parts = self.fw.split(omega).copy()
+        parts.flat[0] = np.nan
+        return parts
+
+
+def _nan_q(real):
+    def q_matrices(*args):
+        q = real(*args).copy()
+        q.flat[0] = np.nan
+        return q
+
+    return q_matrices
+
+
+@pytest.mark.parametrize(
+    "target, make, key, message",
+    [
+        ("four_way", lambda real: lambda *a: _NanSplit(real(*a)), "reconstruction", "four-way reconstruction above 1e-10"),
+        ("q_matrices", _nan_q, "q_involution", "Q is not an involution"),
+    ],
+)
+def test_point_verify_fails_on_one_nan_sample(monkeypatch, capsys, target, make, key, message):
+    monkeypatch.setattr(fp, target, make(getattr(fp, target)))
+    assert run(["point-verify", "--n", "3", "--samples", "40", "--seed", "1"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert np.isnan(rep["residual_norms"][key])
+    assert rep["messages"] == [message]
+
+
 def test_point_verify_draws_in_the_sequential_order(monkeypatch):
     n, samples, seed = 3, 10, 5
     real, seen = fp.fock_point, []

@@ -395,6 +395,20 @@ def test_sigma_defect_is_taken_over_the_mask():
     assert ch.mask()[8, 8] and cn.sigma_defect(a) == float(np.abs(2 * f).max())
 
 
+def test_sup_norm_propagates_nan():
+    ch = chm.disk_chart(12, 12, 0.5)
+    d0 = np.random.default_rng(0).standard_normal((12, 12, 3, 3)) + 0j
+    form = chm.LieForm(ch, 0, d0=d0)
+    nrm = np.sqrt(np.sum(np.abs(d0) ** 2, axis=(-2, -1)))
+    assert cn.sup_norm(form) == float(nrm[ch.mask()].max())
+    assert cn.sup_norm(form, mask=ch.interior()) == float(nrm[ch.interior()].max())
+    d0[6, 6, 1, 2] = np.nan
+    assert ch.mask()[6, 6] and np.isnan(cn.sup_norm(form))
+    d1 = np.zeros_like(d0)
+    assert np.isnan(cn.sup_norm(chm.LieForm(ch, 1, d1=d1, d2=d0)))
+    assert np.isnan(cn.sup_norm(chm.LieForm(ch, 1, d1=d0, d2=d1)))
+
+
 def test_sup_norm_and_defect_helpers():
     ch = chm.periodic_chart(8, 8)
     n = 2

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import fockbench
@@ -72,3 +76,31 @@ def test_only_the_stencil_primitives_take_a_boundary():
 def test_unused_import_finder_sees_each_kind():
     src = "from __future__ import annotations\nimport os, numpy as np\nfrom a import b, c as d\nfrom . import e\n__all__ = ['e']\nnp.zeros(b)\n"
     assert _unused_imports(src) == [(2, "os"), (3, "d")]
+
+
+def _fresh_python(*args, cwd=None):
+    """Run a fresh interpreter on ``args`` with the package's source on its path."""
+    src = str(Path(fockbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_only_sparse_of_scipy():
+    # the c0 search is in-package; scipy.optimize would add its linalg, special and fft to every process
+    code = "import json, sys, fockbench\nprint(json.dumps({k: hasattr(m, '__path__') for k, m in sys.modules.items()}))"
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "fockbench.solver" in loaded
+    assert [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")] == []
+    assert {m.split(".")[1] for m, package in loaded.items() if package and m.startswith("scipy.")} == {"_lib", "sparse"}
+
+
+def test_python_m_fockbench_runs_the_cli(tmp_path):
+    # -X importtime lists every module the run imports on stderr
+    proc = _fresh_python("-X", "importtime", "-m", "fockbench", "fiber-verify", "--n", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "fockbench.cli" in imported
+    assert [m for m in imported if m.startswith("scipy.optimize")] == []

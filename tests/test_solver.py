@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.optimize import minimize_scalar
 
@@ -132,6 +136,119 @@ def test_fuchsian_c0_model_checked_against_full_evaluation(monkeypatch):
     monkeypatch.setattr(sv, "_fuchsian_fields", lambda n, ch, c0: fields(n, ch, c0 * c0))
     with pytest.raises(NonConvergenceError, match=r"\[Phi \^ Phi\*\] term"):
         sv.fuchsian_reference(2, chm.disk_chart(16, 16, 0.5))
+
+
+def _nan_curvature_after(monkeypatch, calls):
+    """Make every _fuchsian_curvature after the first ``calls`` return a NaN curvature."""
+    real, seen = sv._fuchsian_curvature, []
+
+    def curvature(n, ch, c0):
+        curv, *rest = real(n, ch, c0)
+        seen.append(c0)
+        if len(seen) > calls:
+            curv = chm.LieForm(curv.chart, curv.degree, d0=np.full_like(curv.d0, np.nan))
+        return (curv, *rest)
+
+    monkeypatch.setattr(sv, "_fuchsian_curvature", curvature)
+
+
+def test_fuchsian_c0_search_on_a_nan_model_is_not_convergence(monkeypatch):
+    _nan_curvature_after(monkeypatch, 0)
+    with pytest.raises(NonConvergenceError, match="c0 search .* status 'not finite'"):
+        sv.fuchsian_reference(2, chm.disk_chart(12, 12, 0.5))
+
+
+def test_fuchsian_nan_full_evaluation_fails_the_model_check(monkeypatch):
+    # the two model fields are finite, the evaluation at the chosen c0 is NaN
+    _nan_curvature_after(monkeypatch, 2)
+    with pytest.raises(NonConvergenceError, match=r"gives nan .*\[Phi \^ Phi\*\] term"):
+        sv.fuchsian_reference(2, chm.disk_chart(12, 12, 0.5))
+
+
+def _assert_bounded_min_is_scipys(f, lo, hi, xatol=1e-10):
+    ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    x, fx, evals, status = sv._bounded_min(f, lo, hi, xatol)
+    assert type(x) is float and type(fx) is float
+    assert np.array([x, fx]).tobytes() == np.array([ref.x, ref.fun]).tobytes()
+    assert evals == ref.nfev
+    assert status == {0: "converged", 1: "max evaluations"}[ref.status]
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bounded_min_is_bitwise_scipys_on_the_c0_models(monkeypatch, n):
+    searches, real = [], sv._bounded_min
+
+    def bounded_min(f, lo, hi, xatol):
+        searches.append((f, lo, hi, xatol))
+        return real(f, lo, hi, xatol)
+
+    monkeypatch.setattr(sv, "_bounded_min", bounded_min)
+    fd = sv.fuchsian_reference(n, chm.disk_chart(16, 16, 0.5))
+    ((f, lo, hi, xatol),) = searches
+    assert (lo, hi, xatol) == (0.4 * (n - 1), 2.5 * (n - 1), 1e-10)
+    assert _assert_bounded_min_is_scipys(f, lo, hi, xatol) == fd.c0
+
+
+_SHAPES = {
+    "quadratic": lambda p: lambda x: p[0] * (x - p[1]) ** 2 + p[2] * x,
+    "kink": lambda p: lambda x: abs(x - p[1]) + p[2],
+    "two lines": lambda p: lambda x: max(abs(p[0] * x - p[1]), abs(p[2] * x - p[3])),
+    "wave": lambda p: lambda x: math.sin(p[0] * x) + p[1] * x * x,
+    "linear": lambda p: lambda x: p[0] * x,
+    "constant": lambda p: lambda x: p[2],
+    "steps": lambda p: lambda x: math.floor(p[0] * x) + p[2],  # plateaus: ties between trial values
+    "rounded": lambda p: lambda x: round(p[0] * (x - p[1]) ** 2, 1),
+    "terraced": lambda p: lambda x: math.floor(abs(p[0] * (x - p[1])) * 4),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_SHAPES)),
+    params=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    lo=st.floats(-10.0, 10.0),
+    width=st.sampled_from([0.0, 1e-9, 1e-3]) | st.floats(0.0, 20.0),
+)
+def test_bounded_min_is_bitwise_scipys_on_drawn_functions(shape, params, lo, width):
+    _assert_bounded_min_is_scipys(_SHAPES[shape](params), lo, lo + width)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, xatol",
+    [
+        (lambda x: x, 0.0, 1.0, 1e-10),
+        (lambda x: -x, 0.0, 1.0, 1e-10),
+        (lambda x: 2.5, -1.0, 3.0, 1e-10),
+        (lambda x: (x - 1.0) ** 2, 0.75, 0.75, 1e-10),
+        (lambda x: (x - 1.0) ** 2, 0.0, 2.0, -1.0),
+        (_SHAPES["terraced"]([7.0, 1.4]), -1.0, 5.0, 1e-10),
+        (_SHAPES["terraced"]([8.7, 4.3]), -1.0, 7.0, 1e-10),
+        (lambda x: (x - 4.1) ** 2 + 9.8 * x, -1.0, 2.0, 1e-10),
+        (lambda x: (x - 1.3) ** 2 + 2.3 * x, -1.0, 2.0, 1e-10),
+        (lambda x: (x + 2.0) ** 2 - 7.8 * x, 0.0, 6.0, 1e-10),
+    ],
+    # the terraced cases tie a trial value with the second- or third-best point; the
+    # next two land a parabolic step within 2 tol1 of the bracket's lower or upper
+    # end, and the last takes a parabolic step of exactly zero
+    ids=[
+        "minimum-at-lo", "minimum-at-hi", "constant", "lo-equals-hi", "never-converges",
+        "tie-second", "tie-third", "parabola-at-bracket-lo", "parabola-at-bracket-hi", "zero-step",
+    ],
+)
+def test_bounded_min_edge_cases_are_scipys(f, lo, hi, xatol):
+    _assert_bounded_min_is_scipys(f, lo, hi, xatol)
+
+
+def test_bounded_min_results_and_status():
+    # a minimum at a bound is approached to within the relative step floor sqrt(2.2e-16) |x|
+    assert sv._bounded_min(lambda x: x, 0.0, 1.0, 1e-10)[0] < 1e-9
+    assert sv._bounded_min(lambda x: -x, 0.0, 1.0, 1e-10)[0] > 1.0 - 2e-8
+    assert sv._bounded_min(lambda x: x * x, -1.0, 2.0, 1e-10)[3] == "converged"
+    assert sv._bounded_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0, -1.0)[2:] == (500, "max evaluations")
+    assert sv._bounded_min(lambda x: math.nan, 0.0, 1.0, 1e-10)[3] == "not finite"
+    assert sv._bounded_min(lambda x: -math.inf, 0.0, 1.0, 1e-10)[3] == "not finite"
+    assert sv._bounded_min(lambda x: 1.0, 0.75, 0.75, 1e-10) == (0.75, 1.0, 1, "converged")
 
 
 def test_fuchsian_chern_diagonal_profile():
