@@ -426,13 +426,13 @@ def _cmd_muholo(cfg, out, rep):
         norms[f"tensor_{k}"] = float(np.abs(tensor[k][mask]).max())
         norms[f"gauge_{k}"] = float(np.abs(gauge[k][mask]).max())
         norms[f"difference_{k}"] = float(np.abs((tensor[k] - gauge[k])[mask]).max())
-    norms["equivalence_sup"] = diff_sup = max(norms[f"difference_{k}"] for k in range(2, n + 1))
+    norms["equivalence_sup"] = diff_sup = _sup(norms[f"difference_{k}"] for k in range(2, n + 1))
     rep.residual_norms = norms
     for k in range(2, n + 1):
         chm.save_scalar_csv(os.path.join(out, f"tensor_residual_{k}.csv"), chm.ScalarField(ch, tensor[k]))
         chm.save_scalar_csv(os.path.join(out, f"gauge_residual_{k}.csv"), chm.ScalarField(ch, gauge[k]))
     floor = 100.0 * ch.hx**2
-    if diff_sup > floor:
+    if not diff_sup <= floor:  # NaN warns
         rep.warn(f"gauge/tensor residual difference {diff_sup:.3e} above {floor:.1e}")
 
 
@@ -453,7 +453,7 @@ def _cmd_flow(cfg, out, rep):
         resid = hf.mu_holo_residual(mu_c, t_c)
         return {
             "curvature_sup": cn.sup_norm(curv),
-            "mu_holo_sup": max(float(np.abs(resid[k][mask]).max()) for k in range(2, n + 1)),
+            "mu_holo_sup": _sup(np.abs(resid[k][mask]).max() for k in range(2, n + 1)),
         }
 
     before = table(phi, a_form)

@@ -112,11 +112,11 @@ def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
 
 
 def sigma_defect(a_form: LieForm) -> float:
-    """sup over the chart mask of |sigma(A) - A|, componentwise."""
+    """sup over the chart mask of |sigma(A) - A|, componentwise; NaN if any entry is NaN."""
     m = a_form.chart.mask()
     d1 = np.abs((fiber.sigma(a_form.d1) - a_form.d1)[m]).max()
     d2 = np.abs((fiber.sigma(a_form.d2) - a_form.d2)[m]).max()
-    return float(max(d1, d2))
+    return float(np.max([d1, d2]))
 
 
 def unitarity_defect(a_form: LieForm, h: HermitianField) -> float:

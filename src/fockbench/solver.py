@@ -9,9 +9,11 @@ operator in strong form is
 
 with the Galerkin pairing B(eta1, eta2) = -sum Re tr(eta1 * (L eta2)) dx dy,
 which is symmetric positive definite on Dirichlet-supported fields (exact
-summation by parts plus pointwise bracket identities), so plain CG applies.
-CG runs on the Galerkin matrix, assembled once per linearization from the
-same stencil, connection, Q, basis and zeroth-order pieces; the strong form
+summation by parts plus pointwise bracket identities), so CG, optionally
+block-Jacobi preconditioned, applies.  CG runs on flat coordinate vectors and
+the Galerkin matrix, assembled once per linearization from the same stencil,
+connection, Q, basis and zeroth-order pieces; the block-Jacobi preconditioner
+is the inverse of that matrix's pointwise diagonal blocks.  The strong form
 stays the field-level reference.
 
 Newton continuation drives the projected curvature moments to the value they
@@ -51,8 +53,6 @@ __all__ = [
     "fuchsian_reference",
     "AdmissibleSpace",
     "LinearizedContext",
-    "linearized_operator",
-    "solve_linear",
     "conjugate_field",
     "expm_pair",
     "newton_continuation",
@@ -324,7 +324,6 @@ class AdmissibleSpace:
         self.active = chart.interior()
         self._mask3 = self.active[..., None].astype(float)  # zeroes coordinates off the active points
         self._mask3.flags.writeable = False
-        self.weight = chart.hx * chart.hy
 
     def to_field(self, coords) -> LieForm:
         data = np.einsum("xya,xyaij->xyij", coords, self.basis)
@@ -339,9 +338,6 @@ class AdmissibleSpace:
         """Galerkin residual coordinates -Re tr(e_a * coeff) on active points."""
         r = -np.einsum("xyaij,xyji->xya", self.basis, coeff).real
         return r * self._mask3
-
-    def dot(self, c1, c2) -> float:
-        return float(np.sum(c1 * c2) * self.weight)
 
 
 def _trace_pairs(x, y):
@@ -379,9 +375,9 @@ def _grid_stencil(chart: Chart):
 
 
 class LinearizedContext:
-    """Frozen coefficients (Phi, Phi*, A, h) plus the pointwise Q projector;
-    the strong form ``apply`` and, through ``apply_coords``, its Galerkin
-    matrix."""
+    """Frozen coefficients (Phi, Phi*, A, h) plus the pointwise Q projector:
+    the strong form ``apply``, its Galerkin ``matrix``, the block-Jacobi
+    preconditioner ``jacobi`` read off that matrix, and the CG ``solve``."""
 
     def __init__(self, phi: LieForm, a_form: LieForm, h: HermitianField, space: AdmissibleSpace | None = None):
         self.phi = phi
@@ -424,21 +420,20 @@ class LinearizedContext:
         return covariant_d(self.a_form, LieForm(self.chart, 0, d0=eta.d0))
 
     def apply(self, eta: LieForm) -> LieForm:
+        """Strong-form L eta; eta must be admissible (sigma-even, h-hermitian)."""
+        e = eta.d0
+        scale = max(1.0, float(np.abs(e).max()))
+        sig = np.abs(fiber.sigma(e) - e).max()
+        herm = np.abs(fiber.h_adjoint(e, self.h.data, self.h.inv()) - e).max()
+        if not np.max([sig, herm]) <= 1e-6 * scale:  # NaN is outside
+            raise DomainMismatchError(
+                f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
+            )
         out = covariant_d(self.a_form, self.q_apply(self.d_a(eta)))
         return LieForm(self.chart, 2, d0=out.d0 + self.zeroth(eta))
 
     def apply_coords(self, coords) -> np.ndarray:
         return (self.matrix @ coords.ravel()).reshape(coords.shape)
-
-    @cached_property
-    def zeroth_block(self) -> np.ndarray:
-        """Pointwise Galerkin block -Re tr(e_a zeroth(e_b)), shape (nx, ny, d, d)."""
-        e = self.space.basis
-        block = np.empty(e.shape[:3] + (self.space.dim,))
-        for b in range(self.space.dim):
-            zb = self.zeroth(LieForm(self.chart, 0, d0=e[..., b, :, :]))
-            block[..., b] = -np.einsum("xyaij,xyji->xya", e, zb).real
-        return block
 
     @cached_property
     def matrix(self) -> sparse.csr_array:
@@ -452,8 +447,9 @@ class LinearizedContext:
         B_k = tr(s^+ [A_k, s]) is ad(A_k); Q maps w to u per point; and
         -Re tr(e_a d_A u) = -Re F^T (T (D_z u2 - D_zbar u1) + B'_1 u2 - B'_2 u1)
         with T = tr(s s) and B'_k = tr(s [A_k, s]).  So L = -Re(Y U) plus the
-        zeroth-order block, where U = Q X F and Y are block-sparse on one
-        stencil step and their sparse product composes the two steps.
+        pointwise zeroth-order block -Re tr(e_a zeroth(e_b)), where U = Q X F
+        and Y are block-sparse on one stencil step and their sparse product
+        composes the two steps.
         """
         ch, n, m, d = self.chart, self.n, self._m, self.space.dim
         npt = ch.nx * ch.ny
@@ -464,7 +460,8 @@ class LinearizedContext:
         dz = np.conj(dzb)
         a1 = self.a_form.d1.reshape(npt, n, n)
         a2 = self.a_form.d2.reshape(npt, n, n)
-        f = _trace_pairs(sdag, self.space.basis).reshape(npt, m, d)
+        e = self.space.basis
+        f = _trace_pairs(sdag, e).reshape(npt, m, d)
         # Y is stored on the active rows, U on the rows Y reaches
         y_rows = self.space.active.ravel()
         u_rows = np.zeros(npt, dtype=bool)
@@ -489,30 +486,74 @@ class LinearizedContext:
         y = np.concatenate([-dzb[sel] * h, dz[sel] * h], axis=2)
         y[own[sel]] += ft @ np.concatenate([-_ad_traces(a2[y_rows], s, s), _ad_traces(a1[y_rows], s, s)], axis=2)
         y = sparse.bsr_array((y, y_cols, y_indptr), shape=(npt * d, npt * 2 * m))
-        zeroth = self.zeroth_block.reshape(npt, d, d) * y_rows[:, None, None]
+        zeroth = np.empty(e.shape[:3] + (d,))
+        for k in range(d):
+            zk = self.zeroth(LieForm(self.chart, 0, d0=e[..., k, :, :]))
+            zeroth[..., k] = -np.einsum("xyaij,xyji->xya", e, zk).real
+        zeroth = zeroth.reshape(npt, d, d) * y_rows[:, None, None]
         diag = sparse.bsr_array((zeroth, np.arange(npt), np.arange(npt + 1)), shape=(npt * d, npt * d))
         mat = (diag - (y @ u).real).tocsr()
         mat.eliminate_zeros()
         return mat
 
-    def gram_blocks(self):
-        """Pointwise Killing Gram tr(e_a e_b) of the admissible basis."""
-        e = self.space.basis
-        return np.einsum("xyaij,xybji->xyab", e, e).real
+    @cached_property
+    def jacobi(self) -> sparse.csr_array:
+        """Block-Jacobi preconditioner, built on first use: the inverse of
+        ``matrix``'s d x d diagonal block at each active point, with empty rows
+        and columns off the active points."""
+        d = self.space.dim
+        active = self.space.active.ravel()
+        points = np.flatnonzero(active)
+        first = points[:, None, None] * d  # flat index of each active point's first coordinate
+        rows, cols = np.broadcast_arrays(first + np.arange(d)[:, None], first + np.arange(d))
+        inv = np.linalg.inv(self.matrix[rows.ravel(), cols.ravel()].reshape(rows.shape))
+        indptr = np.concatenate([[0], np.cumsum(active)])
+        return sparse.bsr_array((inv, points, indptr), shape=self.matrix.shape).tocsr()
 
-
-def linearized_operator(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField) -> LieForm:
-    """Strong-form L eta; eta must be admissible (sigma-even, h-hermitian)."""
-    e = eta.d0
-    scale = max(1.0, float(np.abs(e).max()))
-    sig = np.abs(fiber.sigma(e) - e).max()
-    herm = np.abs(fiber.h_adjoint(e, h.data, h.inv()) - e).max()
-    if max(sig, herm) > 1e-6 * scale:
-        raise DomainMismatchError(
-            f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
+    def solve(self, rhs, cfg: NewtonConfig):
+        """CG on ``matrix`` x = rhs in flat coordinates, preconditioned by
+        ``jacobi`` when ``cfg.preconditioner`` is "jacobi"; returns x in the
+        shape of rhs and a report of the iteration count, the relative residual
+        per iteration and the smallest Rayleigh quotient p.Lp / p.p seen.  The
+        cell area of the Galerkin pairing cancels from all of them, so plain
+        dot products serve."""
+        b = rhs.ravel()
+        x = np.zeros_like(b)
+        b_norm = np.sqrt(b @ b)
+        if b_norm == 0.0:
+            return x.reshape(rhs.shape), {"iterations": 0, "residuals": [0.0], "rayleigh_min": None}
+        if not np.isfinite(b_norm):
+            raise NonConvergenceError("CG residual is not finite at iteration 0: the right-hand side has a NaN or inf")
+        pre = self.jacobi if cfg.preconditioner == "jacobi" else None
+        r = b
+        z = r if pre is None else pre @ r
+        p = z.copy()
+        rz = r @ z
+        hist = []
+        rayleigh_min = np.inf
+        for it in range(cfg.max_cg):
+            mp = self.apply_coords(p)
+            pmp = p @ mp
+            rayleigh = pmp / (p @ p)
+            rayleigh_min = min(rayleigh_min, rayleigh)
+            if pmp <= 0:
+                raise NonConvergenceError(f"CG curvature pairing lost definiteness (Rayleigh {rayleigh:.3e})", history=hist)
+            alpha = rz / pmp
+            x = x + alpha * p
+            r = r - alpha * mp
+            rn = np.sqrt(r @ r) / b_norm
+            hist.append(float(rn))
+            if not np.isfinite(rn):
+                raise NonConvergenceError(f"CG residual is not finite at iteration {it + 1}", history=hist)
+            if rn <= cfg.cg_tol:
+                return x.reshape(rhs.shape), {"iterations": it + 1, "residuals": hist, "rayleigh_min": float(rayleigh_min)}
+            z = r if pre is None else pre @ r
+            rz_new = r @ z
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        raise NonConvergenceError(
+            f"CG stagnated after {cfg.max_cg} iterations (residual {hist[-1]:.3e})", history=hist
         )
-    ctx = LinearizedContext(phi, a_form, h)
-    return ctx.apply(eta)
 
 
 def energy_identity_sides(eta: LieForm, phi: LieForm, a_form: LieForm, h: HermitianField):
@@ -556,69 +597,6 @@ class NewtonConfig:
                 raise ValueError(f"{key!r} must be in (0, 1), got {getattr(self, key)!r}")
         if self.preconditioner not in ("none", "jacobi"):
             raise ValueError(f"'preconditioner' must be 'none' or 'jacobi', got {self.preconditioner!r}")
-
-
-def _jacobi_blocks(ctx: LinearizedContext):
-    """Pointwise preconditioner: zeroth-order Galerkin block plus a stencil
-    scale on the Killing Gram."""
-    z = ctx.zeroth_block
-    lap = 1.0 / ctx.chart.hx**2 + 1.0 / ctx.chart.hy**2
-    blocks = 0.5 * (z + np.swapaxes(z, -1, -2)) + lap * ctx.gram_blocks()
-    return np.linalg.inv(blocks)
-
-
-def _cg(ctx: LinearizedContext, rhs_coords, cfg: NewtonConfig, precond=None):
-    space = ctx.space
-    x = np.zeros_like(rhs_coords)
-    r = rhs_coords.copy()
-    apply_p = (lambda v: np.einsum("xyab,xyb->xya", precond, v) * space._mask3) if precond is not None else (lambda v: v)
-    z = apply_p(r)
-    p = z.copy()
-    rz = space.dot(r, z)
-    b_norm = np.sqrt(space.dot(rhs_coords, rhs_coords))
-    if b_norm == 0.0:
-        return x, {"iterations": 0, "residuals": [0.0], "rayleigh_min": None}
-    if not np.isfinite(b_norm):
-        raise NonConvergenceError("CG residual is not finite at iteration 0: the right-hand side has a NaN or inf")
-    hist = []
-    rayleigh_min = np.inf
-    for it in range(cfg.max_cg):
-        mp = ctx.apply_coords(p)
-        pmp = space.dot(p, mp)
-        pp = space.dot(p, p)
-        rayleigh_min = min(rayleigh_min, pmp / pp)
-        if pmp <= 0:
-            raise NonConvergenceError(
-                f"CG curvature pairing lost definiteness (Rayleigh {pmp / pp:.3e})", history=hist
-            )
-        alpha = rz / pmp
-        x = x + alpha * p
-        r = r - alpha * mp
-        rn = np.sqrt(space.dot(r, r)) / b_norm
-        hist.append(float(rn))
-        if not np.isfinite(rn):
-            raise NonConvergenceError(f"CG residual is not finite at iteration {it + 1}", history=hist)
-        if rn <= cfg.cg_tol:
-            return x, {"iterations": it + 1, "residuals": hist, "rayleigh_min": float(rayleigh_min)}
-        z = apply_p(r)
-        rz_new = space.dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergenceError(
-        f"CG stagnated after {cfg.max_cg} iterations (residual {hist[-1]:.3e})", history=hist
-    )
-
-
-def solve_linear(phi: LieForm, a_form: LieForm, h: HermitianField, rhs: LieForm, cfg: NewtonConfig):
-    """CG solve of L eta = rhs in the Galerkin coordinates of the admissible
-    space; returns (eta, report)."""
-    if rhs.degree != 2:
-        raise DomainMismatchError("rhs must be a degree-2 form")
-    ctx = LinearizedContext(phi, a_form, h)
-    b = ctx.space.moments(rhs.d0)
-    pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
-    coords, rep = _cg(ctx, b, cfg, precond=pre)
-    return ctx.space.to_field(coords), rep
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +674,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
                     )
                 if it == 0:  # chord: the step's first linearization serves all its iterations
                     ctx = LinearizedContext(phi_c, conn, h, space=space)
-                    pre = _jacobi_blocks(ctx) if cfg.preconditioner == "jacobi" else None
-                delta_c, cg_rep = _cg(ctx, -gm, cfg, precond=pre)
+                delta_c, _ = ctx.solve(-gm, cfg)
                 if cfg.fd_check and it == 0:
                     # one-shot directional comparison of L against the discrete map
                     de = 1e-6 / max(np.abs(delta_c).max(), 1e-12)

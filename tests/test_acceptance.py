@@ -152,12 +152,12 @@ def test_criterion_5_linearized_operator():
 
     eps = 1e-5
     fd_d = (curv(eps) - curv(-eps)) / (2 * eps)
-    lop = sv.linearized_operator(eta, phi, conn, h)
+    ctx = sv.LinearizedContext(phi, conn, h)
+    lop = ctx.apply(eta)
     fd_rel = float(np.abs(fd_d - lop.d0).max() / np.abs(lop.d0).max())
     assert fd_rel < 1e-6
     cfg = sv.NewtonConfig(cg_tol=1e-11, max_cg=4000)
-    rhs_form = sv.LinearizedContext(phi, conn, h).apply(eta)
-    _, rep = sv.solve_linear(phi, conn, h, rhs_form, cfg)
+    _, rep = ctx.solve(ctx.space.moments(lop.d0), cfg)
     assert rep["rayleigh_min"] > 0
     _report(
         "C5 linearized operator",

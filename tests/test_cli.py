@@ -348,6 +348,38 @@ def test_flow_report(tmp_path, capsys):
     assert "before" in rep["residual_norms"] and "after" in rep["residual_norms"]
 
 
+def _nan_at_k3(real):
+    def residual(*args):
+        res = dict(real(*args))
+        res[3] = res[3] * np.nan
+        return res
+
+    return residual
+
+
+def test_muholo_does_not_drop_a_nan_difference(tmp_path, capsys, monkeypatch):
+    # a NaN gauge residual at k = 3 reaches equivalence_sup and trips its warning gate
+    monkeypatch.setattr(hf, "gauge_muholo_residual", _nan_at_k3(hf.gauge_muholo_residual))
+    out = str(tmp_path / "o")
+    cfg = {"n": 3, "chart": _PERIODIC8, "output_dir": out}
+    assert run(["muholo", "--config", _write_config(tmp_path, "m.json", cfg)]) == 1
+    rep = _read_report(out)
+    norms = rep["residual_norms"]
+    assert np.isnan(norms["difference_3"]) and np.isnan(norms["equivalence_sup"])
+    assert rep["status"] == "warn"
+    assert rep["messages"] == ["gauge/tensor residual difference nan above 1.6e+00"]
+
+
+def test_flow_does_not_drop_a_nan_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hf, "mu_holo_residual", _nan_at_k3(hf.mu_holo_residual))
+    out = str(tmp_path / "o")
+    cfg = {"n": 3, "chart": _PERIODIC8, "output_dir": out,
+           "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}}}
+    run(["flow", "--config", _write_config(tmp_path, "f.json", cfg)])
+    norms = _read_report(out)["residual_norms"]
+    assert np.isnan(norms["before"]["mu_holo_sup"]) and np.isnan(norms["after"]["mu_holo_sup"])
+
+
 def test_fillin_command(tmp_path, capsys):
     out = str(tmp_path / "o")
     cfg = {

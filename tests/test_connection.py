@@ -71,6 +71,19 @@ def test_fill_in_constant_fields_gives_zero():
         assert cn.connection_report(phi, conn, psi)["sigma_invariant"]
 
 
+def test_sigma_defect_propagates_nan():
+    # a NaN in the dzbar component alone is not dropped by the reduction
+    ch = chm.periodic_chart(8, 8)
+    n = 3
+    phi = _const_fock(ch, n, [0.2, 0.1])
+    d2 = np.zeros(phi.d1.shape, dtype=complex)
+    d2[3, 4, 0, 1] = np.nan
+    a = chm.LieForm(ch, 1, d1=np.zeros_like(d2), d2=d2)
+    assert np.isnan(cn.sigma_defect(a))
+    rep = cn.connection_report(phi, a, h=cn.identity_hermitian(ch, n))
+    assert np.isnan(rep["sigma_defect"]) and not rep["sigma_invariant"]
+
+
 def test_fill_in_requires_psi_or_h():
     ch = chm.periodic_chart(8, 8)
     phi = _const_fock(ch, 2, [0.0])

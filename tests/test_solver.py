@@ -414,8 +414,13 @@ def test_linearized_operator_admissibility_guard():
     phi = _const_positive(ch, n, [0.0])
     conn = cn.fill_in(phi, h=h)
     bad = chm.LieForm(ch, 0, d0=np.broadcast_to(fiber.principal_nilpotent(n), phi.d1.shape).copy())
-    with pytest.raises(DomainMismatchError):
-        sv.linearized_operator(bad, phi, conn, h)
+    ctx = sv.LinearizedContext(phi, conn, h)
+    with pytest.raises(DomainMismatchError, match="outside the admissible space"):
+        ctx.apply(bad)
+    nan = ctx.space.to_field(np.zeros((ch.nx, ch.ny, ctx.space.dim)))
+    nan.d0[3, 4] = np.nan
+    with pytest.raises(DomainMismatchError, match="outside the admissible space"):
+        ctx.apply(nan)
 
 
 def test_linearized_matches_fd_of_discrete_map():
@@ -437,7 +442,7 @@ def test_linearized_matches_fd_of_discrete_map():
 
     eps = 1e-5
     fd = (curv(eps) - curv(-eps)) / (2 * eps)
-    lop = sv.linearized_operator(eta, phi, conn, h)
+    lop = sv.LinearizedContext(phi, conn, h).apply(eta)
     rel = np.abs(fd - lop.d0).max() / np.abs(lop.d0).max()
     assert rel < 1e-6
 
@@ -482,13 +487,13 @@ def test_solve_linear_manufactured_and_trivial():
     ctx = sv.LinearizedContext(phi, conn, h)
     eta, _ = _random_admissible(ctx.space, rng)
     cfg = sv.NewtonConfig(cg_tol=1e-12, max_cg=2000)
-    rhs = ctx.apply(eta)
-    got, rep = sv.solve_linear(phi, conn, h, rhs, cfg)
-    assert np.abs(got.d0 - eta.d0).max() < 1e-7 * np.abs(eta.d0).max()
+    rhs = ctx.space.moments(ctx.apply(eta).d0)
+    got, rep = ctx.solve(rhs, cfg)
+    assert got.shape == rhs.shape
+    assert np.abs(ctx.space.to_field(got).d0 - eta.d0).max() < 1e-7 * np.abs(eta.d0).max()
     assert rep["rayleigh_min"] > 0
-    zero_rhs = chm.LieForm(ch, 2, d0=np.zeros_like(rhs.d0))
-    got0, rep0 = sv.solve_linear(phi, conn, h, zero_rhs, cfg)
-    assert np.abs(got0.d0).max() == 0 and rep0["iterations"] == 0
+    got0, rep0 = ctx.solve(np.zeros_like(rhs), cfg)
+    assert np.abs(got0).max() == 0 and rep0["iterations"] == 0
 
 
 def test_solve_linear_jacobi_preconditioner():
@@ -500,10 +505,10 @@ def test_solve_linear_jacobi_preconditioner():
     conn = cn.fill_in(phi, h=h)
     ctx = sv.LinearizedContext(phi, conn, h)
     eta, _ = _random_admissible(ctx.space, rng)
-    rhs = ctx.apply(eta)
-    plain = sv.solve_linear(phi, conn, h, rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000))
-    pre = sv.solve_linear(phi, conn, h, rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000, preconditioner="jacobi"))
-    assert np.abs(plain[0].d0 - pre[0].d0).max() < 1e-8 * np.abs(eta.d0).max()
+    rhs = ctx.space.moments(ctx.apply(eta).d0)
+    plain = ctx.solve(rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000))
+    pre = ctx.solve(rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000, preconditioner="jacobi"))
+    assert np.abs(ctx.space.to_field(plain[0]).d0 - ctx.space.to_field(pre[0]).d0).max() < 1e-8 * np.abs(eta.d0).max()
     assert pre[1]["iterations"] <= plain[1]["iterations"]
 
 
@@ -536,8 +541,9 @@ def test_newton_continuation_small():
 
 
 def test_newton_iteration_counts_do_not_rise(monkeypatch):
-    # counts measured with the matrix-free operator: Newton [7, 7], 433 CG
-    # iterations in total; a faster operator may lower them, never raise them
+    # counts measured with the assembled matrix and the earlier pointwise
+    # Jacobi formula: Newton [7, 3], 310 apply_coords calls in total; a better
+    # preconditioner may lower them, never raise them
     ch = chm.disk_chart(16, 16, 0.5)
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, center=(0.02, -0.01), radius=0.3, amplitude=0.01)
@@ -553,9 +559,60 @@ def test_newton_iteration_counts_do_not_rise(monkeypatch):
     monkeypatch.setattr(sv.LinearizedContext, "apply_coords", counted)
     _, rep = sv.newton_continuation(fd, mu, cfg)
     assert rep["final_residual"] <= 1e-10
-    assert len(rep["per_step"]) == 2
-    assert all(step["newton_iters"] <= 7 for step in rep["per_step"])
-    assert len(calls) <= 433
+    first, second = rep["per_step"]
+    assert first["newton_iters"] <= 7 and second["newton_iters"] <= 3
+    assert len(calls) <= 310
+
+
+def test_newton_continuation_n5(monkeypatch):
+    # C6's case at n = 5 on a 32^2 disk, with the C6 bump as mu_3 and mu_4.
+    # Counts measured with the earlier pointwise Jacobi formula: Newton [9, 9]
+    # with 1354 apply_coords calls, and [8, 9] with 1256 at half amplitude.
+    # The chord contracts by about 0.15 per iteration at n = 5 (0.07 at n = 3).
+    ch = chm.disk_chart(32, 32, 0.5)
+    fd = sv.fuchsian_reference(5, ch)
+    bump = chm.bump_field(ch, center=(0.0, 0.0), radius=0.3, amplitude=0.01)
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    apply_coords = sv.LinearizedContext.apply_coords
+    calls = []
+
+    def counted(ctx, coords):
+        calls.append(1)
+        return apply_coords(ctx, coords)
+
+    monkeypatch.setattr(sv.LinearizedContext, "apply_coords", counted)
+    eta_sup = {}
+    for amplitude, newton_bound, calls_bound in ((1.0, (9, 9), 1354), (0.5, (8, 9), 1256)):
+        calls.clear()
+        mu = chm.BeltramiField(ch, 5, {3: amplitude * bump.data, 4: amplitude * bump.data})
+        _, rep = sv.newton_continuation(fd, mu, cfg)
+        assert rep["final_residual"] < 1e-9
+        assert len(rep["per_step"]) == 2
+        assert len(calls) <= calls_bound
+        for step, bound in zip(rep["per_step"], newton_bound):
+            assert step["newton_iters"] <= bound
+            hist = step["residuals"]
+            for rk, rk1 in zip(hist, hist[1:]):
+                if rk < 1e-3:
+                    assert rk1 <= max(1e3 * rk * rk, 0.2 * rk)
+        eta_sup[amplitude] = rep["eta_sup"]
+    assert 0.4 < eta_sup[0.5] / eta_sup[1.0] < 0.6
+
+
+@pytest.mark.parametrize("kind", ["disk", "periodic"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jacobi_inverts_the_matrix_diagonal_blocks(kind, n):
+    ctx = _linearization(kind, n)
+    d, active = ctx.space.dim, ctx.space.active.ravel()
+    mat, pre = ctx.matrix.toarray(), ctx.jacobi.toarray()
+    for p in np.flatnonzero(active):
+        block = slice(p * d, (p + 1) * d)
+        assert np.abs(pre[block, block] @ mat[block, block] - np.eye(d)).max() <= 1e-12
+    off = np.repeat(~active, d)
+    assert not pre[off].any() and not pre[:, off].any()
+    assert np.abs(pre - pre.T).max() <= 1e-12 * np.abs(pre).max()
+    if kind == "disk":
+        assert off.any()
 
 
 def test_chord_newton_builds_one_linearization_per_step(monkeypatch):
@@ -639,7 +696,7 @@ def test_cg_stops_at_once_on_non_finite_residual(monkeypatch):
 
     monkeypatch.setattr(sv.LinearizedContext, "apply_coords", nan_on_third)
     with pytest.raises(NonConvergenceError, match="residual is not finite at iteration 3") as info:
-        sv._cg(ctx, rhs, sv.NewtonConfig())
+        ctx.solve(rhs, sv.NewtonConfig())
     assert len(applies) == 3 and len(info.value.history) == 3
 
 
