@@ -466,6 +466,10 @@ def _cmd_flow(cfg, out, rep):
     after = table(phi, a_form)
     rep.residual_norms = {"before": before, "after": after}
     rep.iteration_traces = {"eps": eps, "steps": steps}
+    for when, norms in rep.residual_norms.items():
+        for key, val in norms.items():
+            if not np.isfinite(val):
+                rep.fail(f"{when}.{key} is not finite: {val!r}")
 
 
 # ---------------------------------------------------------------------------

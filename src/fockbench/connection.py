@@ -222,7 +222,7 @@ def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: H
     floor = ch.hx * ch.hx * 10.0
     rep["warnings"] = []
     scale = max(1.0, sup_norm(phi))
-    if rep["compat_residual_phi"] > max(floor * scale * 100.0, 1e-6):
+    if not rep["compat_residual_phi"] <= max(floor * scale * 100.0, 1e-6):  # NaN warns
         rep["warnings"].append(
             f"phi-compatibility residual {rep['compat_residual_phi']:.3e} above the h^2 floor"
         )

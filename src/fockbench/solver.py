@@ -11,10 +11,13 @@ with the Galerkin pairing B(eta1, eta2) = -sum Re tr(eta1 * (L eta2)) dx dy,
 which is symmetric positive definite on Dirichlet-supported fields (exact
 summation by parts plus pointwise bracket identities), so CG, optionally
 block-Jacobi preconditioned, applies.  CG runs on flat coordinate vectors and
-the Galerkin matrix, assembled once per linearization from the same stencil,
-connection, Q, basis and zeroth-order pieces; the block-Jacobi preconditioner
-is the inverse of that matrix's pointwise diagonal blocks.  The strong form
-stays the field-level reference.
+the Galerkin matrix, built once per linearization as one product of sparse
+factors that mirrors the strong form, L = -Re F_act^T (Y Q X + M) F: F takes
+admissible coordinates to the constant sigma_plus_basis frame, X is d_A there,
+Q the pointwise involution, Y pairs d_A of a 1-form with the frame and M is
+the zeroth-order block.  The block-Jacobi preconditioner is the inverse of that
+matrix's pointwise diagonal blocks.  The strong form stays the field-level
+reference.
 
 Newton continuation drives the projected curvature moments to the value they
 take at the discrete Fuchsian reference (the O(h^2) discretization floor is
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -351,27 +354,21 @@ def _ad_traces(a, x, y):
     return np.einsum("ijuv,pvu->pij", comm, a)
 
 
-@lru_cache(maxsize=8)
-def _grid_stencil(chart: Chart):
-    """One central-difference step on the flattened grid (point i * ny + j),
-    from ``difference_matrix`` under the chart's stencil ("periodic" or "zerofill").
+def _zeroth_traces(s, p1, p2, q1, q2):
+    """tr(s_i zeroth(s_j)) per grid point, for the constant stack s.  With
+    tr(x [[p, y], q]) = tr([q, x] [p, y]) and tr(x [p, [q, y]]) = -tr([p, x] [q, y])
+    it is S + S^T, S = tr([q2, s_i] [p1, s_j]) - tr([q1, s_i] [p2, s_j])."""
+    def br(v):
+        return fiber.commutator(v[..., None, :, :], s)
 
-    Returns (indptr, indices, rows, own, dzbar): a CSR pattern holding every
-    point and its neighbours, the row of each entry, whether the entry is the
-    point itself, and the d_zbar weight (d_x + i d_y)/2 of the entry, zero on
-    the point itself; d_z is its conjugate.
-    """
-    dx = difference_matrix(chart, chart.stencil, 0) / (2 * chart.hx)
-    dy = difference_matrix(chart, chart.stencil, 1) / (2 * chart.hy)
-    npt = chart.nx * chart.ny
-    pattern = (dx + 1j * dy + sparse.eye_array(npt)).tocsr()
-    pattern.sort_indices()  # the assembly sums each row in column order
-    rows = np.repeat(np.arange(npt), np.diff(pattern.indptr))
-    own = pattern.indices == rows
-    out = (pattern.indptr, pattern.indices, rows, own, np.where(own, 0.0, 0.5 * pattern.data))
-    for arr in out:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return out
+    half = _trace_pairs(br(q2), br(p1)) - _trace_pairs(br(q1), br(p2))
+    return half + np.swapaxes(half, -1, -2)
+
+
+def _block_diagonal(stack):
+    """The block-diagonal CSR array of a (k, r, c) stack of blocks."""
+    k, r, c = stack.shape
+    return sparse.bsr_array((stack, np.arange(k), np.arange(k + 1)), shape=(k * r, k * c)).tocsr()
 
 
 class LinearizedContext:
@@ -440,59 +437,32 @@ class LinearizedContext:
         """Galerkin matrix of ``apply`` in admissible coordinates, built on
         first use: row (p, a) is the moment against e_a(p), empty off the
         active points; column (q, b) is the coordinate of e_b(q); flat indices
-        follow ``coords.ravel()``.
-
-        In s_plus coordinates, with F(p)[b, a] = tr(s_b^+ e_a(p)), d_A
-        takes c to w = [w1; w2] = [D_z + B_1; D_zbar + B_2] F c, where
-        B_k = tr(s^+ [A_k, s]) is ad(A_k); Q maps w to u per point; and
-        -Re tr(e_a d_A u) = -Re F^T (T (D_z u2 - D_zbar u1) + B'_1 u2 - B'_2 u1)
-        with T = tr(s s) and B'_k = tr(s [A_k, s]).  So L = -Re(Y U) plus the
-        pointwise zeroth-order block -Re tr(e_a zeroth(e_b)), where U = Q X F
-        and Y are block-sparse on one stencil step and their sparse product
-        composes the two steps.
+        follow ``coords.ravel()``.  It is L = -Re F_act^T (Y Q X + M) F, every
+        factor sparse, on the frame s = ``sigma_plus_basis``:
+        - F(p)[i, a] = tr(s_i^+ e_a(p)) per point; F_act^T is zero off the active points.
+        - X = kron(D_z, [I; 0]) + kron(D_zbar, [0; I]) + diag([ad A_1; ad A_2]) is
+          d_A in the frame, ad A_k = tr(s^+ [A_k, s]), rows (p, k, i); Q acts per point.
+        - Y = kron(D_zbar, [-T, 0]) + kron(D_z, [0, T]) + diag([-ad' A_2, ad' A_1])
+          pairs d_A of a 1-form with s, T = tr(s s), ad' A_k = tr(s [A_k, s]).
+        - M(p) = tr(s zeroth(s)).
         """
-        ch, n, m, d = self.chart, self.n, self._m, self.space.dim
-        npt = ch.nx * ch.ny
-        s = self._s_plus
-        sdag = fiber.dagger(s)
-        indptr, cols, rows, own, dzb = _grid_stencil(ch)
-        dzb = dzb[:, None, None]
-        dz = np.conj(dzb)
-        a1 = self.a_form.d1.reshape(npt, n, n)
-        a2 = self.a_form.d2.reshape(npt, n, n)
-        e = self.space.basis
-        f = _trace_pairs(sdag, e).reshape(npt, m, d)
-        # Y is stored on the active rows, U on the rows Y reaches
-        y_rows = self.space.active.ravel()
-        u_rows = np.zeros(npt, dtype=bool)
-        u_rows[cols[y_rows[rows]]] = True
-        count = np.diff(indptr)
-
-        def blocks(keep):
-            # the own block of each kept row is selected once, in row order
-            sel = keep[rows]
-            return sel, cols[sel], np.concatenate([[0], np.cumsum(count * keep)])
-
-        # U(p, q) = Q(p) X(p, q) F(q)
-        sel, u_cols, u_indptr = blocks(u_rows)
-        x = np.concatenate([dz[sel] * f[u_cols], dzb[sel] * f[u_cols]], axis=1)
-        b = np.concatenate([_ad_traces(a1[u_rows], sdag, s), _ad_traces(a2[u_rows], sdag, s)], axis=1)
-        x[own[sel]] += b @ f[u_rows]
-        u = sparse.bsr_array((self._qmat[rows[sel]] @ x, u_cols, u_indptr), shape=(npt * 2 * m, npt * d))
-        # Y(p, q) = F(p)^T Y'(p, q)
-        sel, y_cols, y_indptr = blocks(y_rows)
-        ft = np.swapaxes(f[y_rows], -1, -2)
-        h = np.repeat(ft @ _trace_pairs(s, s), count[y_rows], axis=0)
-        y = np.concatenate([-dzb[sel] * h, dz[sel] * h], axis=2)
-        y[own[sel]] += ft @ np.concatenate([-_ad_traces(a2[y_rows], s, s), _ad_traces(a1[y_rows], s, s)], axis=2)
-        y = sparse.bsr_array((y, y_cols, y_indptr), shape=(npt * d, npt * 2 * m))
-        zeroth = np.empty(e.shape[:3] + (d,))
-        for k in range(d):
-            zk = self.zeroth(LieForm(self.chart, 0, d0=e[..., k, :, :]))
-            zeroth[..., k] = -np.einsum("xyaij,xyji->xya", e, zk).real
-        zeroth = zeroth.reshape(npt, d, d) * y_rows[:, None, None]
-        diag = sparse.bsr_array((zeroth, np.arange(npt), np.arange(npt + 1)), shape=(npt * d, npt * d))
-        mat = (diag - (y @ u).real).tocsr()
+        ch, n, m, npt = self.chart, self.n, self._m, self.chart.nx * self.chart.ny
+        s, sdag = self._s_plus, fiber.dagger(self._s_plus)
+        a1, a2 = (a.reshape(npt, n, n) for a in (self.a_form.d1, self.a_form.d2))
+        zeroth = _zeroth_traces(s, self.phi.d1, self.phi.d2, self.psi.d1, self.psi.d2).reshape(npt, m, m)
+        dx = difference_matrix(ch, ch.stencil, 0) / (2 * ch.hx)
+        dy = difference_matrix(ch, ch.stencil, 1) / (2 * ch.hy)
+        dz, dzbar = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+        eye, zero, t = np.eye(m), np.zeros((m, m)), _trace_pairs(s, s)
+        x = sparse.kron(dz, np.vstack([eye, zero]), "csr") + sparse.kron(dzbar, np.vstack([zero, eye]), "csr")
+        x = x + _block_diagonal(np.concatenate([_ad_traces(a1, sdag, s), _ad_traces(a2, sdag, s)], axis=1))
+        y = sparse.kron(dzbar, np.hstack([-t, zero]), "csr") + sparse.kron(dz, np.hstack([zero, t]), "csr")
+        y = y + _block_diagonal(np.concatenate([-_ad_traces(a2, s, s), _ad_traces(a1, s, s)], axis=2))
+        core = y @ _block_diagonal(self._qmat) @ x + _block_diagonal(zeroth)
+        del x, y  # the stencil factors go before the outer products, which lowers the peak memory
+        f = _trace_pairs(sdag, self.space.basis).reshape(npt, m, self.space.dim)
+        f_act = np.swapaxes(f, -1, -2) * self.space.active.ravel()[:, None, None]
+        mat = -(_block_diagonal(f_act) @ core @ _block_diagonal(f)).real
         mat.eliminate_zeros()
         return mat
 

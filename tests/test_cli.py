@@ -375,9 +375,52 @@ def test_flow_does_not_drop_a_nan_residual(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "o")
     cfg = {"n": 3, "chart": _PERIODIC8, "output_dir": out,
            "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}}}
-    run(["flow", "--config", _write_config(tmp_path, "f.json", cfg)])
-    norms = _read_report(out)["residual_norms"]
+    assert run(["flow", "--config", _write_config(tmp_path, "f.json", cfg)]) == 2
+    rep = _read_report(out)
+    norms = rep["residual_norms"]
     assert np.isnan(norms["before"]["mu_holo_sup"]) and np.isnan(norms["after"]["mu_holo_sup"])
+    assert rep["status"] == "fail"
+    assert rep["messages"] == ["before.mu_holo_sup is not finite: nan", "after.mu_holo_sup is not finite: nan"]
+
+
+def test_flow_fails_on_a_nan_curvature_after_the_step(tmp_path, capsys, monkeypatch):
+    # the residual table is taken before and after the step; only the second
+    # curvature is NaN, and the report names that one key
+    real, calls = cn.curvature_total, []
+
+    def curvature_total(*args):
+        calls.append(None)
+        curv = real(*args)
+        return chm.LieForm(curv.chart, 2, d0=curv.d0 * (np.nan if len(calls) == 2 else 1.0))
+
+    monkeypatch.setattr(cn, "curvature_total", curvature_total)
+    out = str(tmp_path / "o")
+    cfg = {"n": 2, "chart": _PERIODIC8, "output_dir": out,
+           "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}}}
+    assert run(["flow", "--config", _write_config(tmp_path, "f.json", cfg)]) == 2
+    rep = _read_report(out)
+    assert len(calls) == 2 and np.isfinite(rep["residual_norms"]["before"]["curvature_sup"])
+    assert rep["status"] == "fail"
+    assert rep["messages"] == ["after.curvature_sup is not finite: nan"]
+
+
+def test_fillin_warns_on_a_nan_compatibility_residual(tmp_path, capsys, monkeypatch):
+    real = cn.fill_in
+
+    def fill_in(*args, **kwargs):
+        a = real(*args, **kwargs)
+        d1 = a.d1.copy()
+        d1[0, 0, 0, 0] = np.nan
+        return chm.LieForm(a.chart, 1, d1=d1, d2=a.d2)
+
+    monkeypatch.setattr(cn, "fill_in", fill_in)
+    out = str(tmp_path / "o")
+    cfg = {"n": 3, "chart": _PERIODIC8, "output_dir": out}
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 1
+    rep = _read_report(out)
+    assert np.isnan(rep["residual_norms"]["compat_residual_phi"])
+    assert rep["status"] == "warn"
+    assert rep["messages"] == ["phi-compatibility residual nan above the h^2 floor"]
 
 
 def test_fillin_command(tmp_path, capsys):

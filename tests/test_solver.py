@@ -388,7 +388,7 @@ def test_q_kernel_is_bitwise_the_bracket_loop(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["disk", "periodic"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_assembled_matrix_matches_strong_form(kind, n):
     ctx = _linearization(kind, n)
     space = ctx.space
@@ -600,7 +600,7 @@ def test_newton_continuation_n5(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["disk", "periodic"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_jacobi_inverts_the_matrix_diagonal_blocks(kind, n):
     ctx = _linearization(kind, n)
     d, active = ctx.space.dim, ctx.space.active.ravel()
