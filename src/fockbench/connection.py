@@ -1,6 +1,8 @@
 """Hermitian adjoints, the canonical compatible connection, curvature, covectors.
 
-The filling-in solvers work per grid point (data parallel, deterministic):
+The filling-in solvers work per grid point (data parallel, deterministic);
+the unitary ones build and solve their pointwise systems one block of grid
+points at a time, so those systems hold one block's memory, not the grid's:
 
 * ``fill_in(Phi, Psi)`` looks for the sigma-invariant connection killing both
   fields, as a joint least-squares over sigma-invariant component pairs.
@@ -134,6 +136,10 @@ def unitarity_defect(a_form: LieForm, h: HermitianField) -> float:
 # ---------------------------------------------------------------------------
 # batched least-squares helpers
 
+# grid points per block of the unitary pointwise systems: fill_in(h=...) and
+# inject_covector hold one block's columns, Gram and KKT matrices at a time
+_BLOCK = 256
+
 
 def _realify_rows(m):
     """(..., rows, cols) complex -> (..., 2 rows, cols) real."""
@@ -148,51 +154,47 @@ def _sigma_cols(phi: LieForm, basis):
     return np.concatenate([-fiber.ad_columns(p2, basis), fiber.ad_columns(p1, basis)], axis=-1)
 
 
-def _solve_batched(mats, rhs, method, context):
-    """Least squares per point for stacked systems (N, rows, cols).  A point is
-    singular when its Gram G has a zero column or its Jacobi-equilibrated Gram
-    D^-1/2 G D^-1/2 (D = diag G) is, whatever the scale of the columns."""
-    if method == "normal":
-        g = np.swapaxes(mats, -1, -2).conj() @ mats
-        b = (np.swapaxes(mats, -1, -2).conj() @ rhs[..., None])[..., 0]
-        d = np.diagonal(g, axis1=-2, axis2=-1).real
-        s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-        w = np.linalg.eigvalsh(g * s[:, :, None] * s[:, None, :])
-        bad = (d <= 0).any(axis=-1) | (w[:, 0] < 1e-13 * np.maximum(w[:, -1], 1e-300))
-        if bad.any():
-            raise TransversalityError(
-                f"{context}: singular pointwise system", point=int(np.argmax(bad))
-            )
-        return np.linalg.solve(g, b[..., None])[..., 0]
-    sol = np.linalg.pinv(mats, rcond=1e-12) @ rhs[..., None]
-    return sol[..., 0]
+def _solve_batched(mats, rhs, context, first=0):
+    """Least squares per point for stacked systems (N, rows, cols), by the
+    normal equations.  A point is singular when its Gram G has a zero column
+    or its Jacobi-equilibrated Gram D^-1/2 G D^-1/2 (D = diag G) is, whatever
+    the scale of the columns; the error names it by its flat grid index, the
+    stack starting at grid point ``first``."""
+    g = np.swapaxes(mats, -1, -2).conj() @ mats
+    b = (np.swapaxes(mats, -1, -2).conj() @ rhs[..., None])[..., 0]
+    d = np.diagonal(g, axis1=-2, axis2=-1).real
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    w = np.linalg.eigvalsh(g * s[:, :, None] * s[:, None, :])
+    bad = (d <= 0).any(axis=-1) | (w[:, 0] < 1e-13 * np.maximum(w[:, -1], 1e-300))
+    if bad.any():
+        raise TransversalityError(
+            f"{context}: singular pointwise system", point=first + int(np.argmax(bad))
+        )
+    return np.linalg.solve(g, b[..., None])[..., 0]
 
 
 def fill_in(
     phi: LieForm,
     psi: LieForm | None = None,
     h: HermitianField | None = None,
-    method: str = "normal",
 ) -> LieForm:
     """Canonical compatible connection A for a transverse pair.
 
     Without ``h``: joint least squares of d_A phi = d_A psi = 0 over exactly
     sigma-invariant component pairs.  With ``h``: least squares of
     d_A phi = 0 over the exactly-unitary sigma-invariant family through the
-    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.
-    ``method`` is "normal" (normal equations) or "svd" (pseudo-inverse).  Its
+    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.  The
+    pointwise least squares are solved by the normal equations.  Its
     diagnostics are ``connection_report``.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
-    if method not in ("normal", "svd"):
-        raise ValueError(f"'method' must be 'normal' or 'svd', got {method!r}")
     if h is not None:
-        a1, a2 = _fill_in_unitary(phi, h, method)
+        a1, a2 = _fill_in_unitary(phi, h)
     else:
         if psi is None:
             raise ValueError("fill_in needs either psi or h")
-        a1, a2 = _fill_in_sigma(phi, psi, method)
+        a1, a2 = _fill_in_sigma(phi, psi)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
 
 
@@ -230,7 +232,7 @@ def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: H
     return rep
 
 
-def _fill_in_sigma(phi, psi, method):
+def _fill_in_sigma(phi, psi):
     n = phi.n
     ch = phi.chart
     npt = ch.nx * ch.ny
@@ -239,7 +241,7 @@ def _fill_in_sigma(phi, psi, method):
     # rows: phi-equation then psi-equation; cols: alpha (A1) then beta (A2)
     mats = np.concatenate([_sigma_cols(phi, basis), _sigma_cols(psi, basis)], axis=-2)
     y = -np.concatenate([exterior_d(f).d0.reshape(npt, -1) for f in (phi, psi)], axis=-1)
-    coef = _solve_batched(mats, y, method, "fill_in")
+    coef = _solve_batched(mats, y, "fill_in")
     bstack = np.stack(basis)  # (m, n, n)
     a1 = np.einsum("pa,aij->pij", coef[:, :m], bstack).reshape(ch.nx, ch.ny, n, n)
     a2 = np.einsum("pa,aij->pij", coef[:, m:], bstack).reshape(ch.nx, ch.ny, n, n)
@@ -252,23 +254,23 @@ def _unitary_base(h):
     return a0_1, np.zeros_like(a0_1)
 
 
-def _h_adjoints(h, basis):
-    """The h-adjoints of the constant directions in ``basis``, (nx * ny, K, n, n)."""
+def _h_adjoints(h, basis, points=slice(None)):
+    """The h-adjoints of the constant directions in ``basis`` at the flat grid
+    ``points``, (points, K, n, n)."""
     npt = h.chart.nx * h.chart.ny
-    hh, hinv = h.data.reshape(npt, h.n, h.n), h.inv().reshape(npt, h.n, h.n)
+    hh, hinv = h.data.reshape(npt, h.n, h.n)[points], h.inv().reshape(npt, h.n, h.n)[points]
     return fiber.h_adjoint(np.stack(basis), hh[:, None], hinv[:, None])
 
 
-def _unitary_cols(phi, basis, adjoints):
-    """Real-linear columns of the phi-compat residual over the unitary family,
-    C-ordered (npt, n^2, 2K): for each direction s of ``basis`` with h-adjoint
-    s*, the real direction [s, phi2] + [s*, phi1] and then the imaginary one
-    i([s, phi2] - [s*, phi1]).  ``adjoints()`` returns the s* (npt, K, n, n);
-    it is called here so that a fresh stack is freed once its brackets exist."""
-    ch, n, k = phi.chart, phi.n, len(basis)
-    npt = ch.nx * ch.ny
-    br1 = fiber.commutator(np.stack(basis), phi.d2.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
-    br2 = fiber.commutator(adjoints(), phi.d1.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
+def _unitary_cols(p1, p2, basis, adjoints):
+    """Real-linear columns of the phi-compat residual over the unitary family
+    at a stack of points with fields p1, p2 (P, n, n), C-ordered (P, n^2, 2K):
+    for each direction s of ``basis`` (K, n, n) with h-adjoint s* in
+    ``adjoints`` (P, K, n, n), the real direction [s, phi2] + [s*, phi1] and
+    then the imaginary one i([s, phi2] - [s*, phi1])."""
+    npt, n, k = p1.shape[0], p1.shape[-1], basis.shape[0]
+    br1 = fiber.commutator(basis, p2.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
+    br2 = fiber.commutator(adjoints, p1.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
     cols = np.empty((npt, n * n, k, 2), dtype=complex)
     np.add(br1, br2, out=cols[..., 0])
     np.subtract(br1, br2, out=cols[..., 1])
@@ -276,35 +278,46 @@ def _unitary_cols(phi, basis, adjoints):
     return cols.reshape(npt, n * n, 2 * k)
 
 
-def _unitary_system(phi, h, basis, adjoints):
-    """Base point, realified columns and right-hand side of the phi-compat
-    least squares over the unitary family through the base point."""
+def _unitary_blocks(phi, h, basis, adjoints, solve):
+    """The member (A0_1 + V, A0_2 - V*) of the unitary family through the
+    Chern-like base point, V = sum (c_re + i c_im) s over the directions s of
+    ``basis``, whose coefficients c ``solve`` picks from the phi-compat least
+    squares.  The base point and its residual are stencil work, done once over
+    the grid; the pointwise systems are built and solved one block of
+    ``_BLOCK`` grid points at a time, so their memory is one block's.  For a
+    block of flat grid points ``blk``, ``adjoints(blk)`` gives the h-adjoints
+    of ``basis`` there and ``solve(blk, mats, y)`` the coefficients from the
+    realified columns mats (points, 2n^2, 2K) and right-hand side y."""
     if h.chart != phi.chart:
         raise DomainMismatchError("h and phi live on different charts, so on different stencils or grids")
-    npt = phi.chart.nx * phi.chart.ny
-    a0_1, a0_2 = _unitary_base(h)
-    r0 = covariant_d(LieForm(phi.chart, 1, d1=a0_1, d2=a0_2), phi).d0.reshape(npt, -1)
-    mats = _realify_rows(_unitary_cols(phi, basis, adjoints))  # (npt, 2n^2, 2d)
-    y = _realify_rows((-r0)[..., None])[..., 0]
-    return a0_1, a0_2, mats, y
-
-
-def _unitary_member(phi, h, basis, coef, a0_1, a0_2):
-    """The family member (A0_1 + V, A0_2 - V*) for V = sum (coef_re + i coef_im) basis."""
     ch, n = phi.chart, phi.n
     npt = ch.nx * ch.ny
-    v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], np.stack(basis))
-    v2 = -fiber.h_adjoint(v1, h.data.reshape(npt, n, n), h.inv().reshape(npt, n, n))
-    return a0_1 + v1.reshape(ch.nx, ch.ny, n, n), a0_2 + v2.reshape(ch.nx, ch.ny, n, n)
+    a0_1, a0_2 = _unitary_base(h)
+    r0 = covariant_d(LieForm(ch, 1, d1=a0_1, d2=a0_2), phi).d0.reshape(npt, -1)
+    p1, p2, hh, hinv = (f.reshape(npt, n, n) for f in (phi.d1, phi.d2, h.data, h.inv()))
+    bstack = np.stack(basis)
+    a1, a2 = a0_1.reshape(npt, n, n).copy(), a0_2.reshape(npt, n, n).copy()
+    for start in range(0, npt, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        mats = _realify_rows(_unitary_cols(p1[blk], p2[blk], bstack, adjoints(blk)))
+        y = _realify_rows((-r0[blk])[..., None])[..., 0]
+        coef = solve(blk, mats, y)
+        v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], bstack)
+        a1[blk] += v1
+        a2[blk] -= fiber.h_adjoint(v1, hh[blk], hinv[blk])
+    return a1.reshape(ch.nx, ch.ny, n, n), a2.reshape(ch.nx, ch.ny, n, n)
 
 
-def _fill_in_unitary(phi, h, method):
-    basis = fiber.sigma_plus_basis(phi.n)
+def _fill_in_unitary(phi, h):
     # every Newton-map evaluation calls fill_in with the same h, so the
     # adjoints of its directions are kept on the field
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, h.sigma_adjoints)
-    coef = _solve_batched(mats, y, method, "fill_in(unitary)")
-    return _unitary_member(phi, h, basis, coef, a0_1, a0_2)
+    return _unitary_blocks(
+        phi,
+        h,
+        fiber.sigma_plus_basis(phi.n),
+        lambda blk: h.sigma_adjoints()[blk],
+        lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
+    )
 
 
 def curvature_total(a_form: LieForm, phi: LieForm, psi: LieForm) -> LieForm:
@@ -337,37 +350,41 @@ def inject_covector(phi: LieForm, h: HermitianField, t: CovectorField) -> LieFor
     ``h``, as for ``fill_in``.
     """
     n = phi.n
-    ch = phi.chart
-    npt = ch.nx * ch.ny
+    npt = phi.chart.nx * phi.chart.ny
     basis = fiber.sl_basis(n)
-    a0_1, a0_2, mats, y = _unitary_system(phi, h, basis, lambda: _h_adjoints(h, basis))
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
     powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
-    a0m = fiber.sigma_split(a0_1)[1].reshape(npt, n, n)
-    crows, cvals = [], []
-    for k, pw in zip(range(2, n + 1), powers):
-        base = np.einsum("pij,pji->p", pw, a0m)
-        tk = t.comp(k).reshape(npt)
-        cus = [np.einsum("pij,ji->p", pw, fiber.sigma_split(s)[1]) for s in basis]
-        row = np.stack([c for cu in cus for c in (cu, 1j * cu)], axis=-1)  # (npt, 2d) complex
-        crows.extend([row.real, row.imag])
-        rhsk = tk - base
-        cvals.extend([rhsk.real, rhsk.imag])
-    cmat = np.stack(crows, axis=-2)  # (npt, 2(n-1), 2d)
-    cval = np.stack(cvals, axis=-1)  # (npt, 2(n-1))
-    d2 = mats.shape[-1]
-    ncon = cmat.shape[-2]
-    g = np.swapaxes(mats, -1, -2) @ mats
-    kkt = np.zeros((npt, d2 + ncon, d2 + ncon))
-    kkt[:, :d2, :d2] = 2.0 * g
-    kkt[:, :d2, d2:] = np.swapaxes(cmat, -1, -2)
-    kkt[:, d2:, :d2] = cmat
-    rhs = np.zeros((npt, d2 + ncon))
-    rhs[:, :d2] = 2.0 * (np.swapaxes(mats, -1, -2) @ y[..., None])[..., 0]
-    rhs[:, d2:] = cval
-    try:
-        sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise TransversalityError(f"inject_covector: singular KKT system ({exc})") from exc
-    a1, a2 = _unitary_member(phi, h, basis, sol[:, :d2], a0_1, a0_2)
-    return LieForm(ch, 1, d1=a1, d2=a2)
+    targets = [t.comp(k).reshape(npt) for k in range(2, n + 1)]
+    odd = [fiber.sigma_split(s)[1] for s in basis]
+
+    def solve(blk, mats, y):
+        a0m = fiber.sigma_split(_unitary_base(h)[0].reshape(npt, n, n)[blk])[1]
+        crows, cvals = [], []
+        for pw, tk in zip(powers, targets):
+            pw = pw[blk]
+            base = np.einsum("pij,pji->p", pw, a0m)
+            cus = [np.einsum("pij,ji->p", pw, s) for s in odd]
+            row = np.stack([c for cu in cus for c in (cu, 1j * cu)], axis=-1)  # (points, 2d) complex
+            crows.extend([row.real, row.imag])
+            rhsk = tk[blk] - base
+            cvals.extend([rhsk.real, rhsk.imag])
+        cmat = np.stack(crows, axis=-2)  # (points, 2(n-1), 2d)
+        d2, ncon, pts = mats.shape[-1], cmat.shape[-2], mats.shape[0]
+        kkt = np.zeros((pts, d2 + ncon, d2 + ncon))
+        kkt[:, :d2, :d2] = 2.0 * (np.swapaxes(mats, -1, -2) @ mats)
+        kkt[:, :d2, d2:] = np.swapaxes(cmat, -1, -2)
+        kkt[:, d2:, :d2] = cmat
+        rhs = np.zeros((pts, d2 + ncon))
+        rhs[:, :d2] = 2.0 * (np.swapaxes(mats, -1, -2) @ y[..., None])[..., 0]
+        rhs[:, d2:] = np.stack(cvals, axis=-1)
+        try:
+            return np.linalg.solve(kkt, rhs[..., None])[:, :d2, 0]
+        except np.linalg.LinAlgError as exc:
+            # LU finds an exact zero pivot, as solve did, where the sign of the determinant is 0
+            point = blk.start + int(np.argmax(np.linalg.slogdet(kkt)[0] == 0))
+            raise TransversalityError(
+                f"inject_covector: singular KKT system at grid point {point} ({exc})", point=point
+            ) from exc
+
+    a1, a2 = _unitary_blocks(phi, h, basis, lambda blk: _h_adjoints(h, basis, blk), solve)
+    return LieForm(phi.chart, 1, d1=a1, d2=a2)

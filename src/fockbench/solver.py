@@ -439,7 +439,8 @@ class LinearizedContext:
         active points; column (q, b) is the coordinate of e_b(q); flat indices
         follow ``coords.ravel()``.  It is L = -Re F_act^T (Y Q X + M) F, every
         factor sparse, on the frame s = ``sigma_plus_basis``:
-        - F(p)[i, a] = tr(s_i^+ e_a(p)) per point; F_act^T is zero off the active points.
+        - F(p)[i, a] = tr(s_i^+ e_a(p)) per point; F_act^T is F^T on the active points
+          alone, so Y Q X + M is formed on the active points' rows only.
         - X = kron(D_z, [I; 0]) + kron(D_zbar, [0; I]) + diag([ad A_1; ad A_2]) is
           d_A in the frame, ad A_k = tr(s^+ [A_k, s]), rows (p, k, i); Q acts per point.
         - Y = kron(D_zbar, [-T, 0]) + kron(D_z, [0, T]) + diag([-ad' A_2, ad' A_1])
@@ -457,12 +458,20 @@ class LinearizedContext:
         x = sparse.kron(dz, np.vstack([eye, zero]), "csr") + sparse.kron(dzbar, np.vstack([zero, eye]), "csr")
         x = x + _block_diagonal(np.concatenate([_ad_traces(a1, sdag, s), _ad_traces(a2, sdag, s)], axis=1))
         y = sparse.kron(dzbar, np.hstack([-t, zero]), "csr") + sparse.kron(dz, np.hstack([zero, t]), "csr")
-        y = y + _block_diagonal(np.concatenate([-_ad_traces(a2, s, s), _ad_traces(a1, s, s)], axis=2))
-        core = y @ _block_diagonal(self._qmat) @ x + _block_diagonal(zeroth)
+        # CSR products and sums compute each row on its own, so the active rows
+        # alone give the same bits as the full product restricted to them
+        active = self.space.active.ravel()
+        points = np.flatnonzero(active)
+        rows = (points[:, None] * m + np.arange(m)).ravel()
+        y = (y + _block_diagonal(np.concatenate([-_ad_traces(a2, s, s), _ad_traces(a1, s, s)], axis=2)))[rows]
+        core = y @ _block_diagonal(self._qmat) @ x + _block_diagonal(zeroth)[rows]
         del x, y  # the stencil factors go before the outer products, which lowers the peak memory
         f = _trace_pairs(sdag, self.space.basis).reshape(npt, m, self.space.dim)
-        f_act = np.swapaxes(f, -1, -2) * self.space.active.ravel()[:, None, None]
-        mat = -(_block_diagonal(f_act) @ core @ _block_diagonal(f)).real
+        f_act = sparse.bsr_array(
+            (np.swapaxes(f[points], -1, -2), np.arange(points.size), np.concatenate([[0], np.cumsum(active)])),
+            shape=(npt * self.space.dim, points.size * m),
+        ).tocsr()
+        mat = -(f_act @ core @ _block_diagonal(f)).real
         mat.eliminate_zeros()
         return mat
 

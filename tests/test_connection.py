@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def test_fill_in_requires_psi_or_h():
         cn.fill_in(phi)
 
 
-def test_fill_in_determinism_two_methods():
+def test_fill_in_determinism_two_methods(pinv_fill_in):
     rng = np.random.default_rng(0)
     ch = chm.periodic_chart(16, 16)
     n = 3
@@ -99,12 +101,12 @@ def test_fill_in_determinism_two_methods():
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
     psi = cn.hermitian_adjoint_field(phi, h)
-    a1 = cn.fill_in(phi, psi, method="normal")
-    a2 = cn.fill_in(phi, psi, method="svd")
+    a1 = cn.fill_in(phi, psi)
+    a2 = pinv_fill_in(phi, psi)
     diff = max(np.abs(a1.d1 - a2.d1).max(), np.abs(a1.d2 - a2.d2).max())
     assert diff < 1e-10
-    u1 = cn.fill_in(phi, h=h, method="normal")
-    u2 = cn.fill_in(phi, h=h, method="svd")
+    u1 = cn.fill_in(phi, h=h)
+    u2 = pinv_fill_in(phi, h=h)
     diff = max(np.abs(u1.d1 - u2.d1).max(), np.abs(u1.d2 - u2.d2).max())
     assert diff < 1e-10
 
@@ -167,12 +169,10 @@ def test_unitary_fill_in_rejects_h_on_another_chart():
     assert "_derived" not in masked.__dict__  # nothing was differentiated on the wrong stencil
 
 
-def test_fill_in_method_is_normal_or_svd():
+def test_fill_in_matches_the_pinv_oracle_on_a_disk(pinv_fill_in):
     _, phi, h = sv._fuchsian_fields(2, chm.disk_chart(16, 16, 0.5), 1.0)
-    normal, svd = cn.fill_in(phi, h=h), cn.fill_in(phi, h=h, method="svd")
+    normal, svd = cn.fill_in(phi, h=h), pinv_fill_in(phi, h=h)
     assert np.abs(normal.d1 - svd.d1).max() < 1e-10
-    with pytest.raises(ValueError, match="'method' must be 'normal' or 'svd', got 'bogus'"):
-        cn.fill_in(phi, h=h, method="bogus")
 
 
 def test_pointwise_singularity_test_ignores_column_scale():
@@ -184,11 +184,11 @@ def test_pointwise_singularity_test_ignores_column_scale():
     mats[:, :, 2] *= 1e-9
     rhs = rng.standard_normal((4, 6))
     want = np.stack([np.linalg.lstsq(m, r, rcond=None)[0] for m, r in zip(mats, rhs)])
-    got = cn._solve_batched(mats, rhs, "normal", "test")
+    got = cn._solve_batched(mats, rhs, "test")
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     mats[1, :, 0] = 0.0
     with pytest.raises(TransversalityError, match="test: singular pointwise system") as info:
-        cn._solve_batched(mats, rhs, "normal", "test")
+        cn._solve_batched(mats, rhs, "test")
     assert info.value.point == 1
 
 
@@ -204,6 +204,66 @@ def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
+
+
+def _unitary_cases(n):
+    """A Fuchsian disk and a periodic chart with a random metric and covector,
+    neither point count a multiple of 7."""
+    _, phi, h = sv._fuchsian_fields(n, chm.disk_chart(18, 18, 0.5), 2.0)
+    yield phi, h, chm.CovectorField(phi.chart, n, {})
+    rng = np.random.default_rng(n)
+    ch = chm.periodic_chart(15, 15)
+    mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
+    g = np.eye(n) + 0.2 * (rng.standard_normal((15, 15, n, n)) + 1j * rng.standard_normal((15, 15, n, n)))
+    h = cn.hermitian_structure(ch, g @ fiber.dagger(g))
+    t = chm.CovectorField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in range(2, n + 1)})
+    yield hf.fock_form(ch, mu), h, t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unitary_solves_are_bitwise_the_same_for_every_block_size(monkeypatch, n):
+    # every step per block is a per-point product, eigenvalue test or solve, so
+    # blocks of 1 point, of 7 points (the last one partial) and one block of
+    # all points give the same bits
+    for phi, h, t in _unitary_cases(n):
+        got = []
+        for block in (1, 7, phi.chart.nx * phi.chart.ny):
+            monkeypatch.setattr(cn, "_BLOCK", block)
+            forms = (cn.fill_in(phi, h=h), cn.inject_covector(phi, h, t))
+            got.append([_bits(a.view(float)) for form in forms for a in (form.d1, form.d2)])
+        assert got[0] == got[1] == got[2]
+
+
+def test_blocked_solves_name_the_grid_point_of_a_singular_system(monkeypatch):
+    monkeypatch.setattr(cn, "_BLOCK", 7)
+    ch = chm.periodic_chart(10, 10)  # 100 points: 14 blocks of 7, then a block of 2
+    phi = _const_fock(ch, 3, [0.1, 0.05])
+    phi.d1[9, 9] = phi.d2[9, 9] = 0.0  # flat point 99, the second point of the last block
+    h = cn.identity_hermitian(ch, 3)
+    with pytest.raises(TransversalityError, match=r"fill_in\(unitary\): singular pointwise system") as info:
+        cn.fill_in(phi, h=h)
+    assert info.value.point == 99
+    with pytest.raises(TransversalityError, match="inject_covector: singular KKT system at grid point 99") as info:
+        cn.inject_covector(phi, h, chm.CovectorField(ch, 3, {}))
+    assert info.value.point == 99
+
+
+@pytest.mark.parametrize("solver, bound_mib", [("inject_covector", 12.0), ("fill_in", 5.0)])
+def test_unitary_solves_hold_one_block_of_points(solver, bound_mib):
+    # the pointwise systems are built one block at a time, so the traced peak
+    # on a 64^2 disk (n = 3) is a few grid-sized arrays; built for the whole
+    # grid at once they peaked at 44.6 MiB (inject_covector) and 8.3 MiB (fill_in)
+    _, phi, h = sv._fuchsian_fields(3, chm.disk_chart(64, 64, 0.5), 2.0)
+    t = chm.CovectorField(phi.chart, 3, {})
+    solve = {"inject_covector": lambda: cn.inject_covector(phi, h, t), "fill_in": lambda: cn.fill_in(phi, h=h)}[solver]
+    solve()  # h's inverse, base point and adjoints are cached on the field first
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def _eager_report(phi, psi, h, conn):
