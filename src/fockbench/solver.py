@@ -17,7 +17,9 @@ admissible coordinates to the constant sigma_plus_basis frame, X is d_A there,
 Q the pointwise involution, Y pairs d_A of a 1-form with the frame and M is
 the zeroth-order block.  The block-Jacobi preconditioner is the inverse of that
 matrix's pointwise diagonal blocks.  The strong form stays the field-level
-reference.
+reference.  The functions that build these CSR arrays, and
+``chart.difference_matrix``, are the only ones that import scipy, so a
+process that never assembles the matrix never loads it.
 
 Newton continuation drives the projected curvature moments to the value they
 take at the discrete Fuchsian reference (the O(h^2) discretization floor is
@@ -34,7 +36,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import fiber
 from .chart import BeltramiField, Chart, LieForm, ScalarField, covariant_d, difference_matrix
@@ -367,6 +368,8 @@ def _zeroth_traces(s, p1, p2, q1, q2):
 
 def _block_diagonal(stack):
     """The block-diagonal CSR array of a (k, r, c) stack of blocks."""
+    from scipy import sparse
+
     k, r, c = stack.shape
     return sparse.bsr_array((stack, np.arange(k), np.arange(k + 1)), shape=(k * r, k * c)).tocsr()
 
@@ -433,7 +436,7 @@ class LinearizedContext:
         return (self.matrix @ coords.ravel()).reshape(coords.shape)
 
     @cached_property
-    def matrix(self) -> sparse.csr_array:
+    def matrix(self):
         """Galerkin matrix of ``apply`` in admissible coordinates, built on
         first use: row (p, a) is the moment against e_a(p), empty off the
         active points; column (q, b) is the coordinate of e_b(q); flat indices
@@ -447,6 +450,8 @@ class LinearizedContext:
           pairs d_A of a 1-form with s, T = tr(s s), ad' A_k = tr(s [A_k, s]).
         - M(p) = tr(s zeroth(s)).
         """
+        from scipy import sparse
+
         ch, n, m, npt = self.chart, self.n, self._m, self.chart.nx * self.chart.ny
         s, sdag = self._s_plus, fiber.dagger(self._s_plus)
         a1, a2 = (a.reshape(npt, n, n) for a in (self.a_form.d1, self.a_form.d2))
@@ -476,10 +481,12 @@ class LinearizedContext:
         return mat
 
     @cached_property
-    def jacobi(self) -> sparse.csr_array:
+    def jacobi(self):
         """Block-Jacobi preconditioner, built on first use: the inverse of
         ``matrix``'s d x d diagonal block at each active point, with empty rows
         and columns off the active points."""
+        from scipy import sparse
+
         d = self.space.dim
         active = self.space.active.ravel()
         points = np.flatnonzero(active)

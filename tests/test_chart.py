@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -155,6 +156,56 @@ def test_rect_stencil_is_masked_stencil_with_full_mask(shape, dtype):
                 want = ref(ch, axis, h)
                 assert got.dtype == arr.dtype
                 assert np.array_equal(got.astype(want.dtype).view(float), want.view(float)), (ch.kind, boundary, axis)
+
+
+def _bits(x):
+    """The float bits of ``x``, every NaN made the same NaN: equal bits mean
+    equal values, signed zeros and infinities included, and NaN at the same
+    places."""
+    v = np.array(x).view(float)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(8, 22), (9, 14), (8, 22, 3, 3), (9, 14, 3, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stencils_are_the_difference_matrix_products(shape, dtype):
+    """``dx_array``/``dy_array`` against the CSR product with
+    ``difference_matrix`` bit for bit, on inputs planted with +0.0, -0.0,
+    +-inf and NaN: each row sums from zero in formula order in both, so a sum
+    of zeros comes out +0.0 in both."""
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    arr = np.empty(shape, dtype=dtype)
+    parts = arr.view(float)  # real and imaginary parts interleaved
+    parts[...] = rng.standard_normal(parts.shape)
+    planted = rng.random(parts.shape) < 0.5
+    parts[planted] = rng.choice(specials, p=[0.4, 0.4, 0.07, 0.07, 0.06], size=planted.sum())
+    assert np.signbit(parts[parts == 0]).any() and np.isinf(parts).any() and np.isnan(parts).any()
+    nx, ny = shape[:2]
+    flat = arr.view(float).reshape(nx * ny, -1)
+    for ch in (chm.periodic_chart(nx, ny, 1.0, 0.9), chm.disk_chart(nx, ny, 0.5)):
+        for boundary in ("periodic", "zerofill", "masked", "rect"):
+            for derivative, axis, h in ((chm.dx_array, 0, ch.hx), (chm.dy_array, 1, ch.hy)):
+                # warning-free like the CSR product; only the complex division by 2h may warn
+                with np.errstate(invalid="ignore") if dtype is complex else contextlib.nullcontext():
+                    got = derivative(ch, arr, boundary)
+                with np.errstate(invalid="ignore"):
+                    want = (chm.difference_matrix(ch, boundary, axis) @ flat).reshape(arr.view(float).shape).view(dtype)
+                    want /= 2 * h
+                assert got.dtype == arr.dtype and got.shape == arr.shape
+                assert np.array_equal(_bits(got), _bits(want)), (ch.kind, boundary, axis)
+
+
+@pytest.mark.parametrize("chart", [chm.disk_chart(8, 22), chm.disk_chart(33, 33), chm.periodic_chart(9, 14)])
+def test_stencil_cases_give_each_point_one_row(chart):
+    # the numpy apply overwrites every non-central row, so the cases must cover each point exactly once
+    for boundary in ("periodic", "zerofill", "masked", "rect"):
+        for axis in (0, 1):
+            cases = chm._stencil_cases(chart, boundary, axis)
+            points = np.concatenate([pts for pts, _ in cases])
+            assert np.array_equal(np.sort(points), np.arange(chart.nx * chart.ny)), (boundary, axis)
+            assert cases[0][1] == ((1, 1.0), (-1, -1.0))
+            assert not any(pts.flags.writeable for pts, _ in cases)
 
 
 @pytest.mark.parametrize("chart", [chm.disk_chart(128, 128), chm.periodic_chart(128, 128)], ids=["disk", "periodic"])

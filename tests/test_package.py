@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fockbench
 
 
@@ -67,7 +69,7 @@ def test_only_the_stencil_primitives_take_a_boundary():
     # the stencil policy is the chart's field; only chart's primitives take one
     root = Path(fockbench.__file__).parent
     takers = {path.name: _boundary_takers(path.read_text()) for path in sorted(root.glob("*.py"))}
-    primitives = ["difference_matrix", "dx_array", "dy_array", "_d_dispatch", "dz_array", "dzbar_array"]
+    primitives = ["_stencil_cases", "_sided_gathers", "difference_matrix", "dx_array", "dy_array", "_d_dispatch", "dz_array", "dzbar_array"]
     assert takers.pop("chart.py") == primitives
     assert {name: found for name, found in takers.items() if found} == {}
     assert _boundary_takers("def f(a, *, boundary=None): pass\ng = lambda boundary: 0\n") == ["f", "<lambda>"]
@@ -85,22 +87,70 @@ def _fresh_python(*args, cwd=None):
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
-def test_import_loads_only_sparse_of_scipy():
-    # the c0 search is in-package; scipy.optimize would add its linalg, special and fft to every process
-    code = "import json, sys, fockbench\nprint(json.dumps({k: hasattr(m, '__path__') for k, m in sys.modules.items()}))"
+def _scipy_modules(imported):
+    return [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_import_loads_no_scipy():
+    # the stencils are numpy; scipy.sparse loads only where the solver assembles its Galerkin matrix
+    code = "import json, sys, fockbench\nprint(json.dumps(sorted(sys.modules)))"
     proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "fockbench.solver" in loaded
-    assert [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")] == []
-    assert {m.split(".")[1] for m, package in loaded.items() if package and m.startswith("scipy.")} == {"_lib", "sparse"}
+    assert _scipy_modules(loaded) == []
+
+
+def _run_cli(tmp_path, *args):
+    """``python -m fockbench *args`` in a fresh interpreter under ``-X
+    importtime``; its report and the modules it imported."""
+    proc = _fresh_python("-X", "importtime", "-m", "fockbench", *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return json.loads(proc.stdout), imported
+
+
+def _config(tmp_path, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "o"))))
+    return str(path)
 
 
 def test_python_m_fockbench_runs_the_cli(tmp_path):
-    # -X importtime lists every module the run imports on stderr
-    proc = _fresh_python("-X", "importtime", "-m", "fockbench", "fiber-verify", "--n", "3", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["status"] == "ok"
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    report, imported = _run_cli(tmp_path, "fiber-verify", "--n", "3")
+    assert report["status"] == "ok"
     assert "fockbench.cli" in imported
-    assert [m for m in imported if m.startswith("scipy.optimize")] == []
+    assert _scipy_modules(imported) == []
+
+
+_DISK12 = {"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5}
+_PERIODIC12 = {"kind": "periodic-rect", "nx": 12, "ny": 12}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("fillin", {"n": 3, "chart": _PERIODIC12, "beltrami": {"3": {"type": "bump", "center": [0.5, 0.5], "amplitude": 0.02}}}),
+        ("fuchsian", {"n": 2, "chart": _DISK12, "grids": [12, 16]}),
+    ],
+    ids=["fillin", "fuchsian"],
+)
+def test_stencil_commands_import_no_scipy(tmp_path, command, cfg):
+    report, imported = _run_cli(tmp_path, command, "--config", _config(tmp_path, cfg))
+    assert report["status"] == "ok"
+    assert _scipy_modules(imported) == []
+
+
+def test_solve_imports_scipy_sparse_when_it_assembles(tmp_path):
+    # nothing has loaded scipy in a fresh process, so this runs the solver's own imports
+    cfg = {
+        "n": 3,
+        "chart": _DISK12,
+        "beltrami": {"3": {"type": "bump", "center": [0.0, 0.0], "radius": 0.3, "amplitude": 0.01}},
+        "solver": {"continuation_steps": 1, "preconditioner": "jacobi"},
+    }
+    report, imported = _run_cli(tmp_path, "solve", "--config", _config(tmp_path, cfg))
+    assert report["status"] == "ok"
+    assert report["iteration_traces"]["per_step"][0]["newton_iters"] > 0
+    # a ``from scipy import sparse`` logs the package's own submodules, not the package
+    assert "scipy.sparse._csr" in imported
