@@ -3,16 +3,17 @@
 Grid layout: arrays are indexed ``data[i, j]`` with i the x-index and j the
 y-index; z = x + iy.  Complex derivatives combine d_x and d_y as
 d = (d_x - i d_y)/2 and dbar = (d_x + i d_y)/2; each d_x or d_y applies the
-second-order stencil under one of four boundary policies with numpy, from the
-table of stencil cases that ``difference_matrix`` also turns into the sparse
-matrix the solver assembles (the one use of scipy).  ``periodic`` wraps;
-``zerofill`` drops the neighbours off the grid (exactly skew-adjoint; the
-solver's choice on disks); ``masked`` treats points outside the disk mask as
-missing, with one-sided stencils along the boundary band, first order where
-only one neighbour exists and an empty row where none does; ``rect`` is
-``masked`` with the whole rectangle valid.  The
-policy belongs to the chart: every derivative of a field uses its chart's
-``Chart.stencil``, and only the stencil primitives take one as an argument.
+second-order stencil under one of four boundary policies with numpy, from one
+table of rows with explicit neighbour indices that ``difference_matrix`` also
+turns into the sparse matrix the solver assembles (the one use of scipy).
+``periodic`` wraps; ``zerofill`` drops the neighbours off the grid (exactly
+skew-adjoint; the solver's choice on disks): both are rows of the table for
+the first and last line along the axis.  ``masked`` treats points outside the
+disk mask as missing, with one-sided stencils along the boundary band, first
+order where only one neighbour exists and an empty row where none does;
+``rect`` is ``masked`` with the whole rectangle valid.  The policy belongs to
+the chart: every derivative of a field uses its chart's ``Chart.stencil``, and
+only the stencil primitives take one as an argument.
 
 Form conventions (fixed once, used by every module):
 
@@ -212,34 +213,34 @@ CovectorField = BeltramiField
 # stencils
 
 
-_CENTRAL = ((1, 1.0), (-1, -1.0))  # (neighbour offset, weight): f(+1) - f(-1)
-
-
 @lru_cache(maxsize=16)
-def _stencil_cases(chart: Chart, boundary: str, axis: int):
+def _stencil(chart: Chart, boundary: str, axis: int):
     """The rows of 2h d/d(axis) under a boundary policy of the module
-    docstring, as (points, terms) cases, built once per (chart, policy, axis):
-    each point of a case (a flat index i * ny + j) sums weight * f(point +
-    offset) over the case's (offset, weight) terms, in their order, starting
-    from zero.  The first case is ``_CENTRAL``; under ``periodic`` and
-    ``zerofill`` it holds every point, and its neighbours off the grid wrap or
-    are dropped.  Every other case holds the points of one one-sided formula,
-    or those with an empty row, and has all its neighbours valid; cases without
-    points are left out."""
+    docstring as one table (central, groups), built once per (chart, policy,
+    axis).  Each row sums weight * f(neighbour) over its terms, in formula
+    order, starting from zero; points and neighbours are flat indices i * ny +
+    j.  ``central`` holds the points whose row is f(+1) - f(-1) with both
+    neighbours valid and on the grid.  Every other row is in ``groups``, one
+    per number t of terms: its m points, their neighbours in formula order as
+    a (t, m) array, and the (t, m, 1) weights.  These are the first and last
+    line along the axis under ``periodic`` (wrapping to the opposite edge) and
+    ``zerofill`` (dropping the neighbour off the grid), and the one-sided and
+    empty rows under ``masked`` and ``rect``."""
     shape = (chart.nx, chart.ny)
     pos = np.indices(shape)[axis]
+    last = shape[axis] - 1
     valid = chart.mask() if boundary == "masked" else np.ones(shape, dtype=bool)
 
-    def has(k):  # the point and its k-th neighbour along the axis are valid
-        inside = True if boundary == "periodic" else (pos + k >= 0) & (pos + k < shape[axis])
-        return valid & np.roll(valid, -k, axis=axis) & inside
+    def has(k):  # the point and its k-th neighbour along the axis are valid and on the grid
+        return valid & np.roll(valid, -k, axis=axis) & (pos + k >= 0) & (pos + k <= last)
 
-    if boundary in ("periodic", "zerofill"):
-        cases = [(valid, _CENTRAL)]
-    elif boundary in ("masked", "rect"):
-        c = has(1) & has(-1)  # otherwise at most one side has neighbours
+    c = has(1) & has(-1)
+    if boundary == "periodic":
+        cases = [(pos == 0, ((1, 1.0), (last, -1.0))), (pos == last, ((-last, 1.0), (-1, -1.0)))]
+    elif boundary == "zerofill":
+        cases = [(pos == 0, ((1, 1.0),)), (pos == last, ((-1, -1.0),))]
+    elif boundary in ("masked", "rect"):  # off the central rows at most one side has neighbours
         cases = [
-            (c, _CENTRAL),
             (~c & has(1) & has(2), ((0, -3.0), (1, 4.0), (2, -1.0))),  # one-sided second order
             (~c & has(-1) & has(-2), ((0, 3.0), (-1, -4.0), (-2, 1.0))),
             (~c & has(1) & ~has(2), ((1, 2.0), (0, -2.0))),  # first order
@@ -248,62 +249,37 @@ def _stencil_cases(chart: Chart, boundary: str, axis: int):
         ]
     else:
         raise ValueError(f"unknown boundary policy {boundary!r}")
-    cases = [(np.flatnonzero(sel), terms) for i, (sel, terms) in enumerate(cases) if i == 0 or sel.any()]
-    for points, _ in cases:
-        points.flags.writeable = False  # shared by every caller through the cache
-    return tuple(cases)
-
-
-@lru_cache(maxsize=16)
-def _sided_gathers(chart: Chart, boundary: str, axis: int):
-    """The cases of ``_stencil_cases`` after the central one, those with the
-    same number t of terms merged, as gathers for ``_d_dispatch``: each
-    group's m points, the flat indices of their neighbours in formula order
-    as a (t, m) array, and the (t, m, 1) weights."""
-    _, *sided = _stencil_cases(chart, boundary, axis)
     step = chart.ny if axis == 0 else 1  # flat distance to the next point along the axis
-    gathers = []
-    for width in sorted({len(terms) for _, terms in sided}):
-        cases = [(pts, terms) for pts, terms in sided if len(terms) == width]
-        points = np.concatenate([pts for pts, _ in cases])
-        neighbours = np.empty((width, points.size), dtype=points.dtype)
-        weights = np.empty((width, points.size, 1))
-        start = 0
-        for pts, terms in cases:
-            for t, (k, w) in enumerate(terms):
-                neighbours[t, start : start + pts.size] = pts + k * step
-                weights[t, start : start + pts.size] = w
-            start += pts.size
-        for arr in (points, neighbours, weights):
-            arr.flags.writeable = False  # shared by every caller through the cache
-        gathers.append((points, neighbours, weights))
-    return tuple(gathers)
+    central, groups = np.flatnonzero(c), []
+    for t in sorted({len(terms) for sel, terms in cases if sel.any()}):
+        same = [(np.flatnonzero(sel), np.reshape(terms, (t, 1, 2))) for sel, terms in cases if len(terms) == t]
+        points = np.concatenate([pts for pts, _ in same])
+        neighbours = np.concatenate([pts + kw[..., 0].astype(int) * step for pts, kw in same], axis=1)
+        weights = np.concatenate([np.broadcast_to(kw[..., 1:], (t, pts.size, 1)) for pts, kw in same], axis=1)
+        groups.append((points, neighbours, weights))
+    for arr in (central, *(a for group in groups for a in group)):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return central, tuple(groups)
 
 
 @lru_cache(maxsize=16)
 def difference_matrix(chart: Chart, boundary: str, axis: int):
-    """``_stencil_cases`` as a CSR array on the flattened grid, built once per
-    (chart, policy, axis) for the solver's Galerkin matrix.  Each row keeps its
-    entries in the order of the formula it stands for, with the indices left
-    unsorted: a CSR product sums a row in storage order, so it rounds like the
-    written-out stencil, and like ``dx_array``/``dy_array``."""
+    """The ``_stencil`` table as a CSR array on the flattened grid, built once
+    per (chart, policy, axis) for the solver's Galerkin matrix.  Each row keeps
+    its entries in the order of the formula it stands for, with the indices
+    left unsorted: a CSR product sums a row in storage order, so it rounds like
+    the written-out stencil, and like ``dx_array``/``dy_array``."""
     from scipy import sparse
 
-    shape = (chart.nx, chart.ny)
-    point = np.arange(chart.nx * chart.ny, dtype=np.int32).reshape(shape)
-    pos = np.indices(shape)[axis].ravel()
-    rows, cols, vals = [], [], []
-    for points, terms in _stencil_cases(chart, boundary, axis):
-        for k, w in terms:
-            at = pos[points] + k
-            on = points if boundary == "periodic" else points[(at >= 0) & (at < shape[axis])]
-            rows.append(on)
-            cols.append(np.roll(point, -k, axis=axis).ravel()[on])
-            vals.append(np.full(on.size, w))
-    rows = np.concatenate(rows)
+    central, groups = _stencil(chart, boundary, axis)
+    step = chart.ny if axis == 0 else 1
+    size = chart.nx * chart.ny
+    rows = np.concatenate([central, central, *(np.tile(pts, len(nbrs)) for pts, nbrs, _ in groups)])
+    cols = np.concatenate([central + step, central - step, *(nbrs.ravel() for _, nbrs, _ in groups)])
+    vals = np.concatenate([np.ones(central.size), np.full(central.size, -1.0), *(w.ravel() for *_, w in groups)])
     order = np.argsort(rows, kind="stable")  # row by row, formula order within a row
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=point.size))]).astype(np.int32)
-    mat = sparse.csr_array((np.concatenate(vals)[order], np.concatenate(cols)[order], indptr), shape=(point.size,) * 2)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))]).astype(np.int32)
+    mat = sparse.csr_array((vals[order], cols[order].astype(np.int32), indptr), shape=(size, size))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False  # shared by every caller through the cache
     return mat
@@ -320,33 +296,22 @@ def dy_array(chart: Chart, arr, boundary: str | None = None):
 
 
 def _d_dispatch(chart, arr, axis, h, boundary):
-    """The stencil cases applied with numpy, each row summed from zero in its
-    formula order as a CSR product with ``difference_matrix`` sums it, so the
-    two agree bit for bit (a -0.0 sum turns +0.0 in both).  The central case
-    runs as two shifted updates of the whole flat grid; under ``periodic`` and
-    ``zerofill`` the first and last line along the axis, which took a neighbour
-    from across the grid edge, are then summed again, and under ``masked`` and
-    ``rect`` every non-central row is overwritten from ``_sided_gathers``."""
-    if boundary is None:
-        boundary = chart.stencil
+    """The ``_stencil`` table applied with numpy, each row summed from zero in
+    its formula order as a CSR product with ``difference_matrix`` sums it, so
+    the two agree bit for bit (a -0.0 sum turns +0.0 in both).  Two shifted
+    updates of the whole flat grid give every central row, then each group's
+    rows are overwritten by one gather; the same code serves every policy."""
     a = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    if a.shape[:2] != (chart.nx, chart.ny):
+        raise DomainMismatchError(f"an array of shape {a.shape} is not a grid array of the {(chart.nx, chart.ny)} chart")
+    _, groups = _stencil(chart, chart.stencil if boundary is None else boundary, axis)
     f = a.view(float).reshape(chart.nx * chart.ny, -1)  # one row per point, real and imaginary parts as columns
     out = np.empty_like(f)
     step = chart.ny if axis == 0 else 1  # flat distance to the next point along the axis
     with np.errstate(over="ignore", invalid="ignore"):  # warning-free on inf and NaN, as the CSR product
         np.add(f[step:], 0.0, out=out[:-step])  # 0 + f(+1); the rows left unset lie on the last line along the axis
         out[step:-step] -= f[: -2 * step]  # - f(-1)
-        if boundary in ("periodic", "zerofill"):
-            o, g = (x.reshape(chart.nx, chart.ny, -1) for x in (out, f))
-            if axis:
-                o, g = o.swapaxes(0, 1), g.swapaxes(0, 1)
-            o[0] = o[-1] = 0.0
-            o[0] += g[1]
-            if boundary == "periodic":
-                o[0] -= g[-1]
-                o[-1] += g[0]
-            o[-1] -= g[-2]
-        for points, neighbours, weights in _sided_gathers(chart, boundary, axis):
+        for points, neighbours, weights in groups:
             acc = np.zeros((points.size, f.shape[1]))
             for term in f.take(neighbours, axis=0) * weights:
                 acc += term

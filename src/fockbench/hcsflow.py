@@ -206,7 +206,7 @@ def eta_correction(phi: LieForm, aminus: LieForm, ham: HamiltonianTerm) -> LieFo
     defect = wedge_bracket(aminus, phi)
     dnorm = float(np.abs(defect.d0).max())
     scale = max(1.0, float(np.abs(aminus.d1).max()), float(np.abs(aminus.d2).max()))
-    if dnorm > 1e-8 * scale:
+    if not dnorm <= 1e-8 * scale:  # a NaN defect warns too
         warnings.warn(
             f"A^-sigma is not Phi-commuting: wedge defect {dnorm:.3e}; eta correction is approximate",
             stacklevel=2,

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -198,17 +199,28 @@ def test_stencils_are_the_difference_matrix_products(shape, dtype):
 
 @pytest.mark.parametrize("chart", [chm.disk_chart(8, 22), chm.disk_chart(33, 33), chm.periodic_chart(9, 14)])
 def test_stencil_cases_give_each_point_one_row(chart):
-    # the numpy apply overwrites every non-central row, so the cases must cover each point exactly once
+    # the numpy apply overwrites every group's rows, so the table must give each point exactly one row
+    size = chart.nx * chart.ny
     for boundary in ("periodic", "zerofill", "masked", "rect"):
         for axis in (0, 1):
-            cases = chm._stencil_cases(chart, boundary, axis)
-            points = np.concatenate([pts for pts, _ in cases])
-            assert np.array_equal(np.sort(points), np.arange(chart.nx * chart.ny)), (boundary, axis)
-            assert cases[0][1] == ((1, 1.0), (-1, -1.0))
-            assert not any(pts.flags.writeable for pts, _ in cases)
+            central, groups = chm._stencil(chart, boundary, axis)
+            points = np.concatenate([central, *(pts for pts, _, _ in groups)])
+            assert np.array_equal(np.sort(points), np.arange(size)), (boundary, axis)
+            along, across = (idx.ravel() for idx in np.indices((chart.nx, chart.ny))[[axis, 1 - axis]])
+            assert np.all((along[central] > 0) & (along[central] < (chart.nx, chart.ny)[axis] - 1)), (boundary, axis)
+            for pts, nbrs, weights in groups:
+                assert nbrs.shape == weights.shape[:2] == (len(nbrs), pts.size) and weights.shape[2] == 1
+                # on the grid and on the point's own line along the axis
+                assert np.all((nbrs >= 0) & (nbrs < size)), (boundary, axis)
+                assert np.array_equal(across[nbrs], np.broadcast_to(across[pts], nbrs.shape)), (boundary, axis)
+            assert not any(arr.flags.writeable for arr in (central, *(a for group in groups for a in group)))
 
 
-@pytest.mark.parametrize("chart", [chm.disk_chart(128, 128), chm.periodic_chart(128, 128)], ids=["disk", "periodic"])
+@pytest.mark.parametrize(
+    "chart",
+    [chm.disk_chart(128, 128), chm.periodic_chart(128, 128), chm.periodic_chart(96, 64), chm.disk_chart(64, 48)],
+    ids=["disk", "periodic", "periodic-96x64", "disk-64x48"],
+)
 def test_difference_matrix_is_skew_adjoint(chart):
     boundary = "periodic" if chart.periodic else "zerofill"
     rng = np.random.default_rng(6)
@@ -218,6 +230,13 @@ def test_difference_matrix_is_skew_adjoint(chart):
         assert (d + d.T).count_nonzero() == 0
         lhs, rhs = f @ (d @ g), -(d @ f) @ g
         assert abs(lhs - rhs) < 1e-12 * np.abs(f).sum() * np.abs(g).max()
+
+
+def test_stencils_reject_arrays_off_the_chart_grid():
+    ch = chm.disk_chart(8, 22)
+    for derivative, arr in ((chm.dx_array, np.zeros((22, 8))), (chm.dz_array, np.zeros(176, dtype=complex))):
+        with pytest.raises(DomainMismatchError, match=rf"{re.escape(str(arr.shape))}.*\(8, 22\)"):
+            derivative(ch, arr)
 
 
 def test_exterior_d_squares_to_zero():

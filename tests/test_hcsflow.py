@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ def test_eta_correction_warns_on_bad_precondition():
     w = chm.ScalarField(ch, np.ones((16, 16), dtype=complex))
     with pytest.warns(UserWarning):
         hf.eta_correction(phi, bad, hf.HamiltonianTerm(2, w))
+    # a NaN defect is no evidence of a met precondition: one NaN in the dzbar part warns
+    ch = chm.periodic_chart(8, 8)
+    phi = hf.fock_form(ch, _random_mu(ch, n, rng, 0.1))
+    zero = np.zeros_like(phi.d1)
+    nan = zero.copy()
+    nan[3, 4, 0, 1] = np.nan
+    w = chm.ScalarField(ch, np.ones((8, 8), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hf.eta_correction(phi, chm.LieForm(ch, 1, d1=zero, d2=zero), hf.HamiltonianTerm(2, w))
+    with pytest.warns(UserWarning, match="nan"):
+        hf.eta_correction(phi, chm.LieForm(ch, 1, d1=zero, d2=nan), hf.HamiltonianTerm(2, w))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
