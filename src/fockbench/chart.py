@@ -13,7 +13,8 @@ disk mask as missing, with one-sided stencils along the boundary band, first
 order where only one neighbour exists and an empty row where none does;
 ``rect`` is ``masked`` with the whole rectangle valid.  The policy belongs to
 the chart: every derivative of a field uses its chart's ``Chart.stencil``, and
-only the stencil primitives take one as an argument.
+only ``dx_array``, ``dy_array``, ``dz_array`` and ``dzbar_array`` take one as
+an argument.
 
 Form conventions (fixed once, used by every module):
 
@@ -47,7 +48,6 @@ __all__ = [
     "exterior_d",
     "wedge_bracket",
     "covariant_d",
-    "integrate",
     "bump_field",
     "random_smooth_scalar",
     "save_scalar_csv",
@@ -81,6 +81,8 @@ class Chart:
         if self.stencil not in ("periodic", "zerofill", "masked", "rect"):
             raise ValueError(f"'stencil' must be one of periodic, zerofill, masked, rect, got {self.stencil!r}")
         if self.kind == "periodic-rect":
+            if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+                raise ValueError(f"'lx' and 'ly' must be finite and positive, got {self.lx!r} x {self.ly!r}")
             object.__setattr__(self, "hx", self.lx / self.nx)
             object.__setattr__(self, "hy", self.ly / self.ny)
         elif self.kind == "dirichlet-disk":
@@ -163,9 +165,6 @@ class ScalarField:
     chart: Chart
     data: np.ndarray  # (nx, ny) complex
 
-    def copy(self):
-        return ScalarField(self.chart, self.data.copy())
-
 
 @dataclass
 class LieForm:
@@ -181,10 +180,6 @@ class LieForm:
     def n(self):
         arr = self.d0 if self.degree != 1 else self.d1
         return arr.shape[-1]
-
-    def copy(self):
-        cp = lambda a: None if a is None else a.copy()
-        return LieForm(self.chart, self.degree, cp(self.d0), cp(self.d1), cp(self.d2))
 
 
 @dataclass
@@ -263,15 +258,16 @@ def _stencil(chart: Chart, boundary: str, axis: int):
 
 
 @lru_cache(maxsize=16)
-def difference_matrix(chart: Chart, boundary: str, axis: int):
-    """The ``_stencil`` table as a CSR array on the flattened grid, built once
-    per (chart, policy, axis) for the solver's Galerkin matrix.  Each row keeps
-    its entries in the order of the formula it stands for, with the indices
-    left unsorted: a CSR product sums a row in storage order, so it rounds like
-    the written-out stencil, and like ``dx_array``/``dy_array``."""
+def difference_matrix(chart: Chart, axis: int):
+    """The ``_stencil`` table of the chart's own stencil as a CSR array on the
+    flattened grid, built once per (chart, axis) for the solver's Galerkin
+    matrix.  Each row keeps its entries in the order of the formula it stands
+    for, with the indices left unsorted: a CSR product sums a row in storage
+    order, so it rounds like the written-out stencil, and like
+    ``dx_array``/``dy_array``."""
     from scipy import sparse
 
-    central, groups = _stencil(chart, boundary, axis)
+    central, groups = _stencil(chart, chart.stencil, axis)
     step = chart.ny if axis == 0 else 1
     size = chart.nx * chart.ny
     rows = np.concatenate([central, central, *(np.tile(pts, len(nbrs)) for pts, nbrs, _ in groups)])
@@ -382,28 +378,6 @@ def covariant_d(a_form: LieForm, omega: LieForm) -> LieForm:
     return LieForm(omega.chart, 2, d0=d.d0 + a1 @ w2 - w2 @ a1 - (a2 @ w1 - w1 @ a2))
 
 
-def integrate(f):
-    """Midpoint-rule integral over the chart; disk charts sum mask points only.
-
-    ScalarField: returns sum(f) * hx * hy.  Degree-2 LieForm: integrates the
-    stored coefficient entrywise against dx dy (the caller accounts for the
-    dz^dzbar = -2i dx dy factor where needed).
-    """
-    if isinstance(f, ScalarField):
-        ch, data = f.chart, f.data
-    elif isinstance(f, LieForm):
-        if f.degree != 2:
-            raise DomainMismatchError("integrate expects a scalar or degree-2 form")
-        ch, data = f.chart, f.d0
-    else:
-        raise TypeError("integrate expects ScalarField or LieForm")
-    m = ch.mask()
-    if data.ndim > 2:
-        sel = data[m]
-        return sel.sum(axis=0) * ch.hx * ch.hy
-    return data[m].sum() * ch.hx * ch.hy
-
-
 # ---------------------------------------------------------------------------
 # field constructors
 
@@ -484,13 +458,21 @@ def _parse_index(path, line, row, fields, shape):
     return idx
 
 
+def _require_complete(path, seen, what=""):
+    """A ValueError naming path and the first index that no row set."""
+    if not seen.all():
+        idx = tuple(int(k) for k in np.argwhere(~seen)[0])
+        raise ValueError(f"{path}: no row for index {idx}{what}")
+
+
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
-    """Read a scalar field; a header other than i,j,re,im, a malformed row or
-    an index outside the grid (negative ones included) is a ValueError naming
-    path and line."""
+    """Read a scalar field; a header other than i,j,re,im, a malformed row, an
+    index outside the grid (negative ones included) or a grid point without a
+    row is a ValueError naming path (and line or index)."""
     shape = (chart.nx, chart.ny)
     rows, cols = _index_text(shape)
     data = np.zeros(shape, dtype=complex)
+    seen = np.zeros(shape, dtype=bool)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
@@ -507,6 +489,8 @@ def load_scalar_csv(path, chart: Chart) -> ScalarField:
             except KeyError:
                 idx = _parse_index(path, r.line_num, row, (i, j), shape)
             data[idx] = v
+            seen[idx] = True
+    _require_complete(path, seen)
     return ScalarField(chart, data)
 
 
@@ -527,12 +511,13 @@ def save_lieform_csv(path, form: LieForm):
 def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
     """Read a Lie-valued form; a header other than ``_MATRIX_HEADER``, a
     malformed row, an index outside the grid or the matrix (negative ones
-    included), a component label the degree does not have, or a missing
-    component is a ValueError naming the path (and the line)."""
+    included), a component label the degree does not have, a missing
+    component, or an entry of a component without a row is a ValueError naming
+    the path (and the line or index)."""
     comps = ("dz", "dzb") if degree == 1 else ("0",)
     shape = (chart.nx, chart.ny, n, n)
     rows, cols, entries = _index_text(shape[:3])
-    grids = {}
+    grids, seen = {}, {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
@@ -555,10 +540,14 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
                         f"{path}, line {r.line_num}: component {comp!r} is not one of {comps} of a degree-{degree} form"
                     )
                 g = grids[comp] = np.zeros(shape, dtype=complex)
+                seen[comp] = np.zeros(shape, dtype=bool)
             g[idx] = v
+            seen[comp][idx] = True
     missing = [c for c in comps if c not in grids]
     if missing:
         raise ValueError(f"{path}: no rows of component {missing[0]!r} of a degree-{degree} form")
+    for c in comps:
+        _require_complete(path, seen[c], f" of component {c!r}")
     if degree == 1:
         return LieForm(chart, 1, d1=grids["dz"], d2=grids["dzb"])
     return LieForm(chart, degree, d0=grids["0"])

@@ -273,7 +273,7 @@ def _cmd_fiber_verify(cfg, out, rep):
     checks["center_in_image"] = _sup(image)
     checks["centralizer_abelian"] = _sup(brackets)
     if n <= 6:
-        wb = fiber.weight_basis(n, exact=True)
+        wb = fiber.weight_basis(n)
         bad = 0
         for (i, j, gi) in wb:
             for (k, l, gk) in wb:

@@ -180,31 +180,34 @@ def fill_in(
 ) -> LieForm:
     """Canonical compatible connection A for a transverse pair.
 
-    Without ``h``: joint least squares of d_A phi = d_A psi = 0 over exactly
+    Takes exactly one of ``psi`` and ``h`` (a ValueError otherwise).  With
+    ``psi``: joint least squares of d_A phi = d_A psi = 0 over exactly
     sigma-invariant component pairs.  With ``h``: least squares of
     d_A phi = 0 over the exactly-unitary sigma-invariant family through the
-    Chern-like base point; ``psi`` defaults to the h-adjoint of ``phi``.  The
+    Chern-like base point, whose psi is the h-adjoint of ``phi``.  The
     pointwise least squares are solved by the normal equations.  Its
     diagnostics are ``connection_report``.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
+    if (psi is None) == (h is None):
+        raise ValueError("fill_in takes exactly one of psi and h (with h, psi is the h-adjoint of phi)")
     if h is not None:
         a1, a2 = _fill_in_unitary(phi, h)
     else:
-        if psi is None:
-            raise ValueError("fill_in needs either psi or h")
         a1, a2 = _fill_in_sigma(phi, psi)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
 
 
 def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: HermitianField | None = None) -> dict:
     """Diagnostics of a connection A from ``fill_in`` or ``inject_covector``,
-    given the arguments it was solved from: the compatibility residuals with
-    phi and psi (the h-adjoint of phi when ``h`` is given), the sigma defect,
-    the unitarity defect (with ``h``), warnings, and the flags
+    given the one of ``psi`` and ``h`` it was solved from: the compatibility
+    residuals with phi and psi (the h-adjoint of phi when ``h`` is given), the
+    sigma defect, the unitarity defect (with ``h``), warnings, and the flags
     ``sigma_invariant`` and ``unitary``.  Residuals and defects are sups over
     the chart mask, on the stencil of the chart all of them share."""
+    if (psi is None) == (h is None):
+        raise ValueError("connection_report takes exactly one of psi and h (with h, psi is the h-adjoint of phi)")
     if any(f is not None and f.chart != phi.chart for f in (a, psi, h)):
         raise DomainMismatchError("connection_report needs phi, A, psi and h on one chart")
     ch, a1 = phi.chart, a.d1

@@ -139,7 +139,7 @@ def complete_sl2_triple(n: int) -> Sl2Triple:
     return Sl2Triple(n=n, F=f, H=h, E=e)
 
 
-def weight_basis(n: int, exact: bool = False):
+def weight_basis(n: int):
     """Basis of sl_n graded by the standard triple.
 
     Returns the list of tuples (i, j, B_ij) with B_ij = ad_F^{i-j}(E^i) for
@@ -147,14 +147,13 @@ def weight_basis(n: int, exact: bool = False):
     eigenvalue 2j, the list has n^2 - 1 members, and tr(B_ij B_kl) vanishes
     unless (k, l) = (i, -j).
 
-    With ``exact=True`` the matrices carry Python integers (object dtype), so
-    trace identities can be checked without floating-point cancellation.
+    The matrices carry Python integers (object dtype), so trace identities
+    can be checked without floating-point cancellation.
     """
     _check_n(n)
     triple = complete_sl2_triple(n)
-    dtype = object if exact else complex
-    f = triple.F.real.astype(int).astype(dtype) if exact else triple.F
-    e = triple.E.real.astype(int).astype(dtype) if exact else triple.E
+    f = triple.F.real.astype(int).astype(object)
+    e = triple.E.real.astype(int).astype(object)
     out = []
     for i in range(1, n):
         cur = np.linalg.matrix_power(e, i)
@@ -204,16 +203,13 @@ def centralizer_basis(x: np.ndarray):
     return list(np.tensordot(vh[rank:].conj(), basis, axes=1))
 
 
-def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: bool = False):
+def is_principal_nilpotent(x: np.ndarray):
     """True iff x^n vanishes and the numerical rank of x is n-1; over a stack
     (..., n, n), a boolean array with one verdict per matrix.
 
-    Rank uses singular values with the relative threshold tol * sigma_max;
-    nilpotency compares x^n against tol * sigma_max^n.  ``with_diagnostics``
-    additionally returns the measured gap data for near-threshold inputs.
+    Rank uses singular values with the relative threshold 1e-10 * sigma_max;
+    nilpotency compares x^n against 1e-10 * sigma_max^n.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=complex)
     n = x.shape[-1]
     s = np.linalg.svd(x, compute_uv=False)
@@ -221,13 +217,10 @@ def is_principal_nilpotent(x: np.ndarray, tol: float = 1e-8, with_diagnostics: b
     live = smax > 0
     scale = np.where(live, smax, 1.0)
     nil_defect = np.where(live, np.abs(np.linalg.matrix_power(x, n)).max(axis=(-2, -1)) / scale**n, 0.0)
-    rank = np.where(live, np.sum(s > tol * smax[..., None], axis=-1), 0)
-    ok = live & (nil_defect <= tol) & (rank == n - 1)
+    rank = np.where(live, np.sum(s > 1e-10 * smax[..., None], axis=-1), 0)
+    ok = live & (nil_defect <= 1e-10) & (rank == n - 1)
     if x.ndim == 2:
         ok = bool(ok)
-    if with_diagnostics:
-        margin = np.where(live, s[..., n - 2] / scale, 0.0)
-        return ok, {"sigma": s, "nilpotency_defect": nil_defect, "rank": rank, "rank_margin": margin}
     return ok
 
 
@@ -304,8 +297,7 @@ def sigma_minus_basis(n: int):
     return list(_sigma_eigenbases(n)[1])
 
 
-def random_traceless(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    """Random complex traceless matrix, entries ~ scale."""
+def random_traceless(n: int, rng) -> np.ndarray:
+    """Random complex traceless matrix with standard normal entries."""
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x *= scale
     return x - np.trace(x) / n * np.eye(n)

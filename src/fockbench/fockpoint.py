@@ -22,7 +22,6 @@ from .errors import DecompositionError, DegenerateStructureError
 __all__ = [
     "FockPoint",
     "fock_point",
-    "pseudo_norm",
     "positivity_margins",
     "contraction_norms",
     "fiber_norms",
@@ -72,18 +71,12 @@ def fock_point(n: int, mu) -> FockPoint:
     powers = fiber.powers(f, n - 1)
     phi2 = sum(mu[k] * powers[k] for k in range(n - 1))
     v = np.append(_UNIT_DIRECTIONS, _critical_direction(mu[0]))[:, None, None]
-    ok = fiber.is_principal_nilpotent(v * f + np.conj(v) * phi2, tol=1e-10)
+    ok = fiber.is_principal_nilpotent(v * f + np.conj(v) * phi2)
     if not ok.all():
         raise DegenerateStructureError(
             f"nilpotency condition failed along direction {v[np.argmin(ok), 0, 0]:.3f}"
         )
     return FockPoint(n=n, phi1=f, phi2=phi2, mu=mu)
-
-
-def pseudo_norm(omega) -> float:
-    """tr(a^+ a) - tr(b^+ b) of one fiber omega = (a, b), shape (2, n, n);
-    positive on dz-type fibers, negative on dzbar."""
-    return float(np.sum(np.abs(omega[0]) ** 2) - np.sum(np.abs(omega[1]) ** 2))
 
 
 def _tilde_pair(phi1, phi2, h):
@@ -133,16 +126,16 @@ def positivity_margins(phi1, phi2, h=None):
     return np.where(full_rank, np.linalg.eigvalsh(gram)[:, 0], -1.0)
 
 
-def contraction_norms(phi1, phi2, h=None):
-    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}) per pair.
+def contraction_norms(phi1, phi2):
+    """Operator norm of [phi1, A] -> [phi2, A] on Im(ad_{phi1}) per pair,
+    against the identity hermitian structure.
 
     Positivity of the Gram pairing is equivalent to this norm being < 1; the
     exact correspondence is lambda_min = (1 - s^2) / (1 + s^2) with s the norm
     computed here.
     """
-    p1, p2 = _tilde_pair(phi1, phi2, h)
-    basis = fiber.sl_basis(p2.shape[-1])
-    c1, c2 = fiber.ad_columns(p1, basis), fiber.ad_columns(p2, basis)
+    basis = fiber.sl_basis(phi2.shape[-1])
+    c1, c2 = fiber.ad_columns(phi1, basis), fiber.ad_columns(phi2, basis)
     return np.linalg.norm(c2 @ np.linalg.pinv(c1, rcond=1e-12), ord=2, axis=(-2, -1))
 
 

@@ -48,7 +48,7 @@ from .connection import (
     sup_norm,
 )
 from .errors import DomainMismatchError, NonConvergenceError, PositivityError
-from .fockpoint import positivity_margins, q_matrices
+from .fockpoint import EPS_POS, positivity_margins, q_matrices
 from .hcsflow import fock_form
 
 __all__ = [
@@ -123,9 +123,6 @@ class FuchsianData:
     c0: float
     curvature: LieForm
     curvature_sup: float
-
-    def adjoint(self) -> LieForm:
-        return hermitian_adjoint_field(self.Phi, self.h)
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2  # golden-section fraction: where the bounded search first probes
@@ -317,7 +314,7 @@ class AdmissibleSpace:
         cond = np.concatenate([cond.real, cond.imag], axis=-2)
         _, s, vh = np.linalg.svd(cond)
         rank = 2 * m - self.dim
-        if rank > 0 and not (s[:, rank - 1] > 1e-8 * np.maximum(s[:, 0], 1e-300)).all():
+        if not (s[:, rank - 1] > 1e-8 * np.maximum(s[:, 0], 1e-300)).all():
             raise DomainMismatchError("admissible-space extraction hit a degenerate hermitian structure")
         if not (s[:, rank] < 1e-8 * np.maximum(s[:, 0], 1.0)).all():
             raise DomainMismatchError("admissible space has unexpected dimension")
@@ -456,8 +453,8 @@ class LinearizedContext:
         s, sdag = self._s_plus, fiber.dagger(self._s_plus)
         a1, a2 = (a.reshape(npt, n, n) for a in (self.a_form.d1, self.a_form.d2))
         zeroth = _zeroth_traces(s, self.phi.d1, self.phi.d2, self.psi.d1, self.psi.d2).reshape(npt, m, m)
-        dx = difference_matrix(ch, ch.stencil, 0) / (2 * ch.hx)
-        dy = difference_matrix(ch, ch.stencil, 1) / (2 * ch.hy)
+        dx = difference_matrix(ch, 0) / (2 * ch.hx)
+        dy = difference_matrix(ch, 1) / (2 * ch.hy)
         dz, dzbar = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
         eye, zero, t = np.eye(m), np.zeros((m, m)), _trace_pairs(s, s)
         x = sparse.kron(dz, np.vstack([eye, zero]), "csr") + sparse.kron(dzbar, np.vstack([zero, eye]), "csr")
@@ -649,7 +646,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
             eta_coords, eta_prev = 2.0 * eta_coords - eta_prev, eta_coords
             gm, phi_c, conn, curv = gmap(phi_s, eta_coords)
             margin = positivity_margin_field(phi_c, h)
-            if margin <= 1e-8:
+            if margin <= EPS_POS:
                 raise PositivityError(f"positivity lost at continuation parameter s={s:.3f}", where=s)
             residuals = [gnorm(gm)]
             it = 0

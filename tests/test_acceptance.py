@@ -33,7 +33,7 @@ def test_criterion_1_fiber_identity_suite():
         assert np.abs(fiber.commutator(t.H, t.E) - 2 * t.E).max() == 0
         assert np.abs(fiber.commutator(t.H, t.F) + 2 * t.F).max() == 0
         assert np.abs(fiber.commutator(t.E, t.F) - t.H).max() == 0
-        wb = fiber.weight_basis(n, exact=True)
+        wb = fiber.weight_basis(n)
         for i, j, gi in wb:
             for k, l, gk in wb:
                 tr = np.trace(gi @ gk)

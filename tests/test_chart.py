@@ -26,6 +26,14 @@ def test_chart_validation():
     assert d.hx == pytest.approx(1.0 / 32)
 
 
+@pytest.mark.parametrize("lx, ly", [(0.0, 1.0), (-1.0, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
+def test_periodic_chart_requires_finite_positive_lengths(lx, ly):
+    with pytest.raises(ValueError, match="'lx' and 'ly' must be finite and positive"):
+        chm.periodic_chart(8, 8, lx=lx, ly=ly)
+    with pytest.raises(ValueError, match="'lx' and 'ly' must be finite and positive"):
+        chm.Chart(kind="periodic-rect", nx=8, ny=8)  # the lengths default to 0
+
+
 def test_disk_mask_and_band():
     d = chm.disk_chart(33, 33, 0.5)
     m, band, inner = d.mask(), d.boundary_band(), d.interior()
@@ -191,7 +199,8 @@ def test_stencils_are_the_difference_matrix_products(shape, dtype):
                 with np.errstate(invalid="ignore") if dtype is complex else contextlib.nullcontext():
                     got = derivative(ch, arr, boundary)
                 with np.errstate(invalid="ignore"):
-                    want = (chm.difference_matrix(ch, boundary, axis) @ flat).reshape(arr.view(float).shape).view(dtype)
+                    mat = chm.difference_matrix(dataclasses.replace(ch, stencil=boundary), axis)
+                    want = (mat @ flat).reshape(arr.view(float).shape).view(dtype)
                     want /= 2 * h
                 assert got.dtype == arr.dtype and got.shape == arr.shape
                 assert np.array_equal(_bits(got), _bits(want)), (ch.kind, boundary, axis)
@@ -222,11 +231,11 @@ def test_stencil_cases_give_each_point_one_row(chart):
     ids=["disk", "periodic", "periodic-96x64", "disk-64x48"],
 )
 def test_difference_matrix_is_skew_adjoint(chart):
-    boundary = "periodic" if chart.periodic else "zerofill"
+    chart = dataclasses.replace(chart, stencil="periodic" if chart.periodic else "zerofill")
     rng = np.random.default_rng(6)
     f, g = rng.standard_normal((2, chart.nx * chart.ny))
     for axis in (0, 1):
-        d = chm.difference_matrix(chart, boundary, axis)
+        d = chm.difference_matrix(chart, axis)
         assert (d + d.T).count_nonzero() == 0
         lhs, rhs = f @ (d @ g), -(d @ f) @ g
         assert abs(lhs - rhs) < 1e-12 * np.abs(f).sum() * np.abs(g).max()
@@ -336,24 +345,14 @@ def test_covariant_d_sums_in_its_stated_order(chart, boundary):
     assert np.array_equal(got1.d0.view(float), want1.view(float))
 
 
-def test_integrate():
-    c = chm.periodic_chart(32, 32, 2.0, 1.5)
-    x, _ = c.xy()
-    one = chm.ScalarField(c, np.ones_like(x, dtype=complex))
-    assert chm.integrate(one) == pytest.approx(3.0)
-    s2 = chm.ScalarField(c, np.sin(2 * np.pi * x / 2.0) ** 2 + 0j)
-    assert chm.integrate(s2) == pytest.approx(1.5, abs=1e-13)
-    zero = chm.ScalarField(c, np.zeros_like(x, dtype=complex))
-    assert chm.integrate(zero) == 0.0
-
-
 def test_summation_by_parts_periodic():
     rng = np.random.default_rng(3)
     c = chm.periodic_chart(24, 24)
     f = chm.random_smooth_scalar(c, rng)
     g = chm.random_smooth_scalar(c, rng)
-    lhs = chm.integrate(chm.ScalarField(c, f.data * chm.dz_array(c, g.data)))
-    rhs = -chm.integrate(chm.ScalarField(c, g.data * chm.dz_array(c, f.data)))
+    # midpoint-rule integrals: on a periodic chart every grid point is in the mask
+    lhs = (f.data * chm.dz_array(c, g.data)).sum() * c.hx * c.hy
+    rhs = -(g.data * chm.dz_array(c, f.data)).sum() * c.hx * c.hy
     assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
 
@@ -543,8 +542,38 @@ def test_csv_readers_take_any_integer_spelling(tmp_path):
     """Index fields that are not in the writer's spelling still parse by int()."""
     chart = chm.periodic_chart(8, 8)
     path = tmp_path / "s.csv"
-    path.write_bytes(b"i,j,re,im\r\n+1, 02,1.5,-2\r\n")
+    chm.save_scalar_csv(path, chm.ScalarField(chart, np.zeros((8, 8), dtype=complex)))
+    path.write_bytes(path.read_bytes().replace(b"\n1,2,0,0\r", b"\n+1, 02,1.5,-2\r"))
     assert chm.load_scalar_csv(path, chart).data[1, 2] == complex(1.5, -2)
-    path.write_bytes((_LIE_HEADER + "0,0,0,0,0,1,0\r\n3,+3,01,1,0,0,-0.0\r\n").encode())
+    chm.save_matrix_field_csv(path, chart, np.zeros((8, 8, 2, 2), dtype=complex))
+    body = path.read_bytes().replace(b"\n0,0,0,0,0,0,0\r", b"\n0,0,0,0,0,1,0\r")
+    path.write_bytes(body.replace(b"\n3,3,1,1,0,0,0\r", b"\n3,+3,01,1,0,0,-0.0\r"))
     grid = chm.load_matrix_field_csv(path, chart, 2)
     assert grid[0, 0, 0, 0] == 1 and np.signbit(grid[3, 3, 1, 1].imag)
+
+
+def _without_last_rows(path, k):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-k]))
+
+
+def test_csv_readers_reject_missing_rows(tmp_path):
+    """A file that leaves grid entries out is a ValueError naming the path and
+    the first missing index, not a field with zeros in their place."""
+    chart, n = chm.periodic_chart(8, 8), 2
+    rng = np.random.default_rng(9)
+    path = tmp_path / "s.csv"
+    chm.save_scalar_csv(path, chm.random_smooth_scalar(chart, rng))
+    _without_last_rows(path, 5)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (7, 3)")):
+        chm.load_scalar_csv(path, chart)
+    grid = rng.standard_normal((2, 8, 8, n, n)) + 0j
+    chm.save_lieform_csv(path, chm.LieForm(chart, 1, d1=grid[0], d2=grid[1]))
+    _without_last_rows(path, 10)  # 10 of the 16 entries of the dzbar matrices at (7, 5), (7, 6) and (7, 7)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (7, 5, 1, 0) of component 'dzb'")):
+        chm.load_lieform_csv(path, chart, 1, n)
+    chm.save_matrix_field_csv(path, chart, grid[0])
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + lines[3:]))  # drop the row of entry (0, 0, 0, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (0, 0, 0, 1) of component '0'")):
+        chm.load_matrix_field_csv(path, chart, n)

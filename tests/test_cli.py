@@ -768,6 +768,21 @@ def test_malformed_field_file_is_config_error(tmp_path, capsys, body, message):
     assert f"beltrami['3']: {path}, {message}" in err
 
 
+def test_field_file_with_missing_rows_is_config_error(tmp_path, capsys):
+    ch = chm.periodic_chart(8, 8)
+    path = tmp_path / "mu3.csv"
+    chm.save_scalar_csv(path, chm.bump_field(ch, center=(0.5, 0.5), radius=0.3, amplitude=0.1))
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:40]))  # the header and 39 of 64 rows
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "periodic-rect", "nx": 8, "ny": 8},
+        "beltrami": {"3": {"type": "file", "path": str(path)}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert f"beltrami['3']: {path}: no row for index (4, 7)" in capsys.readouterr().err
+
+
 def test_nan_final_residual_is_a_failure(tmp_path, capsys, monkeypatch):
     newton_continuation = sv.newton_continuation
 
@@ -826,12 +841,14 @@ _KEYS = [
     ("solver", "cg_tol"), ("hamiltonian",), ("hamiltonian", "ell"), ("hamiltonian", "steps"), ("hamiltonian", "eps"),
     ("hamiltonian", "w"), ("grids",), ("hermitian",), ("c0",), ("seed",), ("output_dir",), ("extra",),
 ]
+_ZERO_ROWS = "".join(f"{i},{j},0,0\r\n" for i in range(8) for j in range(8) if (i, j) != (0, 0))  # the 8 x 8 periodic chart
 _FIELD_FILES = {
-    "good": "i,j,re,im\r\n0,0,0.01,0\r\n",
+    "good": "i,j,re,im\r\n0,0,0.01,0\r\n" + _ZERO_ROWS,
     "bad-header": "x,y,re,im\r\n0,0,0,0\r\n",
     "negative-index": "i,j,re,im\r\n-1,0,0,0\r\n",
     "not-a-number": "i,j,re,im\r\n0,0,one,0\r\n",
-    "nan": "i,j,re,im\r\n0,0,nan,0\r\n",
+    "nan": "i,j,re,im\r\n0,0,nan,0\r\n" + _ZERO_ROWS,
+    "missing-rows": "i,j,re,im\r\n0,0,0.01,0\r\n",
     "binary": "\xff\xfe\x00",
 }
 

@@ -93,6 +93,19 @@ def test_fill_in_requires_psi_or_h():
         cn.fill_in(phi)
 
 
+def test_fill_in_and_report_reject_psi_with_h():
+    # with h, psi is the h-adjoint of phi: a psi given alongside would be ignored
+    ch = chm.periodic_chart(8, 8)
+    phi = _const_fock(ch, 2, [0.3])
+    h = cn.identity_hermitian(ch, 2)
+    psi = cn.hermitian_adjoint_field(phi, h)
+    a = cn.fill_in(phi, h=h)
+    with pytest.raises(ValueError, match="fill_in takes exactly one of psi and h"):
+        cn.fill_in(phi, psi, h=h)
+    with pytest.raises(ValueError, match="connection_report takes exactly one of psi and h"):
+        cn.connection_report(phi, a, psi, h=h)
+
+
 def test_fill_in_determinism_two_methods(pinv_fill_in):
     rng = np.random.default_rng(0)
     ch = chm.periodic_chart(16, 16)
@@ -382,7 +395,7 @@ def test_curvature_rho_invariance():
     for nx in (33, 65):
         ch = chm.disk_chart(nx, nx, 0.5)
         fd = sv.fuchsian_reference(3, ch)
-        psi = fd.adjoint()
+        psi = cn.hermitian_adjoint_field(fd.Phi, fd.h)
         wb = chm.wedge_bracket(fd.Phi, psi)
         hh, hinv = fd.h.data, fd.h.inv()
         adj = lambda c: hinv @ np.conj(np.swapaxes(c, -1, -2)) @ hh
@@ -398,7 +411,7 @@ def test_lambda_independence_floor():
     # discretization floor: [Phi^Phi] = 0 exactly and d_A Phi = O(h^2)
     ch = chm.disk_chart(33, 33, 0.5)
     fd = sv.fuchsian_reference(2, ch)
-    psi = fd.adjoint()
+    psi = cn.hermitian_adjoint_field(fd.Phi, fd.h)
     assert np.abs(chm.wedge_bracket(fd.Phi, fd.Phi).d0).max() == 0
     assert np.abs(chm.wedge_bracket(psi, psi).d0).max() < 1e-12
     report = cn.connection_report(fd.Phi, fd.A, h=fd.h)

@@ -208,7 +208,7 @@ def test_eta_correction_identity_and_permutation():
     # compatible A^-sigma: random dz part, dzbar part solved from the wedge condition
     b = np.zeros((ch.nx, ch.ny, n, n), dtype=complex)
     for _ in range(3):
-        b = b + chm.random_smooth_scalar(ch, rng).data[..., None, None] * fiber.random_traceless(n, rng, 0.3)
+        b = b + chm.random_smooth_scalar(ch, rng).data[..., None, None] * (0.3 * fiber.random_traceless(n, rng))
     rhs = phi.d2 @ b - b @ phi.d2
     basis = np.stack(fiber.sl_basis(n))
     cols = np.stack([(f @ s - s @ f).reshape(-1) for s in basis], axis=-1)
@@ -362,7 +362,7 @@ def test_covector_variation_matches_euler_flow():
 def test_flow_preserves_flatness_to_first_order():
     ch = chm.disk_chart(48, 48, 0.5)
     fd = sv.fuchsian_reference(2, ch)
-    psi = fd.adjoint()
+    psi = cn.hermitian_adjoint_field(fd.Phi, fd.h)
     f0 = cn.curvature_total(fd.A, fd.Phi, psi)
     ham = hf.HamiltonianTerm(2, chm.bump_field(ch, radius=0.3, amplitude=0.2))
     h2 = ch.hx**2

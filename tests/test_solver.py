@@ -773,7 +773,7 @@ def test_positivity_margin_field_is_the_pointwise_margin():
                 pt = fp.fock_point(n, 0.4 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
             except DegenerateStructureError:
                 continue
-            a = fiber.random_traceless(n, rng, scale=0.3)
+            a = 0.3 * fiber.random_traceless(n, rng)
             h = cn.hermitian_structure(ch, np.broadcast_to(a @ a.conj().T + np.eye(n), (ch.nx, ch.ny, n, n)))
             phi = chm.LieForm(ch, 1, d1=np.broadcast_to(f, h.data.shape).copy(), d2=np.broadcast_to(pt.phi2, h.data.shape).copy())
             assert sv.positivity_margin_field(phi, h) == fp.positivity_margins(f[None], pt.phi2[None], h.data[:1, 0])[0]
