@@ -465,10 +465,30 @@ def _require_complete(path, seen, what=""):
         raise ValueError(f"{path}: no row for index {idx}{what}")
 
 
+def _require_unrepeated(path, lines, entries, key):
+    """A ValueError naming path, line and index of the first row that repeats
+    an earlier row's index.  Every entry has a row, so a repeat shows as more
+    data rows than ``entries`` among the file's ``lines``; only then is the
+    file read again, ``key(row)`` giving a row's index and its label.  A
+    quoted field with a line break also adds a line, and passes that read."""
+    if lines - 1 == entries:
+        return
+    seen = set()
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r)
+        for row in r:
+            idx, what = key(row)
+            if (idx, what) in seen:
+                raise ValueError(f"{path}, line {r.line_num}: repeated index {idx}{what}")
+            seen.add((idx, what))
+
+
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
     """Read a scalar field; a header other than i,j,re,im, a malformed row, an
     index outside the grid (negative ones included) or a grid point without a
-    row is a ValueError naming path (and line or index)."""
+    row or a row that repeats an index is a ValueError naming path (and line
+    or index)."""
     shape = (chart.nx, chart.ny)
     rows, cols = _index_text(shape)
     data = np.zeros(shape, dtype=complex)
@@ -491,6 +511,7 @@ def load_scalar_csv(path, chart: Chart) -> ScalarField:
             data[idx] = v
             seen[idx] = True
     _require_complete(path, seen)
+    _require_unrepeated(path, r.line_num, data.size, lambda row: (tuple(map(int, row[:2])), ""))
     return ScalarField(chart, data)
 
 
@@ -512,8 +533,8 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
     """Read a Lie-valued form; a header other than ``_MATRIX_HEADER``, a
     malformed row, an index outside the grid or the matrix (negative ones
     included), a component label the degree does not have, a missing
-    component, or an entry of a component without a row is a ValueError naming
-    the path (and the line or index)."""
+    component, an entry of a component without a row, or a row that repeats an
+    entry is a ValueError naming the path (and the line or index)."""
     comps = ("dz", "dzb") if degree == 1 else ("0",)
     shape = (chart.nx, chart.ny, n, n)
     rows, cols, entries = _index_text(shape[:3])
@@ -548,6 +569,8 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
         raise ValueError(f"{path}: no rows of component {missing[0]!r} of a degree-{degree} form")
     for c in comps:
         _require_complete(path, seen[c], f" of component {c!r}")
+    entries = len(comps) * np.prod(shape)
+    _require_unrepeated(path, r.line_num, entries, lambda row: (tuple(map(int, row[:4])), f" of component {row[4]!r}"))
     if degree == 1:
         return LieForm(chart, 1, d1=grids["dz"], d2=grids["dzb"])
     return LieForm(chart, degree, d0=grids["0"])

@@ -164,9 +164,7 @@ _SCHEMA = _table(
         ),
         "grids": _optional(_GRIDS),
         "hermitian": _one_of("fuchsian", "identity"),
-        "seed": _INTEGER,
         "output_dir": _PATH,
-        "c0": _optional(_LENGTH),
     },
     required=("n", "chart"),
 )
@@ -321,8 +319,7 @@ def _verify_block(phi2, omega, worst) -> int:
     how many of them are positive."""
     n = phi2.shape[-1]
     f = fiber.principal_nilpotent(n)
-    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
-    parts = fw.split(omega)
+    parts = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f), omega)
     resid = fp.fiber_norms(parts.sum(axis=0) - omega) / np.maximum(fp.fiber_norms(omega), 1e-300)
     worst["reconstruction"] = _sup([worst["reconstruction"], resid.max()])
     worst["dims"] += int(np.any(fp.cohomology_dims(f, phi2) != (n - 1, 2 * (n - 1), n - 1), axis=-1).sum())
@@ -395,7 +392,7 @@ def _cmd_fillin(cfg, out, rep):
 
 def _cmd_solve(cfg, out, rep):
     ncfg = cfg["solver"]
-    fd = sv.fuchsian_reference(cfg["n"], cfg["chart"], c0=cfg.get("c0"))
+    fd = sv.fuchsian_reference(cfg["n"], cfg["chart"])
     eta, srep = sv.newton_continuation(fd, cfg["beltrami"], ncfg)
     chm.save_lieform_csv(os.path.join(out, "eta.csv"), eta)
     chm.save_lieform_csv(os.path.join(out, "phi.csv"), srep["phi"])

@@ -87,13 +87,10 @@ class HermitianField:
         return self.derived("sigma_adjoints", lambda: _h_adjoints(self, fiber.sigma_plus_basis(self.n)))
 
 
-def hermitian_structure(chart: Chart, data: np.ndarray, normalize: bool = True) -> HermitianField:
+def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
     """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}."""
     h = np.asarray(data, dtype=complex)
-    if normalize:
-        det = np.linalg.det(h)
-        n = h.shape[-1]
-        h = h / det[..., None, None] ** (1.0 / n)
+    h = h / np.linalg.det(h)[..., None, None] ** (1.0 / h.shape[-1])
     if np.linalg.eigvalsh(h).min() <= 0:
         raise DomainMismatchError("hermitian structure must be positive definite")
     return HermitianField(chart, h)
@@ -101,8 +98,7 @@ def hermitian_structure(chart: Chart, data: np.ndarray, normalize: bool = True) 
 
 def identity_hermitian(chart: Chart, n: int) -> HermitianField:
     """The identity hermitian structure on every grid point."""
-    eye = np.broadcast_to(np.eye(n), (chart.nx, chart.ny, n, n)).copy()
-    return hermitian_structure(chart, eye, normalize=False)
+    return HermitianField(chart, np.broadcast_to(np.eye(n, dtype=complex), (chart.nx, chart.ny, n, n)).copy())
 
 
 def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
@@ -193,7 +189,15 @@ def fill_in(
     if (psi is None) == (h is None):
         raise ValueError("fill_in takes exactly one of psi and h (with h, psi is the h-adjoint of phi)")
     if h is not None:
-        a1, a2 = _fill_in_unitary(phi, h)
+        # every Newton-map evaluation calls fill_in with the same h, so the
+        # adjoints of its directions are kept on the field
+        a1, a2 = _unitary_blocks(
+            phi,
+            h,
+            fiber.sigma_plus_basis(phi.n),
+            lambda blk: h.sigma_adjoints()[blk],
+            lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
+        )
     else:
         a1, a2 = _fill_in_sigma(phi, psi)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
@@ -309,18 +313,6 @@ def _unitary_blocks(phi, h, basis, adjoints, solve):
         a1[blk] += v1
         a2[blk] -= fiber.h_adjoint(v1, hh[blk], hinv[blk])
     return a1.reshape(ch.nx, ch.ny, n, n), a2.reshape(ch.nx, ch.ny, n, n)
-
-
-def _fill_in_unitary(phi, h):
-    # every Newton-map evaluation calls fill_in with the same h, so the
-    # adjoints of its directions are kept on the field
-    return _unitary_blocks(
-        phi,
-        h,
-        fiber.sigma_plus_basis(phi.n),
-        lambda blk: h.sigma_adjoints()[blk],
-        lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
-    )
 
 
 def curvature_total(a_form: LieForm, phi: LieForm, psi: LieForm) -> LieForm:

@@ -25,7 +25,6 @@ __all__ = [
     "positivity_margins",
     "contraction_norms",
     "fiber_norms",
-    "FourWay",
     "four_way",
     "four_way_decompose",
     "cohomology_dims",
@@ -162,45 +161,16 @@ def fiber_norms(v):
     return np.sqrt(np.sum(np.abs(v) ** 2, axis=(-3, -2, -1)))
 
 
-@dataclass(frozen=True)
-class FourWay:
-    """The splitting Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar + Z(Phi*) dz of
-    1-form fibers over a stack of pairs, factored once by ``four_way``.
+def four_way(phi1, phi2, star_a, star_b, v):
+    """The four parts (4, S, 2, n, n) of fibers v (S, 2, n, n) in the splitting
+    Im(ad_Phi) + Im(ad_Phi*) + Z(Phi) dzbar + Z(Phi*) dz over the pairs
+    (phi1, phi2) with stars (star_a, star_b) = (phi2^*, phi1^*); phi1 and
+    star_b may be shared.  The four column blocks spanning the summands are
+    solved through one pseudo-inverse with cutoff 1e-12.
 
-    ``matrix`` (S, 2n^2, K) holds the four column blocks, whose columns span
-    the four summands (``spans`` are their column ranges), and ``pinv`` its
-    pseudo-inverse with cutoff 1e-12; each right-hand side then costs three
-    products.
+    Requires the positivity/transversality of the pairs; raises
+    DecompositionError where a reconstruction misses its fiber.
     """
-
-    matrix: np.ndarray
-    pinv: np.ndarray
-    spans: tuple
-
-    def split(self, v):
-        """The four parts (4, S, 2, n, n) of fibers v (S, 2, n, n).
-
-        Requires the positivity/transversality of the pairs; raises
-        DecompositionError where a reconstruction misses its fiber.
-        """
-        x = self.pinv @ v.reshape(v.shape[:-3] + (self.pinv.shape[-1], 1))
-        parts = np.stack([self.matrix[..., lo:hi] @ x[..., lo:hi, :] for lo, hi in self.spans])
-        parts = parts.reshape((4,) + v.shape)
-        resid = fiber_norms(parts.sum(axis=0) - v)
-        recon = fiber_norms(parts).sum(axis=0)
-        scale = np.maximum(fiber_norms(v), np.where(recon > 0, recon, 1.0))
-        bad = np.flatnonzero(resid > 1e-9 * scale)
-        if bad.size:
-            raise DecompositionError(
-                f"four-way reconstruction residual {resid[bad[0]]:.3e} of stack entry {bad[0]} "
-                "exceeds tolerance (singular pair?)"
-            )
-        return parts
-
-
-def four_way(phi1, phi2, star_a, star_b) -> FourWay:
-    """Factor the four-way splitting of the pairs (phi1, phi2) with stars
-    (star_a, star_b) = (phi2^*, phi1^*); phi1 and star_b may be shared."""
     n = phi2.shape[-1]
 
     def centralizer(x, slot):  # columns vec x^k, k = 1..n-1, in the dz (0) or dzbar (1) slot
@@ -211,7 +181,19 @@ def four_way(phi1, phi2, star_a, star_b) -> FourWay:
     blocks = [_pair_columns(phi1, phi2), _pair_columns(star_a, star_b), centralizer(phi1, 1), centralizer(star_b, 0)]
     m = _cat(blocks, axis=-1)
     ends = np.cumsum([b.shape[-1] for b in blocks]).tolist()
-    return FourWay(m, np.linalg.pinv(m, rcond=1e-12), tuple(zip([0] + ends[:-1], ends)))
+    x = np.linalg.pinv(m, rcond=1e-12) @ v.reshape(v.shape[:-3] + (m.shape[-2], 1))
+    parts = np.stack([m[..., lo:hi] @ x[..., lo:hi, :] for lo, hi in zip([0] + ends[:-1], ends)])
+    parts = parts.reshape((4,) + v.shape)
+    resid = fiber_norms(parts.sum(axis=0) - v)
+    recon = fiber_norms(parts).sum(axis=0)
+    scale = np.maximum(fiber_norms(v), np.where(recon > 0, recon, 1.0))
+    bad = np.flatnonzero(resid > 1e-9 * scale)
+    if bad.size:
+        raise DecompositionError(
+            f"four-way reconstruction residual {resid[bad[0]]:.3e} of stack entry {bad[0]} "
+            "exceeds tolerance (singular pair?)"
+        )
+    return parts
 
 
 def four_way_decompose(omega, phi: FockPoint, phi_star):
@@ -223,8 +205,8 @@ def four_way_decompose(omega, phi: FockPoint, phi_star):
     DecompositionError when the stacked system is singular or the
     reconstruction misses omega.
     """
-    fw = four_way(phi.phi1[None], phi.phi2[None], phi_star[0][None], phi_star[1][None])
-    return tuple(fw.split(np.asarray(omega)[None])[:, 0])
+    parts = four_way(phi.phi1[None], phi.phi2[None], phi_star[0][None], phi_star[1][None], np.asarray(omega)[None])
+    return tuple(parts[:, 0])
 
 
 def q_matrices(phi1, phi2, psi1, psi2):

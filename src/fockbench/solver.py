@@ -90,11 +90,9 @@ def expm_pair(x: np.ndarray):
 
 
 def conjugate_field(phi: LieForm, eta: LieForm) -> LieForm:
-    """Pointwise e^{-eta} Phi e^{eta} on each component."""
+    """Pointwise e^{-eta} Phi e^{eta} on both components of the degree-1 field phi."""
     g, gi = expm_pair(eta.d0)
-    if phi.degree == 1:
-        return LieForm(phi.chart, 1, d1=gi @ phi.d1 @ g, d2=gi @ phi.d2 @ g)
-    return LieForm(phi.chart, phi.degree, d0=gi @ phi.d0 @ g)
+    return LieForm(phi.chart, 1, d1=gi @ phi.d1 @ g, d2=gi @ phi.d2 @ g)
 
 
 def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
@@ -241,7 +239,7 @@ def _fuchsian_curvature(n, chart, c0):
     return (*_newton_map(phi, hf), gs, phi, hf)
 
 
-def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> FuchsianData:
+def fuchsian_reference(n: int, chart: Chart) -> FuchsianData:
     """Exactly solvable reference on a Dirichlet disk.
 
     The conformal factor is g = c0 / (1 - |z|^2)^2 with c0 fixed by a 1-D
@@ -266,23 +264,21 @@ def fuchsian_reference(n: int, chart: Chart, c0: float | None = None) -> Fuchsia
             "no periodic reference solution exists (curvature obstruction); use a disk chart"
         )
     interior = chart.interior()
-    predicted = None
-    if c0 is None:
-        lo, hi = 0.4 * (n - 1), 2.5 * (n - 1)
-        c1, c2 = n - 1.0, lo + _GOLDEN * (hi - lo)
-        t1 = _fuchsian_curvature(n, chart, c1)[0].d0[interior]
-        slope = (_fuchsian_curvature(n, chart, c2)[0].d0[interior] - t1) / (c2 - c1)
-        c0, predicted, evals, status = _bounded_min(lambda c: _frobenius_sup(t1 + (c - c1) * slope), lo, hi, 1e-10)
-        if status != "converged":
-            raise NonConvergenceError(
-                f"c0 search on [{lo!r}, {hi!r}] of the affine curvature model ended with status "
-                f"{status!r} after {evals} evaluations (c0 = {c0!r}, residual {predicted!r})",
-                history=[predicted],
-            )
-        scale = c0 * _frobenius_sup(slope)
+    lo, hi = 0.4 * (n - 1), 2.5 * (n - 1)
+    c1, c2 = n - 1.0, lo + _GOLDEN * (hi - lo)
+    t1 = _fuchsian_curvature(n, chart, c1)[0].d0[interior]
+    slope = (_fuchsian_curvature(n, chart, c2)[0].d0[interior] - t1) / (c2 - c1)
+    c0, predicted, evals, status = _bounded_min(lambda c: _frobenius_sup(t1 + (c - c1) * slope), lo, hi, 1e-10)
+    if status != "converged":
+        raise NonConvergenceError(
+            f"c0 search on [{lo!r}, {hi!r}] of the affine curvature model ended with status "
+            f"{status!r} after {evals} evaluations (c0 = {c0!r}, residual {predicted!r})",
+            history=[predicted],
+        )
+    scale = c0 * _frobenius_sup(slope)
     curv, conn, gs, phi, hf = _fuchsian_curvature(n, chart, c0)
     resid = sup_norm(curv, mask=interior)
-    if predicted is not None and not (abs(resid - predicted) <= _AFFINE_RTOL * scale):  # NaN fails
+    if not (abs(resid - predicted) <= _AFFINE_RTOL * scale):  # NaN fails
         raise NonConvergenceError(
             f"affine curvature model predicts residual {predicted!r} at c0 = {c0!r}, the full "
             f"evaluation gives {resid!r} (gap {abs(resid - predicted) / scale:.2e} of the "

@@ -577,3 +577,32 @@ def test_csv_readers_reject_missing_rows(tmp_path):
     path.write_bytes(b"".join(lines[:2] + lines[3:]))  # drop the row of entry (0, 0, 0, 1)
     with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (0, 0, 0, 1) of component '0'")):
         chm.load_matrix_field_csv(path, chart, n)
+
+
+def test_csv_readers_reject_repeated_rows(tmp_path):
+    """A row that repeats an index is a ValueError naming the path, its line
+    and the index, not a field that keeps the later value."""
+    chart, n = chm.periodic_chart(8, 8), 2
+    rng = np.random.default_rng(10)
+    path = tmp_path / "s.csv"
+    chm.save_scalar_csv(path, chm.random_smooth_scalar(chart, rng))
+    with open(path, "ab") as fh:
+        fh.write(b"1,2,1.5,-2\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 66: repeated index (1, 2)")):
+        chm.load_scalar_csv(path, chart)
+    grid = rng.standard_normal((2, 8, 8, n, n)) + 0j
+    chm.save_lieform_csv(path, chm.LieForm(chart, 1, d1=grid[0], d2=grid[1]))
+    lines = path.read_bytes().splitlines(keepends=True)
+    with open(path, "ab") as fh:
+        fh.write(b"0,0,1,1,dzb,3,0\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 514: repeated index (0, 0, 1, 1) of component 'dzb'")):
+        chm.load_lieform_csv(path, chart, 1, n)
+    # the first repeat in file order is named: line 5 sets the dzb entry whose dz
+    # entry line 3 set, which is no repeat, and line 6 repeats line 3
+    path.write_bytes(b"".join(lines[:4] + [b"0,0,0,1,dzb,3,0\r\n", b"0,0,0,1,dz,5,0\r\n"] + lines[4:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 6: repeated index (0, 0, 0, 1) of component 'dz'")):
+        chm.load_lieform_csv(path, chart, 1, n)
+    # a quoted index with a line break adds a line but no row, and reads as before
+    path.write_bytes(b"".join(lines).replace(b"\n7,7,1,1,dzb,", b'\n7,"7\n",1,1,dzb,'))
+    back = chm.load_lieform_csv(path, chart, 1, n)
+    assert _bits(back.d1) == _bits(grid[0]) and _bits(back.d2) == _bits(grid[1])

@@ -54,6 +54,8 @@ def test_malformed_config(tmp_path):
     "section, key",
     [
         (None, "continuation_step"),
+        (None, "c0"),  # the Fuchsian scale is always searched
+        (None, "seed"),  # only fiber-verify and point-verify draw, from --seed
         ("solver", "continuation_step"),
         ("chart", "radus"),
         ("hamiltonian", "epsilon"),
@@ -162,31 +164,21 @@ def test_fiber_verify_fails_on_one_nan_check(monkeypatch, capsys):
     assert rep["messages"] == ["involution_algebra = nan exceeds 1e-12"]
 
 
-class _NanSplit:
-    """A four-way decomposition whose first part has one NaN entry."""
-
-    def __init__(self, fw):
-        self.fw = fw
-
-    def split(self, omega):
-        parts = self.fw.split(omega).copy()
-        parts.flat[0] = np.nan
-        return parts
+def _with_nan(arr):
+    """A copy of ``arr`` whose first entry is NaN."""
+    out = arr.copy()
+    out.flat[0] = np.nan
+    return out
 
 
 def _nan_q(real):
-    def q_matrices(*args):
-        q = real(*args).copy()
-        q.flat[0] = np.nan
-        return q
-
-    return q_matrices
+    return lambda *args: _with_nan(real(*args))
 
 
 @pytest.mark.parametrize(
     "target, make, key, message",
     [
-        ("four_way", lambda real: lambda *a: _NanSplit(real(*a)), "reconstruction", "four-way reconstruction above 1e-10"),
+        ("four_way", lambda real: lambda *a: _with_nan(real(*a)), "reconstruction", "four-way reconstruction above 1e-10"),
         ("q_matrices", _nan_q, "q_involution", "Q is not an involution"),
     ],
 )
@@ -321,7 +313,6 @@ def test_muholo_report_and_determinism(tmp_path, capsys):
         "chart": {"kind": "periodic-rect", "nx": 24, "ny": 24, "lx": 1.0, "ly": 1.0},
         "beltrami": {"2": {"type": "bump", "center": [0.5, 0.5], "radius": 0.3, "amplitude": 0.05}},
         "covector": {"2": {"type": "bump", "center": [0.4, 0.6], "radius": 0.35, "amplitude": 0.2}},
-        "seed": 7,
     }
     cfg_a = dict(base, output_dir=outa)
     cfg_b = dict(base, output_dir=outb)
@@ -645,11 +636,6 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("fuchsian", None, "grids", ""),
         ("fuchsian", None, "grids", {}),
         ("fuchsian", None, "grids", []),
-        # c0, when given, is a finite positive number
-        ("solve", None, "c0", "abc"),
-        ("solve", None, "c0", True),
-        ("solve", None, "c0", -1.0),
-        ("solve", None, "c0", 0),
         ("flow", "hamiltonian", "ell", 2.0),
         ("flow", "hamiltonian", "steps", True),
         ("solve", "solver", "continuation_steps", 2.7),
@@ -669,7 +655,6 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("flow", "hamiltonian", "eps", "0.001"),
         ("flow", "hamiltonian", "eps", True),
         ("solve", "solver", "cg_tol", "1e-11"),
-        ("solve", None, "seed", "x"),
         # lengths are finite and positive, eps is finite, steps >= 1, n >= 2
         ("fillin", "chart", "lx", 0),
         ("flow", "hamiltonian/w", "radius", 0),
@@ -705,6 +690,59 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, secti
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("n",), "'config' is missing 'n'"),
+        (("chart",), "'config' is missing 'chart'"),
+        (("chart", "kind"), "'chart' is missing 'kind'"),
+        (("hamiltonian", "ell"), "'hamiltonian' is missing 'ell'"),
+        (("hamiltonian", "w"), "'hamiltonian' is missing 'w'"),
+        (("beltrami", "3", "path"), "\"beltrami['3']\" is missing 'path'"),
+        (("hamiltonian",), "'config' is missing 'hamiltonian', which flow reads"),
+    ],
+)
+def test_missing_required_key_is_config_error(tmp_path, capsys, path, message):
+    ch = chm.periodic_chart(8, 8)
+    chm.save_scalar_csv(tmp_path / "mu3.csv", chm.ScalarField(ch, np.zeros((8, 8), dtype=complex)))
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "periodic-rect", "nx": 8, "ny": 8},
+        "beltrami": {"3": {"type": "file", "path": str(tmp_path / "mu3.csv")}},
+        "hamiltonian": {"ell": 2, "w": {"type": "constant", "value": 0.0}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    spec = cfg
+    for key in path[:-1]:
+        spec = spec[key]
+    del spec[path[-1]]
+    assert run(["flow", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_component_index_above_n_is_config_error(tmp_path, capsys):
+    cfg = {
+        "n": 3,
+        "chart": {"kind": "periodic-rect", "nx": 8, "ny": 8},
+        "beltrami": {"7": {"type": "constant", "value": 0.1}},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert "component indices [7] must lie in 2..3" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_point_verify_fails_on_wrong_cohomology_dims(monkeypatch, capsys):
+    real = fp.cohomology_dims
+    monkeypatch.setattr(fp, "cohomology_dims", lambda *args: real(*args) + 1)
+    assert run(["point-verify", "--n", "3", "--samples", "5", "--seed", "1"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["residual_norms"]["dims"] == rep["iteration_traces"]["samples_checked"] == 5
+    assert rep["residual_norms"]["gram_vs_contraction"] == 0
+    assert rep["messages"] == ["discrete invariants violated"]
+
+
 def test_fillin_fuchsian_rejects_beltrami(tmp_path, capsys):
     cfg = {
         "n": 3,
@@ -718,6 +756,35 @@ def test_fillin_fuchsian_rejects_beltrami(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
     cfg["beltrami"] = {}
     assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
+
+
+def test_failed_line_search_reports_the_finished_steps(tmp_path, capsys, monkeypatch):
+    # the Newton map scales the curvature by 10 from the second continuation
+    # step's start on, so every trial of its line search is rejected
+    newton_map, margin, steps = sv._newton_map, sv.positivity_margin_field, []
+
+    def counted(phi, h):  # called once per step, after the step's first evaluation
+        steps.append(1)
+        return margin(phi, h)
+
+    def scaled(phi, h):
+        curv, conn = newton_map(phi, h)
+        if len(steps) >= 2:
+            curv = chm.LieForm(curv.chart, 2, d0=10.0 * curv.d0)
+        return curv, conn
+
+    monkeypatch.setattr(sv, "positivity_margin_field", counted)
+    monkeypatch.setattr(sv, "_newton_map", scaled)
+    out = str(tmp_path / "o")
+    cfg = dict(_DETERMINISM_RUNS["solve"][0], output_dir=out)
+    assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+    rep = _read_report(out)
+    assert rep["status"] == "fail"
+    assert rep["messages"] == ["NonConvergenceError: Newton line search failed at s=1.000"]
+    traces = rep["iteration_traces"]
+    assert len(traces["history"]) == 1 and traces["history"][0] > 0
+    (first,) = traces["per_step"]
+    assert first["s"] == 0.5 and first["residuals"][-1] <= 1e-10
 
 
 def test_solve_reports_fd_checks(tmp_path, capsys):

@@ -28,7 +28,8 @@ def test_hermitian_structure_normalization():
     h = cn.hermitian_structure(ch, 3.0 * raw)
     assert np.abs(np.linalg.det(h.data) - 1).max() < 1e-12
     with pytest.raises(DomainMismatchError):
-        cn.hermitian_structure(ch, np.broadcast_to(np.diag([1.0, -1.0]), (8, 8, 2, 2)).copy(), normalize=False)
+        # det = 1, so the normalization leaves the indefinite grid as it is
+        cn.hermitian_structure(ch, np.broadcast_to(np.diag([1.0, -1.0, -1.0]), (8, 8, 3, 3)).copy())
 
 
 def test_hermitian_adjoint_identity_metric():
@@ -53,7 +54,7 @@ def test_hermitian_adjoint_fuchsian_n2():
     h = np.zeros((17, 17, 2, 2), dtype=complex)
     h[..., 0, 0] = g ** (-0.5)
     h[..., 1, 1] = g ** 0.5
-    hfield = cn.hermitian_structure(ch, h, normalize=False)
+    hfield = cn.HermitianField(ch, h)
     phi = _const_fock(ch, 2, [0.0])
     psi = cn.hermitian_adjoint_field(phi, hfield)
     e_unit = fiber.principal_nilpotent(2).conj().T

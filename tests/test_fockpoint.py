@@ -132,14 +132,21 @@ def test_four_way_decomposition():
 
 
 def test_four_way_block_independence():
+    # the four blocks have 2(n^2 - 1) columns in all, so they are independent
+    # when they span the traceless fibers: the reference blocks have full rank,
+    # and four_way reconstructs every fiber of a basis
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         pt = fp.fock_point(n, 0.15 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
         star = _star_fiber(pt)
-        m = fp.four_way(pt.phi1, pt.phi2[None], star[0][None], star[1]).matrix[0]
-        s = np.linalg.svd(m, compute_uv=False)
+        s = np.linalg.svd(np.hstack(_four_way_blocks(pt, star)), compute_uv=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         assert rank == 2 * (n * n - 1)
+        zero = np.zeros((n, n))
+        basis = np.array([_fiber(b, zero) for b in fiber.sl_basis(n)] + [_fiber(zero, b) for b in fiber.sl_basis(n)])
+        phi2 = np.repeat(pt.phi2[None], len(basis), axis=0)
+        parts = fp.four_way(pt.phi1, phi2, fiber.dagger(phi2), star[1], basis)
+        assert np.abs(parts.sum(axis=0) - basis).max() < 1e-10
 
 
 def test_fuchsian_components():
@@ -230,14 +237,20 @@ def test_cohomology_dims():
     assert d0 == 8
 
 
-def _lstsq_parts(omega, pt, star):
-    """The four-way parts from one least-squares solve per fiber: the
-    per-point reference for the factored, stacked splitting."""
+def _four_way_blocks(pt, star):
+    """The column blocks of Im(ad_Phi), Im(ad_Phi*), Z(Phi) dzbar and Z(Phi*) dz
+    at one point, (2n^2, k) each."""
     n = pt.n
     zero = np.zeros((n * n, n - 1), dtype=complex)
     zk = np.stack([np.linalg.matrix_power(pt.phi1, k).reshape(-1) for k in range(1, n)], axis=1)
     wk = np.stack([np.linalg.matrix_power(star[1], k).reshape(-1) for k in range(1, n)], axis=1)
-    blocks = [fp._pair_columns(pt.phi1, pt.phi2), fp._pair_columns(star[0], star[1]), np.vstack([zero, zk]), np.vstack([wk, zero])]
+    return [fp._pair_columns(pt.phi1, pt.phi2), fp._pair_columns(star[0], star[1]), np.vstack([zero, zk]), np.vstack([wk, zero])]
+
+
+def _lstsq_parts(omega, pt, star):
+    """The four-way parts from one least-squares solve per fiber: the
+    per-point reference for the stacked splitting."""
+    blocks = _four_way_blocks(pt, star)
     x, *_ = np.linalg.lstsq(np.hstack(blocks), omega.reshape(-1), rcond=1e-12)
     ends = np.cumsum([b.shape[1] for b in blocks])
     return [blk @ x[e - blk.shape[1] : e] for blk, e in zip(blocks, ends)]
@@ -255,8 +268,7 @@ def test_batched_kernels_agree_with_per_point_references(n):
     omegas = [_fiber(fiber.random_traceless(n, rng), fiber.random_traceless(n, rng)) for _ in pts]
     f = fiber.principal_nilpotent(n)
     phi2 = np.stack([p.phi2 for p in pts])
-    fw = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f))
-    parts = fw.split(np.stack(omegas))
+    parts = fp.four_way(f, phi2, fiber.dagger(phi2), fiber.dagger(f), np.stack(omegas))
     margins = fp.positivity_margins(f, phi2)
     norms = fp.contraction_norms(f, phi2)
     dims = fp.cohomology_dims(f, phi2)
@@ -306,7 +318,7 @@ def test_q_kernel_matches_the_four_way_split(n):
     star_a, star_b = fiber.dagger(phi2), fiber.dagger(f)
     v = np.stack([fiber.sigma_split(fiber.random_traceless(n, rng))[0] for _ in range(2 * len(phi2))])
     v = v.reshape(len(phi2), 2, n, n)
-    w_im, w_im_star, _, _ = fp.four_way(f, phi2, star_a, star_b).split(v)
+    w_im, w_im_star, _, _ = fp.four_way(f, phi2, star_a, star_b, v)
     q = fp.q_matrices(f, phi2, star_a, star_b)
     got = _plus_fibers((q @ _plus_coords(v)[..., None])[..., 0], n)
     assert np.abs(got - (w_im_star - w_im)).max() < 1e-12

@@ -700,6 +700,65 @@ def test_cg_stops_at_once_on_non_finite_residual(monkeypatch):
     assert len(applies) == 3 and len(info.value.history) == 3
 
 
+def test_cg_on_an_indefinite_matrix_loses_definiteness():
+    # diag(3, -1) from (1, 1): the first direction has p.Lp = 2 > 0, the second
+    # p = (2, 6) has p.Lp = -24, after one residual of norm 2 relative to |b|
+    ctx = sv.LinearizedContext.__new__(sv.LinearizedContext)
+    ctx.matrix = np.diag([3.0, -1.0])
+    with pytest.raises(NonConvergenceError, match=r"lost definiteness \(Rayleigh -6.000e-01\)") as info:
+        ctx.solve(np.ones(2), sv.NewtonConfig())
+    assert info.value.history == [2.0]
+
+
+def _line_search_case(monkeypatch, inflated):
+    """A one-step n = 3 continuation whose Newton map scales the curvature by
+    10 at the evaluations k (counted from 1 within the continuation) with
+    ``inflated(k)``; returns the reference, the target and the eta of every
+    evaluation."""
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
+    newton_map, conjugate_field, etas = sv._newton_map, sv.conjugate_field, []
+
+    def recorded(phi, eta):
+        etas.append(eta.d0)
+        return conjugate_field(phi, eta)
+
+    def scaled(phi, h):
+        curv, conn = newton_map(phi, h)
+        if inflated(len(etas)):
+            curv = chm.LieForm(curv.chart, 2, d0=10.0 * curv.d0)
+        return curv, conn
+
+    monkeypatch.setattr(sv, "conjugate_field", recorded)
+    monkeypatch.setattr(sv, "_newton_map", scaled)
+    return fd, mu, etas
+
+
+def test_line_search_halves_a_rejected_step(monkeypatch):
+    fd, mu, etas = _line_search_case(monkeypatch, lambda k: k == 2)
+    cfg = sv.NewtonConfig(continuation_steps=1, preconditioner="jacobi")
+    _, rep = sv.newton_continuation(fd, mu, cfg)
+    (step,) = rep["per_step"]
+    assert rep["final_residual"] <= cfg.newton_tol
+    # the first evaluation is eta = 0, the second the full step, rejected;
+    # the third, at step_len 0.5, is accepted and the next iteration starts there
+    assert np.abs(etas[0]).max() == 0.0 and np.abs(etas[1]).max() > 0
+    assert _bits(etas[2]) == _bits(0.5 * etas[1])
+    assert step["residuals"][1] < (1.0 - 0.25 * 0.5) * step["residuals"][0]
+    assert len(etas) == 1 + step["newton_iters"] + 1  # one evaluation more than the accepted steps
+
+
+def test_line_search_failure_is_not_convergence(monkeypatch):
+    fd, mu, etas = _line_search_case(monkeypatch, lambda k: k >= 2)
+    with pytest.raises(NonConvergenceError, match="Newton line search failed at s=1.000") as info:
+        sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=1, preconditioner="jacobi"))
+    assert len(etas) == 1 + 8  # eta = 0, then the 8 trials from step_len 1 down to 1/128
+    assert [_bits(e) for e in etas[2:]] == [_bits(etas[1] / 2**k) for k in range(1, 8)]
+    assert len(info.value.history) == 1 and info.value.history[0] > 0
+    assert info.value.per_step == []
+
+
 def test_newton_report_holds_the_final_field_and_connection():
     # what the CLI writes as phi.csv and A.csv without recomputing them
     ch = chm.disk_chart(16, 16, 0.5)
