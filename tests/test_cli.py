@@ -54,8 +54,6 @@ def test_malformed_config(tmp_path):
     "section, key",
     [
         (None, "continuation_step"),
-        (None, "c0"),  # the Fuchsian scale is always searched
-        (None, "seed"),  # only fiber-verify and point-verify draw, from --seed
         ("solver", "continuation_step"),
         ("chart", "radus"),
         ("hamiltonian", "epsilon"),
@@ -670,6 +668,14 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("solve", "solver", "cg_tol", 2.0),
         ("solve", "solver", "max_cg", 0),
         ("fillin", None, "output_dir", 5),
+        # c0 and seed are no longer keys, so every value of theirs is an unknown
+        # key: the Fuchsian scale is always searched, and only fiber-verify and
+        # point-verify draw, from --seed
+        ("solve", None, "c0", "abc"),
+        ("solve", None, "c0", True),
+        ("solve", None, "c0", -1.0),
+        ("solve", None, "c0", 0),
+        ("solve", None, "seed", "x"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):
@@ -686,7 +692,8 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, secti
         spec = spec[part]
     spec[key] = value
     assert run([cmd, "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
-    assert f"{key!r} must be" in capsys.readouterr().err
+    message = f"unknown key {key!r}" if key in ("c0", "seed") else f"{key!r} must be"
+    assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 
