@@ -77,6 +77,7 @@ def _optional(check):
 
 _INTEGER = _value(_is_int, "an integer")
 _COUNT = _value(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_SEED = _value(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 _REAL = _value(_is_real, "a finite number", float)
 _LENGTH = _value(lambda v: _is_real(v) and v > 0, "a finite positive number", float)
 _COMPLEX = _value(
@@ -208,6 +209,11 @@ def _load_config(path, cmd):
         raise ConfigError("'config' is missing 'hamiltonian', which flow reads")
     if cmd == "fillin" and cfg.get("hermitian") == "fuchsian" and cfg.get("beltrami"):
         raise ConfigError("'beltrami' must be empty with 'hermitian': 'fuchsian', whose reference has mu = 0")
+    reference = cmd in ("fuchsian", "solve") or (cmd == "fillin" and cfg.get("hermitian") == "fuchsian")
+    if reference and cfg["chart"]["kind"] == "periodic-rect":
+        raise ConfigError(
+            f"{cmd} needs a 'dirichlet-disk' chart: no reference solution exists on a 'periodic-rect' chart"
+        )
     n = cfg["n"]
     try:
         ch = cfg["chart"] = _chart(**cfg["chart"])
@@ -517,7 +523,8 @@ def run(argv) -> int:
         return EXIT_CONFIG
     try:
         if flags:
-            echo = cfg = {"n": _N(args.n, "--n"), "samples": _COUNT(args.samples, "--samples"), "seed": args.seed}
+            echo = cfg = {"n": _N(args.n, "--n"), "samples": _COUNT(args.samples, "--samples")}
+            cfg["seed"] = _SEED(args.seed, "--seed")
             out = args.out
         else:
             echo, cfg = _load_config(args.config, cmd)

@@ -1,12 +1,10 @@
 """Hermitian adjoints, the canonical compatible connection, curvature, covectors.
 
-The filling-in solvers work per grid point (data parallel, deterministic);
-the unitary ones build and solve their pointwise systems one block of grid
-points at a time, so those systems hold one block's memory, not the grid's:
+Both filling-in solvers work per grid point (data parallel, deterministic)
+and build and solve their pointwise systems one block of grid points at a
+time, so those systems hold one block's memory, not the grid's:
 
-* ``fill_in(Phi, Psi)`` looks for the sigma-invariant connection killing both
-  fields, as a joint least-squares over sigma-invariant component pairs.
-* ``fill_in(Phi, h=...)`` parametrizes the exactly-unitary, exactly
+* ``fill_in(Phi, h)`` parametrizes the exactly-unitary, exactly
   sigma-invariant affine family through the Chern-like base point
   (h^-1 d h, 0) and least-squares the Phi-compatibility over it.  At a
   metric/field pair that is compatible in the continuum this reproduces the
@@ -83,7 +81,7 @@ class HermitianField:
 
     def sigma_adjoints(self):
         """The h-adjoints of the ``sigma_plus_basis`` directions, (nx * ny, m, n, n),
-        once per field: the admissible space and every unitary ``fill_in`` read them."""
+        once per field: the admissible space and every ``fill_in`` read them."""
         return self.derived("sigma_adjoints", lambda: _h_adjoints(self, fiber.sigma_plus_basis(self.n)))
 
 
@@ -132,7 +130,7 @@ def unitarity_defect(a_form: LieForm, h: HermitianField) -> float:
 # ---------------------------------------------------------------------------
 # batched least-squares helpers
 
-# grid points per block of the unitary pointwise systems: fill_in(h=...) and
+# grid points per block of the unitary pointwise systems: fill_in and
 # inject_covector hold one block's columns, Gram and KKT matrices at a time
 _BLOCK = 256
 
@@ -140,14 +138,6 @@ _BLOCK = 256
 def _realify_rows(m):
     """(..., rows, cols) complex -> (..., 2 rows, cols) real."""
     return np.concatenate([m.real, m.imag], axis=-2)
-
-
-def _sigma_cols(phi: LieForm, basis):
-    """Columns [s, phi2] for each basis element s, then -[s, phi1]; shape (N, n^2, 2m)."""
-    npt = phi.chart.nx * phi.chart.ny
-    p1 = phi.d1.reshape(npt, *phi.d1.shape[-2:])
-    p2 = phi.d2.reshape(npt, *phi.d2.shape[-2:])
-    return np.concatenate([-fiber.ad_columns(p2, basis), fiber.ad_columns(p1, basis)], axis=-1)
 
 
 def _solve_batched(mats, rhs, context, first=0):
@@ -169,65 +159,48 @@ def _solve_batched(mats, rhs, context, first=0):
     return np.linalg.solve(g, b[..., None])[..., 0]
 
 
-def fill_in(
-    phi: LieForm,
-    psi: LieForm | None = None,
-    h: HermitianField | None = None,
-) -> LieForm:
-    """Canonical compatible connection A for a transverse pair.
-
-    Takes exactly one of ``psi`` and ``h`` (a ValueError otherwise).  With
-    ``psi``: joint least squares of d_A phi = d_A psi = 0 over exactly
-    sigma-invariant component pairs.  With ``h``: least squares of
-    d_A phi = 0 over the exactly-unitary sigma-invariant family through the
-    Chern-like base point, whose psi is the h-adjoint of ``phi``.  The
-    pointwise least squares are solved by the normal equations.  Its
-    diagnostics are ``connection_report``.
+def fill_in(phi: LieForm, h: HermitianField) -> LieForm:
+    """Canonical compatible connection A of the Fock field ``phi`` and the
+    hermitian structure ``h``: least squares of d_A phi = 0 over the
+    exactly-unitary sigma-invariant family through the Chern-like base point
+    (h^-1 dh, 0), so that A is also compatible, to the discretization floor,
+    with psi, the h-adjoint of ``phi``.  The pointwise least squares are
+    solved by the normal equations.  Its diagnostics are ``connection_report``.
     """
     if phi.degree != 1:
         raise DomainMismatchError("fill_in expects degree-1 fields")
-    if (psi is None) == (h is None):
-        raise ValueError("fill_in takes exactly one of psi and h (with h, psi is the h-adjoint of phi)")
-    if h is not None:
-        # every Newton-map evaluation calls fill_in with the same h, so the
-        # adjoints of its directions are kept on the field
-        a1, a2 = _unitary_blocks(
-            phi,
-            h,
-            fiber.sigma_plus_basis(phi.n),
-            lambda blk: h.sigma_adjoints()[blk],
-            lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
-        )
-    else:
-        a1, a2 = _fill_in_sigma(phi, psi)
+    # every Newton-map evaluation calls fill_in with the same h, so the
+    # adjoints of its directions are kept on the field
+    a1, a2 = _unitary_blocks(
+        phi,
+        h,
+        fiber.sigma_plus_basis(phi.n),
+        lambda blk: h.sigma_adjoints()[blk],
+        lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
+    )
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
 
 
-def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: HermitianField | None = None) -> dict:
+def connection_report(phi: LieForm, a: LieForm, h: HermitianField) -> dict:
     """Diagnostics of a connection A from ``fill_in`` or ``inject_covector``,
-    given the one of ``psi`` and ``h`` it was solved from: the compatibility
-    residuals with phi and psi (the h-adjoint of phi when ``h`` is given), the
-    sigma defect, the unitarity defect (with ``h``), warnings, and the flags
-    ``sigma_invariant`` and ``unitary``.  Residuals and defects are sups over
-    the chart mask, on the stencil of the chart all of them share."""
-    if (psi is None) == (h is None):
-        raise ValueError("connection_report takes exactly one of psi and h (with h, psi is the h-adjoint of phi)")
-    if any(f is not None and f.chart != phi.chart for f in (a, psi, h)):
-        raise DomainMismatchError("connection_report needs phi, A, psi and h on one chart")
+    given the hermitian structure ``h`` it was solved with: the compatibility
+    residuals with phi and with psi, the h-adjoint of phi, the sigma defect,
+    the unitarity defect, warnings, and the flags ``sigma_invariant`` and
+    ``unitary``.  Residuals and defects are sups over the chart mask, on the
+    stencil of the chart all of them share."""
+    if any(f.chart != phi.chart for f in (a, h)):
+        raise DomainMismatchError("connection_report needs phi, A and h on one chart")
     ch, a1 = phi.chart, a.d1
-    psi_eff = psi if h is None else hermitian_adjoint_field(phi, h)
     mask = ch.mask()
     r_phi = covariant_d(a, phi).d0
-    r_psi = covariant_d(a, psi_eff).d0
+    r_psi = covariant_d(a, hermitian_adjoint_field(phi, h)).d0
     rep = {}
     rep["compat_residual_phi"] = float(np.abs(r_phi[mask]).max())
     rep["compat_residual_psi"] = float(np.abs(r_psi[mask]).max())
     rep["sigma_defect"] = sigma_defect(a)
     sig_ok = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1[mask]).max()))
-    uni_ok = False
-    if h is not None:
-        rep["unitarity_defect"] = unitarity_defect(a, h)
-        uni_ok = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
+    rep["unitarity_defect"] = unitarity_defect(a, h)
+    uni_ok = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     floor = ch.hx * ch.hx * 10.0
     rep["warnings"] = []
     scale = max(1.0, sup_norm(phi))
@@ -237,22 +210,6 @@ def connection_report(phi: LieForm, a: LieForm, psi: LieForm | None = None, h: H
         )
     rep["sigma_invariant"], rep["unitary"] = sig_ok, uni_ok
     return rep
-
-
-def _fill_in_sigma(phi, psi):
-    n = phi.n
-    ch = phi.chart
-    npt = ch.nx * ch.ny
-    basis = fiber.sigma_plus_basis(n)
-    m = len(basis)
-    # rows: phi-equation then psi-equation; cols: alpha (A1) then beta (A2)
-    mats = np.concatenate([_sigma_cols(phi, basis), _sigma_cols(psi, basis)], axis=-2)
-    y = -np.concatenate([exterior_d(f).d0.reshape(npt, -1) for f in (phi, psi)], axis=-1)
-    coef = _solve_batched(mats, y, "fill_in")
-    bstack = np.stack(basis)  # (m, n, n)
-    a1 = np.einsum("pa,aij->pij", coef[:, :m], bstack).reshape(ch.nx, ch.ny, n, n)
-    a2 = np.einsum("pa,aij->pij", coef[:, m:], bstack).reshape(ch.nx, ch.ny, n, n)
-    return a1, a2
 
 
 def _unitary_base(h):

@@ -14,10 +14,10 @@ def pinv_fill_in(monkeypatch):
     def pinv(mats, rhs, context, first=0):
         return (np.linalg.pinv(mats, rcond=1e-12) @ rhs[..., None])[..., 0]
 
-    def solve(phi, psi=None, h=None):
+    def solve(phi, h):
         with monkeypatch.context() as mp:
             mp.setattr(cn, "_solve_batched", pinv)
             mp.setattr(cn, "_BLOCK", phi.chart.nx * phi.chart.ny)
-            return cn.fill_in(phi, psi, h=h)
+            return cn.fill_in(phi, h)
 
     return solve

@@ -240,8 +240,7 @@ def test_criterion_8_variation_formulas():
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.05).data for k in range(2, n + 1)})
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
-    psi = cn.hermitian_adjoint_field(phi, h)
-    conn = cn.fill_in(phi, psi)
+    conn = cn.fill_in(phi, h)
     worst_mu = 0.0
     for ell in (2, 3):
         w = chm.ScalarField(ch, chm.random_smooth_scalar(ch, rng, amplitude=0.2).data)

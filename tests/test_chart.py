@@ -20,6 +20,8 @@ def test_chart_validation():
         chm.periodic_chart(4, 4)
     with pytest.raises(ValueError):
         chm.disk_chart(32, 32, radius=0.9)
+    with pytest.raises(ValueError, match="unknown chart kind 'torus'"):
+        chm.Chart(kind="torus", nx=8, ny=8)
     c = chm.periodic_chart(16, 16, 2.0, 1.0)
     assert c.hx == 2.0 / 16 and c.hy == 1.0 / 16
     d = chm.disk_chart(33, 33, 0.5)
@@ -309,6 +311,15 @@ def test_wedge_bracket_fock_field_commutes():
     assert np.abs(wb.d0).max() < 1e-14
 
 
+def test_wedge_bracket_needs_a_common_chart():
+    forms = [
+        chm.LieForm(ch, 0, d0=np.zeros((ch.nx, ch.ny, 2, 2), dtype=complex))
+        for ch in (chm.periodic_chart(8, 8), chm.periodic_chart(12, 12))
+    ]
+    with pytest.raises(DomainMismatchError, match="wedge_bracket needs a common chart"):
+        chm.wedge_bracket(*forms)
+
+
 def test_chart_stencil_defaults_by_kind_and_is_checked():
     periodic, disk = chm.periodic_chart(12, 12), chm.disk_chart(12, 12, 0.5)
     assert (periodic.stencil, disk.stencil) == ("periodic", "masked")
@@ -320,6 +331,8 @@ def test_chart_stencil_defaults_by_kind_and_is_checked():
             assert np.array_equal(derivative(ch, arr), derivative(ch, arr, ch.stencil))
     with pytest.raises(ValueError, match="'stencil' must be one of"):
         dataclasses.replace(disk, stencil="auto")
+    with pytest.raises(ValueError, match="unknown boundary policy 'auto'"):
+        chm.dx_array(disk, arr, "auto")
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "zerofill", "masked", "rect"])

@@ -19,6 +19,7 @@ from fockbench import hcsflow as hf
 from fockbench import solver as sv
 from fockbench.cli import run
 from fockbench.errors import DecompositionError, DegenerateStructureError, NonConvergenceError
+from fockbench.report import SolveReport
 
 
 def _write_config(tmp_path, name, cfg):
@@ -30,6 +31,11 @@ def _write_config(tmp_path, name, cfg):
 def _read_report(outdir):
     with open(os.path.join(outdir, "report.json")) as fh:
         return json.load(fh)
+
+
+def test_report_json_writes_complex_values_and_numpy_scalars():
+    rep = SolveReport(command="fillin", residual_norms={"z": 1.5 - 2j, "x": np.float64(0.25), 3: [np.int64(7)]})
+    assert json.loads(rep.to_json())["residual_norms"] == {"z": {"re": 1.5, "im": -2.0}, "x": 0.25, "3": [7]}
 
 
 def test_unknown_subcommand_and_usage():
@@ -119,6 +125,14 @@ def test_point_verify_needs_a_sample(tmp_path, capsys, samples):
     out = tmp_path / "o"
     assert run(["point-verify", "--n", "3", "--samples", samples, "--out", str(out)]) == 4
     assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, seed", [("point-verify", "-1"), ("fiber-verify", "-5")])
+def test_negative_seed_is_config_error(tmp_path, capsys, cmd, seed):
+    out = tmp_path / "o"
+    assert run([cmd, "--n", "3", "--seed", seed, "--out", str(out)]) == 4
+    assert f"'--seed' must be an integer >= 0, got {seed}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -763,6 +777,20 @@ def test_fillin_fuchsian_rejects_beltrami(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
     cfg["beltrami"] = {}
     assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "cmd, extra",
+    [("solve", {}), ("fuchsian", {}), ("fuchsian", {"grids": [8, 12]}), ("fillin", {"hermitian": "fuchsian"})],
+    ids=["solve", "fuchsian", "fuchsian-grids", "fillin-fuchsian"],
+)
+def test_reference_on_a_periodic_chart_is_config_error(tmp_path, capsys, cmd, extra):
+    # the Fuchsian reference exists only on a disk
+    cfg = {"n": 2, "chart": {"kind": "periodic-rect", "nx": 8, "ny": 8}, "output_dir": str(tmp_path / "o")} | extra
+    assert run([cmd, "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {cmd} needs a 'dirichlet-disk' chart" in err and "'periodic-rect'" in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_failed_line_search_reports_the_finished_steps(tmp_path, capsys, monkeypatch):

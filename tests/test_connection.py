@@ -68,10 +68,10 @@ def test_fill_in_constant_fields_gives_zero():
     ch = chm.periodic_chart(12, 12)
     for n in (2, 3):
         phi = _const_fock(ch, n, [0.2, 0.1][: n - 1])
-        psi = chm.LieForm(ch, 1, d1=np.conj(np.swapaxes(phi.d2, -1, -2)), d2=np.conj(np.swapaxes(phi.d1, -1, -2)))
-        conn = cn.fill_in(phi, psi)
+        h = cn.identity_hermitian(ch, n)
+        conn = cn.fill_in(phi, h)
         assert cn.sup_norm(conn) < 1e-11
-        assert cn.connection_report(phi, conn, psi)["sigma_invariant"]
+        assert cn.connection_report(phi, conn, h)["sigma_invariant"]
 
 
 def test_sigma_defect_propagates_nan():
@@ -90,21 +90,18 @@ def test_sigma_defect_propagates_nan():
 def test_fill_in_requires_psi_or_h():
     ch = chm.periodic_chart(8, 8)
     phi = _const_fock(ch, 2, [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # h is required: psi is always the h-adjoint of phi
         cn.fill_in(phi)
 
 
-def test_fill_in_and_report_reject_psi_with_h():
-    # with h, psi is the h-adjoint of phi: a psi given alongside would be ignored
+def test_adjoint_and_fill_in_reject_other_degrees():
     ch = chm.periodic_chart(8, 8)
-    phi = _const_fock(ch, 2, [0.3])
     h = cn.identity_hermitian(ch, 2)
-    psi = cn.hermitian_adjoint_field(phi, h)
-    a = cn.fill_in(phi, h=h)
-    with pytest.raises(ValueError, match="fill_in takes exactly one of psi and h"):
-        cn.fill_in(phi, psi, h=h)
-    with pytest.raises(ValueError, match="connection_report takes exactly one of psi and h"):
-        cn.connection_report(phi, a, psi, h=h)
+    scalar = chm.LieForm(ch, 0, d0=np.zeros((8, 8, 2, 2), dtype=complex))
+    with pytest.raises(DomainMismatchError, match="hermitian adjoint expects a degree-1 field"):
+        cn.hermitian_adjoint_field(scalar, h)
+    with pytest.raises(DomainMismatchError, match="fill_in expects degree-1 fields"):
+        cn.fill_in(scalar, h)
 
 
 def test_fill_in_determinism_two_methods(pinv_fill_in):
@@ -114,13 +111,8 @@ def test_fill_in_determinism_two_methods(pinv_fill_in):
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.1).data for k in (2, 3)})
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
-    psi = cn.hermitian_adjoint_field(phi, h)
-    a1 = cn.fill_in(phi, psi)
-    a2 = pinv_fill_in(phi, psi)
-    diff = max(np.abs(a1.d1 - a2.d1).max(), np.abs(a1.d2 - a2.d2).max())
-    assert diff < 1e-10
-    u1 = cn.fill_in(phi, h=h)
-    u2 = pinv_fill_in(phi, h=h)
+    u1 = cn.fill_in(phi, h)
+    u2 = pinv_fill_in(phi, h)
     diff = max(np.abs(u1.d1 - u2.d1).max(), np.abs(u1.d2 - u2.d2).max())
     assert diff < 1e-10
 
@@ -132,14 +124,14 @@ def test_fill_in_gauge_covariance_constant_gauge():
     mu = chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=0.08).data for k in (2, 3)})
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
-    psi = cn.hermitian_adjoint_field(phi, h)
-    conn = cn.fill_in(phi, psi)
+    conn = cn.fill_in(phi, h)
     s = 0.3 * fiber.sigma_plus_basis(n)[0] + 0.2 * fiber.sigma_plus_basis(n)[2]
     g, gi = sv.expm_pair(s[None, None])
     conj = lambda x: gi @ x @ g
     phi_g = chm.LieForm(ch, 1, d1=conj(phi.d1), d2=conj(phi.d2))
-    psi_g = chm.LieForm(ch, 1, d1=conj(psi.d1), d2=conj(psi.d2))
-    conn_g = cn.fill_in(phi_g, psi_g)
+    # the h_g-adjoint of g^-1 X g is g^-1 X^{*h} g for h_g = g^+ h g
+    h_g = cn.HermitianField(ch, fiber.dagger(g) @ h.data @ g)
+    conn_g = cn.fill_in(phi_g, h_g)
     expect1 = conj(conn.d1)
     expect2 = conj(conn.d2)
     assert np.abs(conn_g.d1 - expect1).max() < 1e-9
@@ -280,9 +272,9 @@ def test_unitary_solves_hold_one_block_of_points(solver, bound_mib):
     assert peak < bound_mib * 2**20
 
 
-def _eager_report(phi, psi, h, conn):
-    """The diagnostics of a connection solved from (phi, psi) or (phi, h),
-    written out: the report and the (sigma_invariant, unitary) flags."""
+def _eager_report(phi, h, conn):
+    """The diagnostics of a connection solved from (phi, h), written out: the
+    report and the (sigma_invariant, unitary) flags."""
     ch, a1, a2 = phi.chart, conn.d1, conn.d2
     mask = ch.mask()
 
@@ -292,13 +284,11 @@ def _eager_report(phi, psi, h, conn):
 
     rep = {}
     rep["compat_residual_phi"] = float(compat(phi))
-    rep["compat_residual_psi"] = float(compat(cn.hermitian_adjoint_field(phi, h) if h is not None else psi))
+    rep["compat_residual_psi"] = float(compat(cn.hermitian_adjoint_field(phi, h)))
     rep["sigma_defect"] = cn.sigma_defect(conn)
     sig = rep["sigma_defect"] < 1e-9 * max(1.0, float(np.abs(a1[mask]).max()))
-    uni = False
-    if h is not None:
-        rep["unitarity_defect"] = cn.unitarity_defect(conn, h)
-        uni = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
+    rep["unitarity_defect"] = cn.unitarity_defect(conn, h)
+    uni = rep["unitarity_defect"] < 1e-8 * max(1.0, float(np.abs(h.data).max()))
     rep["warnings"] = []
     if rep["compat_residual_phi"] > max(ch.hx * ch.hx * 10.0 * max(1.0, cn.sup_norm(phi)) * 100.0, 1e-6):
         rep["warnings"].append(f"phi-compatibility residual {rep['compat_residual_phi']:.3e} above the h^2 floor")
@@ -308,14 +298,11 @@ def _eager_report(phi, psi, h, conn):
 def _fill_in_cases():
     ch = chm.disk_chart(32, 32, 0.5)
     _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
-    yield phi, None, h
+    yield phi, h
     rng = np.random.default_rng(8)
     per = chm.periodic_chart(16, 16)
     mu = chm.BeltramiField(per, 3, {k: chm.random_smooth_scalar(per, rng, amplitude=0.3).data for k in (2, 3)})
-    phi = hf.fock_form(per, mu)
-    h = cn.identity_hermitian(per, 3)
-    yield phi, None, h
-    yield phi, cn.hermitian_adjoint_field(phi, h), None
+    yield hf.fock_form(per, mu), cn.identity_hermitian(per, 3)
 
 
 def test_connection_report_is_computed_only_when_called(monkeypatch):
@@ -329,18 +316,15 @@ def test_connection_report_is_computed_only_when_called(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(cn, name, counting(name, getattr(cn, name)))
-    for phi, psi, h in _fill_in_cases():
+    for phi, h in _fill_in_cases():
         counts.update(sigma_defect=0, unitarity_defect=0)
-        conns = [(psi, cn.fill_in(phi, psi, h=h))]
-        if h is not None:
-            t0 = chm.CovectorField(phi.chart, phi.n, {})
-            conns.append((None, cn.inject_covector(phi, h, t0)))
+        conns = [cn.fill_in(phi, h), cn.inject_covector(phi, h, chm.CovectorField(phi.chart, phi.n, {}))]
         assert counts == {"sigma_defect": 0, "unitarity_defect": 0}  # the solvers compute no diagnostics
-        for given_psi, conn in conns:
+        for conn in conns:
             counts.update(sigma_defect=0, unitarity_defect=0)
-            report = cn.connection_report(phi, conn, given_psi, h=h)
-            assert counts == {"sigma_defect": 1, "unitarity_defect": int(h is not None)}  # once per call
-            want_report, *want_flags = _eager_report(phi, given_psi, h, conn)
+            report = cn.connection_report(phi, conn, h)
+            assert counts == {"sigma_defect": 1, "unitarity_defect": 1}  # once per call
+            want_report, *want_flags = _eager_report(phi, h, conn)
             assert list(report)[-2:] == ["sigma_invariant", "unitary"]
             assert [report.pop("sigma_invariant"), report.pop("unitary")] == want_flags
             assert report == want_report and list(report) == list(want_report)

@@ -149,6 +149,17 @@ def test_four_way_block_independence():
         assert np.abs(parts.sum(axis=0) - basis).max() < 1e-10
 
 
+def test_four_way_rejects_a_fiber_outside_the_traceless_splitting():
+    # the four summands span the traceless fibers only, so the identity is
+    # left as a residual, and the error names its stack entry
+    pt = fp.fock_point(3, np.array([0.1, 0.05j]))
+    star = _star_fiber(pt)
+    v = np.stack([_fiber(np.zeros((3, 3)), np.zeros((3, 3))), _fiber(np.eye(3), np.eye(3))])
+    phi2 = np.repeat(pt.phi2[None], 2, axis=0)
+    with pytest.raises(DecompositionError, match="reconstruction residual .* of stack entry 1 exceeds tolerance"):
+        fp.four_way(pt.phi1, phi2, fiber.dagger(phi2), star[1], v)
+
+
 def test_fuchsian_components():
     pt = fp.fock_point(2, [0.0])
     star = _star_fiber(pt)

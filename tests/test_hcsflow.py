@@ -318,8 +318,7 @@ def test_gauge_variation_phi_matches_mu_variation():
     mu = _random_mu(ch, n, rng, 0.05)
     phi = hf.fock_form(ch, mu)
     h = cn.identity_hermitian(ch, n)
-    psi = cn.hermitian_adjoint_field(phi, h)
-    conn = cn.fill_in(phi, psi)
+    conn = cn.fill_in(phi, h)
     eps = 1e-4
     bound = 10 * (eps + ch.hx**2)
     for ell in (2, 3):

@@ -296,6 +296,21 @@ def test_admissible_space_position_dependent_h():
     assert herm < 1e-10
 
 
+def test_admissible_space_rejects_a_structure_of_the_wrong_dimension():
+    ch = chm.periodic_chart(8, 8)
+
+    def constant(m):
+        return cn.HermitianField(ch, np.broadcast_to(np.asarray(m, dtype=complex), (8, 8, 3, 3)).copy())
+
+    # condition 1e20: the extraction's singular values fall below its 1e-8 cutoff
+    with pytest.raises(DomainMismatchError, match="extraction hit a degenerate hermitian structure"):
+        sv.AdmissibleSpace(ch, 3, constant(np.diag([1e10, 1.0, 1e-10])))
+    # not hermitian: fewer than n(n-1)/2 sigma-invariant directions are h-hermitian
+    g = np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3))
+    with pytest.raises(DomainMismatchError, match="admissible space has unexpected dimension"):
+        sv.AdmissibleSpace(ch, 3, constant(g))
+
+
 def test_energy_identity_exact_on_periodic():
     rng = np.random.default_rng(3)
     n = 3
@@ -818,6 +833,8 @@ def test_newton_continuation_rejects_bad_targets():
     nan_outside[0, 0] = np.nan
     with pytest.raises(DomainMismatchError, match=r"mu_3 is not finite at grid point \(0, 0\)"):
         sv.newton_continuation(fd, chm.BeltramiField(ch, 3, {3: nan_outside}), cfg)
+    with pytest.raises(DomainMismatchError, match="Beltrami data rank differs from the reference"):
+        sv.newton_continuation(fd, chm.BeltramiField(ch, 2, {}), cfg)
 
 
 def test_positivity_margin_field_is_the_pointwise_margin():
