@@ -1,5 +1,9 @@
 """Hermitian adjoints, the canonical compatible connection, curvature, covectors.
 
+``HermitianField.adjoint`` is the one h-adjoint x -> h^-1 x^+ h.  The identity
+structure of ``identity_hermitian`` is its own type, whose adjoint is the
+dagger, with no inverse and no per-point stack of adjoints.
+
 Both filling-in solvers work per grid point (data parallel, deterministic)
 and build and solve their pointwise systems one block of grid points at a
 time, so those systems hold one block's memory, not the grid's:
@@ -79,15 +83,48 @@ class HermitianField:
         """h^-1, once per field."""
         return self.derived("inv", lambda: np.linalg.inv(self.data))
 
+    def _at(self, a, points, ndim):
+        """The grid ``a`` (nx, ny, n, n), or its flat grid ``points``, shaped to broadcast over ``ndim`` axes."""
+        a = a if points is None else a.reshape(-1, self.n, self.n)[points]
+        return a.reshape(a.shape[:-2] + (1,) * (ndim - a.ndim) + a.shape[-2:])
+
+    def adjoint(self, x, points=None):
+        """h^-1 x^+ h for a grid x (nx, ny, ..., n, n), or a stack (P, ..., n, n) at a slice ``points``
+        of P flat grid points; a leading axis of length 1 broadcasts, as in a constant basis (1, K, n, n)."""
+        return self._at(self.inv(), points, x.ndim) @ fiber.dagger(x) @ self._at(self.data, points, x.ndim)
+
     def sigma_adjoints(self):
         """The h-adjoints of the ``sigma_plus_basis`` directions, (nx * ny, m, n, n),
-        once per field: the admissible space and every ``fill_in`` read them."""
-        return self.derived("sigma_adjoints", lambda: _h_adjoints(self, fiber.sigma_plus_basis(self.n)))
+        once per field: the admissible space and every ``fill_in`` read them.
+        The identity's are the dagger of the basis, broadcast, not a stack."""
+        basis = np.stack(fiber.sigma_plus_basis(self.n))[None]
+        return self.derived("sigma_adjoints", lambda: self.adjoint(basis, slice(None)))
+
+
+class _IdentityField(HermitianField):
+    """The identity structure, made only by ``identity_hermitian``: h^-1 is h, the h-adjoint the dagger."""
+
+    def inv(self):
+        return self.data
+
+    def adjoint(self, x, points=None):
+        return np.broadcast_to(fiber.dagger(x), np.broadcast_shapes(x.shape, self._at(self.data, points, x.ndim).shape))
 
 
 def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
-    """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}."""
+    """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}.  A
+    non-finite entry or |h - h^+| above 1e-12 of max |h| is a
+    DomainMismatchError naming the worst flat grid point."""
     h = np.asarray(data, dtype=complex)
+    finite = np.isfinite(h).all(axis=(-2, -1)).ravel()
+    if not finite.all():
+        raise DomainMismatchError(f"hermitian structure has a non-finite entry at flat grid point {np.argmin(finite)}")
+    defect = np.abs(h - fiber.dagger(h)).max(axis=(-2, -1)).ravel()
+    if defect.max() > 1e-12 * np.abs(h).max():
+        worst = int(np.argmax(defect))
+        raise DomainMismatchError(
+            f"hermitian structure is not hermitian: |h - h^+| = {defect[worst]:.3e} at flat grid point {worst}"
+        )
     h = h / np.linalg.det(h)[..., None, None] ** (1.0 / h.shape[-1])
     if np.linalg.eigvalsh(h).min() <= 0:
         raise DomainMismatchError("hermitian structure must be positive definite")
@@ -96,15 +133,14 @@ def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
 
 def identity_hermitian(chart: Chart, n: int) -> HermitianField:
     """The identity hermitian structure on every grid point."""
-    return HermitianField(chart, np.broadcast_to(np.eye(n, dtype=complex), (chart.nx, chart.ny, n, n)).copy())
+    return _IdentityField(chart, np.broadcast_to(np.eye(n, dtype=complex), (chart.nx, chart.ny, n, n)).copy())
 
 
 def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:
     """Phi* : the adjoint exchanges dz and dzbar components."""
     if phi.degree != 1:
         raise DomainMismatchError("hermitian adjoint expects a degree-1 field")
-    hh, hinv = h.data, h.inv()
-    return LieForm(phi.chart, 1, d1=fiber.h_adjoint(phi.d2, hh, hinv), d2=fiber.h_adjoint(phi.d1, hh, hinv))
+    return LieForm(phi.chart, 1, d1=h.adjoint(phi.d2), d2=h.adjoint(phi.d1))
 
 
 def sigma_defect(a_form: LieForm) -> float:
@@ -218,14 +254,6 @@ def _unitary_base(h):
     return a0_1, np.zeros_like(a0_1)
 
 
-def _h_adjoints(h, basis, points=slice(None)):
-    """The h-adjoints of the constant directions in ``basis`` at the flat grid
-    ``points``, (points, K, n, n)."""
-    npt = h.chart.nx * h.chart.ny
-    hh, hinv = h.data.reshape(npt, h.n, h.n)[points], h.inv().reshape(npt, h.n, h.n)[points]
-    return fiber.h_adjoint(np.stack(basis), hh[:, None], hinv[:, None])
-
-
 def _unitary_cols(p1, p2, basis, adjoints):
     """Real-linear columns of the phi-compat residual over the unitary family
     at a stack of points with fields p1, p2 (P, n, n), C-ordered (P, n^2, 2K):
@@ -258,7 +286,7 @@ def _unitary_blocks(phi, h, basis, adjoints, solve):
     npt = ch.nx * ch.ny
     a0_1, a0_2 = _unitary_base(h)
     r0 = covariant_d(LieForm(ch, 1, d1=a0_1, d2=a0_2), phi).d0.reshape(npt, -1)
-    p1, p2, hh, hinv = (f.reshape(npt, n, n) for f in (phi.d1, phi.d2, h.data, h.inv()))
+    p1, p2 = (f.reshape(npt, n, n) for f in (phi.d1, phi.d2))
     bstack = np.stack(basis)
     a1, a2 = a0_1.reshape(npt, n, n).copy(), a0_2.reshape(npt, n, n).copy()
     for start in range(0, npt, _BLOCK):
@@ -268,7 +296,7 @@ def _unitary_blocks(phi, h, basis, adjoints, solve):
         coef = solve(blk, mats, y)
         v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], bstack)
         a1[blk] += v1
-        a2[blk] -= fiber.h_adjoint(v1, hh[blk], hinv[blk])
+        a2[blk] -= h.adjoint(v1, blk)
     return a1.reshape(ch.nx, ch.ny, n, n), a2.reshape(ch.nx, ch.ny, n, n)
 
 
@@ -338,5 +366,5 @@ def inject_covector(phi: LieForm, h: HermitianField, t: CovectorField) -> LieFor
                 f"inject_covector: singular KKT system at grid point {point} ({exc})", point=point
             ) from exc
 
-    a1, a2 = _unitary_blocks(phi, h, basis, lambda blk: _h_adjoints(h, basis, blk), solve)
+    a1, a2 = _unitary_blocks(phi, h, basis, lambda blk: h.adjoint(np.stack(basis)[None], blk), solve)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)

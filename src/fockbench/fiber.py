@@ -27,7 +27,6 @@ from .errors import DomainMismatchError, InvalidDimensionError
 __all__ = [
     "commutator",
     "dagger",
-    "h_adjoint",
     "sigma_split",
     "powers",
     "ad_columns",
@@ -59,11 +58,6 @@ def commutator(x, y):
 def dagger(x):
     """Conjugate transpose of the last two axes."""
     return np.conj(np.swapaxes(x, -1, -2))
-
-
-def h_adjoint(x, h, hinv):
-    """The h-adjoint x -> h^-1 x^+ h."""
-    return hinv @ dagger(x) @ h
 
 
 def sigma_split(x):

@@ -248,7 +248,7 @@ def flow_step(phi: LieForm, a_form: LieForm, h: HermitianField, ham: Hamiltonian
     xi = _xi(phi, ham)
     eta = eta_correction(phi, aminus, ham)
     psi = hermitian_adjoint_field(phi, h)
-    xi_star = LieForm(ch, 0, d0=fiber.h_adjoint(xi.d0, h.data, h.inv()))
+    xi_star = LieForm(ch, 0, d0=h.adjoint(xi.d0))
     dphi = covariant_d(asig, xi)
     da = covariant_d(a_form, eta)
     br = fiber.commutator

@@ -417,7 +417,7 @@ class LinearizedContext:
         e = eta.d0
         scale = max(1.0, float(np.abs(e).max()))
         sig = np.abs(fiber.sigma(e) - e).max()
-        herm = np.abs(fiber.h_adjoint(e, self.h.data, self.h.inv()) - e).max()
+        herm = np.abs(self.h.adjoint(e) - e).max()
         if not np.max([sig, herm]) <= 1e-6 * scale:  # NaN is outside
             raise DomainMismatchError(
                 f"eta is outside the admissible space (sigma defect {sig:.2e}, hermitian defect {herm:.2e})"
@@ -547,8 +547,7 @@ def energy_identity_sides(eta: LieForm, phi: LieForm, a_form: LieForm, h: Hermit
     tau = ctx.q_apply(omega)
     pi_minus_1 = 0.5 * (omega.d1 - tau.d1)
     pi_minus_2 = 0.5 * (omega.d2 - tau.d2)
-    hh, hinv = h.data, h.inv()
-    trh = lambda x: np.einsum("xyij,xyji->xy", fiber.h_adjoint(x, hh, hinv), x).real
+    trh = lambda x: np.einsum("xyij,xyji->xy", h.adjoint(x), x).real
     pse_pi = (trh(pi_minus_1) - trh(pi_minus_2))[mask].sum() * w
     c1 = fiber.commutator(phi.d1, eta.d0)
     c2 = fiber.commutator(phi.d2, eta.d0)

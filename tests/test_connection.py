@@ -32,6 +32,25 @@ def test_hermitian_structure_normalization():
         cn.hermitian_structure(ch, np.broadcast_to(np.diag([1.0, -1.0, -1.0]), (8, 8, 3, 3)).copy())
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.array([[2, 5, 0], [0, 1, 0], [0, 0, 0.5]]), r"not hermitian: \|h - h\^\+\| = 5.000e\+00 at flat grid point 29$"),
+        (np.diag([2.0, np.nan, 1.0]), "non-finite entry at flat grid point 29$"),
+    ],
+)
+def test_hermitian_structure_rejects_a_non_hermitian_or_non_finite_grid(entry, message):
+    # checked before the det normalization, which would warn on a NaN and
+    # whose eigvalsh positivity test reads only the lower triangle
+    ch = chm.periodic_chart(8, 8)
+    data = np.broadcast_to(np.diag([2.0, 0.5, 1.0]), (8, 8, 3, 3)).copy()
+    data[3, 5] = entry
+    with pytest.raises(DomainMismatchError, match=message):
+        cn.hermitian_structure(ch, data)
+    with pytest.raises(DomainMismatchError, match="at flat grid point 0$"):
+        cn.hermitian_structure(ch, np.broadcast_to(entry, (8, 8, 3, 3)))
+
+
 def test_hermitian_adjoint_identity_metric():
     ch = chm.periodic_chart(8, 8)
     n = 4
@@ -208,6 +227,34 @@ def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, n", [("periodic", 3), ("disk", 2), ("disk", 3), ("disk", 4)])
+def test_identity_structure_agrees_with_the_generic_path(monkeypatch, kind, n):
+    # the identity's h-adjoint is the dagger, with no inverse: the values equal
+    # those of a generic field on the same identity grid (== ignores signed zeros)
+    rng = np.random.default_rng(n)
+    ch = chm.periodic_chart(16, 16) if kind == "periodic" else chm.disk_chart(16, 16, 0.5)
+    mu, t = (
+        chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=a).data for k in range(2, n + 1)})
+        for a in (0.05, 0.2)
+    )
+    phi = hf.fock_form(ch, mu)
+    ham = hf.HamiltonianTerm(2, chm.ScalarField(ch, chm.random_smooth_scalar(ch, rng, amplitude=0.1).data))
+
+    def outputs(h):
+        psi = cn.hermitian_adjoint_field(phi, h)
+        conn = cn.fill_in(phi, h)
+        phi2, a2 = hf.flow_step(phi, conn, h, ham, 1e-3)
+        inj = cn.inject_covector(phi, h, t)
+        return [psi.d1, psi.d2, conn.d1, conn.d2, phi2.d1, phi2.d2, a2.d1, a2.d2, inj.d1, inj.d2]
+
+    want = outputs(cn.HermitianField(ch, np.broadcast_to(np.eye(n, dtype=complex), (16, 16, n, n)).copy()))
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    got = outputs(cn.identity_hermitian(ch, n))
+    assert calls == []
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
@@ -342,7 +389,7 @@ def test_hermitian_field_pieces_are_cached_read_only():
         "chern": np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
     }
     # the stacked adjoints, bitwise the adjoints taken one direction at a time
-    fresh["sigma_adjoints"] = np.stack([fiber.h_adjoint(s, hh, hinv) for s in fiber.sigma_plus_basis(n)], axis=1)
+    fresh["sigma_adjoints"] = np.stack([hinv @ fiber.dagger(s) @ hh for s in fiber.sigma_plus_basis(n)], axis=1)
     cached = h._derived
     assert set(cached) == set(fresh)  # inject_covector's sl_n adjoints are used once and not kept
     for key, value in cached.items():

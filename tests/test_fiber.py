@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockbench import chart as chm
+from fockbench import connection as cn
 from fockbench import fiber
 from fockbench.errors import DomainMismatchError, InvalidDimensionError
 
@@ -227,12 +229,13 @@ def test_sigma_split_parts_are_even_and_odd(n, seed):
 
 @_quick
 @_kernel_cases
-def test_h_adjoint_is_an_involution(n, seed):
+def test_hermitian_field_adjoint_is_an_involution(n, seed):
     rng = np.random.default_rng(seed)
-    x, h = _random_stack(rng, n), _random_pd(rng, n)
-    hinv = np.linalg.inv(h)
-    back = fiber.h_adjoint(fiber.h_adjoint(x, h, hinv), h, hinv)
-    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+    ch = chm.periodic_chart(8, 8)
+    x = _random_stack(rng, n, lead=(8, 8))
+    for h in (cn.hermitian_structure(ch, _random_pd(rng, n, lead=(8, 8))), cn.identity_hermitian(ch, n)):
+        back = h.adjoint(h.adjoint(x))
+        assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
 
 
 @_quick
