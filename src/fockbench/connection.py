@@ -97,8 +97,9 @@ class HermitianField:
         """The h-adjoints of the ``sigma_plus_basis`` directions, (nx * ny, m, n, n),
         once per field: the admissible space and every ``fill_in`` read them.
         The identity's are the dagger of the basis, broadcast, not a stack."""
-        basis = np.stack(fiber.sigma_plus_basis(self.n))[None]
-        return self.derived("sigma_adjoints", lambda: self.adjoint(basis, slice(None)))
+        return self.derived(
+            "sigma_adjoints", lambda: self.adjoint(np.stack(fiber.sigma_plus_basis(self.n))[None], slice(None))
+        )
 
 
 class _IdentityField(HermitianField):
@@ -210,7 +211,7 @@ def fill_in(phi: LieForm, h: HermitianField) -> LieForm:
     a1, a2 = _unitary_blocks(
         phi,
         h,
-        fiber.sigma_plus_basis(phi.n),
+        np.stack(fiber.sigma_plus_basis(phi.n)),
         lambda blk: h.sigma_adjoints()[blk],
         lambda blk, mats, y: _solve_batched(mats, y, "fill_in(unitary)", blk.start),
     )
@@ -287,14 +288,13 @@ def _unitary_blocks(phi, h, basis, adjoints, solve):
     a0_1, a0_2 = _unitary_base(h)
     r0 = covariant_d(LieForm(ch, 1, d1=a0_1, d2=a0_2), phi).d0.reshape(npt, -1)
     p1, p2 = (f.reshape(npt, n, n) for f in (phi.d1, phi.d2))
-    bstack = np.stack(basis)
     a1, a2 = a0_1.reshape(npt, n, n).copy(), a0_2.reshape(npt, n, n).copy()
     for start in range(0, npt, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        mats = _realify_rows(_unitary_cols(p1[blk], p2[blk], bstack, adjoints(blk)))
+        mats = _realify_rows(_unitary_cols(p1[blk], p2[blk], basis, adjoints(blk)))
         y = _realify_rows((-r0[blk])[..., None])[..., 0]
         coef = solve(blk, mats, y)
-        v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], bstack)
+        v1 = np.einsum("pa,aij->pij", coef[:, 0::2] + 1j * coef[:, 1::2], basis)
         a1[blk] += v1
         a2[blk] -= h.adjoint(v1, blk)
     return a1.reshape(ch.nx, ch.ny, n, n), a2.reshape(ch.nx, ch.ny, n, n)
@@ -331,7 +331,7 @@ def inject_covector(phi: LieForm, h: HermitianField, t: CovectorField) -> LieFor
     """
     n = phi.n
     npt = phi.chart.nx * phi.chart.ny
-    basis = fiber.sl_basis(n)
+    basis = np.stack(fiber.sl_basis(n))
     # covector constraints: tr(phi1^{k-1} (A0 + V)^{-sigma}_dz) = t_k
     powers = [p.reshape(npt, n, n) for p in fiber.powers(phi.d1, n - 1)]
     targets = [t.comp(k).reshape(npt) for k in range(2, n + 1)]
@@ -366,5 +366,5 @@ def inject_covector(phi: LieForm, h: HermitianField, t: CovectorField) -> LieFor
                 f"inject_covector: singular KKT system at grid point {point} ({exc})", point=point
             ) from exc
 
-    a1, a2 = _unitary_blocks(phi, h, basis, lambda blk: h.adjoint(np.stack(basis)[None], blk), solve)
+    a1, a2 = _unitary_blocks(phi, h, basis, lambda blk: h.adjoint(basis[None], blk), solve)
     return LieForm(phi.chart, 1, d1=a1, d2=a2)
