@@ -113,25 +113,20 @@ class Chart:
     def mask(self):
         """Boolean grid of points strictly inside the disk (rim excluded, so
         every mask point has at least one in-mask neighbour per axis).  Like
-        ``boundary_band`` and ``interior``, built once per chart and shared
-        read-only."""
+        ``interior``, built once per chart and shared read-only."""
         return self._masks[0]
 
-    def boundary_band(self):
-        """In-mask points within _BAND_WIDTH cells of the mask complement."""
-        return self._masks[1]
-
     def interior(self):
-        """Mask minus the Dirichlet boundary band."""
-        return self._masks[2]
+        """The mask minus its Dirichlet boundary band, the in-mask points within
+        _BAND_WIDTH cells of the mask complement; the whole grid if periodic."""
+        return self._masks[1]
 
     @cached_property
     def _masks(self):
-        """(mask, boundary band, interior); cached_property writes the instance
-        dict directly, which a frozen dataclass allows."""
+        """(mask, interior); cached_property writes the instance dict
+        directly, which a frozen dataclass allows."""
         if self.periodic:
-            m = np.ones((self.nx, self.ny), dtype=bool)
-            band = np.zeros_like(m)
+            m = inner = np.ones((self.nx, self.ny), dtype=bool)
         else:
             x, y = self.xy()
             m = x * x + y * y < self.radius**2 * (1 - 1e-12)
@@ -145,8 +140,7 @@ class Chart:
                 shrunk[[0, -1], :] = False
                 shrunk[:, [0, -1]] = False
                 inner = shrunk
-            band = m & ~inner
-        out = (m, band, m & ~band)
+        out = (m, inner)
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -465,30 +459,11 @@ def _require_complete(path, seen, what=""):
         raise ValueError(f"{path}: no row for index {idx}{what}")
 
 
-def _require_unrepeated(path, lines, entries, key):
-    """A ValueError naming path, line and index of the first row that repeats
-    an earlier row's index.  Every entry has a row, so a repeat shows as more
-    data rows than ``entries`` among the file's ``lines``; only then is the
-    file read again, ``key(row)`` giving a row's index and its label.  A
-    quoted field with a line break also adds a line, and passes that read."""
-    if lines - 1 == entries:
-        return
-    seen = set()
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            idx, what = key(row)
-            if (idx, what) in seen:
-                raise ValueError(f"{path}, line {r.line_num}: repeated index {idx}{what}")
-            seen.add((idx, what))
-
-
 def load_scalar_csv(path, chart: Chart) -> ScalarField:
     """Read a scalar field; a header other than i,j,re,im, a malformed row, an
-    index outside the grid (negative ones included) or a grid point without a
-    row or a row that repeats an index is a ValueError naming path (and line
-    or index)."""
+    index outside the grid (negative ones included), a row that repeats an
+    index or a grid point without a row is a ValueError naming path (and line
+    or index).  Of several faulty rows, the first in file order is named."""
     shape = (chart.nx, chart.ny)
     rows, cols = _index_text(shape)
     data = np.zeros(shape, dtype=complex)
@@ -508,10 +483,11 @@ def load_scalar_csv(path, chart: Chart) -> ScalarField:
                 idx = rows[i], cols[j]
             except KeyError:
                 idx = _parse_index(path, r.line_num, row, (i, j), shape)
+            if seen[idx]:
+                raise ValueError(f"{path}, line {r.line_num}: repeated index {idx}")
             data[idx] = v
             seen[idx] = True
     _require_complete(path, seen)
-    _require_unrepeated(path, r.line_num, data.size, lambda row: (tuple(map(int, row[:2])), ""))
     return ScalarField(chart, data)
 
 
@@ -532,13 +508,16 @@ def save_lieform_csv(path, form: LieForm):
 def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
     """Read a Lie-valued form; a header other than ``_MATRIX_HEADER``, a
     malformed row, an index outside the grid or the matrix (negative ones
-    included), a component label the degree does not have, a missing
-    component, an entry of a component without a row, or a row that repeats an
-    entry is a ValueError naming the path (and the line or index)."""
+    included), a component label the degree does not have, a row that repeats
+    an entry, a missing component or an entry of a component without a row is
+    a ValueError naming the path (and the line or index).  Of several faulty
+    rows, the first in file order is named."""
     comps = ("dz", "dzb") if degree == 1 else ("0",)
     shape = (chart.nx, chart.ny, n, n)
     rows, cols, entries = _index_text(shape[:3])
-    grids, seen = {}, {}
+    data = np.zeros((len(comps),) + shape, dtype=complex)
+    seen = np.zeros(data.shape, dtype=bool)
+    views = {c: (data[k], seen[k]) for k, c in enumerate(comps)}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
@@ -554,26 +533,24 @@ def load_lieform_csv(path, chart: Chart, degree: int, n: int) -> LieForm:
                 idx = rows[i], cols[j], entries[a], entries[b]
             except KeyError:
                 idx = _parse_index(path, r.line_num, row, (i, j, a, b), shape)
-            g = grids.get(comp)
-            if g is None:
-                if comp not in comps:
-                    raise ValueError(
-                        f"{path}, line {r.line_num}: component {comp!r} is not one of {comps} of a degree-{degree} form"
-                    )
-                g = grids[comp] = np.zeros(shape, dtype=complex)
-                seen[comp] = np.zeros(shape, dtype=bool)
+            try:
+                g, s = views[comp]
+            except KeyError:
+                raise ValueError(
+                    f"{path}, line {r.line_num}: component {comp!r} is not one of {comps} of a degree-{degree} form"
+                ) from None
+            if s[idx]:
+                raise ValueError(f"{path}, line {r.line_num}: repeated index {idx} of component {comp!r}")
             g[idx] = v
-            seen[comp][idx] = True
-    missing = [c for c in comps if c not in grids]
-    if missing:
-        raise ValueError(f"{path}: no rows of component {missing[0]!r} of a degree-{degree} form")
-    for c in comps:
-        _require_complete(path, seen[c], f" of component {c!r}")
-    entries = len(comps) * np.prod(shape)
-    _require_unrepeated(path, r.line_num, entries, lambda row: (tuple(map(int, row[:4])), f" of component {row[4]!r}"))
+            s[idx] = True
+    for k, c in enumerate(comps):
+        if not seen[k].any():
+            raise ValueError(f"{path}: no rows of component {c!r} of a degree-{degree} form")
+    for k, c in enumerate(comps):
+        _require_complete(path, seen[k], f" of component {c!r}")
     if degree == 1:
-        return LieForm(chart, 1, d1=grids["dz"], d2=grids["dzb"])
-    return LieForm(chart, degree, d0=grids["0"])
+        return LieForm(chart, 1, d1=data[0], d2=data[1])
+    return LieForm(chart, degree, d0=data[0])
 
 
 def save_matrix_field_csv(path, chart: Chart, grid):

@@ -44,16 +44,21 @@ __all__ = [
     "inject_covector",
     "sigma_defect",
     "unitarity_defect",
+    "frobenius_sup",
     "sup_norm",
 ]
+
+
+def frobenius_sup(t) -> float:
+    """Largest Frobenius norm over a stack of matrices (..., n, n); NaN if any norm is NaN."""
+    return float(np.sqrt(np.sum(np.abs(t) ** 2, axis=(-2, -1))).max())
 
 
 def sup_norm(form: LieForm, mask=None) -> float:
     """Largest pointwise Frobenius norm over the chart mask; NaN if any norm is NaN."""
     if mask is None:
         mask = form.chart.mask()
-    arrs = [a for a in (form.d0, form.d1, form.d2) if a is not None]
-    return float(np.max([np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))[mask].max() for a in arrs], initial=0.0))
+    return float(np.max([frobenius_sup(a[mask]) for a in (form.d0, form.d1, form.d2) if a is not None]))
 
 
 @dataclass
@@ -114,8 +119,10 @@ class _IdentityField(HermitianField):
 
 def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
     """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}.  A
-    non-finite entry or |h - h^+| above 1e-12 of max |h| is a
-    DomainMismatchError naming the worst flat grid point."""
+    non-finite entry, |h - h^+| above 1e-12 of max |h|, or a determinant that
+    is zero or not finite (an underflow or overflow included) is a
+    DomainMismatchError naming the first (for |h - h^+|, the worst) flat grid
+    point."""
     h = np.asarray(data, dtype=complex)
     finite = np.isfinite(h).all(axis=(-2, -1)).ravel()
     if not finite.all():
@@ -126,7 +133,15 @@ def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
         raise DomainMismatchError(
             f"hermitian structure is not hermitian: |h - h^+| = {defect[worst]:.3e} at flat grid point {worst}"
         )
-    h = h / np.linalg.det(h)[..., None, None] ** (1.0 / h.shape[-1])
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(h)
+    singular = ((det == 0) | ~np.isfinite(det)).ravel()
+    if singular.any():
+        first = int(np.argmax(singular))
+        raise DomainMismatchError(
+            f"hermitian structure has a zero or non-finite determinant ({det.flat[first]}) at flat grid point {first}"
+        )
+    h = h / det[..., None, None] ** (1.0 / h.shape[-1])
     if np.linalg.eigvalsh(h).min() <= 0:
         raise DomainMismatchError("hermitian structure must be positive definite")
     return HermitianField(chart, h)

@@ -43,6 +43,7 @@ from .connection import (
     HermitianField,
     curvature_total,
     fill_in,
+    frobenius_sup,
     hermitian_adjoint_field,
     hermitian_structure,
     sup_norm,
@@ -201,11 +202,6 @@ def _bounded_min(f, lo, hi, xatol):
     return xf, fx, num, status
 
 
-def _frobenius_sup(t):
-    """Largest Frobenius norm over a stack of matrices."""
-    return float(np.sqrt(np.sum(np.abs(t) ** 2, axis=(-2, -1))).max())
-
-
 def _ladder_constants(n):
     """kappa_{i+1}/kappa_i = i(n-i)/(n-1); trivial (all ones) for n = 2, 3."""
     kap = [1.0]
@@ -268,14 +264,14 @@ def fuchsian_reference(n: int, chart: Chart) -> FuchsianData:
     c1, c2 = n - 1.0, lo + _GOLDEN * (hi - lo)
     t1 = _fuchsian_curvature(n, chart, c1)[0].d0[interior]
     slope = (_fuchsian_curvature(n, chart, c2)[0].d0[interior] - t1) / (c2 - c1)
-    c0, predicted, evals, status = _bounded_min(lambda c: _frobenius_sup(t1 + (c - c1) * slope), lo, hi, 1e-10)
+    c0, predicted, evals, status = _bounded_min(lambda c: frobenius_sup(t1 + (c - c1) * slope), lo, hi, 1e-10)
     if status != "converged":
         raise NonConvergenceError(
             f"c0 search on [{lo!r}, {hi!r}] of the affine curvature model ended with status "
             f"{status!r} after {evals} evaluations (c0 = {c0!r}, residual {predicted!r})",
             history=[predicted],
         )
-    scale = c0 * _frobenius_sup(slope)
+    scale = c0 * frobenius_sup(slope)
     curv, conn, gs, phi, hf = _fuchsian_curvature(n, chart, c0)
     resid = sup_norm(curv, mask=interior)
     if not (abs(resid - predicted) <= _AFFINE_RTOL * scale):  # NaN fails

@@ -38,17 +38,18 @@ def test_periodic_chart_requires_finite_positive_lengths(lx, ly):
 
 def test_disk_mask_and_band():
     d = chm.disk_chart(33, 33, 0.5)
-    m, band, inner = d.mask(), d.boundary_band(), d.interior()
-    assert m.sum() > 0 and band.sum() > 0
-    assert not (inner & band).any()
+    m, inner = d.mask(), d.interior()
+    band = m & ~inner
+    assert m.sum() > 0 and band.sum() > 0 and inner.sum() > 0
+    assert not (inner & ~m).any()  # so the band and the interior split the mask
     assert (inner | band).sum() == m.sum()
 
 
 @pytest.mark.parametrize("chart", [chm.disk_chart(33, 33, 0.5), chm.disk_chart(20, 27, 0.4), chm.periodic_chart(12, 10)])
 def test_chart_masks_are_cached_read_only(chart):
-    m, band, inner = chart.mask(), chart.boundary_band(), chart.interior()
-    assert chart.mask() is m and chart.boundary_band() is band and chart.interior() is inner
-    for arr in (m, band, inner):
+    m, inner = chart.mask(), chart.interior()
+    assert chart.mask() is m and chart.interior() is inner
+    for arr in (m, inner):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = True
@@ -61,7 +62,7 @@ def test_chart_masks_are_cached_read_only(chart):
         fresh_m = x * x + y * y < chart.radius**2 * (1 - 1e-12)
         fresh_inner = ndimage.binary_erosion(fresh_m, iterations=2, border_value=0)
     assert np.array_equal(m, fresh_m)
-    assert np.array_equal(band, fresh_m & ~fresh_inner)
+    assert np.array_equal(m & ~inner, fresh_m & ~fresh_inner)
     assert np.array_equal(inner, fresh_inner)
 
 
@@ -619,3 +620,62 @@ def test_csv_readers_reject_repeated_rows(tmp_path):
     path.write_bytes(b"".join(lines).replace(b"\n7,7,1,1,dzb,", b'\n7,"7\n",1,1,dzb,'))
     back = chm.load_lieform_csv(path, chart, 1, n)
     assert _bits(back.d1) == _bits(grid[0]) and _bits(back.d2) == _bits(grid[1])
+
+
+def test_csv_readers_name_the_first_faulty_row_in_file_order(tmp_path):
+    """A repeat is named at its line, before a gap that a later row leaves and
+    before a later malformed row."""
+    chart, n = chm.periodic_chart(8, 8), 2
+    rng = np.random.default_rng(11)
+    path = tmp_path / "s.csv"
+    chm.save_scalar_csv(path, chm.random_smooth_scalar(chart, rng))
+    lines = path.read_bytes().splitlines(keepends=True)
+    # line 6 repeats line 2, and the row of index (1, 1) is dropped: as many rows as entries
+    path.write_bytes(b"".join(lines[:5] + [lines[1]] + lines[5:10] + lines[11:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 6: repeated index (0, 0)")):
+        chm.load_scalar_csv(path, chart)
+    path.write_bytes(b"".join(lines[:3] + [lines[1], b"0,3,x,0\r\n"] + lines[4:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: repeated index (0, 0)")):
+        chm.load_scalar_csv(path, chart)
+    grid = rng.standard_normal((2, 8, 8, n, n)) + 0j
+    chm.save_lieform_csv(path, chm.LieForm(chart, 1, d1=grid[0], d2=grid[1]))
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:4] + [lines[1]] + lines[4:9] + lines[10:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: repeated index (0, 0, 0, 0) of component 'dz'")):
+        chm.load_lieform_csv(path, chart, 1, n)
+    path.write_bytes(b"".join(lines[:4] + [lines[2], b"0,0,1,1,dzb,1\r\n"] + lines[4:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: repeated index (0, 0, 0, 1) of component 'dz'")):
+        chm.load_lieform_csv(path, chart, 1, n)
+
+
+def test_csv_readers_open_their_file_once(tmp_path, monkeypatch):
+    chart, n = chm.periodic_chart(8, 8), 2
+    rng = np.random.default_rng(12)
+    clean, form, matrix = tmp_path / "s.csv", tmp_path / "f.csv", tmp_path / "h.csv"
+    chm.save_scalar_csv(clean, chm.random_smooth_scalar(chart, rng))
+    grid = rng.standard_normal((2, 8, 8, n, n)) + 0j
+    chm.save_lieform_csv(form, chm.LieForm(chart, 1, d1=grid[0], d2=grid[1]))
+    chm.save_matrix_field_csv(matrix, chart, grid[0])
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(chm, "open", counting_open, raising=False)
+    readers = [
+        (clean, lambda p: chm.load_scalar_csv(p, chart)),
+        (form, lambda p: chm.load_lieform_csv(p, chart, 1, n)),
+        (matrix, lambda p: chm.load_matrix_field_csv(p, chart, n)),
+    ]
+    for path, read in readers:
+        opened.clear()
+        read(path)
+        assert opened == [path]
+        repeated = tmp_path / f"repeated-{path.name}"
+        lines = path.read_bytes().splitlines(keepends=True)
+        repeated.write_bytes(b"".join(lines + [lines[-1]]))
+        opened.clear()
+        with pytest.raises(ValueError, match=f"line {len(lines) + 1}: repeated index"):
+            read(repeated)
+        assert opened == [repeated]

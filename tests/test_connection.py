@@ -51,6 +51,22 @@ def test_hermitian_structure_rejects_a_non_hermitian_or_non_finite_grid(entry, m
         cn.hermitian_structure(ch, np.broadcast_to(entry, (8, 8, 3, 3)))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [np.zeros((3, 3)), np.diag([1e-200, 1e-200, 1.0]), np.diag([1e160, 1e160, 1e160])],
+    ids=["zero", "det-underflows", "det-overflows"],
+)
+def test_hermitian_structure_rejects_a_zero_or_non_finite_determinant(entry):
+    # named before the det^{1/n} division, with no numpy warning (tier-1 makes one an error)
+    ch = chm.periodic_chart(8, 8)
+    data = np.broadcast_to(np.diag([2.0, 0.5, 1.0]), (8, 8, 3, 3)).copy()
+    data[3, 5] = entry
+    with pytest.raises(DomainMismatchError, match=r"zero or non-finite determinant \(.*\) at flat grid point 29$"):
+        cn.hermitian_structure(ch, data)
+    with pytest.raises(DomainMismatchError, match=r"zero or non-finite determinant \(.*\) at flat grid point 0$"):
+        cn.hermitian_structure(ch, np.broadcast_to(entry, (8, 8, 3, 3)))
+
+
 def test_hermitian_adjoint_identity_metric():
     ch = chm.periodic_chart(8, 8)
     n = 4

@@ -54,6 +54,62 @@ def test_no_module_has_an_unused_import():
     assert unused == {}
 
 
+def _private_definitions(tree):
+    """(name, node) of each module-level ``_name`` and each ``_method`` of a
+    module-level class, dunders excluded; a method is named ``Class._method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            found += [(f"{node.name}.{m.name}", m) for m in methods]
+    return [(name, node) for name, node in found if name.rsplit(".", 1)[-1].startswith("_") and not name.endswith("__")]
+
+
+def _unread_private_names(sources):
+    """The private names that ``sources`` (module name -> source) define but
+    never read outside their own definition.  A read is a loaded name or
+    attribute, matched by identifier across all the sources."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for mod, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = set(map(id, ast.walk(definition)))
+            ident = name.rsplit(".", 1)[-1]
+            if not any(r == ident and id(node) not in inside for r, node in reads):
+                unread.append(f"{mod}.{name}")
+    return sorted(unread)
+
+
+def test_every_private_helper_has_a_caller():
+    root = Path(fockbench.__file__).parent
+    assert _unread_private_names({path.stem: path.read_text() for path in sorted(root.glob("*.py"))}) == []
+
+
+def test_private_name_finder_sees_each_kind():
+    a = (
+        "_USED, _UNUSED = 1, 2\n_K: int = _USED\n"
+        "def _called(): return _K\n"
+        "def _recursive(k): return _recursive(k - 1)\n"
+        "class _Box:\n"
+        "    def __init__(self): self._kept = self._helper()\n"
+        "    def _helper(self): return 0\n"
+        "    def _orphan(self): return self._orphan()\n"
+    )
+    b = "from .a import _called\nx = _called() + _Box()._kept\n"
+    assert _unread_private_names({"a": a, "b": b}) == ["a._Box._orphan", "a._UNUSED", "a._recursive"]
+
+
 def _boundary_takers(source):
     """Names of the functions in ``source`` with a ``boundary`` parameter."""
     found = []

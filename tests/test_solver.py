@@ -579,6 +579,29 @@ def test_newton_iteration_counts_do_not_rise(monkeypatch):
     assert len(calls) <= 310
 
 
+def test_eta_is_cauchy_under_refinement():
+    # C6's problem on nested disks (every coarse point is a fine point).  The
+    # difference on the common points falls at first order, about 2.6x per
+    # halving, and it sits at the edge of the active region, which moves by
+    # O(h) between grids: eta is pinned to zero on that staircase edge
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    etas, charts = [], []
+    for nx in (17, 33, 65):
+        ch = chm.disk_chart(nx, nx, 0.5)
+        bump = chm.bump_field(ch, center=(0.0, 0.0), radius=0.3, amplitude=0.01)
+        eta, _ = sv.newton_continuation(sv.fuchsian_reference(3, ch), chm.BeltramiField(ch, 3, {3: bump.data}), cfg)
+        etas.append(eta.d0)
+        charts.append(ch)
+    diffs = []
+    for coarse, fine, ch in zip(etas, etas[1:], charts):
+        gap = np.sqrt(np.sum(np.abs(coarse - fine[::2, ::2]) ** 2, axis=(-2, -1)))
+        diffs.append(gap.max() / cn.frobenius_sup(fine))
+        r = np.abs(ch.z())
+        worst = np.unravel_index(np.argmax(gap), gap.shape)
+        assert abs(r[worst] - r[ch.interior()].max()) <= 2 * ch.hx
+    assert diffs[0] / diffs[1] >= 1.8
+
+
 def test_newton_continuation_n5(monkeypatch):
     # C6's case at n = 5 on a 32^2 disk, with the C6 bump as mu_3 and mu_4.
     # Counts measured with the earlier pointwise Jacobi formula: Newton [9, 9]
