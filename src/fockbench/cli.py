@@ -114,17 +114,23 @@ def _table(schema, required=()):
     return check
 
 
+def _tagged(tag, tables):
+    """The check of an object whose ``tag`` key picks the table of all its keys."""
+
+    def check(spec, key):
+        if tag not in _OBJECT(spec, key):
+            raise ConfigError(f"{key!r} is missing {tag!r}")
+        return tables[_one_of(*tables)(spec[tag], tag)](spec, key)
+
+    return check
+
+
 _FIELD_TYPES = {
     "constant": _table({"type": _TEXT, "value": _COMPLEX}),
     "bump": _table({"type": _TEXT, "center": _POINT, "radius": _LENGTH, "amplitude": _COMPLEX}),
     "file": _table({"type": _TEXT, "path": _PATH}, required=("path",)),
 }
-
-
-def _field(spec, key):
-    """The check of a field spec: its "type" picks the table of its keys."""
-    kind = _one_of(*_FIELD_TYPES)(_OBJECT(spec, key).get("type"), "type")
-    return _FIELD_TYPES[kind](spec, key)
+_field = _tagged("type", _FIELD_TYPES)
 
 
 def _family(spec, key):
@@ -138,29 +144,31 @@ def _family(spec, key):
     return comps
 
 
+# Each chart kind's keys; a length left out takes its builder's default.
+_GRID = {"kind": _TEXT, "nx": _INTEGER, "ny": _INTEGER}
+_CHART_KINDS = {
+    "periodic-rect": _table(_GRID | {"lx": _LENGTH, "ly": _LENGTH}, required=("nx", "ny")),
+    "dirichlet-disk": _table(_GRID | {"radius": _LENGTH}, required=("nx", "ny")),
+}
+
+
 # Every key the CLI reads, with the check of its value.  A key left out takes
 # the default of the code that reads it.  The ranges the library checks itself
-# (Chart: nx, ny >= 8 and 0 < radius <= 0.7; NewtonConfig: counts, tolerances
-# and preconditioner; HamiltonianTerm: ell in 2..n; BeltramiField: component
-# indices in 2..n) are left to it.
+# (Chart: nx, ny >= 8, 0 < radius <= 0.7; NewtonConfig: counts, tolerances;
+# HamiltonianTerm: ell in 2..n; BeltramiField: indices in 2..n) are left to it.
+# "preconditioner" names the solver's one, block Jacobi, and is not passed on.
 _N = _value(lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 _SCHEMA = _table(
     {
         "n": _N,
-        "chart": _table(
-            {
-                "kind": _one_of("periodic-rect", "dirichlet-disk"),
-                "nx": _INTEGER, "ny": _INTEGER, "lx": _LENGTH, "ly": _LENGTH, "radius": _LENGTH,
-            },
-            required=("kind", "nx", "ny"),
-        ),
+        "chart": _tagged("kind", _CHART_KINDS),
         "beltrami": _family,
         "covector": _family,
         "hamiltonian": _table({"ell": _INTEGER, "eps": _REAL, "steps": _COUNT, "w": _field}, required=("ell", "w")),
         "solver": _table(
             {
                 "continuation_steps": _INTEGER, "newton_tol": _REAL, "max_newton": _INTEGER,
-                "cg_tol": _REAL, "max_cg": _INTEGER, "fd_check": _BOOL, "preconditioner": _TEXT,
+                "cg_tol": _REAL, "max_cg": _INTEGER, "fd_check": _BOOL, "preconditioner": _one_of("jacobi"),
             }
         ),
         "grids": _optional(_GRIDS),
@@ -171,8 +179,8 @@ _SCHEMA = _table(
 )
 
 
-def _chart(kind, nx, ny, lx=1.0, ly=1.0, radius=0.5) -> chm.Chart:
-    return chm.periodic_chart(nx, ny, lx, ly) if kind == "periodic-rect" else chm.disk_chart(nx, ny, radius)
+def _chart(kind, **keys) -> chm.Chart:
+    return (chm.periodic_chart if kind == "periodic-rect" else chm.disk_chart)(**keys)
 
 
 def _build_scalar(chart, spec, name) -> np.ndarray:
@@ -221,7 +229,7 @@ def _load_config(path, cmd):
         for section in ("beltrami", "covector"):
             comps = {k: _build_scalar(ch, spec, f"{section}['{k}']") for k, spec in cfg.get(section, {}).items()}
             cfg[section] = chm.BeltramiField(ch, n, comps)
-        cfg["solver"] = sv.NewtonConfig(**cfg.get("solver", {}))
+        cfg["solver"] = sv.NewtonConfig(**{k: v for k, v in cfg.get("solver", {}).items() if k != "preconditioner"})
         if "hamiltonian" in cfg:
             ham = cfg["hamiltonian"]
             w = chm.ScalarField(ch, _build_scalar(ch, ham["w"], "hamiltonian['w']"))

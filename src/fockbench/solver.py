@@ -9,9 +9,9 @@ operator in strong form is
 
 with the Galerkin pairing B(eta1, eta2) = -sum Re tr(eta1 * (L eta2)) dx dy,
 which is symmetric positive definite on Dirichlet-supported fields (exact
-summation by parts plus pointwise bracket identities), so CG, optionally
-block-Jacobi preconditioned, applies.  CG runs on flat coordinate vectors and
-the Galerkin matrix, built once per linearization as one product of sparse
+summation by parts plus pointwise bracket identities), so block-Jacobi
+preconditioned CG applies.  CG runs on flat coordinate vectors and the
+Galerkin matrix, built once per linearization as one product of sparse
 factors that mirrors the strong form, L = -Re F_act^T (Y Q X + M) F: F takes
 admissible coordinates to the constant sigma_plus_basis frame, X is d_A there,
 Q the pointwise involution, Y pairs d_A of a 1-form with the frame and M is
@@ -290,13 +290,12 @@ def fuchsian_reference(n: int, chart: Chart) -> FuchsianData:
 
 class AdmissibleSpace:
     """Per-point real orthonormal basis of the sigma-invariant h-hermitian
-    traceless matrices, with coordinate transport and Dirichlet masking."""
+    traceless matrices on h's chart, with coordinate transport and Dirichlet masking."""
 
-    def __init__(self, chart: Chart, n: int, h: HermitianField):
-        self.chart = chart
-        self.n = n
+    def __init__(self, h: HermitianField):
+        self.chart, n = h.chart, h.n
         self.dim = n * (n - 1) // 2
-        npt = chart.nx * chart.ny
+        npt = self.chart.nx * self.chart.ny
         s_plus = np.stack(fiber.sigma_plus_basis(n))  # (m, n, n)
         m = s_plus.shape[0]
         # real-linear condition h^-1 X^+ h - X = 0 on X = sum (u_a + i v_a) s_a
@@ -312,9 +311,8 @@ class AdmissibleSpace:
             raise DomainMismatchError("admissible space has unexpected dimension")
         null = vh[:, rank:, :]  # (npt, dim, 2m)
         coeff = null[..., 0::2] + 1j * null[..., 1::2]  # (npt, dim, m)
-        self.basis = np.einsum("pdm,mij->pdij", coeff, s_plus)
-        self.basis = self.basis.reshape(chart.nx, chart.ny, self.dim, n, n)
-        self.active = chart.interior()
+        self.basis = np.einsum("pdm,mij->pdij", coeff, s_plus).reshape(self.chart.nx, self.chart.ny, self.dim, n, n)
+        self.active = self.chart.interior()
         self._mask3 = self.active[..., None].astype(float)  # zeroes coordinates off the active points
         self._mask3.flags.writeable = False
 
@@ -377,7 +375,7 @@ class LinearizedContext:
         # on periodic charts), whose exact summation by parts makes B symmetric
         self.chart = replace(phi.chart, stencil="periodic" if phi.chart.periodic else "zerofill")
         self.n = phi.n
-        self.space = space if space is not None else AdmissibleSpace(phi.chart, self.n, h)
+        self.space = space if space is not None else AdmissibleSpace(h)
         npt = self.chart.nx * self.chart.ny
         fields = (self.phi.d1, self.phi.d2, self.psi.d1, self.psi.d2)
         self._qmat = q_matrices(*(f.reshape(npt, self.n, self.n) for f in fields))
@@ -487,22 +485,18 @@ class LinearizedContext:
 
     def solve(self, rhs, cfg: NewtonConfig):
         """CG on ``matrix`` x = rhs in flat coordinates, preconditioned by
-        ``jacobi`` when ``cfg.preconditioner`` is "jacobi"; returns x in the
-        shape of rhs and a report of the iteration count, the relative residual
-        per iteration and the smallest Rayleigh quotient p.Lp / p.p seen.  The
-        cell area of the Galerkin pairing cancels from all of them, so plain
-        dot products serve."""
-        b = rhs.ravel()
+        ``jacobi``; returns x in the shape of rhs and a report of the iteration
+        count, the relative residual per iteration and the smallest Rayleigh
+        quotient p.Lp / p.p seen.  The cell area of the Galerkin pairing cancels
+        from all of them, so plain dot products serve."""
+        r = b = rhs.ravel()  # the residual of x = 0
         x = np.zeros_like(b)
         b_norm = np.sqrt(b @ b)
         if b_norm == 0.0:
             return x.reshape(rhs.shape), {"iterations": 0, "residuals": [0.0], "rayleigh_min": None}
         if not np.isfinite(b_norm):
             raise NonConvergenceError("CG residual is not finite at iteration 0: the right-hand side has a NaN or inf")
-        pre = self.jacobi if cfg.preconditioner == "jacobi" else None
-        r = b
-        z = r if pre is None else pre @ r
-        p = z.copy()
+        p = z = self.jacobi @ r  # a new array: neither is updated in place
         rz = r @ z
         hist = []
         rayleigh_min = np.inf
@@ -522,7 +516,7 @@ class LinearizedContext:
                 raise NonConvergenceError(f"CG residual is not finite at iteration {it + 1}", history=hist)
             if rn <= cfg.cg_tol:
                 return x.reshape(rhs.shape), {"iterations": it + 1, "residuals": hist, "rayleigh_min": float(rayleigh_min)}
-            z = r if pre is None else pre @ r
+            z = self.jacobi @ r
             rz_new = r @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -560,7 +554,6 @@ class NewtonConfig:
     cg_tol: float = 1e-11
     max_cg: int = 4000
     fd_check: bool = False
-    preconditioner: str = "none"  # "none" | "jacobi"
 
     def __post_init__(self):
         for key in ("continuation_steps", "max_newton", "max_cg"):
@@ -569,8 +562,6 @@ class NewtonConfig:
         for key in ("newton_tol", "cg_tol"):
             if not 0 < getattr(self, key) < 1:
                 raise ValueError(f"{key!r} must be in (0, 1), got {getattr(self, key)!r}")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError(f"'preconditioner' must be 'none' or 'jacobi', got {self.preconditioner!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +598,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
     t0 = time.perf_counter()
     _check_mu_target(base, mu_target)
     ch, n, h = base.chart, base.n, base.h
-    space = AdmissibleSpace(ch, n, h)
+    space = AdmissibleSpace(h)
 
     # the Newton map's value at eta = 0 is the reference's curvature
     base_moments = space.moments(base.curvature.d0)

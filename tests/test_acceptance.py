@@ -136,7 +136,7 @@ def test_criterion_5_linearized_operator():
         d2=np.broadcast_to(0.25 * f + 0.1 * (f @ f), shape).copy(),
     )
     conn = cn.fill_in(phi, h=h)
-    space = sv.AdmissibleSpace(ch, n, h)
+    space = sv.AdmissibleSpace(h)
     coords = np.stack([chm.random_smooth_scalar(ch, rng).data.real for _ in range(space.dim)], axis=-1)
     eta = space.to_field(coords)
     lhs, rhs = sv.energy_identity_sides(eta, phi, conn, h)
@@ -173,7 +173,7 @@ def test_criterion_6_newton_continuation():
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, center=(0.0, 0.0), radius=0.3, amplitude=0.01)
     cfg = sv.NewtonConfig(
-        continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi"
+        continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000
     )
     mu = chm.BeltramiField(ch, 3, {3: bump.data})
     eta, rep = sv.newton_continuation(fd, mu, cfg)

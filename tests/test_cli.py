@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,6 +84,39 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, section, key):
     assert run(["solve", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
     assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "chart, key, value",
+    [
+        ({"kind": "periodic-rect", "nx": 8, "ny": 8}, "radius", 0.3),
+        ({"kind": "dirichlet-disk", "nx": 12, "ny": 12, "radius": 0.5}, "lx", 7.0),
+        ({"kind": "dirichlet-disk", "nx": 12, "ny": 12}, "ly", 7.0),
+    ],
+)
+def test_chart_key_of_the_other_kind_is_config_error(tmp_path, capsys, chart, key, value):
+    # lx and ly belong to periodic-rect charts only, radius to dirichlet-disk only
+    cfg = {"n": 2, "chart": dict(chart, **{key: value}), "output_dir": str(tmp_path / "o")}
+    assert run(["fillin", "--config", _write_config(tmp_path, "c.json", cfg)]) == 4
+    assert f"unknown key {key!r} in 'chart'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_readme_config_example_is_a_valid_config(tmp_path, monkeypatch):
+    # the jsonc block under "### Config schema", its // comments stripped, passes
+    # the schema (_load_config checks it with _SCHEMA first) and loads as a solve
+    # config, its solver section as NewtonConfig
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    obj = json.loads(re.sub(r"//.*", "", block))
+    ch = chm.disk_chart(obj["chart"]["nx"], obj["chart"]["ny"], obj["chart"]["radius"])
+    t3 = chm.ScalarField(ch, np.zeros((ch.nx, ch.ny), dtype=complex))
+    chm.save_scalar_csv(tmp_path / obj["covector"]["3"]["path"], t3)
+    monkeypatch.chdir(tmp_path)  # the example's file path is relative
+    _, cfg = cli._load_config(_write_config(tmp_path, "c.json", obj), "solve")
+    assert cfg["chart"] == ch
+    assert cfg["solver"] == sv.NewtonConfig(**{k: v for k, v in obj["solver"].items() if k != "preconditioner"})
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -690,6 +724,8 @@ def test_every_failed_run_emits_its_fail_report(tmp_path, capsys, monkeypatch, c
         ("solve", None, "c0", -1.0),
         ("solve", None, "c0", 0),
         ("solve", None, "seed", "x"),
+        # block Jacobi is the solver's only preconditioner
+        ("solve", "solver", "preconditioner", "none"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, section, key, value):
@@ -701,6 +737,8 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, secti
         "hamiltonian": {"ell": 2, "w": {"type": "bump", "amplitude": 0.0}},
         "output_dir": str(tmp_path / "o"),
     }
+    if key in ("lx", "ly"):  # the lengths of a periodic chart
+        cfg["chart"] = {"kind": "periodic-rect", "nx": 12, "ny": 12}
     spec = cfg
     for part in section.split("/") if section else []:  # a path into nested specs
         spec = spec[part]
@@ -721,6 +759,8 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, cmd, secti
         (("hamiltonian", "w"), "'hamiltonian' is missing 'w'"),
         (("beltrami", "3", "path"), "\"beltrami['3']\" is missing 'path'"),
         (("hamiltonian",), "'config' is missing 'hamiltonian', which flow reads"),
+        (("beltrami", "3", "type"), "\"beltrami['3']\" is missing 'type'"),
+        (("hamiltonian", "w", "type"), "'w' is missing 'type'"),
     ],
 )
 def test_missing_required_key_is_config_error(tmp_path, capsys, path, message):

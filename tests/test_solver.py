@@ -278,7 +278,7 @@ def test_admissible_space_roundtrip_and_structure():
     ch = chm.periodic_chart(16, 16)
     for n in (2, 3):
         h = cn.identity_hermitian(ch, n)
-        space = sv.AdmissibleSpace(ch, n, h)
+        space = sv.AdmissibleSpace(h)
         assert space.dim == n * (n - 1) // 2
         assert np.abs(fiber.sigma(space.basis) - space.basis).max() < 1e-12
         assert np.abs(np.conj(np.swapaxes(space.basis, -1, -2)) - space.basis).max() < 1e-12
@@ -289,7 +289,7 @@ def test_admissible_space_roundtrip_and_structure():
 def test_admissible_space_position_dependent_h():
     ch = chm.disk_chart(33, 33, 0.5)
     fd = sv.fuchsian_reference(2, ch)
-    space = sv.AdmissibleSpace(ch, 2, fd.h)
+    space = sv.AdmissibleSpace(fd.h)
     b = space.basis
     hh, hinv = fd.h.data, fd.h.inv()
     herm = np.abs(hinv[..., None, :, :] @ np.conj(np.swapaxes(b, -1, -2)) @ hh[..., None, :, :] - b).max()
@@ -304,11 +304,11 @@ def test_admissible_space_rejects_a_structure_of_the_wrong_dimension():
 
     # condition 1e20: the extraction's singular values fall below its 1e-8 cutoff
     with pytest.raises(DomainMismatchError, match="extraction hit a degenerate hermitian structure"):
-        sv.AdmissibleSpace(ch, 3, constant(np.diag([1e10, 1.0, 1e-10])))
+        sv.AdmissibleSpace(constant(np.diag([1e10, 1.0, 1e-10])))
     # not hermitian: fewer than n(n-1)/2 sigma-invariant directions are h-hermitian
     g = np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3))
     with pytest.raises(DomainMismatchError, match="admissible space has unexpected dimension"):
-        sv.AdmissibleSpace(ch, 3, constant(g))
+        sv.AdmissibleSpace(constant(g))
 
 
 def test_energy_identity_exact_on_periodic():
@@ -318,7 +318,7 @@ def test_energy_identity_exact_on_periodic():
     h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.25, 0.1])
     conn = cn.fill_in(phi, h=h)
-    space = sv.AdmissibleSpace(ch, n, h)
+    space = sv.AdmissibleSpace(h)
     eta, _ = _random_admissible(space, rng)
     lhs, rhs = sv.energy_identity_sides(eta, phi, conn, h)
     assert lhs > 0
@@ -445,7 +445,7 @@ def test_linearized_matches_fd_of_discrete_map():
     h = cn.identity_hermitian(ch, n)
     phi = _const_positive(ch, n, [0.2])
     conn = cn.fill_in(phi, h=h)
-    space = sv.AdmissibleSpace(ch, n, h)
+    space = sv.AdmissibleSpace(h)
     eta, _ = _random_admissible(space, rng)
 
     def curv(scale):
@@ -512,6 +512,7 @@ def test_solve_linear_manufactured_and_trivial():
 
 
 def test_solve_linear_jacobi_preconditioner():
+    # PCG against a dense direct solve of the same Galerkin system
     rng = np.random.default_rng(8)
     n = 2
     ch = chm.periodic_chart(20, 20)
@@ -521,10 +522,9 @@ def test_solve_linear_jacobi_preconditioner():
     ctx = sv.LinearizedContext(phi, conn, h)
     eta, _ = _random_admissible(ctx.space, rng)
     rhs = ctx.space.moments(ctx.apply(eta).d0)
-    plain = ctx.solve(rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000))
-    pre = ctx.solve(rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000, preconditioner="jacobi"))
-    assert np.abs(ctx.space.to_field(plain[0]).d0 - ctx.space.to_field(pre[0]).d0).max() < 1e-8 * np.abs(eta.d0).max()
-    assert pre[1]["iterations"] <= plain[1]["iterations"]
+    direct = np.linalg.solve(ctx.matrix.toarray(), rhs.ravel()).reshape(rhs.shape)
+    pre, _ = ctx.solve(rhs, sv.NewtonConfig(cg_tol=1e-11, max_cg=3000))
+    assert np.abs(ctx.space.to_field(direct).d0 - ctx.space.to_field(pre).d0).max() < 1e-8 * np.abs(eta.d0).max()
 
 
 def test_newton_config_validation():
@@ -532,8 +532,6 @@ def test_newton_config_validation():
         sv.NewtonConfig(continuation_steps=0)
     with pytest.raises(ValueError):
         sv.NewtonConfig(newton_tol=2.0)
-    with pytest.raises(ValueError, match="'preconditioner'"):
-        sv.NewtonConfig(preconditioner="Jacobi")
 
 
 def test_newton_continuation_small():
@@ -543,7 +541,7 @@ def test_newton_continuation_small():
     # n = 2 has no higher coefficients; use n = 3 on a small grid instead
     fd3 = sv.fuchsian_reference(3, ch)
     mu = chm.BeltramiField(ch, 3, {3: bump.data})
-    cfg = sv.NewtonConfig(continuation_steps=1, newton_tol=1e-9, cg_tol=1e-10, max_cg=3000, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=1, newton_tol=1e-9, cg_tol=1e-10, max_cg=3000)
     eta, rep = sv.newton_continuation(fd3, mu, cfg)
     assert rep["final_residual"] < 1e-9
     assert rep["per_step"][0]["newton_iters"] <= 8
@@ -563,7 +561,7 @@ def test_newton_iteration_counts_do_not_rise(monkeypatch):
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, center=(0.02, -0.01), radius=0.3, amplitude=0.01)
     mu = chm.BeltramiField(ch, 3, {3: bump.data})
-    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000)
     apply_coords = sv.LinearizedContext.apply_coords
     calls = []
 
@@ -584,7 +582,7 @@ def test_eta_is_cauchy_under_refinement():
     # difference on the common points falls at first order, about 2.6x per
     # halving, and it sits at the edge of the active region, which moves by
     # O(h) between grids: eta is pinned to zero on that staircase edge
-    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000)
     etas, charts = [], []
     for nx in (17, 33, 65):
         ch = chm.disk_chart(nx, nx, 0.5)
@@ -610,7 +608,7 @@ def test_newton_continuation_n5(monkeypatch):
     ch = chm.disk_chart(32, 32, 0.5)
     fd = sv.fuchsian_reference(5, ch)
     bump = chm.bump_field(ch, center=(0.0, 0.0), radius=0.3, amplitude=0.01)
-    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000)
     apply_coords = sv.LinearizedContext.apply_coords
     calls = []
 
@@ -646,6 +644,8 @@ def test_jacobi_inverts_the_matrix_diagonal_blocks(kind, n):
     for p in np.flatnonzero(active):
         block = slice(p * d, (p + 1) * d)
         assert np.abs(pre[block, block] @ mat[block, block] - np.eye(d)).max() <= 1e-12
+        # PCG needs a positive definite preconditioner
+        assert np.linalg.eigvalsh(pre[block, block]).min() > 0
     off = np.repeat(~active, d)
     assert not pre[off].any() and not pre[:, off].any()
     assert np.abs(pre - pre.T).max() <= 1e-12 * np.abs(pre).max()
@@ -661,7 +661,7 @@ def test_chord_newton_builds_one_linearization_per_step(monkeypatch):
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, center=(0.02, -0.01), radius=0.3, amplitude=0.01)
     mu = chm.BeltramiField(ch, 3, {3: bump.data})
-    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=2, newton_tol=1e-10, cg_tol=1e-11, max_cg=4000)
     init = sv.LinearizedContext.__init__
     built = []
 
@@ -742,7 +742,7 @@ def test_cg_on_an_indefinite_matrix_loses_definiteness():
     # diag(3, -1) from (1, 1): the first direction has p.Lp = 2 > 0, the second
     # p = (2, 6) has p.Lp = -24, after one residual of norm 2 relative to |b|
     ctx = sv.LinearizedContext.__new__(sv.LinearizedContext)
-    ctx.matrix = np.diag([3.0, -1.0])
+    ctx.matrix, ctx.jacobi = np.diag([3.0, -1.0]), np.eye(2)
     with pytest.raises(NonConvergenceError, match=r"lost definiteness \(Rayleigh -6.000e-01\)") as info:
         ctx.solve(np.ones(2), sv.NewtonConfig())
     assert info.value.history == [2.0]
@@ -775,7 +775,7 @@ def _line_search_case(monkeypatch, inflated):
 
 def test_line_search_halves_a_rejected_step(monkeypatch):
     fd, mu, etas = _line_search_case(monkeypatch, lambda k: k == 2)
-    cfg = sv.NewtonConfig(continuation_steps=1, preconditioner="jacobi")
+    cfg = sv.NewtonConfig(continuation_steps=1)
     _, rep = sv.newton_continuation(fd, mu, cfg)
     (step,) = rep["per_step"]
     assert rep["final_residual"] <= cfg.newton_tol
@@ -790,7 +790,7 @@ def test_line_search_halves_a_rejected_step(monkeypatch):
 def test_line_search_failure_is_not_convergence(monkeypatch):
     fd, mu, etas = _line_search_case(monkeypatch, lambda k: k >= 2)
     with pytest.raises(NonConvergenceError, match="Newton line search failed at s=1.000") as info:
-        sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=1, preconditioner="jacobi"))
+        sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=1))
     assert len(etas) == 1 + 8  # eta = 0, then the 8 trials from step_len 1 down to 1/128
     assert [_bits(e) for e in etas[2:]] == [_bits(etas[1] / 2**k) for k in range(1, 8)]
     assert len(info.value.history) == 1 and info.value.history[0] > 0
@@ -803,7 +803,7 @@ def test_newton_report_holds_the_final_field_and_connection():
     fd = sv.fuchsian_reference(3, ch)
     mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
     for m in (mu, chm.BeltramiField(ch, 3, {})):
-        eta, rep = sv.newton_continuation(fd, m, sv.NewtonConfig(continuation_steps=2, preconditioner="jacobi"))
+        eta, rep = sv.newton_continuation(fd, m, sv.NewtonConfig(continuation_steps=2))
         phi = sv.conjugate_field(hf.fock_form(fd.chart, m), eta)
         conn = cn.fill_in(phi, h=fd.h)
         for got, want in ((rep["phi"].d1, phi.d1), (rep["phi"].d2, phi.d2),
@@ -836,8 +836,7 @@ def test_newton_continuation_fd_check_recorded():
     fd = sv.fuchsian_reference(3, ch)
     bump = chm.bump_field(ch, radius=0.25, amplitude=0.003)
     mu = chm.BeltramiField(ch, 3, {3: bump.data})
-    cfg = sv.NewtonConfig(continuation_steps=1, newton_tol=1e-9, cg_tol=1e-10, max_cg=3000,
-                          preconditioner="jacobi", fd_check=True)
+    cfg = sv.NewtonConfig(continuation_steps=1, newton_tol=1e-9, cg_tol=1e-10, max_cg=3000, fd_check=True)
     _, rep = sv.newton_continuation(fd, mu, cfg)
     assert rep["fd_checks"] and rep["fd_checks"][0]["rel_mismatch"] < 0.05
 
