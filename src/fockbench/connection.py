@@ -277,8 +277,10 @@ def _unitary_cols(p1, p2, basis, adjoints):
     ``adjoints`` (P, K, n, n), the real direction [s, phi2] + [s*, phi1] and
     then the imaginary one i([s, phi2] - [s*, phi1])."""
     npt, n, k = p1.shape[0], p1.shape[-1], basis.shape[0]
-    br1 = fiber.commutator(basis, p2.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
-    br2 = fiber.commutator(adjoints, p1.reshape(npt, 1, n, n)).reshape(npt, k, n * n).swapaxes(1, 2)
+    br1 = fiber.ad_columns(p2, -basis)  # [s, p2] = [p2, -s]
+    # [s*, p1] = sum_u (s*)_u [E_u, p1]: ad_p1 against minus the elementary basis, times vec s*
+    minus_elem = -np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    br2 = fiber.ad_columns(p1, minus_elem) @ adjoints.reshape(npt, k, n * n).swapaxes(1, 2)
     cols = np.empty((npt, n * n, k, 2), dtype=complex)
     np.add(br1, br2, out=cols[..., 0])
     np.subtract(br1, br2, out=cols[..., 1])

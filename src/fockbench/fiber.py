@@ -30,6 +30,7 @@ __all__ = [
     "sigma_split",
     "powers",
     "ad_columns",
+    "ad_traces",
     "sqrtm_pd",
     "principal_nilpotent",
     "Sl2Triple",
@@ -75,14 +76,38 @@ def powers(x, k):
     return out
 
 
+@lru_cache(maxsize=64)
+def _structure(dual, basis):
+    """The read-only tensor (n^2, J K) of ad between the constant stacks dual d
+    (J, n, n) and basis b (K, n, n), each given by its (shape, bytes) so that it
+    is built once per process: row u holds tr(d_j [E_u, b_k]) over (j, k), E_u
+    the u-th elementary matrix in row-major order."""
+    d, b = (np.frombuffer(data, dtype=complex).reshape(shape) for shape, data in (dual, basis))
+    n = b.shape[-1]
+    c = commutator(np.eye(n * n, dtype=complex).reshape(n * n, 1, n, n), b)
+    t = np.ascontiguousarray(np.einsum("jab,ukba->ujk", d, c).reshape(n * n, -1))
+    t.flags.writeable = False
+    return t
+
+
+def ad_traces(p, x, y):
+    """tr(x_i [p, y_j]) per matrix of p (..., n, n), for constant stacks x (I, n, n)
+    and y (J, n, n): ad_p from the basis y to the coordinates x, as (..., I, J),
+    one GEMM of vec p against their cached structure tensor."""
+    x, y = (np.asarray(a, dtype=complex) for a in (x, y))
+    t = _structure((x.shape, x.tobytes()), (y.shape, y.tobytes()))
+    return (p.reshape(-1, y.shape[-1] ** 2) @ t).reshape(p.shape[:-2] + (x.shape[0], y.shape[0]))
+
+
 def ad_columns(p, basis):
     """The matrix of ad_p against ``basis``: column k is vec [p, basis[k]].
 
     p is (..., n, n) and basis (K, n, n); the result is a C-ordered (..., n^2, K),
-    the layout a stack of columns has (BLAS rounds other layouts differently).
+    the ``ad_traces`` against the transposed elementary matrices, which read off
+    the entries.
     """
-    c = commutator(p[..., None, :, :], np.asarray(basis))
-    return np.ascontiguousarray(np.swapaxes(c.reshape(c.shape[:-2] + (-1,)), -1, -2))
+    n = np.shape(basis)[-1]
+    return ad_traces(p, np.eye(n * n).reshape(n * n, n, n).swapaxes(1, 2), basis)
 
 
 def sqrtm_pd(h):
@@ -174,6 +199,8 @@ def _sl_basis_cached(n):
         m[a, a] = 1.0
         m[a + 1, a + 1] = -1.0
         mats.append(m)
+    for m in mats:
+        m.flags.writeable = False
     return tuple(mats)
 
 
@@ -278,6 +305,8 @@ def _sigma_eigenbases(n):
             minus.append(v / nrm)
     m_dim = n * (n - 1) // 2
     assert len(plus) == m_dim and len(plus) + len(minus) == n * n - 1
+    for m in plus + minus:
+        m.flags.writeable = False
     return tuple(plus), tuple(minus)
 
 

@@ -223,13 +223,10 @@ def q_matrices(phi1, phi2, psi1, psi2):
     """
     n = phi2.shape[-1]
     sdag = fiber.dagger(np.stack(fiber.sigma_plus_basis(n)))
-    s_minus = np.stack(fiber.sigma_minus_basis(n))
+    s_minus = fiber.sigma_minus_basis(n)
 
     def brackets(x1, x2):  # (S, 2m, q): coordinates of ([x1, y], [x2, y]), one column per y
-        return _cat(
-            [np.einsum("aij,...qji->...aq", sdag, fiber.commutator(x[..., None, :, :], s_minus)) for x in (x1, x2)],
-            axis=-2,
-        )
+        return _cat([fiber.ad_traces(x, sdag, s_minus) for x in (x1, x2)], axis=-2)
 
     b_minus = brackets(phi1, phi2)
     pinv = np.linalg.pinv(_cat([b_minus, brackets(psi1, psi2)], axis=-1), rcond=1e-11)

@@ -336,18 +336,12 @@ def _trace_pairs(x, y):
     return np.einsum("...aij,...bji->...ab", x, y)
 
 
-def _ad_traces(a, x, y):
-    """tr(x_i [a, y_j]) = tr(a [y_j, x_i]) per grid point, for constant stacks x, y."""
-    comm = fiber.commutator(y[None, :], x[:, None])
-    return np.einsum("ijuv,pvu->pij", comm, a)
-
-
 def _zeroth_traces(s, p1, p2, q1, q2):
     """tr(s_i zeroth(s_j)) per grid point, for the constant stack s.  With
     tr(x [[p, y], q]) = tr([q, x] [p, y]) and tr(x [p, [q, y]]) = -tr([p, x] [q, y])
     it is S + S^T, S = tr([q2, s_i] [p1, s_j]) - tr([q1, s_i] [p2, s_j])."""
-    def br(v):
-        return fiber.commutator(v[..., None, :, :], s)
+    def br(v):  # the stack [v, s_k] (..., K, n, n)
+        return np.swapaxes(fiber.ad_columns(v, s), -1, -2).reshape(v.shape[:-2] + s.shape)
 
     half = _trace_pairs(br(q2), br(p1)) - _trace_pairs(br(q1), br(p2))
     return half + np.swapaxes(half, -1, -2)
@@ -448,14 +442,14 @@ class LinearizedContext:
         dz, dzbar = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
         eye, zero, t = np.eye(m), np.zeros((m, m)), _trace_pairs(s, s)
         x = sparse.kron(dz, np.vstack([eye, zero]), "csr") + sparse.kron(dzbar, np.vstack([zero, eye]), "csr")
-        x = x + _block_diagonal(np.concatenate([_ad_traces(a1, sdag, s), _ad_traces(a2, sdag, s)], axis=1))
+        x = x + _block_diagonal(np.concatenate([fiber.ad_traces(a1, sdag, s), fiber.ad_traces(a2, sdag, s)], axis=1))
         y = sparse.kron(dzbar, np.hstack([-t, zero]), "csr") + sparse.kron(dz, np.hstack([zero, t]), "csr")
         # CSR products and sums compute each row on its own, so the active rows
         # alone give the same bits as the full product restricted to them
         active = self.space.active.ravel()
         points = np.flatnonzero(active)
         rows = (points[:, None] * m + np.arange(m)).ravel()
-        y = (y + _block_diagonal(np.concatenate([-_ad_traces(a2, s, s), _ad_traces(a1, s, s)], axis=2)))[rows]
+        y = (y + _block_diagonal(np.concatenate([-fiber.ad_traces(a2, s, s), fiber.ad_traces(a1, s, s)], axis=2)))[rows]
         core = y @ _block_diagonal(self._qmat) @ x + _block_diagonal(zeroth)[rows]
         del x, y  # the stencil factors go before the outer products, which lowers the peak memory
         f = _trace_pairs(sdag, self.space.basis).reshape(npt, m, self.space.dim)

@@ -105,7 +105,8 @@ def test_chart_key_of_the_other_kind_is_config_error(tmp_path, capsys, chart, ke
 def test_readme_config_example_is_a_valid_config(tmp_path, monkeypatch):
     # the jsonc block under "### Config schema", its // comments stripped, passes
     # the schema (_load_config checks it with _SCHEMA first) and loads as a solve
-    # config, its solver section as NewtonConfig
+    # config and as a fillin config, the one subcommand its "hermitian" key is
+    # for, its solver section as NewtonConfig
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
     block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
@@ -114,9 +115,11 @@ def test_readme_config_example_is_a_valid_config(tmp_path, monkeypatch):
     t3 = chm.ScalarField(ch, np.zeros((ch.nx, ch.ny), dtype=complex))
     chm.save_scalar_csv(tmp_path / obj["covector"]["3"]["path"], t3)
     monkeypatch.chdir(tmp_path)  # the example's file path is relative
-    _, cfg = cli._load_config(_write_config(tmp_path, "c.json", obj), "solve")
-    assert cfg["chart"] == ch
-    assert cfg["solver"] == sv.NewtonConfig(**{k: v for k, v in obj["solver"].items() if k != "preconditioner"})
+    path = _write_config(tmp_path, "c.json", obj)
+    for cmd in ("solve", "fillin"):
+        _, cfg = cli._load_config(path, cmd)
+        assert cfg["chart"] == ch
+        assert cfg["solver"] == sv.NewtonConfig(**{k: v for k, v in obj["solver"].items() if k != "preconditioner"})
 
 
 def test_missing_file_is_io_error(tmp_path):

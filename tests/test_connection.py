@@ -289,6 +289,28 @@ def _unitary_cases(n):
     yield hf.fock_form(ch, mu), h, t
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unitary_columns_are_the_pointwise_commutators(n):
+    # per-point adjoints of a Fuchsian h on a disk, and the identity's broadcast ones
+    rng = np.random.default_rng(n)
+    ch = chm.disk_chart(12, 12, 0.5)
+    npt = ch.nx * ch.ny
+    p1, p2 = (rng.standard_normal((npt, n, n)) + 1j * rng.standard_normal((npt, n, n)) for _ in range(2))
+    basis = np.stack(fiber.sigma_plus_basis(n))
+    k = basis.shape[0]
+    for h in (sv._fuchsian_fields(n, ch, 2.0)[2], cn.identity_hermitian(ch, n)):
+        adjoints = h.sigma_adjoints()
+        cols = cn._unitary_cols(p1, p2, basis, adjoints)
+        assert cols.shape == (npt, n * n, 2 * k) and cols.flags.c_contiguous
+        ref = np.empty((npt, n * n, k, 2), dtype=complex)  # the real, then the imaginary direction of each s
+        for p in range(npt):
+            for j in range(k):
+                br1 = fiber.commutator(basis[j], p2[p]).reshape(-1)
+                br2 = fiber.commutator(adjoints[p, j], p1[p]).reshape(-1)
+                ref[p, :, j] = np.stack([br1 + br2, 1j * (br1 - br2)], axis=-1)
+        assert np.abs(cols - ref.reshape(cols.shape)).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unitary_solves_are_bitwise_the_same_for_every_block_size(monkeypatch, n):
     # every step per block is a per-point product, eigenvalue test or solve, so

@@ -254,12 +254,31 @@ def test_powers_match_matrix_power(n, seed):
 @_quick
 @_kernel_cases
 def test_ad_columns_are_the_commutators(n, seed):
+    # against sl_basis each entry is one difference of two products by 0, ±1 or ±2,
+    # so the GEMM is exact (only the sign of a zero may differ); the sigma bases'
+    # 1/sqrt(2) entries round within a few ulp of the scale
     p = _random_stack(np.random.default_rng(seed), n, lead=(2, 3))
-    basis = fiber.sl_basis(n)
-    cols = fiber.ad_columns(p, basis)
-    assert cols.shape == (2, 3, n * n, n * n - 1) and cols.flags.c_contiguous
-    for k, x in enumerate(basis):
-        assert cols[..., k].tobytes() == fiber.commutator(p, x).reshape(2, 3, -1).tobytes()
+    for basis, exact in ((fiber.sl_basis(n), True), (fiber.sigma_plus_basis(n), False), (fiber.sigma_minus_basis(n), False)):
+        cols = fiber.ad_columns(p, basis)
+        assert cols.shape == (2, 3, n * n, len(basis)) and cols.flags.c_contiguous
+        ref = np.stack([fiber.commutator(p, x).reshape(2, 3, -1) for x in basis], axis=-1)
+        if exact:
+            assert np.array_equal(cols, ref)
+        assert np.abs(cols - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cached_bases_and_structure_tensors_are_read_only(n):
+    want = [b.copy() for b in fiber.sl_basis(n)]
+    key = lambda stack: (np.shape(stack), np.asarray(stack, dtype=complex).tobytes())
+    tensors = [
+        fiber._structure(key(np.eye(n * n).reshape(n * n, n, n)), key(fiber.sl_basis(n))),
+        fiber._structure(key(fiber.sigma_plus_basis(n)), key(fiber.sigma_minus_basis(n))),
+    ]
+    for a in [fiber.sl_basis(n)[0], fiber.sigma_plus_basis(n)[0], fiber.sigma_minus_basis(n)[0]] + tensors:
+        with pytest.raises(ValueError):
+            a[0, 1] = 5.0
+    assert all(np.array_equal(b, w) for b, w in zip(fiber.sl_basis(n), want))
 
 
 @_quick
