@@ -73,27 +73,52 @@ __all__ = [
 def expm_pair(x: np.ndarray):
     """(e^x, e^-x) over leading axes via scaling and squaring, from one Taylor
     chain: the k-th term of e^-x is exactly (-1)^k times that of e^x (rounding
-    is symmetric under negation), so one chain of 16 products feeds both sums,
-    and each sum is squared s times.  e^-x is bitwise the e^x of ``expm_pair(-x)``."""
+    is symmetric under negation), so one chain feeds both sums, and each sum is
+    squared s times.  The chain stops at the first term k whose bound
+    |y|^k / k! e^|y| on the scaled y is at most 2^-53 (|y| <= 1/4, so at most
+    13 products, and at |y| = 1e-3 five; Higham 2008, *Functions of Matrices*,
+    sec. 10.3); x and -x have one norm, so e^-x is bitwise the e^x of
+    ``expm_pair(-x)``."""
     x = np.asarray(x, dtype=complex)
     nrm = np.abs(x).sum(axis=-1).max() if x.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.25))))
-    y = x / (2.0**s)
+    y, y_nrm = x / (2.0**s), nrm / 2.0**s
+    bound = math.exp(y_nrm)  # times |y|^k / k!, it bounds the remainder after term k - 1
     plus = np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape).copy()
     minus, term = plus.copy(), plus.copy()
     for k in range(1, 17):
         term = term @ y / k
         plus = plus + term
         minus = minus - term if k % 2 else minus + term
+        bound *= y_nrm / k
+        if bound <= 2.0**-53:
+            break
     for _ in range(s):
         plus, minus = plus @ plus, minus @ minus
     return plus, minus
 
 
 def conjugate_field(phi: LieForm, eta: LieForm) -> LieForm:
-    """Pointwise e^{-eta} Phi e^{eta} on both components of the degree-1 field phi."""
-    g, gi = expm_pair(eta.d0)
-    return LieForm(phi.chart, 1, d1=gi @ phi.d1 @ g, d2=gi @ phi.d2 @ g)
+    """Pointwise e^{-eta} Phi e^{eta} on both components of the degree-1 field
+    phi, for the degree-0 gauge eta on phi's grid.  The exponentials are taken
+    on eta's support alone; off it e^{+-0} is exactly I, so phi's values are
+    copied there unchanged."""
+    if phi.degree != 1 or eta.degree != 0:
+        raise DomainMismatchError(
+            f"conjugate_field needs a degree-1 phi and a degree-0 eta, got degrees {phi.degree} and {eta.degree}"
+        )
+    if replace(eta.chart, stencil=phi.chart.stencil) != phi.chart:
+        raise DomainMismatchError("eta and phi live on different grids")
+    if eta.n != phi.n:
+        raise DomainMismatchError(f"eta is {eta.n}x{eta.n} and phi {phi.n}x{phi.n} per grid point")
+    bad = np.argwhere(~np.isfinite(eta.d0).all(axis=(-2, -1)))
+    if bad.size:
+        raise DomainMismatchError(f"eta is not finite at grid point {tuple(int(i) for i in bad[0])}")
+    live = eta.d0.any(axis=(-2, -1))
+    g, gi = expm_pair(eta.d0[live])
+    d1, d2 = phi.d1.astype(complex), phi.d2.astype(complex)
+    d1[live], d2[live] = gi @ d1[live] @ g, gi @ d2[live] @ g
+    return LieForm(phi.chart, 1, d1=d1, d2=d2)
 
 
 def positivity_margin_field(phi: LieForm, h: HermitianField) -> float:
@@ -625,6 +650,7 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
             if margin <= EPS_POS:
                 raise PositivityError(f"positivity lost at continuation parameter s={s:.3f}", where=s)
             residuals = [gnorm(gm)]
+            linear = []
             it = 0
             while not (residuals[-1] <= cfg.newton_tol):
                 if it >= cfg.max_newton:
@@ -633,7 +659,9 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
                     )
                 if it == 0:  # chord: the step's first linearization serves all its iterations
                     ctx = LinearizedContext(phi_c, conn, h, space=space)
-                delta_c, _ = ctx.solve(-gm, cfg)
+                delta_c, cg = ctx.solve(-gm, cfg)
+                linear.append({"iterations": cg["iterations"], "relres": cg["residuals"][-1],
+                               "rayleigh_min": cg["rayleigh_min"]})
                 if cfg.fd_check and it == 0:
                     # one-shot directional comparison of L against the discrete map
                     de = 1e-6 / max(np.abs(delta_c).max(), 1e-12)
@@ -658,7 +686,9 @@ def newton_continuation(base: FuchsianData, mu_target: BeltramiField, cfg: Newto
                 residuals.append(gnorm(gm))
                 it += 1
             curv_sup = sup_norm(curv, mask=ch.interior())
-            per_step.append({"s": s, "newton_iters": it, "residuals": residuals})
+            per_step.append(
+                {"s": s, "newton_iters": it, "residuals": residuals, "positivity_margin": margin, "linear": linear}
+            )
             final_residual = residuals[-1]
     except Exception as exc:
         exc.per_step = per_step  # the records of the steps that finished

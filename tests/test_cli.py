@@ -582,6 +582,7 @@ def test_failed_solve_keeps_finished_steps(tmp_path, capsys, monkeypatch):
     (step,) = rep["iteration_traces"]["per_step"]
     assert step["s"] == 0.5 and step["newton_iters"] >= 1
     assert len(step["residuals"]) == step["newton_iters"] + 1 and step["residuals"][-1] <= 1e-10
+    assert step["positivity_margin"] == 1.0 and len(step["linear"]) == step["newton_iters"]
 
 
 def test_failed_solve_keeps_finished_steps_on_any_exception(tmp_path, capsys, monkeypatch):

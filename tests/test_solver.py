@@ -84,6 +84,80 @@ def test_conjugate_field_identities():
     assert np.abs(chm.wedge_bracket(moved3, moved3).d0).max() < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 30.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_expm_pair_truncated_chain_matches_scipy(n, scale):
+    # the chain stops once the Taylor remainder is below 2^-53, so what is left
+    # is the rounding of the s squarings, which grows like 2^s.  The terms of
+    # the rank-one x = scale J / n (J all ones) do not cancel, so its remainder
+    # comes near the bound; its exponential is I + (e^scale - 1) J / n
+    rng = np.random.default_rng(n)
+    x = scale * (rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n)))
+    j = np.ones((n, n)) / n
+    cases = [
+        (x, [scipy_expm(a) for a in x], [scipy_expm(-a) for a in x]),
+        (scale * j[None], [np.eye(n) + math.expm1(scale) * j], [np.eye(n) + math.expm1(-scale) * j]),
+    ]
+    for x, plus_want, minus_want in cases:
+        squarings = max(0, math.ceil(math.log2(np.abs(x).sum(axis=-1).max() / 0.25)))
+        plus, minus = sv.expm_pair(x)
+        for got, want in zip([*plus, *minus], plus_want + minus_want):
+            assert np.linalg.norm(got - want, np.inf) <= 1e-15 * 2**squarings * np.linalg.norm(want, np.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conjugate_field_acts_on_etas_support_alone(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    ch = chm.disk_chart(12, 12, 0.5)
+    shape = (12, 12, n, n)
+    live = ch.interior() & (ch.xy()[0] > 0)  # part of the disk
+    noise = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)]
+    eta = chm.LieForm(ch, 0, d0=0.3 * noise[0] * live[..., None, None])
+    phi = chm.LieForm(ch, 1, d1=noise[1], d2=noise[2])
+    phi.d1[0, 0, 0, 0] = -0.0  # off the support, where I @ x @ I would give +0.0
+    g, gi = sv.expm_pair(eta.d0)
+    moved = sv.conjugate_field(phi, eta)
+    for got, d in ((moved.d1, phi.d1), (moved.d2, phi.d2)):
+        assert _bits(got[live]) == _bits((gi @ d @ g)[live])
+        assert _bits(got[~live]) == _bits(d[~live])
+    assert np.signbit(moved.d1[0, 0, 0, 0].real)
+    stacks, expm_pair = [], sv.expm_pair
+    monkeypatch.setattr(sv, "expm_pair", lambda x: stacks.append(x.shape) or expm_pair(x))
+    same = sv.conjugate_field(phi, chm.LieForm(ch, 0, d0=np.zeros(shape, dtype=complex)))
+    assert all(s[0] == 0 for s in stacks)
+    assert _bits(same.d1) == _bits(phi.d1) and _bits(same.d2) == _bits(phi.d2)
+
+
+def _conjugate_case(kind):
+    ch = chm.disk_chart(12, 12, 0.5)
+    phi = _const_positive(ch, 3, [0.1, 0.0])
+    zero = np.zeros((12, 12, 3, 3), dtype=complex)
+    infinite = zero.copy()
+    infinite[7, 4, 0, 2] = np.inf
+    return {
+        "eta of degree 1": (phi, chm.LieForm(ch, 1, d1=zero, d2=zero)),
+        "phi of degree 0": (chm.LieForm(ch, 0, d0=zero), chm.LieForm(ch, 0, d0=zero)),
+        "eta on another grid": (phi, chm.LieForm(chm.disk_chart(16, 16, 0.5), 0, d0=np.zeros((16, 16, 3, 3)))),
+        "eta of another n": (phi, chm.LieForm(ch, 0, d0=np.zeros((12, 12, 2, 2)))),
+        "eta not finite": (phi, chm.LieForm(ch, 0, d0=infinite)),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("eta of degree 1", "a degree-1 phi and a degree-0 eta, got degrees 1 and 1"),
+        ("phi of degree 0", "a degree-1 phi and a degree-0 eta, got degrees 0 and 0"),
+        ("eta on another grid", "eta and phi live on different grids"),
+        ("eta of another n", "eta is 2x2 and phi 3x3 per grid point"),
+        ("eta not finite", r"eta is not finite at grid point \(7, 4\)"),
+    ],
+)
+def test_conjugate_field_rejects_mismatched_inputs(kind, message):
+    with pytest.raises(DomainMismatchError, match=message):
+        sv.conjugate_field(*_conjugate_case(kind))
+
+
 def test_fuchsian_reference_properties():
     ch = chm.disk_chart(33, 33, 0.5)
     for n in (2, 3):
@@ -787,6 +861,44 @@ def test_line_search_halves_a_rejected_step(monkeypatch):
     assert _bits(etas[2]) == _bits(0.5 * etas[1])
     assert step["residuals"][1] < (1.0 - 0.25 * 0.5) * step["residuals"][0]
     assert len(etas) == 1 + step["newton_iters"] + 1  # one evaluation more than the accepted steps
+
+
+def test_newton_report_records_margins_and_linear_solves(monkeypatch):
+    ch = chm.disk_chart(16, 16, 0.5)
+    fd = sv.fuchsian_reference(3, ch)
+    mu = chm.BeltramiField(ch, 3, {3: chm.bump_field(ch, radius=0.3, amplitude=0.01).data})
+    margins, reports = [], []
+    margin_field, solve = sv.positivity_margin_field, sv.LinearizedContext.solve
+
+    def recorded_margin(phi, h):
+        margins.append(margin_field(phi, h))
+        return margins[-1]
+
+    def recorded_solve(ctx, rhs, cfg):
+        reports.append(solve(ctx, rhs, cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(sv, "positivity_margin_field", recorded_margin)
+    monkeypatch.setattr(sv.LinearizedContext, "solve", recorded_solve)
+    _, rep = sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=2))
+    assert [step["positivity_margin"] for step in rep["per_step"]] == margins
+    assert all(m > fp.EPS_POS for m in margins)
+    linear = [lin for step in rep["per_step"] for lin in step["linear"]]
+    assert [len(step["linear"]) for step in rep["per_step"]] == [step["newton_iters"] for step in rep["per_step"]]
+    assert linear == [{"iterations": r["iterations"], "relres": r["residuals"][-1], "rayleigh_min": r["rayleigh_min"]}
+                      for _, r in reports]
+    assert all(lin["iterations"] > 0 and lin["relres"] <= 1e-11 and lin["rayleigh_min"] > 0 for lin in linear)
+
+
+def test_newton_map_eta_vanishes_off_the_active_set(monkeypatch):
+    # conjugate_field exponentiates only where eta is nonzero; that is cheap
+    # only while the Newton iterates keep eta's Dirichlet zeros exactly
+    fd, mu, etas = _line_search_case(monkeypatch, lambda k: False)
+    _, rep = sv.newton_continuation(fd, mu, sv.NewtonConfig(continuation_steps=2))
+    active = sv.AdmissibleSpace(fd.h).active
+    assert len(etas) >= 2 + sum(step["newton_iters"] for step in rep["per_step"])
+    assert all((e[~active] == 0).all() for e in etas)  # -0.0 counts as zero, as in conjugate_field
+    assert all(np.abs(e[active]).max() > 0 for e in etas[1:])
 
 
 def test_line_search_failure_is_not_convergence(monkeypatch):
