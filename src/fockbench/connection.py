@@ -1,8 +1,8 @@
 """Hermitian adjoints, the canonical compatible connection, curvature, covectors.
 
-``HermitianField.adjoint`` is the one h-adjoint x -> h^-1 x^+ h.  The identity
-structure of ``identity_hermitian`` is its own type, whose adjoint is the
-dagger, with no inverse and no per-point stack of adjoints.
+``HermitianField.adjoint`` is the one h-adjoint x -> h^-1 x^+ h.  An h whose
+off-diagonal entries are all exactly zero (the identity and the Fuchsian
+ladder) is inverted as 1/d and adjoins by two scalings, with no matmul.
 
 Both filling-in solvers work per grid point (data parallel, deterministic)
 and build and solve their pointwise systems one block of grid points at a
@@ -73,56 +73,54 @@ class HermitianField:
         return self.data.shape[-1]
 
     def derived(self, key, build):
-        """``build()``, an array or a tuple of arrays that depends on h alone,
-        computed once per field and ``key`` and shared read-only (``data`` is
-        never rebound)."""
+        """``build()``, an array or None that depends on h alone, computed once
+        per field and ``key`` and shared read-only (``data`` is never rebound)."""
         cache = self.__dict__.setdefault("_derived", {})
         if key not in cache:
-            value = build()
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
-            cache[key] = value
+            cache[key] = build()
+            if cache[key] is not None:
+                cache[key].flags.writeable = False
         return cache[key]
 
+    def diagonal(self):
+        """h's diagonal d (nx, ny, n) if every off-diagonal entry is exactly zero, else None; once per field."""
+        off, d = ~np.eye(self.n, dtype=bool), np.diagonal(self.data, 0, -2, -1)
+        return self.derived("diagonal", lambda: None if self.data[..., off].any() else d.copy())
+
     def inv(self):
-        """h^-1, once per field."""
-        return self.derived("inv", lambda: np.linalg.inv(self.data))
+        """h^-1, once per field: 1/d on the diagonal of a diagonal h."""
+        d = self.diagonal()
+        return self.derived("inv", lambda: np.linalg.inv(self.data) if d is None else np.eye(self.n) / d[..., None])
 
     def _at(self, a, points, ndim):
-        """The grid ``a`` (nx, ny, n, n), or its flat grid ``points``, shaped to broadcast over ``ndim`` axes."""
-        a = a if points is None else a.reshape(-1, self.n, self.n)[points]
+        """The grid ``a`` (nx, ny, r, c), or its flat grid ``points``, shaped to broadcast over ``ndim`` axes."""
+        a = a if points is None else a.reshape((-1,) + a.shape[-2:])[points]
         return a.reshape(a.shape[:-2] + (1,) * (ndim - a.ndim) + a.shape[-2:])
 
     def adjoint(self, x, points=None):
         """h^-1 x^+ h for a grid x (nx, ny, ..., n, n), or a stack (P, ..., n, n) at a slice ``points``
-        of P flat grid points; a leading axis of length 1 broadcasts, as in a constant basis (1, K, n, n)."""
-        return self._at(self.inv(), points, x.ndim) @ fiber.dagger(x) @ self._at(self.data, points, x.ndim)
+        of P flat grid points; a leading axis of length 1 broadcasts, as in a constant basis (1, K, n, n).
+        A diagonal h gives (1/d_i) (x^+)_ij d_j, the product's nonzero terms in its order."""
+        d = self.diagonal()
+        if d is None:
+            return self._at(self.inv(), points, x.ndim) @ fiber.dagger(x) @ self._at(self.data, points, x.ndim)
+        d = self._at(d[..., None, :], points, x.ndim)
+        return np.swapaxes(1 / d, -1, -2) * fiber.dagger(x) * d
 
     def sigma_adjoints(self):
         """The h-adjoints of the ``sigma_plus_basis`` directions, (nx * ny, m, n, n),
-        once per field: the admissible space and every ``fill_in`` read them.
-        The identity's are the dagger of the basis, broadcast, not a stack."""
+        once per field: the admissible space and every ``fill_in`` read them."""
         return self.derived(
             "sigma_adjoints", lambda: self.adjoint(np.stack(fiber.sigma_plus_basis(self.n))[None], slice(None))
         )
 
 
-class _IdentityField(HermitianField):
-    """The identity structure, made only by ``identity_hermitian``: h^-1 is h, the h-adjoint the dagger."""
-
-    def inv(self):
-        return self.data
-
-    def adjoint(self, x, points=None):
-        return np.broadcast_to(fiber.dagger(x), np.broadcast_shapes(x.shape, self._at(self.data, points, x.ndim).shape))
-
-
 def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
     """Wrap a matrix grid as a hermitian structure, dividing by det^{1/n}.  A
-    non-finite entry, |h - h^+| above 1e-12 of max |h|, or a determinant that
-    is zero or not finite (an underflow or overflow included) is a
-    DomainMismatchError naming the first (for |h - h^+|, the worst) flat grid
-    point."""
+    non-finite entry, |h - h^+| above 1e-12 of max |h|, a determinant that
+    is zero or not finite (an underflow or overflow included), or an
+    eigenvalue that is not positive is a DomainMismatchError naming the first
+    (for |h - h^+|, the worst) flat grid point."""
     h = np.asarray(data, dtype=complex)
     finite = np.isfinite(h).all(axis=(-2, -1)).ravel()
     if not finite.all():
@@ -142,14 +140,18 @@ def hermitian_structure(chart: Chart, data: np.ndarray) -> HermitianField:
             f"hermitian structure has a zero or non-finite determinant ({det.flat[first]}) at flat grid point {first}"
         )
     h = h / det[..., None, None] ** (1.0 / h.shape[-1])
-    if np.linalg.eigvalsh(h).min() <= 0:
-        raise DomainMismatchError("hermitian structure must be positive definite")
+    lowest = np.linalg.eigvalsh(h)[..., 0].ravel()
+    if (lowest <= 0).any():
+        first = int(np.argmax(lowest <= 0))
+        raise DomainMismatchError(
+            f"hermitian structure must be positive definite: eigenvalue {lowest[first]:.3e} at flat grid point {first}"
+        )
     return HermitianField(chart, h)
 
 
 def identity_hermitian(chart: Chart, n: int) -> HermitianField:
     """The identity hermitian structure on every grid point."""
-    return _IdentityField(chart, np.broadcast_to(np.eye(n, dtype=complex), (chart.nx, chart.ny, n, n)).copy())
+    return HermitianField(chart, np.broadcast_to(np.eye(n, dtype=complex), (chart.nx, chart.ny, n, n)).copy())
 
 
 def hermitian_adjoint_field(phi: LieForm, h: HermitianField) -> LieForm:

@@ -330,10 +330,12 @@ class AdmissibleSpace:
         cond = np.concatenate([cond.real, cond.imag], axis=-2)
         _, s, vh = np.linalg.svd(cond)
         rank = 2 * m - self.dim
-        if not (s[:, rank - 1] > 1e-8 * np.maximum(s[:, 0], 1e-300)).all():
-            raise DomainMismatchError("admissible-space extraction hit a degenerate hermitian structure")
-        if not (s[:, rank] < 1e-8 * np.maximum(s[:, 0], 1.0)).all():
-            raise DomainMismatchError("admissible space has unexpected dimension")
+        full_rank = s[:, rank - 1] > 1e-8 * np.maximum(s[:, 0], 1e-300)  # NaN fails both tests
+        dim_ok = s[:, rank] < 1e-8 * np.maximum(s[:, 0], 1.0)
+        for ok, what in ((full_rank, "admissible-space extraction hit a degenerate hermitian structure"),
+                         (dim_ok, "admissible space has unexpected dimension")):
+            if not ok.all():
+                raise DomainMismatchError(f"{what} at flat grid point {int(np.argmin(ok))}")
         null = vh[:, rank:, :]  # (npt, dim, 2m)
         coeff = null[..., 0::2] + 1j * null[..., 1::2]  # (npt, dim, m)
         self.basis = np.einsum("pdm,mij->pdij", coeff, s_plus).reshape(self.chart.nx, self.chart.ny, self.dim, n, n)

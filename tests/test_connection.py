@@ -51,6 +51,16 @@ def test_hermitian_structure_rejects_a_non_hermitian_or_non_finite_grid(entry, m
         cn.hermitian_structure(ch, np.broadcast_to(entry, (8, 8, 3, 3)))
 
 
+def test_hermitian_structure_names_the_point_that_is_not_positive_definite():
+    ch = chm.periodic_chart(8, 8)
+    data = np.broadcast_to(np.diag([2.0, 0.5, 1.0]), (8, 8, 3, 3)).copy()
+    data[3, 5] = np.diag([1.0, -1.0, -1.0])  # det 1, so the normalization leaves it as it is
+    with pytest.raises(DomainMismatchError, match=r"positive definite: eigenvalue -1.000e\+00 at flat grid point 29$"):
+        cn.hermitian_structure(ch, data)
+    with pytest.raises(DomainMismatchError, match="positive definite: .* at flat grid point 0$"):
+        cn.hermitian_structure(ch, np.broadcast_to(data[3, 5], (8, 8, 3, 3)))
+
+
 @pytest.mark.parametrize(
     "entry",
     [np.zeros((3, 3)), np.diag([1e-200, 1e-200, 1.0]), np.diag([1e160, 1e160, 1e160])],
@@ -234,21 +244,40 @@ def test_pointwise_singularity_test_ignores_column_scale():
 
 
 def test_fill_in_inverts_the_hermitian_field_once(monkeypatch):
-    _, phi, h = sv._fuchsian_fields(3, chm.disk_chart(16, 16, 0.5), 2.0)
+    # a general h is inverted once per field; a diagonal one (the Fuchsian
+    # ladder) never, its h^-1 being 1/d
+    fuchsian, periodic = _unitary_cases(3)
     inv, calls = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
-    cn.fill_in(phi, h=h)
-    assert calls == [h.data.shape]
-    cn.fill_in(phi, h=h)
-    assert len(calls) == 1
+    for (phi, h, _), want in ((periodic, [periodic[1].data.shape]), (fuchsian, [])):
+        calls.clear()
+        cn.fill_in(phi, h=h)
+        assert calls == want
+        cn.fill_in(phi, h=h)
+        assert calls == want
 
 
-@pytest.mark.parametrize("kind, n", [("periodic", 3), ("disk", 2), ("disk", 3), ("disk", 4)])
+class _GenericField(cn.HermitianField):
+    """A hermitian structure that never takes the diagonal path: h^-1 by
+    ``np.linalg.inv``, the h-adjoint as two matmuls."""
+
+    def diagonal(self):
+        return None
+
+
+@pytest.mark.filterwarnings("ignore:A\\^-sigma is not Phi-commuting:UserWarning")  # flow_step's, on either path
+@pytest.mark.parametrize("kind, n", [(k, n) for k in ("periodic", "disk", "fuchsian") for n in (2, 3, 4, 5)])
 def test_identity_structure_agrees_with_the_generic_path(monkeypatch, kind, n):
-    # the identity's h-adjoint is the dagger, with no inverse: the values equal
-    # those of a generic field on the same identity grid (== ignores signed zeros)
+    # the identity's and the Fuchsian ladder's h-adjoints are two scalings,
+    # with no inverse: the values equal those of the generic path on the same
+    # grid (== ignores signed zeros)
     rng = np.random.default_rng(n)
-    ch = chm.periodic_chart(16, 16) if kind == "periodic" else chm.disk_chart(16, 16, 0.5)
+    if kind == "fuchsian":
+        h = sv._fuchsian_fields(n, chm.disk_chart(16, 16, 0.5), 2.0)[2]
+    else:
+        ch = chm.periodic_chart(16, 16) if kind == "periodic" else chm.disk_chart(16, 16, 0.5)
+        h = cn.identity_hermitian(ch, n)
+    ch = h.chart
     mu, t = (
         chm.BeltramiField(ch, n, {k: chm.random_smooth_scalar(ch, rng, amplitude=a).data for k in range(2, n + 1)})
         for a in (0.05, 0.2)
@@ -263,12 +292,28 @@ def test_identity_structure_agrees_with_the_generic_path(monkeypatch, kind, n):
         inj = cn.inject_covector(phi, h, t)
         return [psi.d1, psi.d2, conn.d1, conn.d2, phi2.d1, phi2.d2, a2.d1, a2.d2, inj.d1, inj.d2]
 
-    want = outputs(cn.HermitianField(ch, np.broadcast_to(np.eye(n, dtype=complex), (16, 16, n, n)).copy()))
+    want = outputs(_GenericField(ch, h.data))
     inv, calls = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
-    got = outputs(cn.identity_hermitian(ch, n))
-    assert calls == []
+    got = outputs(h)
+    assert h.diagonal() is not None and calls == []
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_the_diagonal_path_needs_every_off_diagonal_entry_zero():
+    # one off-diagonal entry of 1e-300 at one point keeps the generic path,
+    # bitwise; the structures the benchmark runs on are all diagonal
+    ch = chm.disk_chart(12, 12, 0.5)
+    data = sv._fuchsian_fields(3, ch, 2.0)[2].data.copy()
+    data[5, 7, 0, 2] = data[5, 7, 2, 0] = 1e-300
+    h = cn.HermitianField(ch, data)
+    assert h.diagonal() is None
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 12, 3, 3)) + 1j * rng.standard_normal((12, 12, 3, 3))
+    assert _bits(h.adjoint(x)) == _bits(np.linalg.inv(data) @ fiber.dagger(x) @ data)
+    for n in (2, 3, 4, 5):
+        for h in (cn.identity_hermitian(ch, n), sv._fuchsian_fields(n, ch, n - 1.0)[2]):
+            assert np.array_equal(h.diagonal(), np.diagonal(h.data, 0, -2, -1))
 
 
 def _bits(a):
@@ -291,7 +336,7 @@ def _unitary_cases(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_unitary_columns_are_the_pointwise_commutators(n):
-    # per-point adjoints of a Fuchsian h on a disk, and the identity's broadcast ones
+    # per-point adjoints of a Fuchsian h on a disk, and of the identity
     rng = np.random.default_rng(n)
     ch = chm.disk_chart(12, 12, 0.5)
     npt = ch.nx * ch.ny
@@ -416,30 +461,35 @@ def test_connection_report_is_computed_only_when_called(monkeypatch):
 
 
 def test_hermitian_field_pieces_are_cached_read_only():
-    ch = chm.disk_chart(16, 16, 0.5)
-    _, phi, h = sv._fuchsian_fields(3, ch, 2.0)
-    cn.fill_in(phi, h=h)
-    cn.inject_covector(phi, h, chm.BeltramiField(phi.chart, 3, {}))
-    npt, n = ch.nx * ch.ny, 3
-    hh, hinv = h.data.reshape(npt, n, n), np.linalg.inv(h.data).reshape(npt, n, n)
-    fresh = {
-        "inv": np.linalg.inv(h.data),
-        "chern": np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, "rect"),
-    }
-    # the stacked adjoints, bitwise the adjoints taken one direction at a time
-    fresh["sigma_adjoints"] = np.stack([hinv @ fiber.dagger(s) @ hh for s in fiber.sigma_plus_basis(n)], axis=1)
-    cached = h._derived
-    assert set(cached) == set(fresh)  # inject_covector's sl_n adjoints are used once and not kept
-    for key, value in cached.items():
-        got = value if isinstance(value, tuple) else (value,)
-        want = fresh[key] if isinstance(fresh[key], tuple) else (fresh[key],)
-        assert [_bits(a) for a in got] == [_bits(a) for a in want]
-        for arr in got:
-            assert not arr.flags.writeable
+    # a general h's pieces are bitwise the generic products; a diagonal h's
+    # (the Fuchsian ladder) equal them, as 1/d and two scalings move only the
+    # signs of zeros
+    fuchsian, periodic = _unitary_cases(3)
+    for (phi, h, t), same in ((periodic, lambda a, b: _bits(a) == _bits(b)), (fuchsian, np.array_equal)):
+        cn.fill_in(phi, h=h)
+        cn.inject_covector(phi, h, t)
+        ch, n = h.chart, 3
+        npt = ch.nx * ch.ny
+        hh, hinv = h.data.reshape(npt, n, n), np.linalg.inv(h.data).reshape(npt, n, n)
+        fresh = {
+            "diagonal": None if h is periodic[1] else np.diagonal(h.data, 0, -2, -1),
+            "inv": np.linalg.inv(h.data),
+            "chern": np.linalg.inv(h.data) @ chm.dz_array(ch, h.data, ch.stencil),
+            # the stacked adjoints, the adjoints taken one direction at a time
+            "sigma_adjoints": np.stack([hinv @ fiber.dagger(s) @ hh for s in fiber.sigma_plus_basis(n)], axis=1),
+        }
+        cached = h._derived
+        assert set(cached) == set(fresh)  # inject_covector's sl_n adjoints are used once and not kept
+        for key, value in cached.items():
+            if fresh[key] is None:
+                assert value is None
+                continue
+            assert same(value, fresh[key]), key
+            assert not value.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0.0
-    assert h.inv() is cached["inv"]
-    assert cn._unitary_base(h)[0] is cached["chern"]
+                value[0] = 0.0
+        assert h.inv() is cached["inv"]
+        assert cn._unitary_base(h)[0] is cached["chern"]
 
 
 def test_curvature_total_basics():

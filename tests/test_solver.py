@@ -385,6 +385,21 @@ def test_admissible_space_rejects_a_structure_of_the_wrong_dimension():
         sv.AdmissibleSpace(constant(g))
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.diag([1e10, 1.0, 1e-10]), "extraction hit a degenerate hermitian structure"),
+        (np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3)), "admissible space has unexpected dimension"),
+    ],
+)
+def test_admissible_space_names_the_one_bad_point(m, message):
+    ch = chm.periodic_chart(8, 8)
+    data = np.broadcast_to(np.eye(3, dtype=complex), (8, 8, 3, 3)).copy()
+    data[3, 5] = m
+    with pytest.raises(DomainMismatchError, match=f"{message} at flat grid point 29$"):
+        sv.AdmissibleSpace(cn.HermitianField(ch, data))
+
+
 def test_energy_identity_exact_on_periodic():
     rng = np.random.default_rng(3)
     n = 3
